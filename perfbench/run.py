@@ -1,7 +1,7 @@
 """Benchmark of the `seqweak` CLI.
 
-    python3 perfbench/run.py --workload oracle --seed 1 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload oracle --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 25 --trace 0
 
 Run from the root of a source checkout; the package is imported from its
 `src/` directory, nothing is installed.  For one workload the script writes
@@ -13,6 +13,18 @@ line one JSON object: `correct`, `attempted`, `failed` and `metrics`.  With
 per-layer ones from a traced run.  Lines before it, starting with `#`, give
 the details: sample counts, the tail percentile and the known-limit probes.
 `--workload all` runs the four workloads in turn and prints a table.
+
+The host's single-core speed switches by up to 1.7x, for under a second or
+for minutes at a time, which moves a run's latencies with it, fastest
+repetitions included.  So every time is taken at host speed: the worker
+times a fixed kernel of its own, the yardstick, before and after each
+command and after each set-up, and a time is scaled by YARD_NOMINAL_S over
+the yardstick time next to it.  A time then reads as on the host where the
+yardstick takes YARD_NOMINAL_S.  Each command of the cycle repeats once a
+cycle; its latency is the median of its scaled repetitions, and the
+end-to-end timings are computed over these per-command latencies, each
+command of the cycle counting once, which is the workload's size mix.  The
+`#` lines give the unscaled figures too.
 """
 from __future__ import annotations
 
@@ -32,7 +44,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".perfbench_work"
 WORKER = Path(__file__).resolve().parent / "worker.py"
-SETUP_SAMPLES = 5     # fresh interpreters timed for setup_s, the workload's included
+# Fresh interpreters timed for setup_s before and after the workload process,
+# which gives one more sample; spread out so they meet more than one host state.
+SETUP_BEFORE = 3
+SETUP_AFTER = 3
+TAIL_BEYOND = 10      # op_tail_ms leaves this many commands of the cycle beyond it
+# The yardstick's time on a 2-vCPU Xeon VM at its full speed; set-up and
+# command times are scaled to it.
+YARD_NOMINAL_S = 0.0013
 DEADLINE_S = 170.0    # whole run, so the benchmark ends within 180 s
 
 
@@ -46,10 +65,13 @@ def _nproc() -> int:
 
 
 def _child_env() -> dict:
+    """One BLAS/OpenMP thread: on this 2-vCPU host a second pool thread only
+    spun (twice the CPU time, no command faster) and made each process start
+    0.1 s slower, while competing with the host's other tenants."""
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        env[var] = str(_nproc())
+        env[var] = "1"
     return env
 
 
@@ -72,11 +94,26 @@ def _spawn(job: dict, work: Path, name: str, deadline: float) -> dict:
     return json.loads(Path(job["result"]).read_text())
 
 
-def tail(lat: list[float], pct: float) -> tuple[float, int]:
-    """(value, samples beyond it) of the workload's fixed tail percentile;
-    percentile 100 is the maximum."""
+def at_host_speed(seconds: float, yard: float) -> float:
+    return seconds * YARD_NOMINAL_S / yard
+
+
+def latency_by_pos(records: list[dict]) -> dict[int, float]:
+    """Each cycle position's median latency at host speed."""
+    by_pos: dict[int, list[float]] = {}
+    for rec in records:
+        by_pos.setdefault(rec["pos"], []).append(at_host_speed(rec["seconds"], rec["yard"]))
+    return {pos: statistics.median(xs) for pos, xs in sorted(by_pos.items())}
+
+
+def tail(lat: list[float]) -> tuple[float, float, int]:
+    """(percentile, value, samples beyond it) of the highest percentile that
+    leaves TAIL_BEYOND samples beyond it: the (TAIL_BEYOND+1)-th largest
+    value.  With too few samples, the maximum."""
+    n = len(lat)
+    pct = 100.0 * (n - 1 - TAIL_BEYOND) / (n - 1) if n > TAIL_BEYOND + 1 else 100.0
     value = _percentile(lat, pct)
-    return value, sum(1 for x in lat if x > value)
+    return pct, value, sum(1 for x in lat if x > value)
 
 
 def _percentile(xs: list[float], pct: float) -> float:
@@ -120,8 +157,10 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool) -> dict:
            "probes": plan.probes, "seconds": seconds, "trace": trace,
            "spans": str(work / "spans")}
     setups = [_spawn(dict(job, mode="setup"), work, f"setup{i}", deadline)
-              for i in range(SETUP_SAMPLES - 1)]
+              for i in range(SETUP_BEFORE)]
     res = _spawn(dict(job, mode="run"), work, "run", deadline)
+    setups += [_spawn(dict(job, mode="setup"), work, f"setup{i}", deadline)
+               for i in range(SETUP_BEFORE, SETUP_BEFORE + SETUP_AFTER)]
 
     checker = Checker(check.check)
     correct = True
@@ -145,20 +184,26 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool) -> dict:
     probe_failures = sum(1 for *_, passed in probe_rows if not passed)
 
     untraced = [rec for rec in records if not rec["traced"]]
-    lat = [rec["seconds"] for rec in untraced]
-    tail_value, beyond = tail(lat, plan.tail_percentile)
-    setup_samples = [r["setup_s"] for r in setups] + [res["setup_s"]]
-    mc = [(rec, plan.cycle[rec["pos"]]) for rec in untraced
-          if plan.cycle[rec["pos"]][0] == "montecarlo"]
-    mc_seconds = sum(rec["seconds"] for rec, _ in mc)
+    per_pos = latency_by_pos(untraced)
+    lat = list(per_pos.values())
+    tail_pct, tail_value, beyond = tail(lat)
+    setup_raw = [r["setup_s"] for r in setups] + [res["setup_s"]]
+    setup_samples = [at_host_speed(r["setup_s"], r["setup_yard"]) for r in setups + [res]]
+    mc = [(plan.cycle[pos], seconds) for pos, seconds in per_pos.items()
+          if plan.cycle[pos][0] == "montecarlo"]
+    mc_seconds = sum(seconds for _, seconds in mc)
+    raw = [rec["seconds"] for rec in untraced]
     detail = {
         "workload": workload, "seed": seed, "cycles": res["cycles"],
-        "cycle_commands": len(plan.cycle), "samples": len(lat),
+        "cycle_commands": len(plan.cycle), "samples": len(raw),
         "loop_s": res["loop_s"], "steal_s": res["steal_s"],
-        "tail_percentile": plan.tail_percentile,
-        "tail_samples_beyond": beyond, "setup_samples_s": setup_samples,
+        "tail_percentile": tail_pct, "tail_samples_beyond": beyond,
+        "raw_ops_per_s": len(raw) / sum(raw),
+        "raw_op_p50_ms": statistics.median(raw) * 1000.0,
+        "yard_ms": statistics.median(rec["yard"] for rec in untraced) * 1000.0,
+        "setup_samples_s": setup_samples, "raw_setup_samples_s": setup_raw,
         "fail_frac": (failed + probe_failures) / (len(records) + len(probe_rows)),
-        "mc_runs_per_s": (sum(int(argv[argv.index("--runs") + 1]) for _, argv in mc)
+        "mc_runs_per_s": (sum(int(argv[argv.index("--runs") + 1]) for argv, _ in mc)
                           / mc_seconds) if mc else 0.0,
         "first_failure": checker.first_failure, "nproc": _nproc(),
         "python": platform.python_version(), "numpy": _version("numpy"),
@@ -181,7 +226,8 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool) -> dict:
     all_ops = timed_ops | {p["op"] for p in res["probes"]}
     layers = spans.layer_metrics(cols, side, timed_ops, all_ops, res["cycles"])
     traced_s = sum(rec["seconds"] for rec in records if rec["traced"])
-    layers["trace.overhead_frac"] = traced_s / sum(lat) - 1.0
+    traced_lat = latency_by_pos([rec for rec in records if rec["traced"]])
+    layers["trace.overhead_frac"] = sum(traced_lat.values()) / sum(lat) - 1.0
     layers["trace.accounted_frac"] = layers.pop("trace.self_sum_ms") / (
         traced_s * 1000.0 / max(res["cycles"], 1))
     layers["fail_frac"] = detail["fail_frac"]
@@ -213,8 +259,14 @@ def _print_details(out: dict):
           f"{d['cycles']} cycles of {d['cycle_commands']}, {d['loop_s']:.1f} s "
           f"({d['steal_s']:.1f} s stolen by the host); "
           f"correct={out['correct']} failed={out['failed']}")
-    print(f"# op_tail_ms is p{d['tail_percentile']:g} with {d['tail_samples_beyond']} "
-          f"of {d['samples']} samples beyond it")
+    print(f"# timings are at host speed, over the {d['cycle_commands']} commands of "
+          f"the cycle, each the median of {d['cycles']} repetitions; op_tail_ms is "
+          f"p{d['tail_percentile']:.4g} with {d['tail_samples_beyond']} of "
+          f"{d['cycle_commands']} beyond it")
+    print(f"# unscaled: {d['raw_ops_per_s']:.6g} commands/s, median "
+          f"{d['raw_op_p50_ms']:.6g} ms over all {d['samples']} samples, set-up "
+          f"median {statistics.median(d['raw_setup_samples_s']):.6g} s; yardstick "
+          f"median {d['yard_ms']:.4g} ms (nominal {YARD_NOMINAL_S * 1000:g} ms)")
     print(f"# fail_frac {d['fail_frac']:.6g} (probes included), "
           f"mc_runs_per_s {d['mc_runs_per_s']:.6g}")
     for argv, outcome, _ in out["probes"]:

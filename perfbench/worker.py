@@ -10,6 +10,11 @@ job's `result` path as JSON; stdout is left to the commands.
 
 `setup_s` runs from the first line of this file to the end of the warm-up
 commands: the package import plus one warm-up command per subcommand.
+
+Each command is bracketed by the yardstick, a fixed kernel of the
+benchmark's own (see `Yardstick`), and its record carries the mean of the
+two yardstick times around it; run.py uses them to undo the host's changes
+of speed.  A set-up process times the yardstick after its warm-ups.
 """
 import time
 
@@ -22,6 +27,7 @@ import io  # noqa: E402
 import json  # noqa: E402
 import os  # noqa: E402
 import resource  # noqa: E402
+import statistics  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -68,6 +74,56 @@ def steal_seconds() -> float:
         return 0.0
 
 
+class Yardstick:
+    """A fixed mix of the work the package does, none of it the package's:
+    interpreted dict and loop code, small complex matrix products, a small
+    Hermitian eigendecomposition, a sort of a 32 KiB array and a random
+    gather from a 4 MiB one, which misses the caches as large weak-value
+    tables and Monte Carlo batches do.  About two milliseconds.  Its time,
+    taken next to a command, tells how fast the host runs at that moment."""
+
+    def __init__(self):
+        import numpy as np
+        rng = np.random.default_rng(20070611)
+        self.np = np
+        self.m = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))) / 4
+        self.h = self.m + self.m.conj().T
+        self.v = rng.standard_normal(4096)
+        self.big = rng.standard_normal(1 << 19)
+        self.idx = rng.integers(0, 1 << 19, 1 << 16)
+        self.last = self.measure()
+
+    def measure(self) -> float:
+        """Time one pass, after an untimed one that brings the yardstick's
+        data back into the caches, so that what the command before it left
+        behind does not count."""
+        self._kernel()
+        start = time.perf_counter()
+        self._kernel()
+        self.last = time.perf_counter() - start
+        return self.last
+
+    def _kernel(self):
+        np = self.np
+        d = {}
+        for i in range(3000):
+            d[i % 61] = d.get(i % 61, 0) + i
+        x = self.m
+        for _ in range(120):
+            x = x @ self.m
+            x = x / np.abs(x).max()
+        np.linalg.eigh(self.h)
+        np.sort(self.v)
+        for _ in range(4):
+            self.big.take(self.idx).sum()
+
+    def around(self, fn, *args):
+        """(result of fn, mean yardstick time just before and after it)."""
+        before = self.last
+        result = fn(*args)
+        return result, (before + self.measure()) / 2
+
+
 class Recorder:
     """Command records plus each distinct output once, keyed by digest."""
 
@@ -75,13 +131,14 @@ class Recorder:
         self.records = []
         self.outputs = {}
 
-    def add(self, pos, result, traced=False, op=-1):
+    def add(self, pos, result, yard=None, traced=False, op=-1):
         seconds, code, exc_type, stdout, stderr = result
         digest = hashlib.blake2b(stdout.encode(), digest_size=16).hexdigest()
         self.outputs.setdefault(f"{pos}:{digest}", stdout)
-        self.records.append({"pos": pos, "seconds": seconds, "code": code,
-                             "exc": exc_type, "digest": digest, "traced": traced,
-                             "op": op, "stderr": stderr[-300:] if code else ""})
+        self.records.append({"pos": pos, "seconds": seconds, "yard": yard,
+                             "code": code, "exc": exc_type, "digest": digest,
+                             "traced": traced, "op": op,
+                             "stderr": stderr[-300:] if code else ""})
 
 
 def main(job_path):
@@ -95,7 +152,10 @@ def main(job_path):
     for i, argv in enumerate(job["warmups"]):
         warm.add(-1 - i, run_command(cli, argv))
     setup_s = time.perf_counter() - T0
-    result = {"setup_s": setup_s, "warmups": warm.records, "warm_outputs": warm.outputs}
+    yard = Yardstick()
+    result = {"setup_s": setup_s,
+              "setup_yard": statistics.median(yard.measure() for _ in range(5)),
+              "warmups": warm.records, "warm_outputs": warm.outputs}
     if job["mode"] == "setup":
         Path(job["result"]).write_text(json.dumps(result))
         return
@@ -123,15 +183,15 @@ def main(job_path):
         cycle_start = time.perf_counter()
         for pos, argv in enumerate(cycle):
             if not job["trace"]:
-                rec.add(pos, run_command(cli, argv))
+                rec.add(pos, *yard.around(run_command, cli, argv))
                 continue
             # traced and untraced copies back to back, alternating the order
             for traced in ((True, False) if (pos + cycles) % 2 == 0 else (False, True)):
                 if traced:
-                    rec.add(pos, run_traced(op, argv), traced=True, op=op)
+                    rec.add(pos, *yard.around(run_traced, op, argv), traced=True, op=op)
                     op += 1
                 else:
-                    rec.add(pos, run_command(cli, argv))
+                    rec.add(pos, *yard.around(run_command, cli, argv))
         cycles += 1
         now = time.perf_counter()
         if now - loop_start + (now - cycle_start) > seconds:

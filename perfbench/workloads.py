@@ -17,19 +17,16 @@ WORKLOADS = ("oracle", "montecarlo", "wvtable", "cli-small")
 _CODES = {name: i for i, name in enumerate(WORKLOADS, start=1)}
 PROBE_CODE = 99
 
-# Fixed percentile reported as op_tail_ms, so that runs stay comparable.
-# Chosen to leave at least ten samples beyond it in a 20 s run where the
-# workload allows: a wvtable run holds about 30 commands in three sizes, and
-# a montecarlo run about five, so those report p75 and the maximum.
-TAIL_PERCENTILE = {"oracle": 95.0, "montecarlo": 100.0, "wvtable": 75.0,
-                   "cli-small": 99.0}
-
 ORACLE_G = 0.05
-MC_RUNS = 1_000_000
+# 2*10^5 runs (0.5-1.2 s a command) rather than 10^6 (3-8 s), so that a run
+# repeats each of the five commands about five times; bisection and record
+# building still dominate the command.
+MC_RUNS = 200_000
 MC_G = 0.2
 MC_POSTSELECT_PROB = 0.5
 SMALL_MC_RUNS = 10_000
 SMALL_G = 0.1
+SMALL_COPIES = 3         # random documents per (n, d) shape in cli-small
 
 
 @dataclass
@@ -37,7 +34,6 @@ class Plan:
     cycle: list[list[str]]
     warmups: list[list[str]]
     probes: list[list[str]] = field(default_factory=list)
-    tail_percentile: float = 50.0
 
 
 def _moments(n: int) -> list[str]:
@@ -111,9 +107,10 @@ def _wvtable(seed: int, work: Path, builtin: str) -> Plan:
 def _cli_small(seed: int, work: Path, builtin: str) -> Plan:
     code = _CODES["cli-small"]
     docs = [builtin]
-    for index, (n, d) in enumerate([(2, 2), (2, 3), (3, 2), (3, 3)]):
+    shapes = [(2, 2), (2, 3), (3, 2), (3, 3)] * SMALL_COPIES
+    for index, (n, d) in enumerate(shapes):
         docs.append(gen.write(
-            work / f"s{index}_n{n}d{d}.wseq",
+            work / f"s{index:02d}_n{n}d{d}.wseq",
             gen.circuit_text((seed, code, index), n, d, proj=True, g=SMALL_G,
                              inserts=n, pinned=(MC_POSTSELECT_PROB, SMALL_G))))
     cycle = []
@@ -136,6 +133,4 @@ _PLANS = {"oracle": _oracle, "montecarlo": _montecarlo, "wvtable": _wvtable,
 def build(workload: str, seed: int, work: Path, builtin: str) -> Plan:
     """Write the workload's documents under ``work`` and return its plan."""
     work.mkdir(parents=True, exist_ok=True)
-    plan = _PLANS[workload](seed, work, builtin)
-    plan.tail_percentile = TAIL_PERCENTILE[workload]
-    return plan
+    return _PLANS[workload](seed, work, builtin)
