@@ -1,7 +1,7 @@
 """Sequential weak values of pre/post-selected quantum circuits.
 
 Weak-value tables, perturbative pointer-moment predictions, an exact
-eigenbranch simulator, Monte Carlo batches of post-selected runs,
+pointer simulator, Monte Carlo batches of post-selected runs,
 counterfactuality checks, and a line-oriented circuit file format.
 """
 

@@ -2,7 +2,8 @@
 
 Vectors and operators are plain numpy arrays of dtype complex; the helpers
 here add the structure checks and the degeneracy-merged Hermitian
-eigendecomposition that branch enumeration relies on.
+eigendecomposition whose projectors define the oracle's per-site
+instruments and its eigenbranches.
 """
 from __future__ import annotations
 
@@ -97,15 +98,11 @@ def eig_hermitian(a, degeneracy_tol: float | None = None) -> EigenSystem:
         spread = float(vals[-1] - vals[0]) if len(vals) else 0.0
         degeneracy_tol = 1e-8 * (spread + 1.0)
 
-    eigenvalues: list[float] = []
-    projectors: list[np.ndarray] = []
-    i = 0
-    while i < len(vals):
-        j = i + 1
-        while j < len(vals) and vals[j] - vals[j - 1] <= degeneracy_tol:
-            j += 1
-        block = vecs[:, i:j]
-        projectors.append(block @ block.conj().T)
-        eigenvalues.append(float(np.mean(vals[i:j])))
-        i = j
+    # a merged block ends wherever the next eigenvalue is more than the
+    # tolerance above it
+    gaps = (np.flatnonzero(np.diff(vals) > degeneracy_tol) + 1).tolist()
+    cuts = [0, *gaps, len(vals)]
+    blocks = [(vals[i:j], vecs[:, i:j]) for i, j in zip(cuts, cuts[1:]) if i < j]
+    eigenvalues = [float(v.sum() / len(v)) for v, _ in blocks]
+    projectors = [b @ b.conj().T for _, b in blocks]
     return EigenSystem(tuple(eigenvalues), tuple(projectors))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import algebra
-from .errors import DimMismatch
+from .errors import DimMismatch, InvalidInput
 
 _SQ2 = np.sqrt(2.0)
 
@@ -98,9 +98,9 @@ def transition_amplitude(c: Circuit) -> complex:
 def valid_subset(subset, n: int) -> tuple[int, ...]:
     s = tuple(int(i) for i in subset)
     if any(i < 1 or i > n for i in s):
-        raise ValueError(f"subset {s} out of range 1..{n}")
+        raise InvalidInput(f"subset {s} out of range 1..{n}")
     if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
-        raise ValueError(f"subset {s} is not strictly increasing")
+        raise InvalidInput(f"subset {s} is not strictly increasing")
     return s
 
 

@@ -217,22 +217,19 @@ def cmd_demo(args) -> int:
     report = Report("demo double-interferometer", base.fingerprint()[:16],
                     args.machine)
     report.add("F", transition_amplitude(base))
-    singles = {
-        "B": (P_B, None), "C": (P_C, None), "E": (None, P_E), "F": (None, P_F)}
-    for name, (o1, o2) in singles.items():
+    observed = {"B": (P_B, None), "C": (P_C, None), "E": (None, P_E),
+                "F": (None, P_F), "E,B": (P_B, P_E), "F,B": (P_B, P_F),
+                "E,C": (P_C, P_E), "F,C": (P_C, P_F)}
+    wv = {}
+    for label, (o1, o2) in observed.items():
+        sites = tuple(k for k, o in ((1, o1), (2, o2)) if o is not None)
         c = builtin_double_interferometer(o1, o2)
-        site = 1 if o1 is not None else 2
-        report.add(f"wv.({name})", weakvalue.weak_value(c, (site,)))
-    pairs = {"(E,B)": (P_B, P_E), "(F,B)": (P_B, P_F),
-             "(E,C)": (P_C, P_E), "(F,C)": (P_C, P_F)}
-    for label, (o1, o2) in pairs.items():
-        c = builtin_double_interferometer(o1, o2)
-        report.add(f"wv.{label}", weakvalue.weak_value(c, (1, 2)))
+        wv[label] = weakvalue.weak_value(c, sites)
+        report.add(f"wv.({label})", wv[label])
     # weak path occupations per successful run
-    report.add("N_E/N", 1.0)
-    report.add("N_C/N", 1.0)
-    report.add("N_CE/N", 0.5)
-    report.add("N_BF/N", -0.5)
+    for key, label in (("N_E/N", "E"), ("N_C/N", "C"), ("N_CE/N", "E,C"),
+                       ("N_BF/N", "F,B")):
+        report.add(key, wv[label].real)
     report.emit()
     return 0
 
@@ -297,3 +294,7 @@ def main(argv=None) -> int:
     if argv is None:
         sys.exit(code)
     return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,6 +5,10 @@ class SeqWeakError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidInput(SeqWeakError, ValueError):
+    """An argument outside the documented domain (CLI exit code 2)."""
+
+
 class DimMismatch(SeqWeakError):
     pass
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuitmodel import Circuit
-from .errors import GridResolutionError, NoSuccessfulRuns
+from .errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
 from .oracle import branch_decompose, site_kernels
 from .pointer import MomentSpec, PointerProfile
 
@@ -199,7 +199,7 @@ def estimate_moment(records, spec: MomentSpec) -> Estimate:
     """Sample mean and standard error of the position product over the
     post-selected runs."""
     if any(kind != "q" for _, kind in spec.factors):
-        raise ValueError("only position products can be estimated from runs")
+        raise InvalidInput("only position products can be estimated from runs")
     values = []
     n_total = 0
     for rec in records:

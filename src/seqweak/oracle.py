@@ -1,9 +1,12 @@
-"""Exact simulation of weakly coupled pointers via eigenbranch decomposition.
+"""Exact simulation of weakly coupled pointers (no expansion in g).
 
-exp(-i g p A) expanded over the eigenprojectors of A turns the coupled
-evolution into a finite sum of pointer translations; post-selected moments
-then reduce to sums over branch pairs weighted by pointer overlap integrals.
-No expansion in g is performed anywhere here.
+exp(-i g p A) expanded over the eigenprojectors P_a of A turns each coupled
+site into a quantum instrument on the system: the operator rho goes to
+sum_{b,a} K[b,a] P_a rho P_b, with K the pointer overlap kernel of the site.
+Post-selected moments carry one d x d operator through the circuit, so the
+cost is linear in the number of sites.  Eigenbranch enumeration remains for
+the per-history views (the Monte Carlo sampler, shared-pointer coupling and
+the strong-measurement checks).
 """
 from __future__ import annotations
 
@@ -15,7 +18,8 @@ from scipy.linalg import expm
 
 from . import algebra
 from .circuitmodel import Circuit, transition_amplitude, valid_subset
-from .errors import AssumptionAViolated, NotProjector, NumericallySingular
+from .errors import (AssumptionAViolated, InvalidInput, NotProjector,
+                     NumericallySingular)
 from .pointer import MomentSpec, PointerProfile
 
 IMAG_RESIDUE_TOL = 1e-9
@@ -101,26 +105,16 @@ def tabulated_kernels(eigs, g: float, prof: PointerProfile) -> OverlapKernel:
     """Quadrature overlaps for a tabulated profile, with spectral shifting
     of the grid samples."""
     a = np.asarray(eigs, dtype=float)
-    vals = np.asarray(prof.values)
-    npts = len(vals)
+    npts = len(prof.values)
     step = prof.grid_step
-    qgrid = prof.grid
     freq = 2 * np.pi * np.fft.fftfreq(npts, d=step)
-    ft = np.fft.fft(vals)
-    shifted = [np.fft.ifft(ft * np.exp(-1j * freq * g * ev)) for ev in a]
-    dshifted = [np.fft.ifft(1j * freq * ft * np.exp(-1j * freq * g * ev)) for ev in a]
-
-    k = len(a)
-    s = np.zeros((k, k), dtype=complex)
-    q = np.zeros((k, k), dtype=complex)
-    p = np.zeros((k, k), dtype=complex)
-    for bi in range(k):
-        for ai in range(k):
-            left = np.conj(shifted[bi])
-            s[bi, ai] = step * np.sum(left * shifted[ai])
-            q[bi, ai] = step * np.sum(left * qgrid * shifted[ai])
-            p[bi, ai] = step * np.sum(left * (-1j) * dshifted[ai])
-    return OverlapKernel(s=s, q=q, p=p)
+    shift = np.fft.fft(prof.values) * np.exp(-1j * np.outer(g * a, freq))
+    both = np.fft.ifft(np.concatenate([shift, 1j * freq * shift]), axis=1)
+    shifted, dshifted = both[:len(a)], both[len(a):]
+    left = step * np.conj(shifted)
+    return OverlapKernel(s=left @ shifted.T,
+                         q=(left * prof.grid) @ shifted.T,
+                         p=-1j * (left @ dshifted.T))
 
 
 def site_kernels(eigs, g: float, prof: PointerProfile) -> OverlapKernel:
@@ -129,39 +123,35 @@ def site_kernels(eigs, g: float, prof: PointerProfile) -> OverlapKernel:
     return tabulated_kernels(eigs, g, prof)
 
 
-def _pair_contract(amps: np.ndarray, kernels: list[np.ndarray]) -> complex:
-    """sum_{b,a} conj(c_b) c_a prod_i K_i[b_i, a_i]."""
-    n = len(kernels)
-    if n == 0:
-        return complex(np.conj(amps) * amps)
-    letters = "abcdefghijkl"
-    b = letters[:n]
-    a = letters[n:2 * n]
-    terms = [np.conj(amps), amps] + kernels
-    sub = ",".join([b, a] + [b[i] + a[i] for i in range(n)]) + "->"
-    return complex(np.einsum(sub, *terms))
-
-
 def exact_moment(c: Circuit, spec: MomentSpec, g: float,
                  prof: PointerProfile) -> tuple[float, float]:
     """Exact post-selected expectation of the pointer product named by
     ``spec``, with one pointer coupled at every measurement site of the
-    circuit.  Returns (value, post-selection probability)."""
+    circuit.  Returns (value, post-selection probability).  The S kernels
+    give the post-selected norm; the numerator takes the Q or P kernel at
+    each site that ``spec`` names."""
     if g < 0:
-        raise ValueError("coupling must be nonnegative")
+        raise InvalidInput("coupling must be nonnegative")
     sites = {s: k for s, k in spec.factors}
     valid_subset(sorted(sites), c.n)
 
-    bs = branch_decompose(c)
-    amps = bs.amplitude_tensor()
-    kerns = [site_kernels(es.eigenvalues, g, prof) for es in bs.site_spectra]
-
-    den = _pair_contract(amps, [k.s for k in kerns])
+    # rho[0] carries the S kernels (denominator), rho[1] the numerator's
+    rho = np.repeat(np.outer(c.psi_i, c.psi_i.conj())[None], 2, axis=0)
+    for i, (u, a) in enumerate(c.stages, start=1):
+        es = algebra.eig_hermitian(a)
+        proj = np.stack(es.projectors)
+        kern = site_kernels(es.eigenvalues, g, prof)
+        pair = np.stack([kern.s, kern.pick(sites.get(i))])
+        # rho <- sum_{b,a} K[b,a] (P_a U) rho (P_b U)^dag, as plain matmuls
+        pu = proj @ u
+        pr = pu @ rho[:, None]
+        mixed = (pair @ pr.reshape(2, len(proj), -1)).reshape(pr.shape)
+        rho = np.add.reduce(mixed @ pu.conj().swapaxes(1, 2), axis=1)
+    bra = c.u_final.conj().T @ c.psi_f
+    den, num = (rho @ bra) @ bra.conj()
     if abs(den) < 1e-14:
         raise NumericallySingular(f"post-selected norm {abs(den):.3e}")
-    num = _pair_contract(
-        amps, [k.pick(sites.get(i + 1)) for i, k in enumerate(kerns)])
-    ratio = num / den
+    ratio = complex(num / den)
     if abs(ratio.imag) >= IMAG_RESIDUE_TOL:
         raise NumericallySingular(
             f"imaginary residue {ratio.imag:.3e} in an analytically real moment")

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuitmodel import Circuit, valid_subset
-from .errors import AssumptionAViolated, GridTooCoarse, UnsupportedCombination
+from .errors import (AssumptionAViolated, GridTooCoarse, InvalidInput,
+                     UnsupportedCombination)
 from .weakvalue import weak_value
 
 
@@ -180,7 +181,7 @@ def predict_moment(c: Circuit, spec: MomentSpec, g: float, prof: PointerProfile)
     """Leading-order prediction for the product of pointer readouts named by
     ``spec``, one weakly coupled pointer per listed site."""
     if g < 0:
-        raise ValueError("coupling must be nonnegative")
+        raise InvalidInput("coupling must be nonnegative")
     sites = [s for s, _ in spec.factors]
     kinds = [k for _, k in spec.factors]
     valid_subset(sites, c.n)

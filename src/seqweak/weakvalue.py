@@ -18,6 +18,7 @@ from .errors import (
     BasisIncomplete,
     DegeneratePostSelection,
     DimMismatch,
+    InvalidInput,
     NonCommuting,
     RatioUndefined,
 )
@@ -66,7 +67,7 @@ def weak_value_table(c: Circuit, max_order: int) -> WeakValueTable:
     """All sequential weak values for subsets of size <= max_order,
     enumerated in (size, lexicographic) order."""
     if max_order > c.n:
-        raise ValueError(f"max_order {max_order} exceeds n = {c.n}")
+        raise InvalidInput(f"max_order {max_order} exceeds n = {c.n}")
     entries: dict[tuple[int, ...], complex] = {(): 1.0 + 0.0j}
     for r in range(1, max_order + 1):
         for s in itertools.combinations(range(1, c.n + 1), r):

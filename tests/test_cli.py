@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import seqweak
 from seqweak.circuitio import builtin_document_path
 from seqweak.cli import main
 
@@ -91,8 +97,33 @@ def test_demo(capsys):
     assert float(rows["N_E/N"]) == pytest.approx(1.0)
 
 
+def test_module_entry_point():
+    src = str(Path(seqweak.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-m", "seqweak.cli", "demo", "double-interferometer",
+         "--machine"], capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    rows = dict(line.split("\t", 1) for line in out.stdout.splitlines())
+    assert rows["command"] == "demo double-interferometer"
+    assert rows["N_BF/N"] == "-0.5"
+    assert rows["wv.(F,B).re"] == "-0.5"
+
+
 def test_demo_unknown_name(capsys):
     assert main(["demo", "nope"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", SHIPPED, "--moment", "q5"],
+    ["simulate", SHIPPED, "--moment", "q1", "--g", "-1"],
+    ["weakvalues", SHIPPED, "--max-order", "5"],
+    ["montecarlo", SHIPPED, "--runs", "100", "--seed", "1", "--moment", "p1"],
+])
+def test_library_input_errors_exit_code(capsys, argv):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from seqweak.errors import AssumptionAViolated, NumericallySingular
 from seqweak.oracle import (branch_decompose, exact_moment, gaussian_kernels,
                             joint_response, same_pointer_twice, site_kernels,
                             tabulated_kernels, weak_interaction_response)
-from seqweak.pointer import MomentSpec, PointerProfile
+from seqweak.pointer import MomentSpec, PointerProfile, predict_moment
 from seqweak.weakvalue import weak_value
 
 from conftest import (random_circuit, random_hermitian, random_state,
@@ -77,6 +79,41 @@ def test_tabulated_kernels_match_gaussian_closed_form():
     assert np.max(np.abs(kern.s - ref.s)) < 1e-8
     assert np.max(np.abs(kern.q - ref.q)) < 1e-7
     assert np.max(np.abs(kern.p - ref.p)) < 1e-7
+
+
+_Q = np.linspace(-12, 12, 1024)
+# asymmetric, chirped and off-centre: exercises every kernel entry
+TABULATED = PointerProfile.tabulated(
+    _Q[0], _Q[1] - _Q[0],
+    np.exp(-(_Q - 0.3) ** 2 / 3) * (1 + 0.4 * _Q) * np.exp(0.15j * _Q ** 2))
+
+
+def loop_tabulated_kernels(eigs, g, prof):
+    """Per-eigenvalue FFT shifts and a k^2 loop of grid sums: the reference
+    for the batched form."""
+    vals = np.asarray(prof.values)
+    step = prof.grid_step
+    freq = 2 * np.pi * np.fft.fftfreq(len(vals), d=step)
+    ft = np.fft.fft(vals)
+    shifted = [np.fft.ifft(ft * np.exp(-1j * freq * g * ev)) for ev in eigs]
+    dshifted = [np.fft.ifft(1j * freq * ft * np.exp(-1j * freq * g * ev)) for ev in eigs]
+    k = len(eigs)
+    s, q, p = (np.zeros((k, k), dtype=complex) for _ in range(3))
+    for bi in range(k):
+        for ai in range(k):
+            left = np.conj(shifted[bi])
+            s[bi, ai] = step * np.sum(left * shifted[ai])
+            q[bi, ai] = step * np.sum(left * prof.grid * shifted[ai])
+            p[bi, ai] = step * np.sum(left * (-1j) * dshifted[ai])
+    return s, q, p
+
+
+def test_tabulated_kernels_match_loop_reference():
+    eigs = np.array([-1.3, -0.2, 0.4, 1.1])
+    kern = tabulated_kernels(eigs, 0.35, TABULATED)
+    for got, ref in zip((kern.s, kern.q, kern.p),
+                        loop_tabulated_kernels(eigs, 0.35, TABULATED)):
+        assert np.max(np.abs(got - ref)) < 1e-13
 
 
 def test_site_kernels_dispatch():
@@ -222,3 +259,85 @@ def test_joint_response_null_for_vanishing_pair():
     g = 1e-2
     resp = joint_response(c, {1: (P_B, h), 2: (P_F, h)}, obs, state, g)
     assert abs(resp) > 1e-8
+
+
+# --- differential tests: site-by-site propagation vs the branch-pair sum
+
+PROFILES = {
+    "gaussian": PointerProfile.gaussian(1.0),
+    "gaussian-offsets": PointerProfile.gaussian(0.8, q_offset=0.3, p_offset=-0.4),
+    "tabulated": TABULATED,
+}
+
+
+def pair_sum_moment(c, spec, g, prof):
+    """The branch-pair sum sum_{b,a} conj(c_b) c_a prod_i K_i[b_i, a_i]
+    over every pair of branch_decompose branches, with the kernel weights
+    gathered per site into one (branches x branches) matrix."""
+    bs = branch_decompose(c)
+    amps = np.array([amp for _, amp in bs.branches])
+    choices = np.array(list(itertools.product(*[range(k) for k in bs.shape])))
+    kinds = dict(spec.factors)
+    den_w = np.ones((len(amps), len(amps)), dtype=complex)
+    num_w = den_w.copy()
+    for i, es in enumerate(bs.site_spectra):
+        kern = site_kernels(es.eigenvalues, g, prof)
+        pairs = np.ix_(choices[:, i], choices[:, i])
+        den_w *= kern.s[pairs]
+        num_w *= kern.pick(kinds.get(i + 1))[pairs]
+    den = np.conj(amps) @ den_w @ amps
+    num = np.conj(amps) @ num_w @ amps
+    return (num / den).real, den.real / np.vdot(c.psi_f, c.psi_f).real
+
+
+def moment_specs(n):
+    specs = ["*".join(f"q{i}" for i in range(1, n + 1)),
+             "*".join(f"p{i}" for i in range(1, n + 1, 2))]
+    if n > 1:
+        specs.append("*".join(f"{'qp'[i % 2]}{i + 1}" for i in range(n)))
+    return specs
+
+
+def assert_matches_pair_sum(c, g):
+    for prof in PROFILES.values():
+        for text in moment_specs(c.n):
+            spec = MomentSpec.parse(text)
+            val, prob = exact_moment(c, spec, g, prof)
+            ref_val, ref_prob = pair_sum_moment(c, spec, g, prof)
+            assert val == pytest.approx(ref_val, rel=1e-10), (text, prof.kind)
+            assert prob == pytest.approx(ref_prob, rel=1e-10), (text, prof.kind)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_exact_moment_matches_pair_sum(n, d):
+    assert_matches_pair_sum(random_circuit(100 * n + d, dim=d, n=n), 0.4)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_exact_moment_matches_pair_sum_degenerate_sites(n):
+    # rank-1 projectors in d = 3: two eigenvalues per site, one merged
+    assert_matches_pair_sum(random_circuit(n, dim=3, n=n, projectors=True), 0.4)
+
+
+def test_exact_moment_eight_sites():
+    c = random_circuit(8, dim=2, n=8)
+    assert_matches_pair_sum(c, 0.4)
+    prof = PointerProfile.gaussian(1.0, q_offset=0.4)
+    val, prob = exact_moment(c, MomentSpec.parse("q3"), 0.0, prof)
+    assert val == pytest.approx(0.4, abs=1e-12)
+    assert prob == pytest.approx(abs(transition_amplitude(c)) ** 2, rel=1e-12)
+
+
+def test_exact_moment_forty_sites():
+    c = random_circuit(40, dim=4, n=40)
+    prof = PointerProfile.gaussian(1.0, q_offset=0.4)
+    val, prob = exact_moment(c, MomentSpec.parse("q40"), 0.0, prof)
+    assert val == pytest.approx(0.4, abs=1e-12)
+    assert prob == pytest.approx(abs(transition_amplitude(c)) ** 2, rel=1e-12)
+    # weakly coupled: the leading-order single-site formula, O(n g^2) off
+    g = 1e-4
+    spec = MomentSpec.parse("q17")
+    val, _ = exact_moment(c, spec, g, PointerProfile.gaussian(1.0))
+    pred = predict_moment(c, spec, g, PointerProfile.gaussian(1.0))
+    assert val == pytest.approx(pred, abs=1e-3 * g)
