@@ -15,7 +15,7 @@ from .counterfactual import (CounterfactualReport, InsertionSet,
                              history_amplitude, is_counterfactual_histories,
                              is_counterfactual_weakvalues, randomized_def3_test)
 from .errors import SeqWeakError
-from .montecarlo import Estimate, RunRecord, estimate_moment, sample_runs
+from .montecarlo import Estimate, RunBatch, estimate_moment, sample_runs
 from .oracle import (BranchSet, branch_decompose, exact_moment,
                      same_pointer_twice, weak_interaction_response)
 from .pointer import MomentSpec, PointerMoments, PointerProfile, predict_moment
@@ -28,7 +28,7 @@ __all__ = [
     "BranchSet", "Circuit", "CircuitDocument", "CounterfactualReport",
     "EigenSystem", "Estimate", "InsertionSet", "MomentSpec", "P_B", "P_C",
     "P_E", "P_F", "ParseError", "PointerMoments", "PointerProfile",
-    "ProductWeakValue", "RunRecord", "SeqWeakError", "WeakValueTable",
+    "ProductWeakValue", "RunBatch", "SeqWeakError", "WeakValueTable",
     "branch_decompose", "builtin_document_path", "builtin_double_interferometer",
     "check_equivalence_def1_def2", "determines_output", "eig_hermitian",
     "estimate_moment", "exact_moment", "history_amplitude",

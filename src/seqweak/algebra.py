@@ -46,28 +46,6 @@ def is_projector(m, tol: float = DEFAULT_TOL) -> bool:
     return is_hermitian(m, tol) and bool(np.max(np.abs(m @ m - m)) <= tol)
 
 
-def apply(m, v) -> np.ndarray:
-    m, v = as_operator(m), as_vector(v)
-    if m.shape[1] != v.shape[0]:
-        raise DimMismatch(f"operator dim {m.shape[1]} vs vector dim {v.shape[0]}")
-    return m @ v
-
-
-def inner(u, v) -> complex:
-    """<u|v>, conjugate-linear in the first argument."""
-    u, v = as_vector(u), as_vector(v)
-    if u.shape != v.shape:
-        raise DimMismatch(f"vector dims {u.shape[0]} vs {v.shape[0]}")
-    return complex(np.vdot(u, v))
-
-
-def compose(m, n) -> np.ndarray:
-    m, n = as_operator(m), as_operator(n)
-    if m.shape[1] != n.shape[0]:
-        raise DimMismatch(f"operator dims {m.shape} vs {n.shape}")
-    return m @ n
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Spectral decomposition with degenerate eigenvalues merged.

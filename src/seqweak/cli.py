@@ -166,8 +166,10 @@ def cmd_montecarlo(args) -> int:
     report.add("g", g)
     report.add("seed", args.seed)
     report.add("moment", str(spec))
-    records = montecarlo.sample_runs(c, g, prof, args.runs, args.seed)
-    est = montecarlo.estimate_moment(records, spec)
+    pointer.check_coupling(g)
+    montecarlo.check_position_moment(spec, c.n)
+    batch = montecarlo.sample_runs(c, g, prof, args.runs, args.seed)
+    est = montecarlo.estimate_moment(batch, spec)
     exact, prob = oracle.exact_moment(c, spec, g, prof)
     report.add("mean", est.mean)
     report.add("stderr", est.stderr)

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import algebra
 from .circuitmodel import Circuit, transition_amplitude, valid_subset
-from .errors import BothZero, DegeneratePostSelection, EquivalenceViolation, NotProjector
+from .errors import (BothZero, DegeneratePostSelection, EquivalenceViolation,
+                     InvalidInput, NotProjector)
 from .oracle import joint_response
 from .weakvalue import weak_value, weak_value_numerator
 
@@ -161,7 +162,7 @@ def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
     sites.  Null responses (within tolerance) are required exactly when the
     weak-value definition holds."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidInput("trials must be >= 1")
     d1, wit1 = is_counterfactual_histories(c, ins)
     d2, wit2 = is_counterfactual_weakvalues(c, ins)
     if d1 != d2:

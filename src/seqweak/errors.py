@@ -17,10 +17,6 @@ class NotHermitian(SeqWeakError):
     pass
 
 
-class NonUnitary(SeqWeakError):
-    pass
-
-
 class DegeneratePostSelection(SeqWeakError):
     """Post-selection overlap too close to zero for a weak value."""
 

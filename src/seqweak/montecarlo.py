@@ -1,31 +1,40 @@
 """Stochastic simulation of repeated post-selected runs.
 
-Position readouts are drawn from the exact post-selected joint pointer
-density via per-axis conditional inverse-CDF sampling on a fixed grid;
-momentum readouts are not sampled (a single run reads out either q or p).
-Each conditional CDF is a small mixture over branch pairs whose component
-antiderivatives are precomputed, so a run is inverted by bisection with a
-handful of mixture evaluations instead of a full-grid scan.
+Each run is one pure system state read out site by site, as in the
+laboratory.  The readout q_i of site i is drawn from its conditional density
+sum_{b,a} <y_b|E|y_a> conj(phi(q - g b)) phi(q - g a), where y_a = P_a U v is
+the run's state v after the site's unitary and projector, and E is the
+backward effect (`oracle.effects`) of every later site and the
+post-selection.  A position readout then leaves the system in the pure state
+sum_a phi(q_i - g a) y_a.  Momentum readouts are not sampled (a single run
+reads out either q or p).  Each conditional CDF is a small mixture over
+eigenvalue pairs whose component antiderivatives are precomputed on a fixed
+grid, so a run is inverted by bisection with a handful of mixture
+evaluations instead of a full-grid scan.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .circuitmodel import Circuit
+from .circuitmodel import Circuit, valid_subset
 from .errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
-from .oracle import branch_decompose, site_kernels
-from .pointer import MomentSpec, PointerProfile
+from .oracle import effects, site_instruments, site_kernels
+from .pointer import MomentSpec, PointerProfile, check_coupling
 
 GRID_POINTS = 4096
 RANGE_SIGMAS = 12.0
 
 
-class RunRecord(NamedTuple):
-    postselected: bool
-    pointer_samples: tuple[float, ...] | None = None
+@dataclass(frozen=True)
+class RunBatch:
+    """Outcome of a batch: ``postselected`` flags every run (bool[N]);
+    ``samples`` holds one row of position readouts per post-selected run,
+    in run order (float[n_success, n_sites])."""
+
+    postselected: np.ndarray
+    samples: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -64,14 +73,6 @@ def _cumulative(gm: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_values(prof: PointerProfile, eigs: np.ndarray, g: float,
-                 xs: np.ndarray) -> np.ndarray:
-    """Kernel factors at the sampled positions: (runs, k^2)."""
-    shifted = np.stack([prof.eval(xs - g * ev) for ev in eigs])
-    return (np.conj(shifted)[:, None, :] * shifted[None, :, :]).reshape(
-        len(eigs) ** 2, len(xs)).T
-
-
 def _invert_mixture_cdf(w: np.ndarray, cdf_basis: np.ndarray, x: np.ndarray,
                         u: np.ndarray) -> np.ndarray:
     """Per-run inverse CDF for cdf_r(x) = sum_j w[r, j] cdf_basis[j, x].
@@ -107,111 +108,81 @@ def _invert_mixture_cdf(w: np.ndarray, cdf_basis: np.ndarray, x: np.ndarray,
 
 
 def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
-                seed: int) -> list[RunRecord]:
+                seed: int) -> RunBatch:
     """Simulate ``n_total`` runs with one pointer per measurement site.
 
     Each run is post-selected with the exact probability; successful runs
     carry position samples drawn from the exact joint density |Psi(q)|^2.
     Fully deterministic given the seed.
     """
+    check_coupling(g)
     if n_total <= 0:
-        raise ValueError("n_total must be positive")
-    if c.n > 3:
-        raise ValueError("joint-density sampling supports at most 3 sites")
+        raise InvalidInput("n_total must be positive")
     if c.n == 0:
-        raise ValueError("circuit has no measurement sites")
+        raise InvalidInput("circuit has no measurement sites")
 
-    bs = branch_decompose(c)
-    amps = bs.amplitude_tensor()
-    n = c.n
-    ks = bs.shape
-    eig_sets = [np.asarray(es.eigenvalues) for es in bs.site_spectra]
-
-    # D[(b1 a1), (b2 a2), ...] = conj(c_b) c_a with per-site pair indices.
-    letters_b = "abc"[:n]
-    letters_a = "xyz"[:n]
-    interleaved = "".join(b + a for b, a in zip(letters_b, letters_a))
-    d_tensor = np.einsum(f"{letters_b},{letters_a}->{interleaved}",
-                         np.conj(amps), amps).reshape([k * k for k in ks])
-
+    sites = site_instruments(c)
     center, spread = _profile_center_spread(prof)
-    grids, pair_cdfs, s_numeric = [], [], []
-    for i in range(n):
-        lo = center + g * float(np.min(eig_sets[i])) - RANGE_SIGMAS * spread
-        hi = center + g * float(np.max(eig_sets[i])) + RANGE_SIGMAS * spread
+    grids, pair_cdfs, kernels = [], [], []
+    for _, eigs in sites:
+        lo = center + g * min(eigs) - RANGE_SIGMAS * spread
+        hi = center + g * max(eigs) + RANGE_SIGMAS * spread
         x = np.linspace(lo, hi, GRID_POINTS)
         grids.append(x)
-        gm = _pair_matrix(prof, eig_sets[i], g, x)
+        gm = _pair_matrix(prof, eigs, g, x)
         pair_cdfs.append(_cumulative(gm, x))
-        s_numeric.append(np.trapezoid(gm, x, axis=1))
+        # the grid's own overlaps, and the exact ones for the mass check
+        k = len(eigs)
+        kernels.append(np.stack([np.trapezoid(gm, x, axis=1).reshape(k, k),
+                                 site_kernels(eigs, g, prof).s]))
+    walk = effects(c, sites, kernels)
 
-    # Mass check: numeric overlaps on the grid vs exact analytic overlaps.
-    s_exact = [site_kernels(eig_sets[i], g, prof).s.reshape(-1) for i in range(n)]
-
-    def contract_all(vectors) -> complex:
-        letters = "abc"[:n]
-        sub = "".join(letters) + "," + ",".join(letters) + "->"
-        return complex(np.einsum(sub, d_tensor, *vectors))
-
-    mass_num = contract_all(s_numeric).real
-    mass_exact = contract_all(s_exact).real
-    if mass_exact <= 0 or abs(mass_num / mass_exact - 1.0) > 1e-6:
-        raise GridResolutionError(
-            f"density mass outside grid: {abs(mass_num / mass_exact - 1.0):.3e}")
+    mass_num, mass_exact = (walk[0] @ c.psi_i @ c.psi_i.conj()).real
+    mass_err = abs(mass_num / mass_exact - 1.0)
+    if not (mass_exact > 0 and mass_err <= 1e-6):
+        raise GridResolutionError(f"density mass outside grid: {mass_err:.3e}")
 
     prob = mass_exact / float(np.vdot(c.psi_f, c.psi_f).real)
     rng = np.random.default_rng(seed)
     success = rng.random(n_total) < prob
     n_succ = int(np.sum(success))
 
-    samples = np.empty((n_succ, n))
-    if n_succ:
-        m_run = []  # per earlier axis: kernel factors at its samples
-        letters = "abc"[:n]
-        for axis in range(n):
-            partial = d_tensor
-            for j in range(n - 1, axis, -1):
-                partial = np.tensordot(partial, s_numeric[j], axes=([j], [0]))
-            if axis == 0:
-                w = partial.reshape(1, -1)
-                w = np.broadcast_to(w, (n_succ, w.shape[1]))
-            else:
-                sub = letters[: axis + 1] + "," + ",".join(
-                    "r" + letters[j] for j in range(axis)) + "->r" + letters[axis]
-                w = np.einsum(sub, partial, *m_run)
-            xs = _invert_mixture_cdf(w, pair_cdfs[axis], grids[axis],
-                                     rng.random(n_succ))
-            samples[:, axis] = xs
-            if axis < n - 1:
-                m_run.append(_pair_values(prof, eig_sets[axis], g, xs))
-
-    records: list[RunRecord] = []
-    rows = iter(samples.tolist())
-    for ok in success.tolist():
-        if ok:
-            records.append(RunRecord(True, tuple(next(rows))))
-        else:
-            records.append(RunRecord(False, None))
-    return records
+    samples = np.empty((n_succ, c.n))
+    v = np.broadcast_to(c.psi_i, (n_succ, c.dim))
+    for i, ((pu, eigs), e) in enumerate(zip(sites, walk[1:])):
+        k, d = len(pu), c.dim
+        # w[r, (b,a)] = <y_b|E|y_a> with y_a = P_a U v_r, as v_r^dag M[b,a] v_r
+        # for M[b,a] = (P_b U)^dag E (P_a U)
+        m = pu.conj().swapaxes(1, 2)[:, None] @ e[0] @ pu[None]
+        w = np.einsum("rj,pjl,rl->rp", v.conj(), m.reshape(k * k, d, d), v)
+        xs = _invert_mixture_cdf(w, pair_cdfs[i], grids[i], rng.random(n_succ))
+        samples[:, i] = xs
+        if i < c.n - 1:
+            y = (v @ pu.reshape(k * d, d).T).reshape(n_succ, k, d)
+            phi = prof.eval(xs[:, None] - g * np.asarray(eigs))  # (runs, k)
+            v = np.einsum("ra,rad->rd", phi, y)
+            v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return RunBatch(postselected=success, samples=samples)
 
 
-def estimate_moment(records, spec: MomentSpec) -> Estimate:
-    """Sample mean and standard error of the position product over the
-    post-selected runs."""
+def check_position_moment(spec: MomentSpec, n_sites: int):
+    """Reject a moment that runs cannot estimate: a momentum factor, or a
+    site outside 1..n_sites."""
     if any(kind != "q" for _, kind in spec.factors):
         raise InvalidInput("only position products can be estimated from runs")
-    values = []
-    n_total = 0
-    for rec in records:
-        n_total += 1
-        if rec.postselected:
-            prod = 1.0
-            for site, _ in spec.factors:
-                prod *= rec.pointer_samples[site - 1]
-            values.append(prod)
-    if not values:
+    valid_subset([site for site, _ in spec.factors], n_sites)
+
+
+def estimate_moment(batch: RunBatch, spec: MomentSpec) -> Estimate:
+    """Sample mean and standard error of the position product over the
+    post-selected runs."""
+    check_position_moment(spec, batch.samples.shape[1])
+    n_success = len(batch.samples)
+    if not n_success:
         raise NoSuccessfulRuns("no post-selected runs in the batch")
-    arr = np.asarray(values)
-    mean = float(np.mean(arr))
-    stderr = float(np.std(arr, ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    return Estimate(mean=mean, stderr=stderr, n_success=len(arr), n_total=n_total)
+    cols = [site - 1 for site, _ in spec.factors]
+    values = np.prod(batch.samples[:, cols], axis=1)
+    mean = float(np.mean(values))
+    stderr = float(np.std(values, ddof=1) / np.sqrt(n_success)) if n_success > 1 else 0.0
+    return Estimate(mean=mean, stderr=stderr, n_success=n_success,
+                    n_total=len(batch.postselected))

@@ -1,12 +1,14 @@
 """Exact simulation of weakly coupled pointers (no expansion in g).
 
 exp(-i g p A) expanded over the eigenprojectors P_a of A turns each coupled
-site into a quantum instrument on the system: the operator rho goes to
-sum_{b,a} K[b,a] P_a rho P_b, with K the pointer overlap kernel of the site.
-Post-selected moments carry one d x d operator through the circuit, so the
-cost is linear in the number of sites.  Eigenbranch enumeration remains for
-the per-history views (the Monte Carlo sampler, shared-pointer coupling and
-the strong-measurement checks).
+site into a quantum instrument on the system, with Kraus-like operators
+P_a U weighted by the pointer overlap kernel K of the site.  `effects` walks
+the post-selection backward through these instruments,
+E <- sum_{b,a} K[b,a] (P_b U)^dag E (P_a U), so the cost is linear in the
+number of sites.  The exact oracle reads <psi_i|E|psi_i> off the last step;
+the Monte Carlo sampler draws each readout against the intermediate effects.
+Eigenbranch enumeration remains for the per-history views (shared-pointer
+coupling and the strong-measurement checks).
 """
 from __future__ import annotations
 
@@ -18,9 +20,8 @@ from scipy.linalg import expm
 
 from . import algebra
 from .circuitmodel import Circuit, transition_amplitude, valid_subset
-from .errors import (AssumptionAViolated, InvalidInput, NotProjector,
-                     NumericallySingular)
-from .pointer import MomentSpec, PointerProfile
+from .errors import AssumptionAViolated, NotProjector, NumericallySingular
+from .pointer import MomentSpec, PointerProfile, check_coupling
 
 IMAG_RESIDUE_TOL = 1e-9
 
@@ -33,16 +34,6 @@ class BranchSet:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(es.eigenvalues) for es in self.site_spectra)
-
-    def amplitude_tensor(self) -> np.ndarray:
-        t = np.zeros(self.shape or (1,), dtype=complex)
-        if not self.site_spectra:
-            t[0] = self.branches[0][1]
-            return t.reshape(())
-        # branch_decompose enumerates in row-major order over the shape
-        for pos, (seq, amp) in enumerate(self.branches):
-            t[np.unravel_index(pos, self.shape)] = amp
-        return t
 
 
 def branch_decompose(c: Circuit) -> BranchSet:
@@ -123,6 +114,38 @@ def site_kernels(eigs, g: float, prof: PointerProfile) -> OverlapKernel:
     return tabulated_kernels(eigs, g, prof)
 
 
+def site_instruments(c: Circuit) -> list[tuple[np.ndarray, tuple[float, ...]]]:
+    """Per site, the stacked operators P_a U of shape (k, d, d) and the k
+    merged eigenvalues a they belong to."""
+    out = []
+    for u, a in c.stages:
+        es = algebra.eig_hermitian(a)
+        out.append((np.stack(es.projectors) @ u, es.eigenvalues))
+    return out
+
+
+def effects(c: Circuit, sites, kernels) -> list[np.ndarray]:
+    """Backward effects of the post-selection through the site instruments.
+
+    ``sites`` comes from `site_instruments`; ``kernels[i]`` stacks m (k, k)
+    kernels for site i, so m walks run side by side.  Entry i of the result,
+    shape (m, d, d), is the effect of everything after site i (0-based) on
+    the state just after site i; entry n is U_f^dag |psi_f><psi_f| U_f and
+    entry 0 acts on the initial state.
+    """
+    bra = c.u_final.conj().T @ c.psi_f
+    m = len(kernels[0])
+    e = np.repeat(np.outer(bra, bra.conj())[None], m, axis=0)
+    out = [e]
+    for (pu, _), kern in zip(reversed(sites), reversed(kernels)):
+        # E <- sum_{b,a} K[b,a] (P_b U)^dag E (P_a U), as plain matmuls
+        right = e[:, None] @ pu
+        mixed = (kern @ right.reshape(m, len(pu), -1)).reshape(right.shape)
+        e = np.add.reduce(pu.conj().swapaxes(1, 2) @ mixed, axis=1)
+        out.append(e)
+    return out[::-1]
+
+
 def exact_moment(c: Circuit, spec: MomentSpec, g: float,
                  prof: PointerProfile) -> tuple[float, float]:
     """Exact post-selected expectation of the pointer product named by
@@ -130,25 +153,16 @@ def exact_moment(c: Circuit, spec: MomentSpec, g: float,
     circuit.  Returns (value, post-selection probability).  The S kernels
     give the post-selected norm; the numerator takes the Q or P kernel at
     each site that ``spec`` names."""
-    if g < 0:
-        raise InvalidInput("coupling must be nonnegative")
-    sites = {s: k for s, k in spec.factors}
-    valid_subset(sorted(sites), c.n)
+    check_coupling(g)
+    named = {s: k for s, k in spec.factors}
+    valid_subset(sorted(named), c.n)
 
-    # rho[0] carries the S kernels (denominator), rho[1] the numerator's
-    rho = np.repeat(np.outer(c.psi_i, c.psi_i.conj())[None], 2, axis=0)
-    for i, (u, a) in enumerate(c.stages, start=1):
-        es = algebra.eig_hermitian(a)
-        proj = np.stack(es.projectors)
-        kern = site_kernels(es.eigenvalues, g, prof)
-        pair = np.stack([kern.s, kern.pick(sites.get(i))])
-        # rho <- sum_{b,a} K[b,a] (P_a U) rho (P_b U)^dag, as plain matmuls
-        pu = proj @ u
-        pr = pu @ rho[:, None]
-        mixed = (pair @ pr.reshape(2, len(proj), -1)).reshape(pr.shape)
-        rho = np.add.reduce(mixed @ pu.conj().swapaxes(1, 2), axis=1)
-    bra = c.u_final.conj().T @ c.psi_f
-    den, num = (rho @ bra) @ bra.conj()
+    sites = site_instruments(c)
+    kernels = []
+    for i, (_, eigs) in enumerate(sites, start=1):
+        kern = site_kernels(eigs, g, prof)
+        kernels.append(np.stack([kern.s, kern.pick(named.get(i))]))
+    den, num = (effects(c, sites, kernels)[0] @ c.psi_i) @ c.psi_i.conj()
     if abs(den) < 1e-14:
         raise NumericallySingular(f"post-selected norm {abs(den):.3e}")
     ratio = complex(num / den)

@@ -177,11 +177,17 @@ def _require_assumption_a(prof: PointerProfile):
             "this moment formula needs a real zero-mean pointer profile")
 
 
+def check_coupling(g: float):
+    """Reject a coupling strength that is not a finite nonnegative number
+    (nan included)."""
+    if not (np.isfinite(g) and g >= 0):
+        raise InvalidInput(f"coupling must be finite and nonnegative, got {g}")
+
+
 def predict_moment(c: Circuit, spec: MomentSpec, g: float, prof: PointerProfile) -> float:
     """Leading-order prediction for the product of pointer readouts named by
     ``spec``, one weakly coupled pointer per listed site."""
-    if g < 0:
-        raise InvalidInput("coupling must be nonnegative")
+    check_coupling(g)
     sites = [s for s, _ in spec.factors]
     kinds = [k for _, k in spec.factors]
     valid_subset(sites, c.n)

@@ -31,22 +31,6 @@ def test_structure_predicates(rng):
     assert not algebra.is_projector(2 * p)
 
 
-def test_inner_is_conjugate_linear_in_first_argument():
-    u = np.array([1j, 0.0])
-    v = np.array([1.0, 0.0])
-    assert algebra.inner(u, v) == pytest.approx(-1j)
-    assert algebra.inner(v, u) == pytest.approx(1j)
-
-
-def test_apply_and_compose_check_dimensions():
-    with pytest.raises(DimMismatch):
-        algebra.apply(np.eye(2), np.zeros(3))
-    with pytest.raises(DimMismatch):
-        algebra.compose(np.eye(2), np.eye(3))
-    with pytest.raises(DimMismatch):
-        algebra.inner(np.zeros(2), np.zeros(3))
-
-
 def test_eig_hermitian_reconstructs(rng):
     for _ in range(20):
         h = random_hermitian(rng, 4)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import seqweak
+from seqweak import montecarlo
 from seqweak.circuitio import builtin_document_path
 from seqweak.cli import main
 
@@ -120,9 +121,28 @@ def test_demo_unknown_name(capsys):
     ["simulate", SHIPPED, "--moment", "q1", "--g", "-1"],
     ["weakvalues", SHIPPED, "--max-order", "5"],
     ["montecarlo", SHIPPED, "--runs", "100", "--seed", "1", "--moment", "p1"],
+    ["simulate", SHIPPED, "--moment", "q1", "--g", "nan"],
+    ["simulate", SHIPPED, "--moment", "q1", "--g", "inf"],
+    ["montecarlo", SHIPPED, "--runs", "100", "--seed", "1", "--g", "nan"],
+    ["montecarlo", SHIPPED, "--runs", "100", "--seed", "1", "--g", "inf"],
+    ["counterfactual", SHIPPED, "--trials", "0", "--seed", "1"],
 ])
 def test_library_input_errors_exit_code(capsys, argv):
     assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--moment", "p1"], ["--moment", "q1*p2"], ["--moment", "q3"],
+    ["--moment", "q1*q3"], ["--g", "nan"], ["--g", "-1"],
+])
+def test_montecarlo_checks_input_before_sampling(capsys, monkeypatch, extra):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_runs called on invalid input")
+
+    monkeypatch.setattr(montecarlo, "sample_runs", refuse)
+    code = main(["montecarlo", SHIPPED, "--runs", "1000000", "--seed", "1", *extra])
+    assert code == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -2,12 +2,95 @@ import numpy as np
 import pytest
 
 from seqweak.circuitmodel import builtin_double_interferometer
-from seqweak.errors import NoSuccessfulRuns
-from seqweak.montecarlo import RunRecord, estimate_moment, sample_runs
-from seqweak.oracle import exact_moment
+from seqweak.errors import GridResolutionError, NoSuccessfulRuns
+from seqweak.montecarlo import (GRID_POINTS, RANGE_SIGMAS, RunBatch, _cumulative,
+                                _invert_mixture_cdf, _pair_matrix,
+                                _profile_center_spread, estimate_moment,
+                                sample_runs)
+from seqweak.oracle import branch_decompose, exact_moment, site_kernels
 from seqweak.pointer import MomentSpec, PointerProfile
 
 from conftest import random_circuit
+
+
+def joint_tensor_reference(c, g, prof, n_total, seed):
+    """Reference sampler: per-axis conditional inverse-CDF sampling from the
+    joint density tensor D[(b1 a1), (b2 a2), ...] = conj(c_b) c_a over all
+    eigenbranch pairs (k^(2n) entries, at most 3 sites).  Returns the
+    post-selection flags and the samples in the layout of `RunBatch`."""
+    n = c.n
+    assert 1 <= n <= 3
+    bs = branch_decompose(c)
+    ks = bs.shape
+    amps = np.array([amp for _, amp in bs.branches]).reshape(ks)
+    eig_sets = [np.asarray(es.eigenvalues) for es in bs.site_spectra]
+    letters_b, letters_a = "abc"[:n], "xyz"[:n]
+    interleaved = "".join(b + a for b, a in zip(letters_b, letters_a))
+    d_tensor = np.einsum(f"{letters_b},{letters_a}->{interleaved}",
+                         np.conj(amps), amps).reshape([k * k for k in ks])
+
+    center, spread = _profile_center_spread(prof)
+    grids, pair_cdfs, s_numeric = [], [], []
+    for eigs in eig_sets:
+        x = np.linspace(center + g * eigs.min() - RANGE_SIGMAS * spread,
+                        center + g * eigs.max() + RANGE_SIGMAS * spread, GRID_POINTS)
+        grids.append(x)
+        gm = _pair_matrix(prof, eigs, g, x)
+        pair_cdfs.append(_cumulative(gm, x))
+        s_numeric.append(np.trapezoid(gm, x, axis=1))
+    s_exact = [site_kernels(eigs, g, prof).s.reshape(-1) for eigs in eig_sets]
+
+    def contract_all(vectors):
+        sub = letters_b + "," + ",".join(letters_b) + "->"
+        return complex(np.einsum(sub, d_tensor, *vectors)).real
+
+    mass_num, mass_exact = contract_all(s_numeric), contract_all(s_exact)
+    assert mass_exact > 0 and abs(mass_num / mass_exact - 1.0) <= 1e-6
+    prob = mass_exact / float(np.vdot(c.psi_f, c.psi_f).real)
+    rng = np.random.default_rng(seed)
+    success = rng.random(n_total) < prob
+    n_succ = int(np.sum(success))
+
+    samples = np.empty((n_succ, n))
+    m_run = []  # per earlier axis: kernel factors at its samples
+    for axis in range(n):
+        partial = d_tensor
+        for j in range(n - 1, axis, -1):
+            partial = np.tensordot(partial, s_numeric[j], axes=([j], [0]))
+        if axis == 0:
+            w = np.broadcast_to(partial.reshape(1, -1), (n_succ, partial.size))
+        else:
+            sub = letters_b[: axis + 1] + "," + ",".join(
+                "r" + letters_b[j] for j in range(axis)) + "->r" + letters_b[axis]
+            w = np.einsum(sub, partial, *m_run)
+        xs = _invert_mixture_cdf(w, pair_cdfs[axis], grids[axis], rng.random(n_succ))
+        samples[:, axis] = xs
+        shifted = np.stack([prof.eval(xs - g * ev) for ev in eig_sets[axis]])
+        m_run.append((np.conj(shifted)[:, None] * shifted[None]).reshape(
+            len(eig_sets[axis]) ** 2, n_succ).T)
+    return success, samples
+
+
+def _tabulated_gaussian(sigma=1.0, npts=16384, half_width=14.0):
+    q = np.linspace(-half_width, half_width, npts)
+    return PointerProfile.tabulated(q[0], q[1] - q[0], np.exp(-q**2 / (4 * sigma**2)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("pointer", ["gaussian", "tabulated"])
+def test_sequential_sampler_matches_joint_tensor_reference(n, dim, pointer):
+    c = random_circuit(600 + 10 * n + dim, dim=dim, n=n)
+    if pointer == "gaussian":
+        prof = PointerProfile.gaussian(0.8, q_offset=0.3, p_offset=0.2)
+    else:
+        prof = _tabulated_gaussian()
+    g, seed = 0.4, 1000 + n * dim
+    batch = sample_runs(c, g, prof, 3000, seed=seed)
+    success, samples = joint_tensor_reference(c, g, prof, 3000, seed)
+    assert np.array_equal(batch.postselected, success)
+    assert batch.samples.shape == samples.shape == (int(success.sum()), n)
+    assert np.max(np.abs(batch.samples - samples)) <= 1e-9
 
 
 def test_determinism_given_seed():
@@ -15,29 +98,28 @@ def test_determinism_given_seed():
     prof = PointerProfile.gaussian(1.0)
     a = sample_runs(c, 0.05, prof, 500, seed=123)
     b = sample_runs(c, 0.05, prof, 500, seed=123)
-    assert a == b
+    assert np.array_equal(a.postselected, b.postselected)
+    assert np.array_equal(a.samples, b.samples)
     c2 = sample_runs(c, 0.05, prof, 500, seed=124)
-    assert a != c2
+    assert not np.array_equal(a.postselected, c2.postselected)
 
 
 def test_record_layout():
     c = builtin_double_interferometer()
-    records = sample_runs(c, 0.05, PointerProfile.gaussian(1.0), 200, seed=1)
-    assert len(records) == 200
-    for rec in records:
-        if rec.postselected:
-            assert len(rec.pointer_samples) == 2
-        else:
-            assert rec.pointer_samples is None
+    batch = sample_runs(c, 0.05, PointerProfile.gaussian(1.0), 200, seed=1)
+    assert batch.postselected.shape == (200,)
+    assert batch.postselected.dtype == bool
+    assert batch.samples.shape == (int(batch.postselected.sum()), 2)
+    assert batch.samples.dtype == float
 
 
 def test_postselection_frequency():
     c = builtin_double_interferometer()
     n = 40000
-    records = sample_runs(c, 0.05, PointerProfile.gaussian(1.0), n, seed=7)
+    batch = sample_runs(c, 0.05, PointerProfile.gaussian(1.0), n, seed=7)
     _, prob = exact_moment(c, MomentSpec.parse("q1"), 0.05,
                            PointerProfile.gaussian(1.0))
-    freq = sum(r.postselected for r in records) / n
+    freq = np.sum(batch.postselected) / n
     stderr = np.sqrt(prob * (1 - prob) / n)
     assert abs(freq - prob) < 4 * stderr
 
@@ -45,8 +127,8 @@ def test_postselection_frequency():
 def test_single_site_mean_matches_oracle():
     rng_circuit = random_circuit(41, dim=3, n=1)
     g, prof = 0.1, PointerProfile.gaussian(1.0)
-    records = sample_runs(rng_circuit, g, prof, 60000, seed=3)
-    est = estimate_moment(records, MomentSpec.parse("q1"))
+    batch = sample_runs(rng_circuit, g, prof, 60000, seed=3)
+    est = estimate_moment(batch, MomentSpec.parse("q1"))
     exact, _ = exact_moment(rng_circuit, MomentSpec.parse("q1"), g, prof)
     assert abs(est.mean - exact) < 4 * est.stderr
 
@@ -54,8 +136,8 @@ def test_single_site_mean_matches_oracle():
 def test_pair_correlation_matches_oracle():
     c = builtin_double_interferometer()
     g, prof = 0.3, PointerProfile.gaussian(1.0)
-    records = sample_runs(c, g, prof, 80000, seed=11)
-    est = estimate_moment(records, MomentSpec.parse("q1*q2"))
+    batch = sample_runs(c, g, prof, 80000, seed=11)
+    est = estimate_moment(batch, MomentSpec.parse("q1*q2"))
     exact, _ = exact_moment(c, MomentSpec.parse("q1*q2"), g, prof)
     assert abs(est.mean - exact) < 4 * est.stderr
     assert est.n_total == 80000
@@ -67,8 +149,8 @@ def test_tabulated_profile_sampling():
     q = np.linspace(-14, 14, 16384)
     prof = PointerProfile.tabulated(q[0], q[1] - q[0], np.exp(-q**2 / 4))
     g = 0.3
-    records = sample_runs(c, g, prof, 40000, seed=13)
-    est = estimate_moment(records, MomentSpec.parse("q1*q2"))
+    batch = sample_runs(c, g, prof, 40000, seed=13)
+    est = estimate_moment(batch, MomentSpec.parse("q1*q2"))
     exact, _ = exact_moment(c, MomentSpec.parse("q1*q2"), g, prof)
     assert abs(est.mean - exact) < 4 * est.stderr
 
@@ -76,18 +158,18 @@ def test_tabulated_profile_sampling():
 def test_three_site_sampling():
     c = random_circuit(43, dim=2, n=3)
     g, prof = 0.2, PointerProfile.gaussian(1.0)
-    records = sample_runs(c, g, prof, 30000, seed=17)
-    est = estimate_moment(records, MomentSpec.parse("q1*q2*q3"))
+    batch = sample_runs(c, g, prof, 30000, seed=17)
+    est = estimate_moment(batch, MomentSpec.parse("q1*q2*q3"))
     exact, _ = exact_moment(c, MomentSpec.parse("q1*q2*q3"), g, prof)
     assert abs(est.mean - exact) < 4 * est.stderr
 
 
 def test_marginal_estimate_from_joint_samples():
-    # a q1-only moment can be estimated from the same records
+    # a q1-only moment can be estimated from the same batch
     c = builtin_double_interferometer()
     g, prof = 0.3, PointerProfile.gaussian(1.0)
-    records = sample_runs(c, g, prof, 40000, seed=19)
-    est = estimate_moment(records, MomentSpec.parse("q1"))
+    batch = sample_runs(c, g, prof, 40000, seed=19)
+    est = estimate_moment(batch, MomentSpec.parse("q1"))
     exact, _ = exact_moment(c, MomentSpec.parse("q1"), g, prof)
     assert abs(est.mean - exact) < 4 * est.stderr
 
@@ -97,12 +179,42 @@ def test_input_validation():
     prof = PointerProfile.gaussian(1.0)
     with pytest.raises(ValueError):
         sample_runs(c, 0.05, prof, 0, seed=1)
-    with pytest.raises(ValueError):
-        sample_runs(random_circuit(2, dim=2, n=4), 0.05, prof, 10, seed=1)
+    for g in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="coupling"):
+            sample_runs(c, g, prof, 10, seed=1)
+
+
+@pytest.mark.parametrize("n, seed", [(4, 2), (8, 3)])
+def test_many_site_sampling_matches_oracle(n, seed):
+    c = random_circuit(700 + seed, dim=2, n=n)
+    g, prof = 0.5, PointerProfile.gaussian(1.0)
+    batch = sample_runs(c, g, prof, 40000, seed=seed)
+    assert batch.samples.shape[1] == n
+    for spec in ("q1", f"q{n}", f"q1*q{n}", f"q{n - 1}*q{n}"):
+        est = estimate_moment(batch, MomentSpec.parse(spec))
+        exact, prob = exact_moment(c, MomentSpec.parse(spec), g, prof)
+        assert abs(est.mean - exact) < 4 * est.stderr
+    freq = np.mean(batch.postselected)
+    assert abs(freq - prob) < 4 * np.sqrt(prob * (1 - prob) / len(batch.postselected))
+
+
+def test_coarse_tabulated_profile_fails_mass_check():
+    # with 4096 profile points, the sampler's grid overlaps of the linearly
+    # interpolated profile miss the exact kernels' mass by ~5e-6 > 1e-6
+    c = builtin_double_interferometer()
+    with pytest.raises(GridResolutionError, match="mass"):
+        sample_runs(c, 0.3, _tabulated_gaussian(npts=4096), 100, seed=1)
 
 
 def test_estimate_moment_errors():
+    c, prof = builtin_double_interferometer(), PointerProfile.gaussian(1.0)
+    empty = next(b for b in (sample_runs(c, 0.05, prof, 1, seed=s) for s in range(20))
+                 if not b.postselected[0])
+    assert empty.samples.shape == (0, 2)
     with pytest.raises(NoSuccessfulRuns):
-        estimate_moment([RunRecord(False, None)], MomentSpec.parse("q1"))
+        estimate_moment(empty, MomentSpec.parse("q1"))
+    one = RunBatch(np.ones(1, bool), np.array([[0.1]]))
     with pytest.raises(ValueError, match="position"):
-        estimate_moment([RunRecord(True, (0.1,))], MomentSpec.parse("p1"))
+        estimate_moment(one, MomentSpec.parse("p1"))
+    with pytest.raises(ValueError, match="range"):
+        estimate_moment(one, MomentSpec.parse("q2"))

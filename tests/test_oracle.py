@@ -139,9 +139,6 @@ def test_branch_decompose_projector_sites():
                     [amp for _, amp in bs.branches]))
     # photon through B then F has amplitude 1/(2 sqrt 2) up to sign
     assert abs(amps[(1.0, 1.0)]) == pytest.approx(1 / (2 * np.sqrt(2)))
-    tensor = bs.amplitude_tensor()
-    assert tensor.shape == (2, 2)
-    assert tensor[1, 1] == pytest.approx(amps[(1.0, 1.0)])
 
 
 def test_exact_moment_zero_coupling_is_profile_mean(rng):
