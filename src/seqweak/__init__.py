@@ -12,7 +12,7 @@ from .circuitmodel import (P_B, P_C, P_E, P_F, Circuit,
                            builtin_double_interferometer, transition_amplitude)
 from .counterfactual import (CounterfactualReport, InsertionSet,
                              check_equivalence_def1_def2, determines_output,
-                             history_amplitude, is_counterfactual_histories,
+                             history_amplitudes, is_counterfactual_histories,
                              is_counterfactual_weakvalues, randomized_def3_test)
 from .errors import SeqWeakError
 from .montecarlo import Estimate, RunBatch, estimate_moment, sample_runs
@@ -20,7 +20,7 @@ from .oracle import (BranchSet, branch_decompose, exact_moment,
                      same_pointer_twice, weak_interaction_response)
 from .pointer import MomentSpec, PointerMoments, PointerProfile, predict_moment
 from .weakvalue import (ProductWeakValue, WeakValueTable, product_weak_value,
-                        weak_value, weak_value_numerator, weak_value_table)
+                        weak_value, weak_value_table)
 
 __version__ = "0.1.0"
 
@@ -31,11 +31,10 @@ __all__ = [
     "ProductWeakValue", "RunBatch", "SeqWeakError", "WeakValueTable",
     "branch_decompose", "builtin_document_path", "builtin_double_interferometer",
     "check_equivalence_def1_def2", "determines_output", "eig_hermitian",
-    "estimate_moment", "exact_moment", "history_amplitude",
+    "estimate_moment", "exact_moment", "history_amplitudes",
     "is_counterfactual_histories", "is_counterfactual_weakvalues",
     "is_hermitian", "is_projector", "is_unitary", "load", "parse",
     "predict_moment", "product_weak_value", "randomized_def3_test",
     "same_pointer_twice", "sample_runs", "serialize", "transition_amplitude",
-    "weak_interaction_response", "weak_value", "weak_value_numerator",
-    "weak_value_table",
+    "weak_interaction_response", "weak_value", "weak_value_table",
 ]

@@ -1,9 +1,13 @@
-"""Pre/post-selected measurement scenarios.
+"""Pre/post-selected measurement scenarios and the forward amplitude walk.
 
 A circuit is an initial state, n stages of (unitary, observable), a final
 unitary and a post-selection bra.  The observable of stage k sits at the
 boundary after U_k and before U_{k+1}; a boundary without a measurement
 stores the identity there.
+
+`amplitudes` is the one forward walk: <psi_f| U_f X_n ... X_1 |psi_i> for
+many choices of X_k at once (A_k U_k for weak values, N U_k for histories,
+P_a U_k for eigenbranches).  `oracle.effects` is the backward walk.
 """
 from __future__ import annotations
 
@@ -39,16 +43,16 @@ class Circuit:
         if psi_f.shape[0] != d:
             raise DimMismatch("post-selection dimension does not match the state")
         if abs(np.linalg.norm(psi_i) - 1.0) > 1e-10:
-            raise ValueError("initial state must be normalized")
+            raise InvalidInput("initial state must be normalized")
         if np.linalg.norm(psi_f) == 0.0:
-            raise ValueError("post-selection state must be nonzero")
+            raise InvalidInput("post-selection state must be nonzero")
         for k, (u, a) in enumerate(stages, start=1):
             if not algebra.is_unitary(u, 1e-9):
-                raise ValueError(f"stage {k} evolution is not unitary")
+                raise InvalidInput(f"stage {k} evolution is not unitary")
             if not algebra.is_hermitian(a, 1e-9):
-                raise ValueError(f"stage {k} observable is not Hermitian")
+                raise InvalidInput(f"stage {k} observable is not Hermitian")
         if not algebra.is_unitary(u_final, 1e-9):
-            raise ValueError("final evolution is not unitary")
+            raise InvalidInput("final evolution is not unitary")
         object.__setattr__(self, "psi_i", psi_i)
         object.__setattr__(self, "psi_f", psi_f)
         object.__setattr__(self, "stages", stages)
@@ -86,13 +90,24 @@ class Circuit:
         return h.hexdigest()
 
 
+def amplitudes(c: Circuit, ops, histories) -> np.ndarray:
+    """<psi_f| U_f X_n ... X_1 |psi_i> for every row of ``histories``.
+
+    ``ops[k]`` stacks the operators tried at site k+1 with the stage unitary
+    already applied, shape (m_k, d, d); row h of the int array
+    ``histories``, shape (m, n), picks X_{k+1} = ops[k][h[k]].  All m rows
+    walk together; the result has shape (m,).
+    """
+    v = np.repeat(c.psi_i[None, :, None], len(histories), axis=0)
+    for k, x in enumerate(ops):
+        v = x[histories[:, k]] @ v
+    return v[:, :, 0] @ (c.psi_f.conj() @ c.u_final)
+
+
 def transition_amplitude(c: Circuit) -> complex:
     """<psi_f| U_{n+1} ... U_1 |psi_i>, observables skipped."""
-    v = c.psi_i
-    for u, _ in c.stages:
-        v = u @ v
-    v = c.u_final @ v
-    return complex(np.vdot(c.psi_f, v))
+    ops = [u[None] for u, _ in c.stages]
+    return complex(amplitudes(c, ops, np.zeros((1, c.n), dtype=np.uint8))[0])
 
 
 def valid_subset(subset, n: int) -> tuple[int, ...]:

@@ -7,9 +7,11 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import circuitio, counterfactual, montecarlo, oracle, pointer, weakvalue
-from .circuitmodel import (P_B, P_C, P_E, P_F, builtin_double_interferometer,
-                           transition_amplitude)
+from .circuitmodel import (P_B, P_C, P_E, P_F, amplitudes,
+                           builtin_double_interferometer, transition_amplitude)
 from .errors import DegeneratePostSelection, SeqWeakError, UnsupportedCombination
 
 EXIT_INPUT = 2
@@ -218,15 +220,16 @@ def cmd_demo(args) -> int:
     base = builtin_double_interferometer()
     report = Report("demo double-interferometer", base.fingerprint()[:16],
                     args.machine)
-    report.add("F", transition_amplitude(base))
-    observed = {"B": (P_B, None), "C": (P_C, None), "E": (None, P_E),
-                "F": (None, P_F), "E,B": (P_B, P_E), "F,B": (P_B, P_F),
-                "E,C": (P_C, P_E), "F,C": (P_C, P_F)}
+    # one walk through U, P_B U or P_C U, then U, P_E U or P_F U; row 0 is F
+    (u1, _), (u2, _) = base.stages
+    ops = [np.stack([u1, P_B @ u1, P_C @ u1]), np.stack([u2, P_E @ u2, P_F @ u2])]
+    observed = {"B": (1, 0), "C": (2, 0), "E": (0, 1), "F": (0, 2),
+                "E,B": (1, 1), "F,B": (1, 2), "E,C": (2, 1), "F,C": (2, 2)}
+    f, *amps = amplitudes(base, ops, np.array([(0, 0), *observed.values()])).tolist()
+    report.add("F", f)
     wv = {}
-    for label, (o1, o2) in observed.items():
-        sites = tuple(k for k, o in ((1, o1), (2, o2)) if o is not None)
-        c = builtin_double_interferometer(o1, o2)
-        wv[label] = weakvalue.weak_value(c, sites)
+    for label, amp in zip(observed, amps):
+        wv[label] = amp / f
         report.add(f"wv.({label})", wv[label])
     # weak path occupations per successful run
     for key, label in (("N_E/N", "E"), ("N_C/N", "C"), ("N_CE/N", "E,C"),

@@ -4,7 +4,8 @@ An outcome is counterfactual by histories when every on/off insertion
 history containing an "on" projector has zero amplitude; by weak values
 when every sequential weak value of the on-projectors vanishes; by general
 weak interactions when every weak coupling restricted to the on-projectors
-yields a null result.  The three verdicts must always agree.
+yields a null result.  The three verdicts must always agree.  Each
+definition reads one forward walk (`circuitmodel.amplitudes`).
 """
 from __future__ import annotations
 
@@ -14,11 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
-from .circuitmodel import Circuit, transition_amplitude, valid_subset
-from .errors import (BothZero, DegeneratePostSelection, EquivalenceViolation,
-                     InvalidInput, NotProjector)
+from .circuitmodel import Circuit, amplitudes, transition_amplitude, valid_subset
+from .errors import BothZero, EquivalenceViolation, InvalidInput, NotProjector
 from .oracle import joint_response
-from .weakvalue import weak_value, weak_value_numerator
+from .weakvalue import weak_values
 
 ZERO_TOL = 1e-10
 
@@ -53,39 +53,31 @@ class CounterfactualReport:
     def3_null: bool | None = None
 
 
-def _circuit_with_insertions(c: Circuit, ins: InsertionSet,
-                             symbols: str) -> Circuit:
-    obs = {}
-    for site, proj, sym in zip(ins.sites, ins.on_projectors, symbols):
-        obs[site] = proj if sym == "N" else np.eye(c.dim) - proj
-    return c.with_observables(obs)
-
-
-def history_amplitude(c: Circuit, ins: InsertionSet, history: str) -> complex:
-    """Amplitude with the on-projector (N) or its complement (F) inserted at
-    each insertion site per the history string, identity elsewhere."""
-    valid_subset(ins.sites, c.n)
-    if len(history) != len(ins):
-        raise ValueError("history length must match the insertion set")
-    if any(s not in "FN" for s in history):
-        raise ValueError("history symbols must be F or N")
-    inserted = _circuit_with_insertions(c, ins, history)
-    return weak_value_numerator(inserted, ins.sites)
-
-
 def all_histories(k: int):
     """All length-k histories in lexicographic order with F < N."""
     return ["".join(h) for h in itertools.product("FN", repeat=k)]
+
+
+def history_amplitudes(c: Circuit, ins: InsertionSet) -> dict[str, complex]:
+    """Amplitude of every history in `all_histories` order: the on-projector
+    (N) or its complement (F) inserted at each insertion site per the
+    history string, identity elsewhere."""
+    sites = valid_subset(ins.sites, c.n)
+    on = dict(zip(sites, ins.on_projectors))
+    ops = [np.stack([u - on[k] @ u, on[k] @ u]) if k in on else u[None]
+           for k, (u, _) in enumerate(c.stages, start=1)]
+    histories = all_histories(len(ins))
+    rows = np.zeros((len(histories), c.n), dtype=np.uint8)
+    rows[:, [s - 1 for s in sites]] = list(itertools.product((0, 1), repeat=len(ins)))
+    return dict(zip(histories, amplitudes(c, ops, rows).tolist()))
 
 
 def is_counterfactual_histories(c: Circuit, ins: InsertionSet,
                                 tol: float = ZERO_TOL):
     """Definition by histories; witness is the first N-containing history
     (lexicographic, F < N) with nonvanishing amplitude."""
-    for h in all_histories(len(ins)):
-        if "N" not in h:
-            continue
-        if abs(history_amplitude(c, ins, h)) > tol:
+    for h, amp in history_amplitudes(c, ins).items():
+        if "N" in h and abs(amp) > tol:
             return False, h
     return True, None
 
@@ -104,11 +96,9 @@ def is_counterfactual_weakvalues(c: Circuit, ins: InsertionSet,
                                  tol: float = ZERO_TOL):
     """Definition by weak values; witness is the first subset of insertion
     sites whose sequential weak value of the on-projectors is nonzero."""
-    if abs(transition_amplitude(c)) <= 1e-12:
-        raise DegeneratePostSelection("post-selection orthogonal to the evolution")
-    on = _on_circuit(c, ins)
-    for subset in insertion_subsets(ins):
-        wv = weak_value(on, subset)
+    valid_subset(ins.sites, c.n)
+    subsets = list(insertion_subsets(ins))
+    for subset, wv in zip(subsets, weak_values(_on_circuit(c, ins), subsets).tolist()):
         if abs(wv) > tol:
             return False, (subset, wv)
     return True, None
@@ -124,16 +114,18 @@ def check_equivalence_def1_def2(c: Circuit, ins: InsertionSet) -> bool:
         raise EquivalenceViolation(
             f"histories says {d1}, weak values says {d2}")
 
-    on = _on_circuit(c, ins)
-    for h in all_histories(len(ins)):
+    subsets = [()] + list(insertion_subsets(ins))
+    wv = weak_values(_on_circuit(c, ins), subsets)
+    numerators = dict(zip(subsets, (transition_amplitude(c) * wv).tolist()))
+    for h, amp in history_amplitudes(c, ins).items():
         n_sites = tuple(s for s, sym in zip(ins.sites, h) if sym == "N")
         f_sites = tuple(s for s, sym in zip(ins.sites, h) if sym == "F")
         total = 0.0 + 0.0j
         for extra in itertools.chain.from_iterable(
                 itertools.combinations(f_sites, r) for r in range(len(f_sites) + 1)):
             subset = tuple(sorted(n_sites + extra))
-            total += (-1) ** len(extra) * weak_value_numerator(on, subset)
-        if abs(total - history_amplitude(c, ins, h)) > 1e-10:
+            total += (-1) ** len(extra) * numerators[subset]
+        if abs(total - amp) > 1e-10:
             raise EquivalenceViolation(
                 f"history {h} amplitude does not match its subset expansion")
     return d1
@@ -163,6 +155,8 @@ def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
     weak-value definition holds."""
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
+    if not (np.isfinite(g) and g > 0):
+        raise InvalidInput(f"coupling must be finite and positive, got {g}")
     d1, wit1 = is_counterfactual_histories(c, ins)
     d2, wit2 = is_counterfactual_weakvalues(c, ins)
     if d1 != d2:

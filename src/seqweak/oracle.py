@@ -7,8 +7,8 @@ the post-selection backward through these instruments,
 E <- sum_{b,a} K[b,a] (P_b U)^dag E (P_a U), so the cost is linear in the
 number of sites.  The exact oracle reads <psi_i|E|psi_i> off the last step;
 the Monte Carlo sampler draws each readout against the intermediate effects.
-Eigenbranch enumeration remains for the per-history views (shared-pointer
-coupling and the strong-measurement checks).
+Eigenbranch amplitudes (shared-pointer coupling, strong-measurement checks)
+and ancilla responses walk forward through `circuitmodel.amplitudes`.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import algebra
-from .circuitmodel import Circuit, transition_amplitude, valid_subset
-from .errors import AssumptionAViolated, NotProjector, NumericallySingular
+from .circuitmodel import Circuit, amplitudes, valid_subset
+from .errors import AssumptionAViolated, NumericallySingular
 from .pointer import MomentSpec, PointerProfile, check_coupling
 
 IMAG_RESIDUE_TOL = 1e-9
@@ -40,18 +40,12 @@ def branch_decompose(c: Circuit) -> BranchSet:
     """Amplitudes <psi_f| U_{n+1} P_{a_n} U_n ... P_{a_1} U_1 |psi_i> for
     every eigenvalue sequence, degenerate eigenspaces merged."""
     spectra = tuple(algebra.eig_hermitian(a) for _, a in c.stages)
-    if not spectra:
-        return BranchSet((((), transition_amplitude(c)),), ())
-    branches = []
-    for choice in itertools.product(*[range(len(es.eigenvalues)) for es in spectra]):
-        v = c.psi_i
-        seq = []
-        for (u, _), es, k in zip(c.stages, spectra, choice):
-            v = es.projectors[k] @ (u @ v)
-            seq.append(es.eigenvalues[k])
-        v = c.u_final @ v
-        branches.append((tuple(seq), complex(np.vdot(c.psi_f, v))))
-    return BranchSet(tuple(branches), spectra)
+    choices = list(itertools.product(*[range(len(es.eigenvalues)) for es in spectra]))
+    ops = [np.stack(es.projectors) @ u for (u, _), es in zip(c.stages, spectra)]
+    amps = amplitudes(c, ops, np.array(choices, dtype=np.intp))
+    branches = tuple((tuple(es.eigenvalues[k] for es, k in zip(spectra, choice)), amp)
+                     for choice, amp in zip(choices, amps.tolist()))
+    return BranchSet(branches, spectra)
 
 
 @dataclass(frozen=True)
@@ -194,42 +188,33 @@ def same_pointer_twice(c: Circuit, g: float, prof: PointerProfile) -> float:
     return float(ratio.real)
 
 
-def _check_projector(m) -> np.ndarray:
-    m = algebra.as_operator(m)
-    if not algebra.is_projector(m, 1e-10):
-        raise NotProjector("restriction must be a Hermitian idempotent")
-    return m
-
-
 def joint_response(c: Circuit, couplings: dict[int, tuple[np.ndarray, np.ndarray]],
                    anc_obs, anc_state, g: float) -> float:
     """Exact ancilla response for weak interactions exp(-i g N~ (x) h) applied
     at the given sites (shared ancilla), relative to the g = 0 baseline.
 
     ``couplings`` maps a 1-based site to its (restriction projector, ancilla
-    Hamiltonian).
+    Hamiltonian).  As exp(-i g N (x) h) = (1-N) (x) 1 + N (x) exp(-i g h),
+    the post-selected ancilla state sums, over the off/on histories of the
+    coupled sites, the history amplitude times the kicks of its "on" sites.
     """
+    from .counterfactual import InsertionSet, history_amplitudes
+
     anc_state = algebra.as_vector(anc_state)
     anc_obs = algebra.as_operator(anc_obs)
-    m = anc_state.shape[0]
-    for site in couplings:
-        valid_subset([site], c.n)
+    sites = valid_subset(sorted(couplings), c.n)
+    ins = InsertionSet(sites, tuple(couplings[s][0] for s in sites))
+    hams = [couplings[s][1] for s in sites]
+    if not all(algebra.is_hermitian(h, 1e-10) for h in hams):
+        raise ValueError("ancilla Hamiltonian must be Hermitian")
+    amps = np.array(list(history_amplitudes(c, ins).values()))
 
-    def evolve(coupling_on: bool) -> np.ndarray:
-        v = np.kron(c.psi_i, anc_state)
-        eye_anc = np.eye(m)
-        for k, (u, _) in enumerate(c.stages, start=1):
-            v = np.kron(u, eye_anc) @ v
-            if coupling_on and k in couplings:
-                restriction, h = couplings[k]
-                restriction = _check_projector(restriction)
-                if not algebra.is_hermitian(h, 1e-10):
-                    raise ValueError("ancilla Hamiltonian must be Hermitian")
-                v = expm(-1j * g * np.kron(restriction, h)) @ v
-        v = np.kron(c.u_final, eye_anc) @ v
-        # Post-select the system part.
-        chi = v.reshape(c.dim, m).T @ np.conj(c.psi_f)
-        return chi
+    def post_selected(kicks) -> np.ndarray:
+        # one ancilla state per history, in `all_histories` order
+        states = anc_state[None]
+        for kick in kicks:
+            states = np.stack([states, states @ kick.T], axis=1).reshape(-1, len(anc_state))
+        return amps @ states
 
     def expectation(chi: np.ndarray) -> float:
         norm = float(np.vdot(chi, chi).real)
@@ -238,7 +223,9 @@ def joint_response(c: Circuit, couplings: dict[int, tuple[np.ndarray, np.ndarray
         val = np.vdot(chi, anc_obs @ chi) / norm
         return float(val.real)
 
-    return expectation(evolve(True)) - expectation(evolve(False))
+    kicks = [expm(-1j * g * algebra.as_operator(h)) for h in hams]
+    baseline = post_selected([np.eye(len(anc_state))] * len(hams))
+    return expectation(post_selected(kicks)) - expectation(baseline)
 
 
 def weak_interaction_response(c: Circuit, site: int, restriction, h_anc,

@@ -15,7 +15,7 @@ import numpy as np
 from .circuitmodel import Circuit, valid_subset
 from .errors import (AssumptionAViolated, GridTooCoarse, InvalidInput,
                      UnsupportedCombination)
-from .weakvalue import weak_value
+from .weakvalue import weak_values
 
 
 @dataclass(frozen=True)
@@ -193,23 +193,28 @@ def predict_moment(c: Circuit, spec: MomentSpec, g: float, prof: PointerProfile)
     valid_subset(sites, c.n)
     m = len(spec.factors)
 
-    def wv(positions) -> complex:
-        # positions index into spec.factors (1-based); empty tuple -> 1
-        return weak_value(c, tuple(sites[p - 1] for p in positions)) if positions else 1.0 + 0.0j
+    def weak_value_map() -> dict[tuple[int, ...], complex]:
+        # keyed by positions into spec.factors (1-based); empty tuple -> 1
+        keys = [p for r in range(1, m + 1)
+                for p in itertools.combinations(range(1, m + 1), r)]
+        values = weak_values(c, [tuple(sites[i - 1] for i in p) for p in keys])
+        return {(): 1.0 + 0.0j, **dict(zip(keys, values.tolist()))}
 
     if all(k == "q" for k in kinds):
         if m == 1:
             mom = moments(prof)
-            w = wv((1,))
+            w = weak_value_map()[(1,)]
             return mom.mu + g * (w.real + mom.y * w.imag)
         _require_assumption_a(prof)
-        total = sum(wv(i) * np.conj(wv(j)) for i, j in ordered_index_partitions(m))
+        wv = weak_value_map()
+        total = sum(wv[i] * np.conj(wv[j]) for i, j in ordered_index_partitions(m))
         return g**m / 2 ** (m - 1) * float(np.real(total))
 
     if all(k == "p" for k in kinds):
         _require_assumption_a(prof)
         v = moments(prof).v
-        total = sum((-1) ** len(i) * wv(i) * np.conj(wv(j))
+        wv = weak_value_map()
+        total = sum((-1) ** len(i) * wv[i] * np.conj(wv[j])
                     for i, j in ordered_index_partitions(m))
         half = m // 2
         if m % 2 == 0:
@@ -221,7 +226,8 @@ def predict_moment(c: Circuit, spec: MomentSpec, g: float, prof: PointerProfile)
         # gives + g^2 v Im[...]; the sign is pinned by the exact simulator
         _require_assumption_a(prof)
         v = moments(prof).v
-        val = wv((1, 2)) + np.conj(wv((1,))) * wv((2,))
+        wv = weak_value_map()
+        val = wv[(1, 2)] + np.conj(wv[(1,)]) * wv[(2,)]
         return g**2 * v * float(np.imag(val))
 
     raise UnsupportedCombination(

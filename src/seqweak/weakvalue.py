@@ -3,6 +3,7 @@
 The stored weak value for a subset (i1 < ... < ir) of measurement sites is
 the sequential weak value with the later observables applied on the left,
 i.e. the operators appear in reverse time order inside the matrix element.
+`weak_values` computes any list of them in one `circuitmodel.amplitudes` walk.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import algebra
-from .circuitmodel import Circuit, transition_amplitude, valid_subset
+from .circuitmodel import Circuit, amplitudes, valid_subset
 from .errors import (
     BasisIncomplete,
     DegeneratePostSelection,
@@ -27,31 +28,31 @@ F_TOL = 1e-12
 HUGE_WEAK_VALUE = 1e6
 
 
-def weak_value_numerator(c: Circuit, subset) -> complex:
-    """<psi_f| U_{n+1} A~_n U_n ... A~_1 U_1 |psi_i> with A~_k = A_k on
-    the subset and identity elsewhere."""
-    s = set(valid_subset(subset, c.n))
-    v = c.psi_i
-    for k, (u, a) in enumerate(c.stages, start=1):
-        v = u @ v
-        if k in s:
-            v = a @ v
-    v = c.u_final @ v
-    return complex(np.vdot(c.psi_f, v))
-
-
-def weak_value(c: Circuit, subset) -> complex:
-    f = transition_amplitude(c)
+def weak_values(c: Circuit, subsets) -> np.ndarray:
+    """Sequential weak values of ``subsets``, in order, over the F of the
+    same walk.  The subsets are not validated: each must be a strictly
+    increasing tuple of 1-based sites of ``c``."""
+    sizes = [len(s) for s in subsets]
+    rows = np.zeros((len(subsets) + 1, c.n), dtype=np.uint8)
+    sites = np.fromiter(itertools.chain.from_iterable(subsets), np.intp, sum(sizes))
+    rows[np.repeat(np.arange(1, len(rows)), sizes), sites - 1] = 1
+    amps = amplitudes(c, [np.array([u, a @ u]) for u, a in c.stages], rows)
+    f = amps[0]
     if abs(f) <= F_TOL:
         raise DegeneratePostSelection(f"|F| = {abs(f):.3e} <= {F_TOL}")
-    wv = weak_value_numerator(c, subset) / f
-    if abs(wv) > HUGE_WEAK_VALUE:
+    wv = amps[1:] / f
+    biggest = np.abs(wv).max(initial=0.0)
+    if biggest > HUGE_WEAK_VALUE:
         warnings.warn(
-            f"weak value {wv:.3e} is huge; post-selection is nearly orthogonal",
+            f"weak value of modulus {biggest:.3e} is huge; post-selection is nearly orthogonal",
             RuntimeWarning,
             stacklevel=2,
         )
     return wv
+
+
+def weak_value(c: Circuit, subset) -> complex:
+    return complex(weak_values(c, [valid_subset(subset, c.n)])[0])
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,12 @@ def weak_value_table(c: Circuit, max_order: int) -> WeakValueTable:
     enumerated in (size, lexicographic) order."""
     if max_order > c.n:
         raise InvalidInput(f"max_order {max_order} exceeds n = {c.n}")
+    if max_order < 0:
+        raise InvalidInput(f"max_order {max_order} is negative")
+    subsets = [s for r in range(1, max_order + 1)
+               for s in itertools.combinations(range(1, c.n + 1), r)]
     entries: dict[tuple[int, ...], complex] = {(): 1.0 + 0.0j}
-    for r in range(1, max_order + 1):
-        for s in itertools.combinations(range(1, c.n + 1), r):
-            entries[s] = weak_value(c, s)
+    entries.update(zip(subsets, weak_values(c, subsets).tolist()))
     return WeakValueTable(entries, c.fingerprint())
 
 
@@ -174,18 +177,10 @@ def product_weak_value(c: Circuit, g: float = 1e-3, prof=None) -> ProductWeakVal
     if np.max(np.abs(a1 @ a2 - a2 @ a1)) > 1e-10:
         raise NonCommuting("observables at one time must commute")
 
-    f = transition_amplitude(c)
-    if abs(f) <= F_TOL:
-        raise DegeneratePostSelection(f"|F| = {abs(f):.3e}")
-    u1, _ = c.stages[0]
-    v = c.u_final @ (a2 @ (a1 @ (u1 @ c.psi_i)))
-    value = complex(np.vdot(c.psi_f, v)) / f
-
+    w1, w2, value = weak_values(c, [(1,), (2,), (1, 2)]).tolist()
     if prof is None:
         prof = PointerProfile.gaussian(1.0)
     q1q2 = predict_moment(c, MomentSpec.parse("q1*q2"), g, prof)
-    w1 = weak_value(c, (1,))
-    w2 = weak_value(c, (2,))
     rec = 2.0 * q1q2 / g**2 - (w1 * np.conj(w2)).real
     return ProductWeakValue(value=value, correlation_reconstruction=rec)
 
@@ -230,22 +225,14 @@ def path_amplitude_identity(c: Circuit, bases=None) -> float:
             if min(np.linalg.norm(b[:, j] - x) for j in range(b.shape[1])) > 1e-9:
                 raise BasisIncomplete("basis does not contain the projected direction")
 
-    # Chain <psi_f|U_{n+1}|x_n><x_n|U_n|x_{n-1}> ... <x_1|U_1|psi_i> and its
-    # sum over all basis choices per stage.
-    def chain(columns) -> complex:
-        amp = 1.0 + 0.0j
-        prev = c.psi_i
-        for k, (u, _) in enumerate(c.stages):
-            x = columns[k]
-            amp *= complex(np.vdot(x, u @ prev))
-            prev = x
-        amp *= complex(np.vdot(c.psi_f, c.u_final @ prev))
-        return amp
-
-    target = chain(xs)
-    total = 0.0 + 0.0j
-    for choice in itertools.product(*[range(b.shape[1]) for b in bases]):
-        total += chain([bases[k][:, j] for k, j in enumerate(choice)])
+    # Row 0 walks through the measured directions |x_k><x_k| U_k, the other
+    # rows through every choice of basis vectors |b_j><b_j| U_k per stage.
+    ops = [np.stack([np.outer(x, x.conj())] + [np.outer(b, b.conj()) for b in basis.T]) @ u
+           for (u, _), x, basis in zip(c.stages, xs, bases)]
+    rows = np.array([(0,) * c.n] + list(itertools.product(
+        *[range(1, b.shape[1] + 1) for b in bases])), dtype=np.intp)
+    amps = amplitudes(c, ops, rows)
+    target, total = amps[0], amps[1:].sum()
     if abs(total) <= F_TOL:
         raise DegeneratePostSelection("path-amplitude sum vanishes")
     wv = weak_value(c, tuple(range(1, c.n + 1)))

@@ -126,6 +126,10 @@ def test_demo_unknown_name(capsys):
     ["montecarlo", SHIPPED, "--runs", "100", "--seed", "1", "--g", "nan"],
     ["montecarlo", SHIPPED, "--runs", "100", "--seed", "1", "--g", "inf"],
     ["counterfactual", SHIPPED, "--trials", "0", "--seed", "1"],
+    ["weakvalues", SHIPPED, "--max-order", "-1"],
+    ["counterfactual", SHIPPED, "--seed", "1", "--g", "nan"],
+    ["counterfactual", SHIPPED, "--seed", "1", "--g", "inf"],
+    ["counterfactual", SHIPPED, "--seed", "1", "--g", "0"],
 ])
 def test_library_input_errors_exit_code(capsys, argv):
     assert main(argv) == 2

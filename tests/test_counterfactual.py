@@ -6,7 +6,7 @@ from seqweak.circuitmodel import (P_B, P_F, Circuit,
                                   transition_amplitude)
 from seqweak.counterfactual import (CounterfactualReport, InsertionSet,
                                     all_histories, check_equivalence_def1_def2,
-                                    determines_output, history_amplitude,
+                                    determines_output, history_amplitudes,
                                     insertion_subsets,
                                     is_counterfactual_histories,
                                     is_counterfactual_weakvalues,
@@ -14,6 +14,7 @@ from seqweak.counterfactual import (CounterfactualReport, InsertionSet,
 from seqweak.errors import BothZero, NotProjector
 
 from conftest import random_circuit, random_projector, random_state, random_unitary
+from test_weakvalue import chain_numerator
 
 
 def double_insertions():
@@ -39,17 +40,37 @@ def test_insertion_subsets_order():
 def test_history_amplitudes_double_interferometer():
     c = builtin_double_interferometer()
     ins = double_insertions()
-    amp = {h: history_amplitude(c, ins, h) for h in all_histories(2)}
+    amp = history_amplitudes(c, ins)
+    assert list(amp) == all_histories(2)
     root8 = 1 / (2 * np.sqrt(2))
     # both blocked paths interfere to the same magnitude
     assert amp["NN"] == pytest.approx(root8, abs=1e-12)
     assert amp["FN"] == pytest.approx(-root8, abs=1e-12)
     assert amp["NF"] == pytest.approx(-root8, abs=1e-12)
     assert sum(amp.values()) == pytest.approx(transition_amplitude(c), abs=1e-12)
-    with pytest.raises(ValueError):
-        history_amplitude(c, ins, "N")
-    with pytest.raises(ValueError):
-        history_amplitude(c, ins, "NX")
+
+
+def copied_circuit_history(c, ins, history):
+    """One history's amplitude from a copy of the circuit with N or 1 - N
+    as the observable at each insertion site, walked one matvec at a time:
+    the reference for `history_amplitudes`."""
+    obs = {site: proj if sym == "N" else np.eye(c.dim) - proj
+           for site, proj, sym in zip(ins.sites, ins.on_projectors, history)}
+    return chain_numerator(c.with_observables(obs), ins.sites)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_history_amplitudes_match_circuit_copies(n):
+    for seed in range(5):
+        c = random_circuit(200 + 10 * n + seed, n=n)
+        rng = np.random.default_rng(seed)
+        sites = tuple(int(s) + 1 for s in np.flatnonzero(rng.random(n) < 0.7)) or (n,)
+        ins = InsertionSet(sites, tuple(random_projector(rng, c.dim, rank=int(r))
+                                        for r in rng.integers(1, c.dim, len(sites))))
+        amps = history_amplitudes(c, ins)
+        assert list(amps) == all_histories(len(sites))
+        for h, amp in amps.items():
+            assert abs(amp - copied_circuit_history(c, ins, h)) <= 1e-12, h
 
 
 def test_double_interferometer_is_not_counterfactual():
@@ -158,3 +179,6 @@ def test_randomized_interaction_probe_null_for_single_insertion():
     assert max(r for _, r in report.def3_samples) < 1e-12
     with pytest.raises(ValueError):
         randomized_def3_test(c, ins, trials=0, g=0.1, seed=1)
+    for g in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            randomized_def3_test(c, ins, trials=1, g=g, seed=1)

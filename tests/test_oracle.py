@@ -2,7 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from seqweak.algebra import eig_hermitian
 from seqweak.circuitmodel import (P_B, P_F, Circuit,
                                   builtin_double_interferometer,
                                   transition_amplitude)
@@ -13,8 +15,8 @@ from seqweak.oracle import (branch_decompose, exact_moment, gaussian_kernels,
 from seqweak.pointer import MomentSpec, PointerProfile, predict_moment
 from seqweak.weakvalue import weak_value
 
-from conftest import (random_circuit, random_hermitian, random_state,
-                      random_unitary)
+from conftest import (random_circuit, random_hermitian, random_projector,
+                      random_state, random_unitary)
 
 
 def quadrature_kernels(eigs, g, prof, npts=80001, span=30.0):
@@ -141,6 +143,32 @@ def test_branch_decompose_projector_sites():
     assert abs(amps[(1.0, 1.0)]) == pytest.approx(1 / (2 * np.sqrt(2)))
 
 
+def loop_branches(c):
+    """Each eigenvalue branch walked on its own, one matvec per operator:
+    the reference for `branch_decompose`."""
+    spectra = [eig_hermitian(a) for _, a in c.stages]
+    out = []
+    for choice in itertools.product(*[range(len(es.eigenvalues)) for es in spectra]):
+        v = c.psi_i
+        for (u, _), es, k in zip(c.stages, spectra, choice):
+            v = es.projectors[k] @ (u @ v)
+        seq = tuple(es.eigenvalues[k] for es, k in zip(spectra, choice))
+        out.append((seq, complex(np.vdot(c.psi_f, c.u_final @ v))))
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("projectors", [False, True])
+def test_branch_decompose_matches_per_branch_loop(n, d, projectors):
+    c = random_circuit(300 + 10 * n + d, dim=d, n=n, projectors=projectors)
+    bs = branch_decompose(c)
+    ref = loop_branches(c)
+    assert [seq for seq, _ in bs.branches] == [seq for seq, _ in ref]
+    for (_, amp), (_, ref_amp) in zip(bs.branches, ref):
+        assert abs(amp - ref_amp) <= 1e-12
+
+
 def test_exact_moment_zero_coupling_is_profile_mean(rng):
     c = random_circuit(31, n=2)
     prof = PointerProfile.gaussian(1.0, q_offset=0.4)
@@ -256,6 +284,45 @@ def test_joint_response_null_for_vanishing_pair():
     g = 1e-2
     resp = joint_response(c, {1: (P_B, h), 2: (P_F, h)}, obs, state, g)
     assert abs(resp) > 1e-8
+
+
+def kron_joint_response(c, couplings, anc_obs, anc_state, g):
+    """The joint system-ancilla walk with np.kron and the full
+    exp(-i g N (x) h) at each coupled site: the reference for
+    `joint_response`."""
+    m = len(anc_state)
+
+    def evolve(coupling_on):
+        v = np.kron(c.psi_i, anc_state)
+        for k, (u, _) in enumerate(c.stages, start=1):
+            v = np.kron(u, np.eye(m)) @ v
+            if coupling_on and k in couplings:
+                restriction, h = couplings[k]
+                v = expm(-1j * g * np.kron(restriction, h)) @ v
+        v = np.kron(c.u_final, np.eye(m)) @ v
+        return v.reshape(c.dim, m).T @ np.conj(c.psi_f)
+
+    def expectation(chi):
+        return float((np.vdot(chi, anc_obs @ chi) / np.vdot(chi, chi)).real)
+
+    return expectation(evolve(True)) - expectation(evolve(False))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("anc_dim", [2, 3])
+def test_joint_response_matches_kron_walk(n, anc_dim):
+    for seed in range(4):
+        c = random_circuit(400 + 10 * n + seed, n=n)
+        rng = np.random.default_rng(seed)
+        sites = [int(s) + 1 for s in np.flatnonzero(rng.random(n) < 0.7)] or [1]
+        couplings = {s: (random_projector(rng, c.dim, rank=int(rng.integers(1, c.dim))),
+                         random_hermitian(rng, anc_dim)) for s in sites}
+        obs = random_hermitian(rng, anc_dim)
+        state = random_state(rng, anc_dim)
+        for g in (1e-3, 0.3):
+            resp = joint_response(c, couplings, obs, state, g)
+            assert abs(resp - kron_joint_response(c, couplings, obs, state, g)) <= 1e-12
+        assert joint_response(c, couplings, obs, state, 0.0) == 0.0
 
 
 # --- differential tests: site-by-site propagation vs the branch-pair sum

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from seqweak.errors import DegeneratePostSelection, NonCommuting
 from seqweak.weakvalue import (check_linearity, check_marginal,
                                check_strong_agreement, path_amplitude_identity,
                                product_weak_value, ratio_rule_check, weak_value,
-                               weak_value_numerator, weak_value_table)
+                               weak_value_table)
 
 from conftest import (random_circuit, random_hermitian, random_projector,
                       random_state, random_unitary)
@@ -51,11 +53,47 @@ def test_identity_observable_gives_unit_weak_value(rng):
     assert weak_value(c, (1,)) == pytest.approx(1.0)
 
 
+def chain_numerator(c, subset) -> complex:
+    """<psi_f| U_{n+1} A~_n U_n ... A~_1 U_1 |psi_i> with A~_k = A_k on the
+    subset and identity elsewhere, one matvec per operator: the per-subset
+    reference for the batched amplitude walk."""
+    v = c.psi_i
+    for k, (u, a) in enumerate(c.stages, start=1):
+        v = u @ v
+        if k in subset:
+            v = a @ v
+    v = c.u_final @ v
+    return complex(np.vdot(c.psi_f, v))
+
+
 def test_numerator_times_amplitude(rng):
     c = random_circuit(5, dim=3, n=2)
     f = transition_amplitude(c)
-    assert weak_value(c, (1, 2)) * f == pytest.approx(
-        weak_value_numerator(c, (1, 2)))
+    assert weak_value(c, (1, 2)) * f == pytest.approx(chain_numerator(c, (1, 2)))
+
+
+def assert_table_matches_chain(c, table):
+    f = chain_numerator(c, ())
+    for subset, value in table.entries.items():
+        scale = np.prod([np.linalg.norm(c.observable(k), 2) for k in subset]) / abs(f)
+        assert abs(value - chain_numerator(c, subset) / f) <= 1e-12 * scale, subset
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_table_matches_matvec_chain(n, d):
+    c = random_circuit(1000 + 10 * n + d, dim=d, n=n)
+    for max_order in sorted({1, n}):
+        table = weak_value_table(c, max_order)
+        assert len(table.entries) == sum(comb(n, r) for r in range(max_order + 1))
+        assert_table_matches_chain(c, table)
+
+
+def test_first_order_table_at_forty_sites():
+    c = random_circuit(40, dim=2, n=40)
+    table = weak_value_table(c, 1)
+    assert len(table.entries) == 41
+    assert_table_matches_chain(c, table)
 
 
 def test_degenerate_postselection_raises():
@@ -92,6 +130,8 @@ def test_table_max_order_truncates(rng):
     assert list(table.entries) == [(), (1,), (2,), (3,)]
     with pytest.raises(ValueError):
         weak_value_table(c, 4)
+    with pytest.raises(ValueError):
+        weak_value_table(c, -1)
 
 
 def test_linearity_rule(rng):
