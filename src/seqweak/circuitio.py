@@ -16,10 +16,12 @@ Grammar (whitespace-separated tokens, '#' starts a comment):
     insert <observe-name>
 
 Complex literals are `<float>` or `<float>+<float>i` / `<float>-<float>i`
-with no interior spaces.  Observables bind to the most recent unitary; a
-trailing observe after the last unitary implies an identity final
-evolution.  Serialization is canonical: 17 significant digits, one stanza
-per parse-order entry, so serialize(parse(serialize(x))) == serialize(x).
+with no interior spaces; pointer parameters `<r>` and the `q re im` cells of
+a tabulated profile file must be finite.  Observables bind to the most
+recent unitary; a trailing observe after the last unitary implies an
+identity final evolution.  Serialization is canonical: 17 significant
+digits, one stanza per parse-order entry, so
+serialize(parse(serialize(x))) == serialize(x).
 """
 from __future__ import annotations
 
@@ -56,6 +58,15 @@ def parse_complex(tok: str, line: int) -> complex:
     re_part = float(m.group(1))
     im_part = float(m.group(2)) if m.group(2) is not None else 0.0
     return complex(re_part, im_part)
+
+
+def _finite_float(tok: str) -> float | None:
+    """The finite float that ``tok`` spells, or None."""
+    try:
+        x = float(tok)
+    except ValueError:
+        return None
+    return x if math.isfinite(x) else None
 
 
 def format_float(x: float) -> str:
@@ -282,10 +293,12 @@ def parse(text: str, base_dir: str | Path | None = None) -> CircuitDocument:
                 kwargs = {"sigma": None, "qoffset": 0.0, "poffset": 0.0}
                 for tok in rest[1:]:
                     key, _, val = tok.partition("=")
-                    if key not in kwargs or not val:
+                    value = _finite_float(val)
+                    if key not in kwargs or value is None:
                         raise ParseError("UnknownDirective", lineno, tok,
-                                         "bad pointer parameter")
-                    kwargs[key] = float(val)
+                                         "bad pointer parameter (finite sigma, "
+                                         "qoffset, poffset)")
+                    kwargs[key] = value
                 if kwargs["sigma"] is None or kwargs["sigma"] <= 0:
                     raise ParseError("UnknownDirective", lineno, pointer_source,
                                      "gaussian pointer needs sigma > 0")
@@ -338,7 +351,7 @@ def parse(text: str, base_dir: str | Path | None = None) -> CircuitDocument:
 
 def load_tabulated_profile(path: str | Path) -> PointerProfile:
     """Profile from rows of `q re(phi) im(phi)` with uniform spacing."""
-    qs, vals = [], []
+    rows, linenos = [], []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -347,14 +360,26 @@ def load_tabulated_profile(path: str | Path) -> PointerProfile:
         if len(parts) != 3:
             raise ParseError("DimMismatch", lineno, body,
                              "profile rows are `q re im`")
-        qs.append(float(parts[0]))
-        vals.append(complex(float(parts[1]), float(parts[2])))
-    q = np.asarray(qs)
+        rows.append(parts)
+        linenos.append(lineno)
+    try:
+        table = np.array(rows, dtype=float).reshape(-1, 3)
+    except ValueError:  # a cell that is no number reads as nan
+        table = np.array([[_finite_float(tok) for tok in row] for row in rows], dtype=float)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ParseError("BadNumber", linenos[bad], " ".join(rows[bad]),
+                         "profile cells must be finite numbers")
+    q = table[:, 0]
     steps = np.diff(q)
     if len(q) < 2 or np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
         raise ParseError("DimMismatch", 0, str(path),
                          "profile grid must be uniformly spaced")
-    return PointerProfile.tabulated(q[0], float(steps[0]), vals)
+    try:
+        return PointerProfile.tabulated(q[0], float(steps[0]), table[:, 1] + 1j * table[:, 2])
+    except ValueError as exc:
+        raise ParseError("BadProfile", 0, str(path), str(exc)) from None
 
 
 def serialize(doc: CircuitDocument) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 from . import algebra
 from .circuitmodel import Circuit, amplitudes, transition_amplitude, valid_subset
 from .errors import BothZero, EquivalenceViolation, InvalidInput, NotProjector
-from .oracle import joint_response
+from .oracle import _ancilla_response
 from .weakvalue import weak_values
 
 ZERO_TOL = 1e-10
@@ -167,15 +167,18 @@ def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
     rng = np.random.default_rng(seed)
     samples = []
     proj_by_site = dict(zip(ins.sites, ins.on_projectors))
+    # the history amplitudes depend on the subset only, not on the trial
+    amps = {subset: np.array(list(history_amplitudes(c, InsertionSet(
+                subset, tuple(proj_by_site[site] for site in subset))).values()))
+            for subset in insertion_subsets(ins)}
     null = True
     for trial in range(trials):
-        for subset in insertion_subsets(ins):
-            couplings = {site: (proj_by_site[site], _random_hermitian(rng, anc_dim))
-                         for site in subset}
+        for subset, subset_amps in amps.items():
+            hams = [_random_hermitian(rng, anc_dim) for _ in subset]
             obs = _random_hermitian(rng, anc_dim)
             state = rng.standard_normal(anc_dim) + 1j * rng.standard_normal(anc_dim)
             state = state / np.linalg.norm(state)
-            resp = joint_response(c, couplings, obs, state, g)
+            resp = _ancilla_response(subset_amps, hams, obs, state, g)
             samples.append((f"trial={trial} subset={subset}", abs(resp)))
             if abs(resp) > tol3:
                 null = False

@@ -7,10 +7,10 @@ the run's state v after the site's unitary and projector, and E is the
 backward effect (`oracle.effects`) of every later site and the
 post-selection.  A position readout then leaves the system in the pure state
 sum_a phi(q_i - g a) y_a.  Momentum readouts are not sampled (a single run
-reads out either q or p).  Each conditional CDF is a small mixture over
-eigenvalue pairs whose component antiderivatives are precomputed on a fixed
-grid, so a run is inverted by bisection with a handful of mixture
-evaluations instead of a full-grid scan.
+reads out either q or p).  Each conditional CDF is a mixture over eigenvalue
+pairs (b, a), Hermitian in (b, a), so a real sum of k^2 antiderivatives that
+are precomputed once per site as a (grid, k^2) basis; a run is inverted by a
+binary search whose every probe gathers one basis row.
 """
 from __future__ import annotations
 
@@ -73,34 +73,33 @@ def _cumulative(gm: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _invert_mixture_cdf(w: np.ndarray, cdf_basis: np.ndarray, x: np.ndarray,
+def _hermitian_columns(z: np.ndarray, k: int) -> np.ndarray:
+    """Real columns of z[..., (b,a)], Hermitian in (b, a): Re z_aa, then Re z_ba
+    and Im z_ba for b < a.  Re sum_{b,a} w_ba z_ba = sum_j w_j z_j (1, 2, -2)_j."""
+    b, a = np.triu_indices(k, 1)
+    off = z[..., b * k + a]
+    return np.concatenate([z[..., ::k + 1].real, off.real, off.imag], axis=-1)
+
+
+def _invert_mixture_cdf(coef: np.ndarray, basis: np.ndarray, x: np.ndarray,
                         u: np.ndarray) -> np.ndarray:
-    """Per-run inverse CDF for cdf_r(x) = sum_j w[r, j] cdf_basis[j, x].
+    """Per-run inverse CDF for cdf_r(x) = sum_j coef[r, j] basis[x, j].
 
-    Inverted by vectorized bisection on the grid index; only O(log npts)
-    mixture evaluations per run, never a full-grid CDF row.
+    Finds the largest grid index with cdf_r < u_r * cdf_r(x[-1]) by setting
+    its bits from the highest down, each probe one gathered basis row per
+    run, then interpolates linearly to the next grid point.
     """
-    wr, wi = np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)
-    cr, ci = cdf_basis.real, cdf_basis.imag
-
     def value_at(idx):
-        return (np.einsum("rj,jr->r", wr, cr[:, idx])
-                - np.einsum("rj,jr->r", wi, ci[:, idx]))
+        return np.einsum("rj,rj->r", coef, np.take(basis, idx, axis=0, mode="clip"))
 
-    npts = len(x)
-    runs = len(u)
-    total = value_at(np.full(runs, npts - 1))
-    target = u * total
-    lo = np.zeros(runs, dtype=np.int64)
-    hi = np.full(runs, npts - 1, dtype=np.int64)
-    steps = int(np.ceil(np.log2(npts)))
-    for _ in range(steps):
-        mid = (lo + hi) // 2
-        below = value_at(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+    target = u * (coef @ basis[-1])
+    lo = np.zeros(len(u), dtype=np.int64)
+    step = 1 << ((len(x) - 1).bit_length() - 1)
+    while step:
+        lo += step * (value_at(lo + step) < target)
+        step >>= 1
     c_lo = value_at(lo)
-    c_hi = value_at(hi)
+    c_hi = value_at(lo + 1)
     frac = np.where(c_hi > c_lo,
                     (target - c_lo) / np.maximum(c_hi - c_lo, 1e-300), 0.0)
     dx = x[1] - x[0]
@@ -123,16 +122,17 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
 
     sites = site_instruments(c)
     center, spread = _profile_center_spread(prof)
-    grids, pair_cdfs, kernels = [], [], []
+    grids, bases, kernels = [], [], []
     for _, eigs in sites:
         lo = center + g * min(eigs) - RANGE_SIGMAS * spread
         hi = center + g * max(eigs) + RANGE_SIGMAS * spread
         x = np.linspace(lo, hi, GRID_POINTS)
         grids.append(x)
         gm = _pair_matrix(prof, eigs, g, x)
-        pair_cdfs.append(_cumulative(gm, x))
+        k, pairs = len(eigs), len(eigs) * (len(eigs) - 1) // 2
+        bases.append(_hermitian_columns(_cumulative(gm, x).T, k)
+                     * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs]))
         # the grid's own overlaps, and the exact ones for the mass check
-        k = len(eigs)
         kernels.append(np.stack([np.trapezoid(gm, x, axis=1).reshape(k, k),
                                  site_kernels(eigs, g, prof).s]))
     walk = effects(c, sites, kernels)
@@ -155,7 +155,7 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
         # for M[b,a] = (P_b U)^dag E (P_a U)
         m = pu.conj().swapaxes(1, 2)[:, None] @ e[0] @ pu[None]
         w = np.einsum("rj,pjl,rl->rp", v.conj(), m.reshape(k * k, d, d), v)
-        xs = _invert_mixture_cdf(w, pair_cdfs[i], grids[i], rng.random(n_succ))
+        xs = _invert_mixture_cdf(_hermitian_columns(w, k), bases[i], grids[i], rng.random(n_succ))
         samples[:, i] = xs
         if i < c.n - 1:
             y = (v @ pu.reshape(k * d, d).T).reshape(n_succ, k, d)

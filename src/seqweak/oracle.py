@@ -204,11 +204,18 @@ def joint_response(c: Circuit, couplings: dict[int, tuple[np.ndarray, np.ndarray
     anc_obs = algebra.as_operator(anc_obs)
     sites = valid_subset(sorted(couplings), c.n)
     ins = InsertionSet(sites, tuple(couplings[s][0] for s in sites))
-    hams = [couplings[s][1] for s in sites]
+    hams = [algebra.as_operator(couplings[s][1]) for s in sites]
     if not all(algebra.is_hermitian(h, 1e-10) for h in hams):
         raise ValueError("ancilla Hamiltonian must be Hermitian")
     amps = np.array(list(history_amplitudes(c, ins).values()))
+    return _ancilla_response(amps, hams, anc_obs, anc_state, g)
 
+
+def _ancilla_response(amps: np.ndarray, hams: list[np.ndarray], anc_obs: np.ndarray,
+                      anc_state: np.ndarray, g: float) -> float:
+    """`joint_response` from the history amplitudes ``amps`` of the coupled
+    sites (in `all_histories` order) and their ancilla Hamiltonians, in site
+    order."""
     def post_selected(kicks) -> np.ndarray:
         # one ancilla state per history, in `all_histories` order
         states = anc_state[None]
@@ -223,7 +230,7 @@ def joint_response(c: Circuit, couplings: dict[int, tuple[np.ndarray, np.ndarray
         val = np.vdot(chi, anc_obs @ chi) / norm
         return float(val.real)
 
-    kicks = [expm(-1j * g * algebra.as_operator(h)) for h in hams]
+    kicks = [expm(-1j * g * h) for h in hams]
     baseline = post_selected([np.eye(len(anc_state))] * len(hams))
     return expectation(post_selected(kicks)) - expectation(baseline)
 

@@ -30,6 +30,8 @@ class PointerProfile:
 
     @classmethod
     def gaussian(cls, sigma: float, q_offset: float = 0.0, p_offset: float = 0.0):
+        if not np.all(np.isfinite([sigma, q_offset, p_offset])):
+            raise ValueError("pointer parameters must be finite")
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         return cls(kind="gaussian", sigma=float(sigma), q_offset=float(q_offset),
@@ -40,6 +42,8 @@ class PointerProfile:
         vals = np.asarray(values, dtype=complex)
         if vals.size < 256:
             raise ValueError("tabulated profile needs at least 256 points")
+        if not (np.isfinite([grid_min, grid_step]).all() and np.isfinite(vals).all()):
+            raise ValueError("tabulated profile must be finite")
         if grid_step <= 0:
             raise ValueError("grid step must be positive")
         peak = float(np.max(np.abs(vals)))

@@ -8,6 +8,7 @@ from seqweak.circuitio import (CircuitDocument, ParseError, builtin_document_pat
                                format_complex, format_float, load, parse,
                                parse_complex, serialize)
 from seqweak.circuitmodel import builtin_double_interferometer
+from seqweak.errors import InvalidInput
 
 BASIC = """\
 wseq 1
@@ -172,3 +173,72 @@ def test_shipped_document_roundtrip_fixpoint():
     path = builtin_document_path()
     text = path.read_text()
     assert serialize(parse(text, base_dir=path.parent)) == text
+
+
+# Tokens that a `.wseq` line may hold by mistake: non-finite and overflowing
+# numbers, malformed complex literals, and text that is no number at all.
+_BAD_TOKENS = ["nan", "inf", "-inf", "1e999", "nan+0i", "0+nani", "1e999+0i",
+               "1+", "1+i", "+-1", "1e", ".", "", "0x10", "abc", "1+2j",
+               "sigma=nan", "sigma=inf", "qoffset=nan", "poffset=1e999",
+               "sigma=", "=1", "proj", "-1", "99", "2.5"]
+_TOKEN = st.one_of(st.sampled_from(_BAD_TOKENS),
+                   st.text("0123456789.+-eEi=nafx ", max_size=8))
+
+
+def _fuzz_outcome(text, base_dir=None):
+    """Parse ``text``; the only allowed failures are a `ParseError`, or a
+    circuit check (`InvalidInput`) of the parsed document.  A document that
+    parses carries a finite pointer."""
+    try:
+        doc = parse(text, base_dir=base_dir)
+    except (ParseError, InvalidInput):
+        return
+    doc.to_circuit()
+    if doc.pointer is not None:
+        p = doc.pointer
+        assert np.isfinite([p.sigma, p.q_offset, p.p_offset, p.grid_min, p.grid_step]).all()
+        assert np.isfinite(np.asarray(p.values, dtype=complex)).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzz_mutated_builtin_document(data):
+    lines = builtin_document_path().read_text().splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        action = data.draw(st.sampled_from(["replace", "drop", "insert", "line"]))
+        if action == "line":
+            lines[i] = " ".join(data.draw(st.lists(_TOKEN, max_size=4)))
+        elif action == "insert" or not tokens:
+            tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(_TOKEN))
+        else:
+            j = data.draw(st.integers(0, len(tokens) - 1))
+            if action == "drop":
+                del tokens[j]
+            else:
+                tokens[j] = data.draw(_TOKEN)
+        if action != "line":
+            lines[i] = " ".join(tokens)
+    _fuzz_outcome("\n".join(lines) + "\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzz_tabulated_profile_rows(tmp_path_factory, data):
+    q = np.linspace(-12, 12, 300)
+    rows = [f"{x:.17g} {v:.17g} 0" for x, v in zip(q, np.exp(-q**2 / 4))]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        cells = rows[i].split()
+        j = data.draw(st.integers(0, len(cells)))
+        if j == len(cells):
+            cells.append(data.draw(_TOKEN))
+        else:
+            cells[j] = data.draw(_TOKEN)
+        rows[i] = " ".join(cells)
+    if data.draw(st.booleans()):
+        rows = rows[:data.draw(st.integers(0, len(rows)))]
+    work = tmp_path_factory.getbasetemp()
+    (work / "fuzz.dat").write_text("\n".join(rows) + "\n")
+    _fuzz_outcome(BASIC + "pointer tabulated fuzz.dat\n", base_dir=work)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import seqweak
-from seqweak import montecarlo
+from seqweak import circuitio, montecarlo
 from seqweak.circuitio import builtin_document_path
 from seqweak.cli import main
 
@@ -148,6 +148,51 @@ def test_montecarlo_checks_input_before_sampling(capsys, monkeypatch, extra):
     code = main(["montecarlo", SHIPPED, "--runs", "1000000", "--seed", "1", *extra])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _gaussian_table(rows=512):
+    q = np.linspace(-12, 12, rows)
+    return [f"{qi:.17g} {v:.17g} 0" for qi, v in zip(q, np.exp(-q**2 / 4))]
+
+
+@pytest.mark.parametrize("pointer_line, table_row", [
+    ("pointer gaussian sigma=nan", None),
+    ("pointer gaussian sigma=inf", None),
+    ("pointer gaussian sigma=1 qoffset=nan", None),
+    ("pointer gaussian sigma=1 poffset=nan", None),
+    ("pointer gaussian sigma=abc", None),
+    ("pointer tabulated prof.dat", "{q} nan 0"),
+    ("pointer tabulated prof.dat", "{q} 0.5 inf"),
+    ("pointer tabulated prof.dat", "nan 0.5 0"),
+    ("pointer tabulated prof.dat", "abc 0.5 0"),
+])
+def test_bad_pointer_input_exit_code(tmp_path, capsys, pointer_line, table_row):
+    # the table's middle row is replaced (keeping its q where the template
+    # says so); the document's last pointer line wins
+    rows = _gaussian_table()
+    if table_row is not None:
+        rows[256] = table_row.format(q=rows[256].split()[0])
+    (tmp_path / "prof.dat").write_text("\n".join(rows) + "\n")
+    doc = tmp_path / "c.wseq"
+    doc.write_text(Path(SHIPPED).read_text() + pointer_line + "\n")
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", str(doc), "--moment", "q1", "--compare"])
+    assert err.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_tabulated_pointer_errors_name_the_line(tmp_path):
+    rows = _gaussian_table()
+    (tmp_path / "prof.dat").write_text("\n".join(rows) + "\n")
+    assert circuitio.load_tabulated_profile(tmp_path / "prof.dat").kind == "tabulated"
+    rows[9] = "abc 0.5 0"
+    (tmp_path / "prof.dat").write_text("\n".join(rows) + "\n")
+    with pytest.raises(circuitio.ParseError) as err:
+        circuitio.load_tabulated_profile(tmp_path / "prof.dat")
+    assert err.value.line == 10
+    (tmp_path / "short.dat").write_text("\n".join(_gaussian_table(100)) + "\n")
+    with pytest.raises(circuitio.ParseError, match="256"):
+        circuitio.load_tabulated_profile(tmp_path / "short.dat")
 
 
 def test_missing_file_exit_code(capsys):

@@ -11,7 +11,9 @@ from seqweak.counterfactual import (CounterfactualReport, InsertionSet,
                                     is_counterfactual_histories,
                                     is_counterfactual_weakvalues,
                                     randomized_def3_test)
+from seqweak import counterfactual
 from seqweak.errors import BothZero, NotProjector
+from seqweak.oracle import joint_response
 
 from conftest import random_circuit, random_projector, random_state, random_unitary
 from test_weakvalue import chain_numerator
@@ -182,3 +184,53 @@ def test_randomized_interaction_probe_null_for_single_insertion():
     for g in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             randomized_def3_test(c, ins, trials=1, g=g, seed=1)
+
+
+def per_trial_def3_reference(c, ins, trials, g, seed, anc_dim=2):
+    """Definition-3 samples and null verdict as a per-trial loop computes
+    them: one public `joint_response`, so one history walk, per trial and
+    subset, with the same random draws in the same order."""
+    def random_hermitian(rng):
+        m = rng.standard_normal((anc_dim, anc_dim)) + 1j * rng.standard_normal((anc_dim, anc_dim))
+        return (m + m.conj().T) / 2
+
+    tol3 = 1e-8 * (1.0 + 1.0 / abs(transition_amplitude(c))) * g**2
+    rng = np.random.default_rng(seed)
+    proj_by_site = dict(zip(ins.sites, ins.on_projectors))
+    samples = []
+    for trial in range(trials):
+        for subset in insertion_subsets(ins):
+            couplings = {site: (proj_by_site[site], random_hermitian(rng)) for site in subset}
+            obs = random_hermitian(rng)
+            state = rng.standard_normal(anc_dim) + 1j * rng.standard_normal(anc_dim)
+            resp = joint_response(c, couplings, obs, state / np.linalg.norm(state), g)
+            samples.append((f"trial={trial} subset={subset}", abs(resp)))
+    return tuple(samples), all(r <= tol3 for _, r in samples)
+
+
+@pytest.mark.parametrize("case", ["builtin", "random3", "counterfactual3"])
+@pytest.mark.parametrize("seed", [3, 99])
+def test_randomized_def3_walks_each_subset_once(monkeypatch, case, seed):
+    if case == "builtin":
+        c, ins = builtin_double_interferometer(), double_insertions()
+    elif case == "random3":
+        c = random_circuit(800 + seed, dim=3, n=3)
+        rng = np.random.default_rng(seed)
+        ins = InsertionSet((1, 2, 3), tuple(random_projector(rng, 3) for _ in range(3)))
+    else:
+        c, ins = counterfactual_instance(seed, n=3)
+    want_samples, want_null = per_trial_def3_reference(c, ins, 6, 0.05, seed)
+
+    walks = []
+    walk = counterfactual.history_amplitudes
+
+    def counted(*args):
+        walks.append(args[1].sites)
+        return walk(*args)
+
+    monkeypatch.setattr(counterfactual, "history_amplitudes", counted)
+    report = randomized_def3_test(c, ins, trials=6, g=0.05, seed=seed)
+    # one walk for Definition 1, then one per nonempty subset of insertion sites
+    assert walks == [ins.sites] + list(insertion_subsets(ins))
+    assert report.def3_samples == want_samples
+    assert report.def3_null == want_null

@@ -4,13 +4,44 @@ import pytest
 from seqweak.circuitmodel import builtin_double_interferometer
 from seqweak.errors import GridResolutionError, NoSuccessfulRuns
 from seqweak.montecarlo import (GRID_POINTS, RANGE_SIGMAS, RunBatch, _cumulative,
-                                _invert_mixture_cdf, _pair_matrix,
-                                _profile_center_spread, estimate_moment,
-                                sample_runs)
+                                _hermitian_columns, _invert_mixture_cdf,
+                                _pair_matrix, _profile_center_spread,
+                                estimate_moment, sample_runs)
 from seqweak.oracle import branch_decompose, exact_moment, site_kernels
 from seqweak.pointer import MomentSpec, PointerProfile
 
 from conftest import random_circuit
+
+
+def bisection_reference(w, cdf_basis, x, u):
+    """Reference inverse CDF for cdf_r(x) = Re sum_j w[r, j] cdf_basis[j, x]:
+    bisection on the grid index over the complex pair basis, each evaluation
+    gathering the k^2 basis columns of every run's probe index."""
+    wr, wi = np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)
+    cr, ci = cdf_basis.real, cdf_basis.imag
+
+    def value_at(idx):
+        return (np.einsum("rj,jr->r", wr, cr[:, idx])
+                - np.einsum("rj,jr->r", wi, ci[:, idx]))
+
+    npts = len(x)
+    runs = len(u)
+    total = value_at(np.full(runs, npts - 1))
+    target = u * total
+    lo = np.zeros(runs, dtype=np.int64)
+    hi = np.full(runs, npts - 1, dtype=np.int64)
+    steps = int(np.ceil(np.log2(npts)))
+    for _ in range(steps):
+        mid = (lo + hi) // 2
+        below = value_at(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    c_lo = value_at(lo)
+    c_hi = value_at(hi)
+    frac = np.where(c_hi > c_lo,
+                    (target - c_lo) / np.maximum(c_hi - c_lo, 1e-300), 0.0)
+    dx = x[1] - x[0]
+    return x[lo] + np.clip(frac, 0.0, 1.0) * dx
 
 
 def joint_tensor_reference(c, g, prof, n_total, seed):
@@ -63,7 +94,7 @@ def joint_tensor_reference(c, g, prof, n_total, seed):
             sub = letters_b[: axis + 1] + "," + ",".join(
                 "r" + letters_b[j] for j in range(axis)) + "->r" + letters_b[axis]
             w = np.einsum(sub, partial, *m_run)
-        xs = _invert_mixture_cdf(w, pair_cdfs[axis], grids[axis], rng.random(n_succ))
+        xs = bisection_reference(w, pair_cdfs[axis], grids[axis], rng.random(n_succ))
         samples[:, axis] = xs
         shifted = np.stack([prof.eval(xs - g * ev) for ev in eig_sets[axis]])
         m_run.append((np.conj(shifted)[:, None] * shifted[None]).reshape(
@@ -91,6 +122,39 @@ def test_sequential_sampler_matches_joint_tensor_reference(n, dim, pointer):
     assert np.array_equal(batch.postselected, success)
     assert batch.samples.shape == samples.shape == (int(success.sum()), n)
     assert np.max(np.abs(batch.samples - samples)) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_row_gather_inversion_matches_bisection_reference(k):
+    # random PSD pair weights, so every run's density is a nonnegative mixture
+    rng = np.random.default_rng(50 + k)
+    runs = 4000
+    eigs = np.sort(rng.normal(size=k))
+    prof = PointerProfile.gaussian(0.9, q_offset=0.2, p_offset=-0.3)
+    g = 0.7
+    x = np.linspace(g * eigs.min() - RANGE_SIGMAS, g * eigs.max() + RANGE_SIGMAS,
+                    GRID_POINTS)
+    cdf = _cumulative(_pair_matrix(prof, eigs, g, x), x)
+    a = rng.normal(size=(runs, k, 2)) + 1j * rng.normal(size=(runs, k, 2))
+    w = np.einsum("rbm,ram->rba", a.conj(), a).reshape(runs, k * k)
+    u = rng.random(runs)
+    u[:3] = [0.0, 1 - 1e-6, 1 - 1e-7]
+    pairs = k * (k - 1) // 2
+    basis = _hermitian_columns(cdf.T, k) * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs])
+    got = _invert_mixture_cdf(_hermitian_columns(w, k), basis, x, u)
+    assert np.max(np.abs(got - bisection_reference(w, cdf, x, u))) <= 1e-9
+    assert got[0] == x[0]
+
+    # closer to 1 the far tail of the CDF is flat to rounding, so two sums in
+    # different orders may pick different grid cells; the inverse must still
+    # hit the target on the reference CDF to rounding
+    u_edge = np.array([1 - 1e-12, np.nextafter(1.0, 0.0)])
+    cols = _hermitian_columns(w[:2], k)
+    got = _invert_mixture_cdf(cols, basis, x, u_edge)
+    ref = (w[:2] @ cdf).real.T  # cdf_r on the grid, from the complex pair basis
+    for r in range(2):
+        hit = np.interp(got[r], x, ref[:, r])
+        assert abs(hit - u_edge[r] * ref[-1, r]) <= 1e-13 * ref[-1, r]
 
 
 def test_determinism_given_seed():

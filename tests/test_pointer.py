@@ -60,6 +60,17 @@ def test_tabulated_profile_validation():
         PointerProfile.tabulated(0.0, 0.1, np.ones(512))
     with pytest.raises(ValueError):
         PointerProfile.gaussian(-1.0)
+    nan, inf = float("nan"), float("inf")
+    for args in ((nan,), (inf,), (1.0, nan), (1.0, 0.0, nan), (1.0, -inf)):
+        with pytest.raises(ValueError, match="finite"):
+            PointerProfile.gaussian(*args)
+    q = np.linspace(-12, 12, 512)
+    phi = np.exp(-q**2 / 4).astype(complex)
+    phi[100] = complex(0.5, nan)
+    for grid_min, step, vals in ((q[0], q[1] - q[0], phi), (nan, 0.05, phi.real),
+                                 (q[0], inf, np.exp(-q**2 / 4))):
+        with pytest.raises(ValueError, match="finite"):
+            PointerProfile.tabulated(grid_min, step, vals)
 
 
 def test_profile_normalization_and_eval():
