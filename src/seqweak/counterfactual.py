@@ -76,10 +76,12 @@ def is_counterfactual_histories(c: Circuit, ins: InsertionSet,
                                 tol: float = ZERO_TOL):
     """Definition by histories; witness is the first N-containing history
     (lexicographic, F < N) with nonvanishing amplitude."""
-    for h, amp in history_amplitudes(c, ins).items():
-        if "N" in h and abs(amp) > tol:
-            return False, h
-    return True, None
+    return _first_on_history(history_amplitudes(c, ins).items(), tol)
+
+
+def _first_on_history(histories, tol: float):
+    h = next((h for h, amp in histories if "N" in h and abs(amp) > tol), None)
+    return h is None, h
 
 
 def _on_circuit(c: Circuit, ins: InsertionSet) -> Circuit:
@@ -157,8 +159,13 @@ def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
         raise InvalidInput("trials must be >= 1")
     if not (np.isfinite(g) and g > 0):
         raise InvalidInput(f"coupling must be finite and positive, got {g}")
-    d1, wit1 = is_counterfactual_histories(c, ins)
     d2, wit2 = is_counterfactual_weakvalues(c, ins)
+    proj_by_site = dict(zip(ins.sites, ins.on_projectors))
+    # per subset, not per trial; Definition 1 reads the last, the whole set
+    amps = {subset: np.array(list(history_amplitudes(c, InsertionSet(
+                subset, tuple(proj_by_site[site] for site in subset))).values()))
+            for subset in insertion_subsets(ins)}
+    d1, wit1 = _first_on_history(zip(all_histories(len(ins)), amps[ins.sites]), ZERO_TOL)
     if d1 != d2:
         raise EquivalenceViolation(f"histories says {d1}, weak values says {d2}")
 
@@ -166,11 +173,6 @@ def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
     tol3 = 1e-8 * (1.0 + 1.0 / abs(f)) * g**2
     rng = np.random.default_rng(seed)
     samples = []
-    proj_by_site = dict(zip(ins.sites, ins.on_projectors))
-    # the history amplitudes depend on the subset only, not on the trial
-    amps = {subset: np.array(list(history_amplitudes(c, InsertionSet(
-                subset, tuple(proj_by_site[site] for site in subset))).values()))
-            for subset in insertion_subsets(ins)}
     null = True
     for trial in range(trials):
         for subset, subset_amps in amps.items():

@@ -10,7 +10,10 @@ sum_a phi(q_i - g a) y_a.  Momentum readouts are not sampled (a single run
 reads out either q or p).  Each conditional CDF is a mixture over eigenvalue
 pairs (b, a), Hermitian in (b, a), so a real sum of k^2 antiderivatives that
 are precomputed once per site as a (grid, k^2) basis; a run is inverted by a
-binary search whose every probe gathers one basis row.
+binary search whose every probe gathers one basis row.  A Gaussian is read
+out on GRID_POINTS spanning RANGE_SIGMAS widths past its extreme shifts g a, a
+table on its own grid from the exact kernels' samples (`oracle._shifted_table`);
+the state update's `PointerProfile.eval` interpolates the unshifted table.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from .circuitmodel import Circuit, valid_subset
 from .errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
-from .oracle import effects, site_instruments, site_kernels
+from .oracle import _shifted_table, effects, site_instruments, site_kernels
 from .pointer import MomentSpec, PointerProfile, check_coupling
 
 GRID_POINTS = 4096
@@ -43,25 +46,6 @@ class Estimate:
     stderr: float
     n_success: int
     n_total: int
-
-
-def _profile_center_spread(prof: PointerProfile) -> tuple[float, float]:
-    if prof.kind == "gaussian":
-        return prof.q_offset, prof.sigma
-    q = prof.grid
-    dens = np.abs(np.asarray(prof.values)) ** 2
-    dens = dens / np.sum(dens)
-    mu = float(np.sum(q * dens))
-    var = float(np.sum((q - mu) ** 2 * dens))
-    return mu, np.sqrt(var)
-
-
-def _pair_matrix(prof: PointerProfile, eigs: np.ndarray, g: float,
-                 x: np.ndarray) -> np.ndarray:
-    """G[(b,a), x] = conj(phi(x - g b)) phi(x - g a), flattened pair index."""
-    shifted = np.stack([prof.eval(x - g * ev) for ev in eigs])  # (k, npts)
-    return (np.conj(shifted)[:, None, :] * shifted[None, :, :]).reshape(
-        len(eigs) ** 2, len(x))
 
 
 def _cumulative(gm: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -121,15 +105,20 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
         raise InvalidInput("circuit has no measurement sites")
 
     sites = site_instruments(c)
-    center, spread = _profile_center_spread(prof)
     grids, bases, kernels = [], [], []
     for _, eigs in sites:
-        lo = center + g * min(eigs) - RANGE_SIGMAS * spread
-        hi = center + g * max(eigs) + RANGE_SIGMAS * spread
-        x = np.linspace(lo, hi, GRID_POINTS)
+        shifts = g * np.asarray(eigs)
+        if prof.kind == "gaussian":
+            x = np.linspace(prof.q_offset + shifts.min() - RANGE_SIGMAS * prof.sigma,
+                            prof.q_offset + shifts.max() + RANGE_SIGMAS * prof.sigma,
+                            GRID_POINTS)
+            shifted = prof.eval(x - shifts[:, None])
+        else:
+            x, (shifted, _) = prof.grid, _shifted_table(prof, shifts)
         grids.append(x)
-        gm = _pair_matrix(prof, eigs, g, x)
         k, pairs = len(eigs), len(eigs) * (len(eigs) - 1) // 2
+        # gm[(b,a), x] = conj(phi(x - g b)) phi(x - g a)
+        gm = (np.conj(shifted)[:, None] * shifted[None]).reshape(k * k, len(x))
         bases.append(_hermitian_columns(_cumulative(gm, x).T, k)
                      * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs]))
         # the grid's own overlaps, and the exact ones for the mass check

@@ -7,6 +7,7 @@ the post-selection backward through these instruments,
 E <- sum_{b,a} K[b,a] (P_b U)^dag E (P_a U), so the cost is linear in the
 number of sites.  The exact oracle reads <psi_i|E|psi_i> off the last step;
 the Monte Carlo sampler draws each readout against the intermediate effects.
+Both read a tabulated profile's spectrally shifted samples (`_shifted_table`).
 Eigenbranch amplitudes (shared-pointer coupling, strong-measurement checks)
 and ancilla responses walk forward through `circuitmodel.amplitudes`.
 """
@@ -20,7 +21,7 @@ from scipy.linalg import expm
 
 from . import algebra
 from .circuitmodel import Circuit, amplitudes, valid_subset
-from .errors import AssumptionAViolated, NumericallySingular
+from .errors import AssumptionAViolated, GridResolutionError, NumericallySingular
 from .pointer import MomentSpec, PointerProfile, check_coupling
 
 IMAG_RESIDUE_TOL = 1e-9
@@ -86,17 +87,24 @@ def gaussian_kernels(eigs, g: float, sigma: float,
     return OverlapKernel(s=s, q=q, p=p)
 
 
-def tabulated_kernels(eigs, g: float, prof: PointerProfile) -> OverlapKernel:
-    """Quadrature overlaps for a tabulated profile, with spectral shifting
-    of the grid samples."""
-    a = np.asarray(eigs, dtype=float)
-    npts = len(prof.values)
-    step = prof.grid_step
-    freq = 2 * np.pi * np.fft.fftfreq(npts, d=step)
-    shift = np.fft.fft(prof.values) * np.exp(-1j * np.outer(g * a, freq))
+def _shifted_table(prof: PointerProfile, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """phi(q - s) and phi'(q - s) on the table's own grid q, one row per shift
+    s.  The FFT shift is circular, so the support |phi| > 1e-8 peak (the decay
+    `PointerProfile.tabulated` requires) must stay on the grid when shifted."""
+    vals, q = np.asarray(prof.values), prof.grid
+    live = q[np.abs(vals) > 1e-8 * np.max(np.abs(vals))]
+    if np.any((live[0] + shifts < q[0]) | (live[-1] + shifts > q[-1])):
+        raise GridResolutionError("shifted pointer profile does not decay at the grid ends")
+    freq = 2 * np.pi * np.fft.fftfreq(len(vals), d=prof.grid_step)
+    shift = np.fft.fft(vals) * np.exp(-1j * np.outer(shifts, freq))
     both = np.fft.ifft(np.concatenate([shift, 1j * freq * shift]), axis=1)
-    shifted, dshifted = both[:len(a)], both[len(a):]
-    left = step * np.conj(shifted)
+    return both[:len(shifts)], both[len(shifts):]
+
+
+def tabulated_kernels(eigs, g: float, prof: PointerProfile) -> OverlapKernel:
+    """Quadrature overlaps over a tabulated profile's shifted samples."""
+    shifted, dshifted = _shifted_table(prof, g * np.asarray(eigs, dtype=float))
+    left = prof.grid_step * np.conj(shifted)
     return OverlapKernel(s=left @ shifted.T,
                          q=(left * prof.grid) @ shifted.T,
                          p=-1j * (left @ dshifted.T))

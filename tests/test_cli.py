@@ -181,6 +181,21 @@ def test_bad_pointer_input_exit_code(tmp_path, capsys, pointer_line, table_row):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--moment", "q1"],
+    ["montecarlo", "--runs", "100", "--seed", "1"],
+])
+def test_shift_off_tabulated_grid_exit_code(tmp_path, capsys, argv):
+    # g = 8 moves a +-5 table of a sigma = 0.5 Gaussian off its grid
+    q = np.linspace(-5, 5, 1024)
+    rows = [f"{qi:.17g} {v:.17g} 0" for qi, v in zip(q, np.exp(-q**2))]
+    (tmp_path / "prof.dat").write_text("\n".join(rows) + "\n")
+    doc = tmp_path / "c.wseq"
+    doc.write_text(Path(SHIPPED).read_text() + "pointer tabulated prof.dat\n")
+    assert main([argv[0], str(doc), *argv[1:], "--g", "8"]) == 2
+    assert "grid ends" in capsys.readouterr().err
+
+
 def test_tabulated_pointer_errors_name_the_line(tmp_path):
     rows = _gaussian_table()
     (tmp_path / "prof.dat").write_text("\n".join(rows) + "\n")

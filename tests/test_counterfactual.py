@@ -184,6 +184,9 @@ def test_randomized_interaction_probe_null_for_single_insertion():
     for g in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             randomized_def3_test(c, ins, trials=1, g=g, seed=1)
+    # a site outside the circuit is reported with the whole insertion set
+    with pytest.raises(ValueError, match=r"\(1, 5\) out of range"):
+        randomized_def3_test(c, InsertionSet((1, 5), (P_B, P_F)), trials=1, g=0.1, seed=1)
 
 
 def per_trial_def3_reference(c, ins, trials, g, seed, anc_dim=2):
@@ -230,7 +233,8 @@ def test_randomized_def3_walks_each_subset_once(monkeypatch, case, seed):
 
     monkeypatch.setattr(counterfactual, "history_amplitudes", counted)
     report = randomized_def3_test(c, ins, trials=6, g=0.05, seed=seed)
-    # one walk for Definition 1, then one per nonempty subset of insertion sites
-    assert walks == [ins.sites] + list(insertion_subsets(ins))
+    # one walk per nonempty subset of insertion sites; Definition 1 reads the
+    # last one, the whole insertion set
+    assert walks == list(insertion_subsets(ins))
     assert report.def3_samples == want_samples
     assert report.def3_null == want_null

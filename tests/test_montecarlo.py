@@ -5,12 +5,28 @@ from seqweak.circuitmodel import builtin_double_interferometer
 from seqweak.errors import GridResolutionError, NoSuccessfulRuns
 from seqweak.montecarlo import (GRID_POINTS, RANGE_SIGMAS, RunBatch, _cumulative,
                                 _hermitian_columns, _invert_mixture_cdf,
-                                _pair_matrix, _profile_center_spread,
                                 estimate_moment, sample_runs)
-from seqweak.oracle import branch_decompose, exact_moment, site_kernels
+from seqweak.oracle import _shifted_table, branch_decompose, exact_moment, site_kernels
 from seqweak.pointer import MomentSpec, PointerProfile
 
 from conftest import random_circuit
+
+
+def grid_pair_matrix(prof, eigs, g):
+    """Readout grid x and G[(b,a), x] = conj(phi(x - g b)) phi(x - g a).  A
+    Gaussian is evaluated one eigenvalue at a time on the RANGE_SIGMAS window
+    around its extreme shifts; a table is read on its own grid from the
+    package's spectrally shifted samples."""
+    eigs = np.asarray(eigs, dtype=float)
+    if prof.kind == "gaussian":
+        x = np.linspace(prof.q_offset + g * eigs.min() - RANGE_SIGMAS * prof.sigma,
+                        prof.q_offset + g * eigs.max() + RANGE_SIGMAS * prof.sigma,
+                        GRID_POINTS)
+        shifted = np.stack([prof.eval(x - g * ev) for ev in eigs])
+    else:
+        x, (shifted, _) = prof.grid, _shifted_table(prof, g * eigs)
+    return x, (np.conj(shifted)[:, None, :] * shifted[None, :, :]).reshape(
+        len(eigs) ** 2, len(x))
 
 
 def bisection_reference(w, cdf_basis, x, u):
@@ -60,13 +76,10 @@ def joint_tensor_reference(c, g, prof, n_total, seed):
     d_tensor = np.einsum(f"{letters_b},{letters_a}->{interleaved}",
                          np.conj(amps), amps).reshape([k * k for k in ks])
 
-    center, spread = _profile_center_spread(prof)
     grids, pair_cdfs, s_numeric = [], [], []
     for eigs in eig_sets:
-        x = np.linspace(center + g * eigs.min() - RANGE_SIGMAS * spread,
-                        center + g * eigs.max() + RANGE_SIGMAS * spread, GRID_POINTS)
+        x, gm = grid_pair_matrix(prof, eigs, g)
         grids.append(x)
-        gm = _pair_matrix(prof, eigs, g, x)
         pair_cdfs.append(_cumulative(gm, x))
         s_numeric.append(np.trapezoid(gm, x, axis=1))
     s_exact = [site_kernels(eigs, g, prof).s.reshape(-1) for eigs in eig_sets]
@@ -132,9 +145,8 @@ def test_row_gather_inversion_matches_bisection_reference(k):
     eigs = np.sort(rng.normal(size=k))
     prof = PointerProfile.gaussian(0.9, q_offset=0.2, p_offset=-0.3)
     g = 0.7
-    x = np.linspace(g * eigs.min() - RANGE_SIGMAS, g * eigs.max() + RANGE_SIGMAS,
-                    GRID_POINTS)
-    cdf = _cumulative(_pair_matrix(prof, eigs, g, x), x)
+    x, gm = grid_pair_matrix(prof, eigs, g)
+    cdf = _cumulative(gm, x)
     a = rng.normal(size=(runs, k, 2)) + 1j * rng.normal(size=(runs, k, 2))
     w = np.einsum("rbm,ram->rba", a.conj(), a).reshape(runs, k * k)
     u = rng.random(runs)
@@ -262,12 +274,29 @@ def test_many_site_sampling_matches_oracle(n, seed):
     assert abs(freq - prob) < 4 * np.sqrt(prob * (1 - prob) / len(batch.postselected))
 
 
-def test_coarse_tabulated_profile_fails_mass_check():
-    # with 4096 profile points, the sampler's grid overlaps of the linearly
-    # interpolated profile miss the exact kernels' mass by ~5e-6 > 1e-6
+@pytest.mark.parametrize("case", ["builtin", "random3"])
+def test_4096_point_table_samples_like_the_oracle(case):
+    # the readout densities come from the same shifted samples as the exact
+    # kernels, so a 4096-point table passes the mass check and, for n = 3,
+    # exercises the interpolated state update twice
+    if case == "builtin":
+        c, specs = builtin_double_interferometer(), ("q1", "q2", "q1*q2")
+    else:
+        c, specs = random_circuit(47, dim=2, n=3), ("q1", "q2", "q1*q2", "q3", "q2*q3")
+    prof, g = _tabulated_gaussian(npts=4096), 0.3
+    batch = sample_runs(c, g, prof, 100000, seed=23)
+    for spec in specs:
+        est = estimate_moment(batch, MomentSpec.parse(spec))
+        exact, _ = exact_moment(c, MomentSpec.parse(spec), g, prof)
+        assert abs(est.mean - exact) < 4 * est.stderr, spec
+
+
+def test_too_coarse_grid_fails_mass_check():
+    # sigma = 0.01 at g = 60: the 4096-point window is 120 wide, so its step
+    # is about three pointer widths and the grid mass misses S by ~2e-4
     c = builtin_double_interferometer()
     with pytest.raises(GridResolutionError, match="mass"):
-        sample_runs(c, 0.3, _tabulated_gaussian(npts=4096), 100, seed=1)
+        sample_runs(c, 60.0, PointerProfile.gaussian(0.01), 100, seed=1)
 
 
 def test_estimate_moment_errors():

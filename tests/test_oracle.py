@@ -8,10 +8,12 @@ from seqweak.algebra import eig_hermitian
 from seqweak.circuitmodel import (P_B, P_F, Circuit,
                                   builtin_double_interferometer,
                                   transition_amplitude)
-from seqweak.errors import AssumptionAViolated, NumericallySingular
-from seqweak.oracle import (branch_decompose, exact_moment, gaussian_kernels,
-                            joint_response, same_pointer_twice, site_kernels,
-                            tabulated_kernels, weak_interaction_response)
+from seqweak.errors import AssumptionAViolated, GridResolutionError, NumericallySingular
+from seqweak.montecarlo import sample_runs
+from seqweak.oracle import (_shifted_table, branch_decompose, exact_moment,
+                            gaussian_kernels, joint_response, same_pointer_twice,
+                            site_kernels, tabulated_kernels,
+                            weak_interaction_response)
 from seqweak.pointer import MomentSpec, PointerProfile, predict_moment
 from seqweak.weakvalue import weak_value
 
@@ -116,6 +118,42 @@ def test_tabulated_kernels_match_loop_reference():
     for got, ref in zip((kern.s, kern.q, kern.p),
                         loop_tabulated_kernels(eigs, 0.35, TABULATED)):
         assert np.max(np.abs(got - ref)) < 1e-13
+
+
+@pytest.mark.parametrize("npts", [4096, 16384])
+def test_shifted_table_matches_shifted_gaussian(npts):
+    sigma = 0.8
+    q = np.linspace(-14, 14, npts)
+    prof = PointerProfile.tabulated(q[0], q[1] - q[0], np.exp(-q**2 / (4 * sigma**2)))
+    shifts = np.array([-2.1, -0.37, 0.0, 0.05, 1.3, 3.0])
+    shifted, dshifted = _shifted_table(prof, shifts)
+    z = q - shifts[:, None]
+    phi = (2 * np.pi * sigma**2) ** -0.25 * np.exp(-z**2 / (4 * sigma**2))
+    assert np.max(np.abs(shifted - phi)) <= 1e-10
+    assert np.max(np.abs(dshifted + z / (2 * sigma**2) * phi)) <= 1e-10
+
+
+def test_shift_off_tabulated_grid_is_rejected():
+    # a +-5 table of a sigma = 0.5 Gaussian shifted by g a = 8 would wrap
+    # around circularly: q1 read -0.872 where the Gaussian gives 4
+    c, spec, g = builtin_double_interferometer(), MomentSpec.parse("q1"), 8.0
+    q = np.linspace(-5, 5, 1024)
+    prof = PointerProfile.tabulated(q[0], q[1] - q[0], np.exp(-q**2))
+    assert exact_moment(c, spec, g, PointerProfile.gaussian(0.5))[0] == pytest.approx(4.0)
+    with pytest.raises(GridResolutionError, match="grid ends"):
+        _shifted_table(prof, np.array([0.0, g]))
+    with pytest.raises(GridResolutionError, match="grid ends"):
+        exact_moment(c, spec, g, prof)
+    with pytest.raises(GridResolutionError, match="grid ends"):
+        sample_runs(c, g, prof, 100, seed=1)
+    # a shift that keeps the support on the grid is exact
+    assert exact_moment(c, spec, 0.5, prof)[0] == pytest.approx(
+        exact_moment(c, spec, 0.5, PointerProfile.gaussian(0.5))[0], abs=1e-9)
+    # a narrow profile shifted by most of the grid wraps around whole, so the
+    # ends decay again; it is still off the grid
+    narrow = PointerProfile.tabulated(q[0], q[1] - q[0], np.exp(-q**2 / 0.36))
+    with pytest.raises(GridResolutionError, match="grid ends"):
+        _shifted_table(narrow, np.array([9.0]))
 
 
 def test_site_kernels_dispatch():
