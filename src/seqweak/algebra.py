@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DimMismatch, NotHermitian
 
 DEFAULT_TOL = 1e-10
+HERMITIAN_TOL = 1e-9  # an observable's tolerance, wherever it is checked
 
 
 def as_operator(m) -> np.ndarray:
@@ -69,7 +70,7 @@ def eig_hermitian(a, degeneracy_tol: float | None = None) -> EigenSystem:
     projector spans the combined eigenspace.
     """
     a = as_operator(a)
-    if not is_hermitian(a, 1e-10):
+    if not is_hermitian(a, HERMITIAN_TOL):
         raise NotHermitian(f"max deviation {np.max(np.abs(a - a.conj().T)):.3e}")
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
     if degeneracy_tol is None:

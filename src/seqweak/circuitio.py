@@ -279,7 +279,7 @@ def parse(text: str, base_dir: str | Path | None = None) -> CircuitDocument:
                 stanzas.append(ObserveStanza(name, m, idx))
             else:
                 m = _parse_matrix(lines, d, name)
-                if not algebra.is_hermitian(m, 1e-9):
+                if not algebra.is_hermitian(m, algebra.HERMITIAN_TOL):
                     raise ParseError("NonHermitian", lineno, name,
                                      "observable must be Hermitian")
                 stanzas.append(ObserveStanza(name, m, None))
@@ -349,10 +349,18 @@ def parse(text: str, base_dir: str | Path | None = None) -> CircuitDocument:
     return doc
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError("Unreadable", 0, str(path),
+                         getattr(exc, "strerror", None) or str(exc)) from None
+
+
 def load_tabulated_profile(path: str | Path) -> PointerProfile:
     """Profile from rows of `q re(phi) im(phi)` with uniform spacing."""
     rows, linenos = [], []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
@@ -410,8 +418,7 @@ def serialize(doc: CircuitDocument) -> str:
 
 
 def load(path: str | Path) -> CircuitDocument:
-    p = Path(path)
-    return parse(p.read_text(), base_dir=p.parent)
+    return parse(_read_text(path), base_dir=Path(path).parent)
 
 
 def builtin_document_path(name: str = "double_interferometer") -> Path:

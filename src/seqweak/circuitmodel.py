@@ -49,7 +49,7 @@ class Circuit:
         for k, (u, a) in enumerate(stages, start=1):
             if not algebra.is_unitary(u, 1e-9):
                 raise InvalidInput(f"stage {k} evolution is not unitary")
-            if not algebra.is_hermitian(a, 1e-9):
+            if not algebra.is_hermitian(a, algebra.HERMITIAN_TOL):
                 raise InvalidInput(f"stage {k} observable is not Hermitian")
         if not algebra.is_unitary(u_final, 1e-9):
             raise InvalidInput("final evolution is not unitary")

@@ -12,11 +12,7 @@ import numpy as np
 from . import circuitio, counterfactual, montecarlo, oracle, pointer, weakvalue
 from .circuitmodel import (P_B, P_C, P_E, P_F, amplitudes,
                            builtin_double_interferometer, transition_amplitude)
-from .errors import DegeneratePostSelection, SeqWeakError, UnsupportedCombination
-
-EXIT_INPUT = 2
-EXIT_DEGENERATE = 3
-EXIT_UNSUPPORTED = 4
+from .errors import InvalidInput, SeqWeakError
 
 
 def _fmt(x) -> str:
@@ -31,7 +27,6 @@ class Report:
         self.machine = machine
         self.rows: list[tuple[str, str]] = [
             ("command", command), ("fingerprint", fingerprint)]
-        self.warnings: list[str] = []
 
     def add(self, key: str, value):
         if isinstance(value, complex):
@@ -42,33 +37,18 @@ class Report:
         else:
             self.rows.append((key, str(value)))
 
-    def warn(self, message: str):
-        self.warnings.append(message)
-
     def emit(self):
         if self.machine:
             for key, value in self.rows:
                 print(f"{key}\t{value}")
-            for w in self.warnings:
-                print(f"warning\t{w}")
         else:
             width = max(len(k) for k, _ in self.rows)
             for key, value in self.rows:
                 print(f"{key:<{width}}  {value}")
-            for w in self.warnings:
-                print(f"warning: {w}")
 
 
 def _file_fingerprint(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
-
-
-def _load(path: str):
-    try:
-        return circuitio.load(path)
-    except (OSError, circuitio.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
 
 
 def _doc_profile(doc) -> pointer.PointerProfile:
@@ -99,15 +79,11 @@ def _observe_names(doc) -> dict[int, str]:
 
 
 def cmd_weakvalues(args) -> int:
-    doc = _load(args.file)
+    doc = circuitio.load(args.file)
     c = doc.to_circuit()
     k = args.max_order if args.max_order is not None else c.n
     report = Report("weakvalues", _file_fingerprint(args.file), args.machine)
-    try:
-        table = weakvalue.weak_value_table(c, k)
-    except DegeneratePostSelection as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    table = weakvalue.weak_value_table(c, k)
     names = _observe_names(doc)
     report.add("F", transition_amplitude(c))
     for subset, value in table.entries.items():
@@ -117,15 +93,11 @@ def cmd_weakvalues(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    doc = _load(args.file)
+    doc = circuitio.load(args.file)
     c = doc.to_circuit()
     g = _doc_g(doc, args.g)
     prof = _doc_profile(doc)
-    try:
-        spec = pointer.MomentSpec.parse(args.moment)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    spec = pointer.MomentSpec.parse(args.moment)
     report = Report("simulate", _file_fingerprint(args.file), args.machine)
     report.add("g", g)
     report.add("moment", str(spec))
@@ -133,15 +105,7 @@ def cmd_simulate(args) -> int:
     report.add("exact", exact)
     report.add("postselect_prob", prob)
     if args.compare:
-        try:
-            predicted = pointer.predict_moment(c, spec, g, prof)
-        except UnsupportedCombination as exc:
-            print(f"error: {exc} (drop --compare to run the exact simulation alone)",
-                  file=sys.stderr)
-            return EXIT_UNSUPPORTED
-        except DegeneratePostSelection as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DEGENERATE
+        predicted = pointer.predict_moment(c, spec, g, prof)
         report.add("prediction", predicted)
         report.add("abs_discrepancy", abs(exact - predicted))
         scale = max(abs(predicted), g ** (len(spec.factors) + 1))
@@ -151,19 +115,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    doc = _load(args.file)
+    doc = circuitio.load(args.file)
     c = doc.to_circuit()
     if args.runs <= 0:
-        print("error: --runs must be positive", file=sys.stderr)
-        return EXIT_INPUT
+        raise InvalidInput("--runs must be positive")
     g = _doc_g(doc, args.g)
     prof = _doc_profile(doc)
     moment = args.moment or "*".join(f"q{i}" for i in range(1, c.n + 1))
-    try:
-        spec = pointer.MomentSpec.parse(moment)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    spec = pointer.MomentSpec.parse(moment)
     report = Report("montecarlo", _file_fingerprint(args.file), args.machine)
     report.add("g", g)
     report.add("seed", args.seed)
@@ -184,19 +143,14 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_counterfactual(args) -> int:
-    doc = _load(args.file)
+    doc = circuitio.load(args.file)
     c = doc.to_circuit()
     if not doc.insertions:
-        print("error: the document declares no `insert` lines", file=sys.stderr)
-        return EXIT_INPUT
+        raise InvalidInput("the document declares no `insert` lines")
     ins = doc.insertion_set()
     report = Report("counterfactual", _file_fingerprint(args.file), args.machine)
-    try:
-        cf = counterfactual.randomized_def3_test(c, ins, args.trials,
-                                                 _doc_g(doc, args.g), args.seed)
-    except DegeneratePostSelection as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    cf = counterfactual.randomized_def3_test(c, ins, args.trials,
+                                             _doc_g(doc, args.g), args.seed)
     report.add("def1_counterfactual", cf.def1_holds)
     report.add("def2_counterfactual", cf.def2_holds)
     report.add("def3_null", cf.def3_null)
@@ -215,8 +169,7 @@ def cmd_counterfactual(args) -> int:
 
 def cmd_demo(args) -> int:
     if args.name != "double-interferometer":
-        print(f"error: unknown demo {args.name!r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InvalidInput(f"unknown demo {args.name!r}")
     base = builtin_double_interferometer()
     report = Report("demo double-interferometer", base.fingerprint()[:16],
                     args.machine)
@@ -287,19 +240,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-    except DegeneratePostSelection as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_DEGENERATE
-    except UnsupportedCombination as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_UNSUPPORTED
     except SeqWeakError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_INPUT
+        code = exc.exit_code
     if argv is None:
         sys.exit(code)
     return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

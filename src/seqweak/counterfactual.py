@@ -100,26 +100,31 @@ def is_counterfactual_weakvalues(c: Circuit, ins: InsertionSet,
     sites whose sequential weak value of the on-projectors is nonzero."""
     valid_subset(ins.sites, c.n)
     subsets = list(insertion_subsets(ins))
-    for subset, wv in zip(subsets, weak_values(_on_circuit(c, ins), subsets).tolist()):
-        if abs(wv) > tol:
-            return False, (subset, wv)
-    return True, None
+    wv = weak_values(_on_circuit(c, ins), subsets).tolist()
+    return _first_on_subset(zip(subsets, wv), tol)
+
+
+def _first_on_subset(weak_values_by_subset, tol: float):
+    hit = next(((s, wv) for s, wv in weak_values_by_subset if abs(wv) > tol), None)
+    return hit is None, hit
 
 
 def check_equivalence_def1_def2(c: Circuit, ins: InsertionSet) -> bool:
-    """Definition-1 and Definition-2 verdicts computed independently must
-    agree; also verifies the F = I - N expansion of each history amplitude
-    into signed subset numerators."""
-    d1, _ = is_counterfactual_histories(c, ins)
-    d2, _ = is_counterfactual_weakvalues(c, ins)
+    """Definition-1 and Definition-2 verdicts computed independently, from
+    one history walk and one weak-value walk, must agree; also verifies the
+    F = I - N expansion of each history amplitude into signed subset
+    numerators."""
+    amps = history_amplitudes(c, ins)
+    d1, _ = _first_on_history(amps.items(), ZERO_TOL)
+    subsets = [()] + list(insertion_subsets(ins))
+    wv = weak_values(_on_circuit(c, ins), subsets)
+    d2, _ = _first_on_subset(zip(subsets[1:], wv[1:].tolist()), ZERO_TOL)
     if d1 != d2:
         raise EquivalenceViolation(
             f"histories says {d1}, weak values says {d2}")
 
-    subsets = [()] + list(insertion_subsets(ins))
-    wv = weak_values(_on_circuit(c, ins), subsets)
     numerators = dict(zip(subsets, (transition_amplitude(c) * wv).tolist()))
-    for h, amp in history_amplitudes(c, ins).items():
+    for h, amp in amps.items():
         n_sites = tuple(s for s, sym in zip(ins.sites, h) if sym == "N")
         f_sites = tuple(s for s, sym in zip(ins.sites, h) if sym == "F")
         total = 0.0 + 0.0j

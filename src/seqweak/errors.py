@@ -1,12 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Each class carries the CLI
+exit code it ends in (``exit_code``): 2 for bad input, 3 for a vanishing
+post-selection, 4 for a moment without a closed-form prediction.
+`seqweak.cli.main` is the one place that turns an error into its code."""
 
 
 class SeqWeakError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; CLI exit code 2 unless a
+    subclass sets its own ``exit_code``."""
+
+    exit_code = 2
 
 
 class InvalidInput(SeqWeakError, ValueError):
-    """An argument outside the documented domain (CLI exit code 2)."""
+    """An argument outside the documented domain."""
 
 
 class DimMismatch(SeqWeakError):
@@ -18,7 +24,9 @@ class NotHermitian(SeqWeakError):
 
 
 class DegeneratePostSelection(SeqWeakError):
-    """Post-selection overlap too close to zero for a weak value."""
+    """Post-selection overlap or post-selected norm too close to zero."""
+
+    exit_code = 3
 
 
 class RatioUndefined(SeqWeakError):
@@ -35,6 +43,8 @@ class BasisIncomplete(SeqWeakError):
 
 class UnsupportedCombination(SeqWeakError):
     """No closed-form prediction exists for the requested moment."""
+
+    exit_code = 4
 
 
 class AssumptionAViolated(SeqWeakError):

@@ -23,7 +23,8 @@ import numpy as np
 
 from .circuitmodel import Circuit, valid_subset
 from .errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
-from .oracle import _shifted_table, effects, site_instruments, site_kernels
+from .oracle import (_check_postselected_norm, _shifted_table, effects, site_instruments,
+                     site_kernels)
 from .pointer import MomentSpec, PointerProfile, check_coupling
 
 GRID_POINTS = 4096
@@ -127,8 +128,9 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
     walk = effects(c, sites, kernels)
 
     mass_num, mass_exact = (walk[0] @ c.psi_i @ c.psi_i.conj()).real
+    _check_postselected_norm(mass_exact)
     mass_err = abs(mass_num / mass_exact - 1.0)
-    if not (mass_exact > 0 and mass_err <= 1e-6):
+    if not mass_err <= 1e-6:
         raise GridResolutionError(f"density mass outside grid: {mass_err:.3e}")
 
     prob = mass_exact / float(np.vdot(c.psi_f, c.psi_f).real)

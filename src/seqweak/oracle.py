@@ -21,10 +21,18 @@ from scipy.linalg import expm
 
 from . import algebra
 from .circuitmodel import Circuit, amplitudes, valid_subset
-from .errors import AssumptionAViolated, GridResolutionError, NumericallySingular
+from .errors import (AssumptionAViolated, DegeneratePostSelection, GridResolutionError,
+                     NumericallySingular)
 from .pointer import MomentSpec, PointerProfile, check_coupling
 
 IMAG_RESIDUE_TOL = 1e-9
+NORM_TOL = 1e-14
+
+
+def _check_postselected_norm(norm) -> None:
+    """A post-selected norm below NORM_TOL leaves no moment defined."""
+    if abs(norm) < NORM_TOL:
+        raise DegeneratePostSelection(f"post-selected norm {abs(norm):.3e}")
 
 
 @dataclass(frozen=True)
@@ -165,8 +173,7 @@ def exact_moment(c: Circuit, spec: MomentSpec, g: float,
         kern = site_kernels(eigs, g, prof)
         kernels.append(np.stack([kern.s, kern.pick(named.get(i))]))
     den, num = (effects(c, sites, kernels)[0] @ c.psi_i) @ c.psi_i.conj()
-    if abs(den) < 1e-14:
-        raise NumericallySingular(f"post-selected norm {abs(den):.3e}")
+    _check_postselected_norm(den)
     ratio = complex(num / den)
     if abs(ratio.imag) >= IMAG_RESIDUE_TOL:
         raise NumericallySingular(
@@ -187,8 +194,7 @@ def same_pointer_twice(c: Circuit, g: float, prof: PointerProfile) -> float:
     amps = np.array([amp for _, amp in bs.branches])
     kern = gaussian_kernels(totals, g, prof.sigma)
     den = complex(np.conj(amps) @ kern.s @ amps)
-    if abs(den) < 1e-14:
-        raise NumericallySingular(f"post-selected norm {abs(den):.3e}")
+    _check_postselected_norm(den)
     num = complex(np.conj(amps) @ kern.q @ amps)
     ratio = num / den
     if abs(ratio.imag) >= IMAG_RESIDUE_TOL:

@@ -134,12 +134,12 @@ class MomentSpec:
 
     def __post_init__(self):
         if not self.factors:
-            raise ValueError("moment spec must be nonempty")
+            raise InvalidInput("moment spec must be nonempty")
         sites = [s for s, _ in self.factors]
         if any(sites[i] >= sites[i + 1] for i in range(len(sites) - 1)):
-            raise ValueError("sites must be strictly increasing")
+            raise InvalidInput("sites must be strictly increasing")
         if any(k not in ("q", "p") for _, k in self.factors):
-            raise ValueError("factor kind must be 'q' or 'p'")
+            raise InvalidInput("factor kind must be 'q' or 'p'")
 
     @classmethod
     def parse(cls, text: str) -> "MomentSpec":
@@ -147,7 +147,7 @@ class MomentSpec:
         for tok in text.split("*"):
             m = _FACTOR_RE.match(tok.strip())
             if not m:
-                raise ValueError(f"bad moment factor {tok!r}")
+                raise InvalidInput(f"bad moment factor {tok!r}")
             factors.append((int(m.group(2)), m.group(1)))
         return cls(tuple(factors))
 

@@ -131,6 +131,16 @@ def test_error_bad_version():
         parse("wseq 9\n" + BASIC.split("\n", 1)[1])
 
 
+@pytest.mark.parametrize("reader", [load, circuitio.load_tabulated_profile])
+def test_unreadable_file_is_a_parse_error(tmp_path, reader):
+    (tmp_path / "binary").write_bytes(bytes(range(128, 256)))
+    for path in (tmp_path / "missing", tmp_path, tmp_path / "binary"):
+        with pytest.raises(ParseError) as err:
+            reader(path)
+        assert err.value.kind == "Unreadable"
+        assert err.value.token == str(path)
+
+
 def test_parse_complex_forms():
     assert parse_complex("1.5", 1) == 1.5
     assert parse_complex("-2e-3+0.5i", 1) == complex(-2e-3, 0.5)

@@ -175,9 +175,7 @@ def test_bad_pointer_input_exit_code(tmp_path, capsys, pointer_line, table_row):
     (tmp_path / "prof.dat").write_text("\n".join(rows) + "\n")
     doc = tmp_path / "c.wseq"
     doc.write_text(Path(SHIPPED).read_text() + pointer_line + "\n")
-    with pytest.raises(SystemExit) as err:
-        main(["simulate", str(doc), "--moment", "q1", "--compare"])
-    assert err.value.code == 2
+    assert main(["simulate", str(doc), "--moment", "q1", "--compare"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -211,9 +209,8 @@ def test_tabulated_pointer_errors_name_the_line(tmp_path):
 
 
 def test_missing_file_exit_code(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["weakvalues", "/nonexistent.wseq"])
-    assert err.value.code == 2
+    assert main(["weakvalues", "/nonexistent.wseq"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_human_output_is_aligned(capsys):
@@ -221,3 +218,61 @@ def test_human_output_is_aligned(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "command" in out and "\t" not in out
+
+
+def _shipped_with(tmp_path, name, edit):
+    doc = tmp_path / name
+    doc.write_text(edit(Path(SHIPPED).read_text()))
+    return str(doc)
+
+
+@pytest.mark.parametrize("argv, code", [
+    # F = 0: the built-in document post-selected on (1, 1)
+    (["weakvalues", "{f0}"], 3),
+    (["counterfactual", "{f0}", "--seed", "1"], 3),
+    (["simulate", "{f0}", "--moment", "q1", "--g", "0"], 3),
+    (["simulate", "{f0}", "--moment", "q1", "--g", "1e-9"], 3),
+    (["simulate", "{f0}", "--moment", "q1*q2", "--g", "0", "--compare"], 3),
+    (["montecarlo", "{f0}", "--runs", "100", "--seed", "1", "--g", "0"], 3),
+    (["montecarlo", "{f0}", "--runs", "100", "--seed", "1", "--g", "1e-9"], 3),
+    (["simulate", SHIPPED, "--moment", "p1*q2", "--compare"], 4),
+    (["simulate", SHIPPED, "--moment", "z9"], 2),
+    (["simulate", SHIPPED, "--moment", "q2*q1"], 2),
+    (["montecarlo", SHIPPED, "--runs", "100", "--seed", "1", "--moment", "q2*q1"], 2),
+    (["montecarlo", SHIPPED, "--runs", "0", "--seed", "1"], 2),
+    (["counterfactual", "{no_insert}", "--seed", "1"], 2),
+    (["demo", "nope"], 2),
+    (["weakvalues", "{tmp}/missing.wseq"], 2),
+    (["weakvalues", "{tmp}"], 2),
+    (["weakvalues", "{binary}"], 2),
+    (["simulate", "{missing_table}", "--moment", "q1"], 2),
+], ids=lambda v: " ".join(map(os.path.basename, v)) if isinstance(v, list) else None)
+def test_error_exit_code_matrix(tmp_path, capsys, argv, code):
+    (tmp_path / "binary.wseq").write_bytes(bytes(range(128, 256)))
+    docs = {
+        "tmp": str(tmp_path),
+        "binary": str(tmp_path / "binary.wseq"),
+        "f0": _shipped_with(tmp_path, "f0.wseq", lambda s: s.replace(
+            "postselect 0+0i 1+0i", "postselect 1+0i 1+0i")),
+        "no_insert": _shipped_with(tmp_path, "no_insert.wseq", lambda s: s.replace(
+            "insert B\ninsert F\n", "")),
+        "missing_table": _shipped_with(tmp_path, "missing_table.wseq",
+                                       lambda s: s + "pointer tabulated missing.dat\n"),
+    }
+    # main returns the code of every error it meets and never raises
+    assert main([arg.format(**docs) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_observable_within_hermitian_tolerance_runs(tmp_path, capsys):
+    # Circuit and the parser accept a deviation up to 1e-9, and so does
+    # every command that takes the observable's spectrum
+    doc = _shipped_with(tmp_path, "c.wseq", lambda s: s.replace(
+        "observe B\nproj 0\n", "observe B\n1 5e-10\n0 0\n"))
+    assert main(["weakvalues", doc]) == 0
+    assert main(["simulate", doc, "--moment", "q1*q2", "--compare"]) == 0
+    assert main(["montecarlo", doc, "--runs", "1000", "--seed", "1", "--g", "0.05"]) == 0
+    assert "error" not in capsys.readouterr().err
+

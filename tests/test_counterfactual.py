@@ -12,7 +12,7 @@ from seqweak.counterfactual import (CounterfactualReport, InsertionSet,
                                     is_counterfactual_weakvalues,
                                     randomized_def3_test)
 from seqweak import counterfactual
-from seqweak.errors import BothZero, NotProjector
+from seqweak.errors import BothZero, EquivalenceViolation, NotProjector
 from seqweak.oracle import joint_response
 
 from conftest import random_circuit, random_projector, random_state, random_unitary
@@ -238,3 +238,37 @@ def test_randomized_def3_walks_each_subset_once(monkeypatch, case, seed):
     assert walks == list(insertion_subsets(ins))
     assert report.def3_samples == want_samples
     assert report.def3_null == want_null
+
+
+@pytest.mark.parametrize("case", ["builtin", "counterfactual3"])
+def test_check_equivalence_walks_once(monkeypatch, case):
+    if case == "builtin":
+        c, ins = builtin_double_interferometer(), double_insertions()
+    else:
+        c, ins = counterfactual_instance(4, n=3)
+    history_walks, wv_walks = [], []
+    history_walk, wv_walk = counterfactual.history_amplitudes, counterfactual.weak_values
+
+    def counted_histories(c, ins):
+        history_walks.append(ins.sites)
+        return history_walk(c, ins)
+
+    def counted_weak_values(c, subsets):
+        wv_walks.append(list(subsets))
+        return wv_walk(c, subsets)
+
+    monkeypatch.setattr(counterfactual, "history_amplitudes", counted_histories)
+    monkeypatch.setattr(counterfactual, "weak_values", counted_weak_values)
+    assert check_equivalence_def1_def2(c, ins) is (case != "builtin")
+    # one history walk for Definition 1 and the expansion, one weak-value
+    # walk for Definition 2 and the numerators
+    assert history_walks == [ins.sites]
+    assert wv_walks == [[()] + list(insertion_subsets(ins))]
+
+    # the verdicts stay independent: histories that all vanish contradict
+    # the built-in document's nonzero weak value
+    if case == "builtin":
+        monkeypatch.setattr(counterfactual, "history_amplitudes",
+                            lambda c, ins: dict.fromkeys(all_histories(len(ins)), 0j))
+        with pytest.raises(EquivalenceViolation, match="histories says True"):
+            check_equivalence_def1_def2(c, ins)

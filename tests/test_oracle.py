@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,7 +9,7 @@ from seqweak.algebra import eig_hermitian
 from seqweak.circuitmodel import (P_B, P_F, Circuit,
                                   builtin_double_interferometer,
                                   transition_amplitude)
-from seqweak.errors import AssumptionAViolated, GridResolutionError, NumericallySingular
+from seqweak.errors import AssumptionAViolated, DegeneratePostSelection, GridResolutionError
 from seqweak.montecarlo import sample_runs
 from seqweak.oracle import (_shifted_table, branch_decompose, exact_moment,
                             gaussian_kernels, joint_response, same_pointer_twice,
@@ -240,8 +241,22 @@ def test_exact_moment_rejects_vanishing_postselection():
     c = Circuit(psi_i=np.array([1.0, 0.0]),
                 stages=((np.eye(2), np.diag([1.0, 2.0])),),
                 u_final=np.eye(2), psi_f=np.array([0.0, 1.0]))
-    with pytest.raises(NumericallySingular):
+    with pytest.raises(DegeneratePostSelection):
         exact_moment(c, MomentSpec.parse("q1"), 1e-3, PointerProfile.gaussian(1.0))
+
+
+@pytest.mark.parametrize("g", [0.0, 1e-9])
+def test_vanishing_postselection_is_degenerate_everywhere(g):
+    # the built-in circuit post-selected on (1, 1) has F = 0
+    c = dataclasses.replace(builtin_double_interferometer(), psi_f=np.array([1.0, 1.0]))
+    assert abs(transition_amplitude(c)) < 1e-15
+    prof = PointerProfile.gaussian(1.0)
+    with pytest.raises(DegeneratePostSelection, match="post-selected norm"):
+        exact_moment(c, MomentSpec.parse("q1*q2"), g, prof)
+    with pytest.raises(DegeneratePostSelection, match="post-selected norm"):
+        same_pointer_twice(c, g, prof)
+    with pytest.raises(DegeneratePostSelection, match="post-selected norm"):
+        sample_runs(c, g, prof, 100, 1)
 
 
 def test_exact_momentum_moment_sign():
