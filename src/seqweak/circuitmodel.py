@@ -7,7 +7,9 @@ stores the identity there.
 
 `amplitudes` is the one forward walk: <psi_f| U_f X_n ... X_1 |psi_i> for
 many choices of X_k at once (A_k U_k for weak values, N U_k for histories,
-P_a U_k for eigenbranches).  `oracle.effects` is the backward walk.
+P_a U_k for eigenbranches).  It costs one matvec per distinct prefix of the
+choices, about 2^(n+1) for a full table of 2^n weak values.
+`oracle.effects` is the backward walk.
 """
 from __future__ import annotations
 
@@ -95,13 +97,38 @@ def amplitudes(c: Circuit, ops, histories) -> np.ndarray:
 
     ``ops[k]`` stacks the operators tried at site k+1 with the stage unitary
     already applied, shape (m_k, d, d); row h of the int array
-    ``histories``, shape (m, n), picks X_{k+1} = ops[k][h[k]].  All m rows
-    walk together; the result has shape (m,).
+    ``histories``, shape (m, n), picks X_{k+1} = ops[k][h[k]].  The result
+    has shape (m,).
+
+    Rows that share a prefix share its state: after one lexicographic sort
+    each distinct prefix through site k+1 is a contiguous run of rows, and
+    the walk takes one matvec per run, from the state of its parent run.
+    That is one matvec per distinct prefix, about 2^(n+1) for a full table
+    of 2^n rows, instead of one per row and site.
     """
-    v = np.repeat(c.psi_i[None, :, None], len(histories), axis=0)
+    h = np.asarray(histories)
+    m, n = h.shape
+    bra = c.psi_f.conj() @ c.u_final
+    if m == 0 or n == 0:  # np.lexsort needs a key; every row is the empty history
+        return np.repeat(c.psi_i[None, :], m, axis=0) @ bra
+    order = np.lexsort(h.T[::-1])
+    hs = np.ascontiguousarray(h[order].T)
+    # new_run[k, i]: sorted row i starts a new distinct prefix through site
+    # k+1.  Every start at site k is also one at site k+1, so the parent of
+    # a run is the number of site-k starts among the site-(k+1) starts up to
+    # its own, less one.
+    new_run = np.empty((n, m), dtype=bool)
+    new_run[:, 0] = True
+    np.logical_or.accumulate(hs[:, 1:] != hs[:, :-1], axis=0, out=new_run[:, 1:])
+    v = c.psi_i[None, :, None]
     for k, x in enumerate(ops):
-        v = x[histories[:, k]] @ v
-    return v[:, :, 0] @ (c.psi_f.conj() @ c.u_final)
+        starts = np.flatnonzero(new_run[k])
+        parent = (np.cumsum(new_run[k - 1, starts]) - 1 if k
+                  else np.zeros(len(starts), dtype=np.intp))
+        v = x[hs[k, starts]] @ v[parent]
+    out = np.empty(m, dtype=complex)
+    out[order] = (v[:, :, 0] @ bra)[np.cumsum(new_run[-1]) - 1]
+    return out
 
 
 def transition_amplitude(c: Circuit) -> complex:

@@ -48,6 +48,16 @@ def random_circuit(seed, dim=None, n=2, projectors=False, min_f=0.1):
     raise RuntimeError(f"no well-conditioned circuit for seed {seed}")
 
 
+def per_row_walk(c, ops, histories):
+    """Reference forward walk for `circuitmodel.amplitudes`: every row
+    carries its own state through every site, gathering one (d, d) operator
+    per row and site."""
+    v = np.repeat(c.psi_i[None, :, None], len(histories), axis=0)
+    for k, x in enumerate(ops):
+        v = x[histories[:, k]] @ v
+    return v[:, :, 0] @ (c.psi_f.conj() @ c.u_final)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

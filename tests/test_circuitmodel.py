@@ -1,12 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from seqweak.circuitmodel import (P_B, P_C, P_E, P_F, U1_DOUBLE, U3_DOUBLE,
-                                  Circuit, builtin_double_interferometer,
+                                  Circuit, amplitudes,
+                                  builtin_double_interferometer,
                                   transition_amplitude, valid_subset)
 from seqweak.errors import DimMismatch
+from seqweak.weakvalue import weak_value, weak_value_table
 
-from conftest import random_circuit, random_state, random_unitary
+from conftest import (per_row_walk, random_circuit, random_hermitian,
+                      random_state, random_unitary)
 
 
 def test_builtin_transition_amplitude():
@@ -109,3 +114,68 @@ def test_projector_constants_complete():
     assert np.allclose(P_E + P_F, np.eye(2))
     assert np.allclose(U1_DOUBLE @ U1_DOUBLE.conj().T, np.eye(2))
     assert np.allclose(U3_DOUBLE @ U3_DOUBLE.conj().T, np.eye(2))
+
+
+def random_walk_case(seed):
+    """A random circuit (n in 0..6, d in 2..4), 1..4 random operators per
+    site and a random set of rows: unsorted, with duplicates."""
+    rng = np.random.default_rng((2024, seed))
+    n, d = int(rng.integers(0, 7)), int(rng.integers(2, 5))
+    stages = tuple((random_unitary(rng, d), random_hermitian(rng, d)) for _ in range(n))
+    c = Circuit(psi_i=random_state(rng, d), stages=stages,
+                u_final=random_unitary(rng, d), psi_f=random_state(rng, d))
+    ops = [np.stack([random_hermitian(rng, d) @ u
+                     for _ in range(int(rng.integers(1, 5)))]) for u, _ in c.stages]
+    m = int(rng.integers(1, 40))
+    rows = np.array([[rng.integers(0, len(x)) for x in ops] for _ in range(m)],
+                    dtype=np.intp).reshape(m, n)
+    rows = rows[rng.integers(0, m, size=m + 5)]  # repeats some rows
+    return c, ops, rows
+
+
+def assert_walks_agree(c, ops, rows):
+    for dtype in (np.uint8, np.intp):
+        got = amplitudes(c, ops, rows.astype(dtype))
+        ref = per_row_walk(c, ops, rows.astype(dtype))
+        assert got.shape == ref.shape
+        scale = max(np.abs(ref).max(initial=0.0), 1e-300)
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_amplitudes_match_per_row_walk(seed):
+    c, ops, rows = random_walk_case(seed)
+    assert_walks_agree(c, ops, rows)
+    assert_walks_agree(c, ops, rows[:1])
+    assert_walks_agree(c, ops, rows[::-1].copy())
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_amplitudes_full_table_every_size(n):
+    c = random_circuit(300 + n, dim=3, n=n)
+    ops = [np.array([u, a @ u]) for u, a in c.stages]
+    rows = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.uint8)
+    assert_walks_agree(c, ops, rows)
+
+
+def test_amplitudes_without_sites():
+    # n = 0: no key to sort on, every row is the empty history
+    c = Circuit(psi_i=np.array([1.0, 0.0]), stages=(), u_final=U1_DOUBLE,
+                psi_f=np.array([0.0, 1.0]))
+    amps = amplitudes(c, [], np.zeros((3, 0), dtype=np.uint8))
+    assert amps.shape == (3,)
+    assert np.allclose(amps, U1_DOUBLE[1, 0])
+    assert amplitudes(c, [], np.zeros((0, 0), dtype=np.intp)).shape == (0,)
+    assert transition_amplitude(c) == pytest.approx(U1_DOUBLE[1, 0], abs=1e-15)
+
+
+def test_table_matches_per_subset_weak_values():
+    c = random_circuit(77, dim=3, n=12)
+    table = weak_value_table(c, 12)
+    assert len(table.entries) == 2 ** 12
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        size = int(rng.integers(1, 13))
+        subset = tuple(sorted(rng.choice(np.arange(1, 13), size, replace=False).tolist()))
+        ref = weak_value(c, subset)
+        assert abs(table[subset] - ref) <= 1e-12 * max(abs(ref), 1.0)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 
 import seqweak
-from seqweak import circuitio, montecarlo
-from seqweak.circuitio import builtin_document_path
-from seqweak.cli import main
+from seqweak import circuitio, circuitmodel, counterfactual, montecarlo, weakvalue
+from seqweak.circuitio import builtin_document_path, format_complex
+from seqweak.cli import build_parser, main
+
+from conftest import per_row_walk, random_hermitian, random_state, random_unitary
 
 SHIPPED = str(builtin_document_path())
 
@@ -276,3 +279,153 @@ def test_observable_within_hermitian_tolerance_runs(tmp_path, capsys):
     assert main(["montecarlo", doc, "--runs", "1000", "--seed", "1", "--g", "0.05"]) == 0
     assert "error" not in capsys.readouterr().err
 
+
+
+# -- weakvalues output, byte for byte, against the per-row report ----------
+
+def _reference_subset_label(subset, names):
+    if not subset:
+        return "()"
+    return "(" + ",".join(names.get(s, f"A{s}") for s in reversed(subset)) + ")"
+
+
+def _reference_observe_names(doc):
+    names, boundary = {}, 0
+    for st in doc.stanzas:
+        if isinstance(st, circuitio.UnitaryStanza):
+            boundary += 1
+        else:
+            names[boundary] = st.name
+    return names
+
+
+def reference_weakvalues(path, max_order, machine, monkeypatch):
+    """`weakvalues` output as a per-row report writes it: one row per key,
+    numbers formatted one at a time, one print per line, over amplitudes
+    from the per-row walk."""
+    with monkeypatch.context() as m:
+        m.setattr(circuitmodel, "amplitudes", per_row_walk)
+        m.setattr(weakvalue, "amplitudes", per_row_walk)
+        doc = circuitio.load(path)
+        c = doc.to_circuit()
+        k = max_order if max_order is not None else c.n
+        table = weakvalue.weak_value_table(c, k)
+        f = circuitmodel.transition_amplitude(c)
+    rows = [("command", "weakvalues"),
+            ("fingerprint", hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16])]
+
+    def add(key, value):
+        rows.append((f"{key}.re", f"{value.real:.12g}"))
+        rows.append((f"{key}.im", f"{value.imag:.12g}"))
+
+    names = _reference_observe_names(doc)
+    add("F", f)
+    for subset, value in table.entries.items():
+        add(f"wv.{_reference_subset_label(subset, names)}", value)
+    width = max(len(key) for key, _ in rows)
+    return "".join(f"{key}\t{value}\n" if machine else f"{key:<{width}}  {value}\n"
+                   for key, value in rows)
+
+
+def _matrix_lines(m):
+    return [" ".join(format_complex(complex(z)) for z in row) for row in m]
+
+
+def wide_document(path, n=10, d=2, seed=31):
+    """A seeded n-site document mixing named observes, unnamed ones (which
+    the parser names by their count, not their site) and sites without an
+    observe (labelled `A<site>`)."""
+    for attempt in range(100):
+        rng = np.random.default_rng((seed, attempt))
+        lines = ["wseq 1", f"dim {d}",
+                 "state " + " ".join(map(format_complex, random_state(rng, d)))]
+        for site in range(1, n + 2):
+            lines += [f"unitary U{site}", *_matrix_lines(random_unitary(rng, d))]
+            if site > n or site % 4 == 2:
+                continue  # the final evolution, or a site without an observe
+            lines.append("observe" if site % 4 == 3 else f"observe X{site}")
+            if site % 2:
+                lines.append(f"proj {int(rng.integers(0, d))}")
+            else:
+                lines += _matrix_lines(random_hermitian(rng, d))
+        lines.append("postselect " + " ".join(map(format_complex, random_state(rng, d))))
+        path.write_text("\n".join(lines) + "\n")
+        c = circuitio.load(path).to_circuit()
+        if c.n == n and abs(circuitmodel.transition_amplitude(c)) > 0.1:
+            return str(path)
+    raise RuntimeError("no well-conditioned document")
+
+
+NO_SITES = """wseq 1
+dim 2
+state 1+0i 0+0i
+unitary U1
+0.70710678118654746+0i 0.70710678118654746+0i
+0.70710678118654746+0i -0.70710678118654746+0i
+postselect 0+0i 1+0i
+"""
+
+
+@pytest.mark.parametrize("machine", [True, False])
+@pytest.mark.parametrize("max_order", [0, 1, 3, None])
+def test_weakvalues_output_matches_per_row_report(tmp_path, capsys, monkeypatch,
+                                                  max_order, machine):
+    doc = wide_document(tmp_path / "wide.wseq")
+    argv = ["weakvalues", doc]
+    argv += [] if max_order is None else ["--max-order", str(max_order)]
+    argv += ["--machine"] if machine else []
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == reference_weakvalues(doc, max_order, machine, monkeypatch)
+    if max_order is None:
+        assert out.count("wv.(") == 2 * 2 ** 10
+        # site 6 has no observe; site 7's is unnamed, the parser's fifth
+        assert "wv.(A6,X5,X4).re" in out and "wv.(A5,X1).re" in out
+
+
+@pytest.mark.parametrize("machine", [True, False])
+def test_weakvalues_without_sites(tmp_path, capsys, monkeypatch, machine):
+    doc = tmp_path / "no_sites.wseq"
+    doc.write_text(NO_SITES)
+    assert main(["weakvalues", str(doc)] + (["--machine"] if machine else [])) == 0
+    out = capsys.readouterr().out
+    assert out == reference_weakvalues(str(doc), None, machine, monkeypatch)
+    if machine:
+        rows = dict(line.split("\t") for line in out.splitlines())
+        assert float(rows["F.re"]) == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert rows["wv.().re"] == "1" and "wv.().im" in rows
+
+
+def test_counterfactual_witness_label_unchanged(capsys):
+    code, rows = machine(capsys, ["counterfactual", SHIPPED, "--seed", "3",
+                                  "--trials", "2"])
+    assert code == 0
+    doc = circuitio.load(SHIPPED)
+    cf = counterfactual.randomized_def3_test(doc.to_circuit(), doc.insertion_set(),
+                                             2, doc.g, 3)
+    assert rows["witness.subset"] == _reference_subset_label(
+        cf.witness_subset, _reference_observe_names(doc))
+
+
+def test_consecutive_commands_leak_no_state(capsys):
+    # one parser serves every call of main in a process; what one command
+    # parses must not reach the next
+    sequence = [
+        ["simulate", SHIPPED, "--moment", "q1*q2", "--g", "0.3", "--machine"],
+        ["montecarlo", SHIPPED, "--runs", "300", "--seed", "2", "--machine"],
+        ["weakvalues", SHIPPED, "--max-order", "1", "--machine"],
+        ["weakvalues", SHIPPED, "--machine"],
+        ["counterfactual", SHIPPED, "--seed", "1", "--trials", "2", "--machine"],
+        ["demo", "double-interferometer"],
+    ]
+    outputs = []
+    for argv in sequence:
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert build_parser() is build_parser()
+    assert "g\t0.001\n" in outputs[1]       # the document's g, not 0.3
+    assert "wv.(F,B).re\t" in outputs[3]    # the full table, not order 1
+    for argv, out in zip(sequence, outputs):
+        build_parser.cache_clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
