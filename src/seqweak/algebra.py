@@ -15,6 +15,8 @@ from .errors import DimMismatch, NotHermitian
 
 DEFAULT_TOL = 1e-10
 HERMITIAN_TOL = 1e-9  # an observable's tolerance, wherever it is checked
+# eigenvalues closer than this times (spectral range + 1) are one branch
+DEGENERACY_RTOL = 1e-8
 
 
 def as_operator(m) -> np.ndarray:
@@ -62,24 +64,22 @@ class EigenSystem:
         return sum(a * p for a, p in zip(self.eigenvalues, self.projectors))
 
 
-def eig_hermitian(a, degeneracy_tol: float | None = None) -> EigenSystem:
+def eig_hermitian(a) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix with degeneracy merging.
 
-    Eigenvalues closer than ``degeneracy_tol`` (default
-    ``1e-8 * (spectral range + 1)``) are merged into a single branch whose
-    projector spans the combined eigenspace.
+    Eigenvalues closer than ``DEGENERACY_RTOL * (spectral range + 1)`` are
+    merged into a single branch whose projector spans the combined
+    eigenspace.
     """
     a = as_operator(a)
     if not is_hermitian(a, HERMITIAN_TOL):
         raise NotHermitian(f"max deviation {np.max(np.abs(a - a.conj().T)):.3e}")
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    if degeneracy_tol is None:
-        spread = float(vals[-1] - vals[0]) if len(vals) else 0.0
-        degeneracy_tol = 1e-8 * (spread + 1.0)
+    spread = float(vals[-1] - vals[0]) if len(vals) else 0.0
 
     # a merged block ends wherever the next eigenvalue is more than the
     # tolerance above it
-    gaps = (np.flatnonzero(np.diff(vals) > degeneracy_tol) + 1).tolist()
+    gaps = (np.flatnonzero(np.diff(vals) > DEGENERACY_RTOL * (spread + 1.0)) + 1).tolist()
     cuts = [0, *gaps, len(vals)]
     blocks = [(vals[i:j], vecs[:, i:j]) for i, j in zip(cuts, cuts[1:]) if i < j]
     eigenvalues = [float(v.sum() / len(v)) for v, _ in blocks]

@@ -7,27 +7,33 @@ Grammar (whitespace-separated tokens, '#' starts a comment):
     labels <name>...
     state <c>...                  # d complex entries
     unitary <name>                # followed by d rows of d complex entries
-    observe <name>                # followed by `proj <basis-index>...`
+    observe [<name>]              # followed by `proj <basis-index>...`
                                   # or d matrix rows
     postselect <c>...
     pointer gaussian sigma=<r> [qoffset=<r>] [poffset=<r>]
     pointer tabulated <file>
     g <r>
-    insert <observe-name>
+    insert <observe-name>         # at most once per observe
 
 Complex literals are `<float>` or `<float>+<float>i` / `<float>-<float>i`
 with no interior spaces; pointer parameters `<r>` and the `q re im` cells of
-a tabulated profile file must be finite.  Observables bind to the most
-recent unitary; a trailing observe after the last unitary implies an
-identity final evolution.  Serialization is canonical: 17 significant
+a tabulated profile file must be finite.  The k-th unitary opens boundary
+k, and an observe binds to the boundary of the most recent unitary, at most
+one per boundary; a trailing observe after the last unitary implies an
+identity final evolution.  Each measurement site has one name: its
+observe's, or `A<site>` for an unnamed observe and for a site without one.
+Names are unique across sites.  Serialization is canonical: 17 significant
 digits, one stanza per parse-order entry, so
 serialize(parse(serialize(x))) == serialize(x).
+
+`parse` is the one place that maps stanzas to sites: the document it
+returns holds the validated `Circuit` and the site names.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,10 +100,15 @@ class ObserveStanza:
 
 @dataclass(frozen=True)
 class CircuitDocument:
+    """A `.wseq` document: its stanzas as written, and the circuit and site
+    names (1-based site k at index k - 1) that `parse` resolved from them."""
+
     dim: int
     psi_i: np.ndarray
     psi_f: np.ndarray
     stanzas: tuple[UnitaryStanza | ObserveStanza, ...]
+    circuit: Circuit
+    site_names: tuple[str, ...]
     labels: tuple[str, ...] | None = None
     pointer: PointerProfile | None = None
     pointer_source: str | None = None  # original `pointer ...` argument text
@@ -127,42 +138,11 @@ class CircuitDocument:
         return True
 
     def to_circuit(self) -> Circuit:
-        unitaries: list[np.ndarray] = []
-        observes: list[np.ndarray | None] = []
-        for st in self.stanzas:
-            if isinstance(st, UnitaryStanza):
-                unitaries.append(st.matrix)
-                observes.append(None)
-            else:
-                observes[-1] = st.matrix
-        eye = np.eye(self.dim, dtype=complex)
-        if not unitaries or (observes and observes[-1] is not None):
-            # no evolution at all, or a trailing measurement: the final
-            # evolution is the identity
-            unitaries.append(eye)
-            observes.append(None)
-        stages = tuple(
-            (u, a if a is not None else eye)
-            for u, a in zip(unitaries[:-1], observes[:-1]))
-        return Circuit(psi_i=self.psi_i, stages=stages, u_final=unitaries[-1],
-                       psi_f=self.psi_f, labels=self.labels)
+        return self.circuit
 
     def insertion_set(self) -> InsertionSet:
-        by_name: dict[str, tuple[int, np.ndarray]] = {}
-        boundary = 0
-        for st in self.stanzas:
-            if isinstance(st, UnitaryStanza):
-                boundary += 1
-            else:
-                by_name[st.name] = (boundary, st.matrix)
-        sites, projectors = [], []
-        for name in self.insertions:
-            site, matrix = by_name[name]
-            sites.append(site)
-            projectors.append(matrix)
-        order = np.argsort(sites)
-        return InsertionSet(tuple(sites[i] for i in order),
-                            tuple(projectors[i] for i in order))
+        sites = sorted(self.site_names.index(name) + 1 for name in self.insertions)
+        return InsertionSet(tuple(sites), tuple(map(self.circuit.observable, sites)))
 
 
 class _Lines:
@@ -211,10 +191,11 @@ def parse(text: str, base_dir: str | Path | None = None) -> CircuitDocument:
     pointer = None
     pointer_source = None
     g_val = None
-    insertions: list[str] = []
-    observe_names: dict[str, int] = {}
-    last_boundary_observed = -1
-    n_unitaries = 0
+    insertions: dict[str, int] = {}  # observe name -> line of its `insert`
+    # per boundary k: [U_k, observable, name, line]; the k-th unitary opens
+    # it under the name `A<k>`, and an `observe` sets the observable, its
+    # line and any explicit name
+    boundaries: list[list] = []
 
     def need_dim(lineno: int, tok: str) -> int:
         if dim is None:
@@ -244,24 +225,24 @@ def parse(text: str, base_dir: str | Path | None = None) -> CircuitDocument:
             psi_f = _parse_vector(rest, need_dim(lineno, head), lineno, "postselect")
         elif head == "unitary":
             d = need_dim(lineno, head)
-            name = rest[0] if rest else f"U{n_unitaries + 1}"
+            name = rest[0] if rest else f"U{len(boundaries) + 1}"
             m = _parse_matrix(lines, d, name)
             if not algebra.is_unitary(m, 1e-9):
                 dev = float(np.max(np.abs(m.conj().T @ m - np.eye(d))))
                 raise ParseError("NonUnitary", lineno, name,
                                  f"max deviation {dev:.3e}")
             stanzas.append(UnitaryStanza(name, m))
-            n_unitaries += 1
+            boundaries.append([m, None, f"A{len(boundaries) + 1}", lineno])
         elif head == "observe":
             d = need_dim(lineno, head)
-            if n_unitaries == 0:
+            if not boundaries:
                 raise ParseError("UnknownDirective", lineno, head,
                                  "observe before any unitary")
-            if last_boundary_observed == n_unitaries:
+            if boundaries[-1][1] is not None:
                 raise ParseError("DuplicateObserveAtBoundary", lineno,
                                  rest[0] if rest else head,
                                  "a boundary holds at most one measurement")
-            name = rest[0] if rest else f"A{len(observe_names) + 1}"
+            name = rest[0] if rest else boundaries[-1][2]
             nxt = lines.peek()
             if nxt is not None and nxt[1][0] == "proj":
                 plineno, ptokens = lines.next()
@@ -283,8 +264,7 @@ def parse(text: str, base_dir: str | Path | None = None) -> CircuitDocument:
                     raise ParseError("NonHermitian", lineno, name,
                                      "observable must be Hermitian")
                 stanzas.append(ObserveStanza(name, m, None))
-            observe_names[name] = lineno
-            last_boundary_observed = n_unitaries
+            boundaries[-1][1:] = m, name, lineno
         elif head == "pointer":
             if not rest:
                 raise ParseError("UnknownDirective", lineno, head, "missing pointer kind")
@@ -330,23 +310,39 @@ def parse(text: str, base_dir: str | Path | None = None) -> CircuitDocument:
             if not rest:
                 raise ParseError("UnknownDirective", lineno, head,
                                  "insert needs an observe name")
-            insertions.append(rest[0])
+            if rest[0] in insertions:
+                raise ParseError("DuplicateInsert", lineno, rest[0],
+                                 f"observe already inserted at line {insertions[rest[0]]}")
+            insertions[rest[0]] = lineno
         else:
             raise ParseError("UnknownDirective", lineno, head, "unknown directive")
 
     if dim is None or psi_i is None or psi_f is None:
         raise ParseError("DimMismatch", lines.rows[-1][0] if lines.rows else 0,
                          "EOF", "document needs dim, state and postselect")
-    for name in insertions:
+    eye = np.eye(dim, dtype=complex)
+    u_final = eye  # no evolution at all, or a trailing measurement
+    if boundaries and boundaries[-1][1] is None:
+        u_final = boundaries.pop()[0]  # the last boundary is the post-selection
+    site_names: list[str] = []
+    for site, (_, _, name, lineno) in enumerate(boundaries, start=1):
+        if name in site_names:
+            raise ParseError("DuplicateName", lineno, name,
+                             f"site {site} has the name of site "
+                             f"{site_names.index(name) + 1}")
+        site_names.append(name)
+    observe_names = {name for _, a, name, _ in boundaries if a is not None}
+    for name, lineno in insertions.items():
         if name not in observe_names:
-            raise ParseError("UnknownDirective", 0, name,
+            raise ParseError("UnknownDirective", lineno, name,
                              "insert references an unknown observe")
-    doc = CircuitDocument(
-        dim=dim, psi_i=psi_i, psi_f=psi_f, stanzas=tuple(stanzas),
-        labels=labels, pointer=pointer, pointer_source=pointer_source,
-        g=g_val, insertions=tuple(insertions))
-    doc.to_circuit()  # all circuit invariants checked on load
-    return doc
+    circuit = Circuit(  # all circuit invariants checked on load
+        psi_i=psi_i, stages=tuple((u, eye if a is None else a) for u, a, _, _ in boundaries),
+        u_final=u_final, psi_f=psi_f, labels=labels)
+    return CircuitDocument(
+        dim=dim, psi_i=psi_i, psi_f=psi_f, stanzas=tuple(stanzas), circuit=circuit,
+        site_names=tuple(site_names), labels=labels, pointer=pointer,
+        pointer_source=pointer_source, g=g_val, insertions=tuple(insertions))
 
 
 def _read_text(path: str | Path) -> str:

@@ -67,24 +67,18 @@ def _doc_g(doc, override) -> float:
 
 
 class _SubsetLabels(dict):
-    """`name_r,...,name_1` for a subset (i_1 < ... < i_r) of the n sites,
-    later sites first, from the document's observe names (`A<site>` for a
-    site without one).  A label extends the memoised one of the subset
-    without its last site, so each table entry costs one concatenation."""
+    """`name_r,...,name_1` for a subset (i_1 < ... < i_r) of the sites,
+    later sites first, from the document's site names.  A label extends
+    the memoised one of the subset without its last site, so each table
+    entry costs one concatenation."""
 
-    def __init__(self, doc, n: int):
+    def __init__(self, site_names):
         super().__init__({(): ""})
-        names, boundary = {}, 0
-        for st in doc.stanzas:
-            if isinstance(st, circuitio.UnitaryStanza):
-                boundary += 1
-            else:
-                names[boundary] = st.name
-        self.names = [names.get(site, f"A{site}") for site in range(n + 1)]
+        self.names = site_names
 
     def __missing__(self, subset):
         rest = self[subset[:-1]]
-        name = self.names[subset[-1]]
+        name = self.names[subset[-1] - 1]
         label = self[subset] = name + "," + rest if rest else name
         return label
 
@@ -96,7 +90,7 @@ def cmd_weakvalues(args) -> int:
     report = Report("weakvalues", _file_fingerprint(args.file), args.machine)
     table = weakvalue.weak_value_table(c, k)
     report.add("F", transition_amplitude(c))
-    labels = map(_SubsetLabels(doc, c.n).__getitem__, table.entries)
+    labels = map(_SubsetLabels(doc.site_names).__getitem__, table.entries)
     report.add_numbers(map("wv.({})".format, labels),
                        np.fromiter(table.entries.values(), complex, len(table.entries)))
     report.emit()
@@ -170,7 +164,7 @@ def cmd_counterfactual(args) -> int:
     if cf.witness_history is not None:
         report.add("witness.history", cf.witness_history)
     if cf.witness_subset is not None:
-        label = _SubsetLabels(doc, c.n)[cf.witness_subset]
+        label = _SubsetLabels(doc.site_names)[cf.witness_subset]
         report.add("witness.subset", f"({label})")
         report.add("witness.weak_value", cf.witness_value)
     report.add("max_response", max(r for _, r in cf.def3_samples))

@@ -21,6 +21,7 @@ from .oracle import _ancilla_response
 from .weakvalue import weak_values
 
 ZERO_TOL = 1e-10
+ANCILLA_DIM = 2  # the Definition-3 probes' shared ancilla
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,14 @@ def history_amplitudes(c: Circuit, ins: InsertionSet) -> dict[str, complex]:
     return dict(zip(histories, amplitudes(c, ops, rows).tolist()))
 
 
-def is_counterfactual_histories(c: Circuit, ins: InsertionSet,
-                                tol: float = ZERO_TOL):
+def is_counterfactual_histories(c: Circuit, ins: InsertionSet):
     """Definition by histories; witness is the first N-containing history
     (lexicographic, F < N) with nonvanishing amplitude."""
-    return _first_on_history(history_amplitudes(c, ins).items(), tol)
+    return _first_on_history(history_amplitudes(c, ins).items())
 
 
-def _first_on_history(histories, tol: float):
-    h = next((h for h, amp in histories if "N" in h and abs(amp) > tol), None)
+def _first_on_history(histories):
+    h = next((h for h, amp in histories if "N" in h and abs(amp) > ZERO_TOL), None)
     return h is None, h
 
 
@@ -94,18 +94,17 @@ def insertion_subsets(ins: InsertionSet):
         yield from itertools.combinations(ins.sites, r)
 
 
-def is_counterfactual_weakvalues(c: Circuit, ins: InsertionSet,
-                                 tol: float = ZERO_TOL):
+def is_counterfactual_weakvalues(c: Circuit, ins: InsertionSet):
     """Definition by weak values; witness is the first subset of insertion
     sites whose sequential weak value of the on-projectors is nonzero."""
     valid_subset(ins.sites, c.n)
     subsets = list(insertion_subsets(ins))
     wv = weak_values(_on_circuit(c, ins), subsets).tolist()
-    return _first_on_subset(zip(subsets, wv), tol)
+    return _first_on_subset(zip(subsets, wv))
 
 
-def _first_on_subset(weak_values_by_subset, tol: float):
-    hit = next(((s, wv) for s, wv in weak_values_by_subset if abs(wv) > tol), None)
+def _first_on_subset(weak_values_by_subset):
+    hit = next(((s, wv) for s, wv in weak_values_by_subset if abs(wv) > ZERO_TOL), None)
     return hit is None, hit
 
 
@@ -115,10 +114,10 @@ def check_equivalence_def1_def2(c: Circuit, ins: InsertionSet) -> bool:
     F = I - N expansion of each history amplitude into signed subset
     numerators."""
     amps = history_amplitudes(c, ins)
-    d1, _ = _first_on_history(amps.items(), ZERO_TOL)
+    d1, _ = _first_on_history(amps.items())
     subsets = [()] + list(insertion_subsets(ins))
     wv = weak_values(_on_circuit(c, ins), subsets)
-    d2, _ = _first_on_subset(zip(subsets[1:], wv[1:].tolist()), ZERO_TOL)
+    d2, _ = _first_on_subset(zip(subsets[1:], wv[1:].tolist()))
     if d1 != d2:
         raise EquivalenceViolation(
             f"histories says {d1}, weak values says {d2}")
@@ -154,7 +153,7 @@ def _random_hermitian(rng, dim: int) -> np.ndarray:
 
 
 def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
-                         seed: int, anc_dim: int = 2) -> CounterfactualReport:
+                         seed: int) -> CounterfactualReport:
     """Probe Definition 3 with random weak interactions restricted to the
     on-projectors: random ancilla Hamiltonians, observables and states,
     coupled via a shared ancilla at every nonempty subset of insertion
@@ -170,7 +169,7 @@ def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
     amps = {subset: np.array(list(history_amplitudes(c, InsertionSet(
                 subset, tuple(proj_by_site[site] for site in subset))).values()))
             for subset in insertion_subsets(ins)}
-    d1, wit1 = _first_on_history(zip(all_histories(len(ins)), amps[ins.sites]), ZERO_TOL)
+    d1, wit1 = _first_on_history(zip(all_histories(len(ins)), amps[ins.sites]))
     if d1 != d2:
         raise EquivalenceViolation(f"histories says {d1}, weak values says {d2}")
 
@@ -181,9 +180,9 @@ def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
     null = True
     for trial in range(trials):
         for subset, subset_amps in amps.items():
-            hams = [_random_hermitian(rng, anc_dim) for _ in subset]
-            obs = _random_hermitian(rng, anc_dim)
-            state = rng.standard_normal(anc_dim) + 1j * rng.standard_normal(anc_dim)
+            hams = [_random_hermitian(rng, ANCILLA_DIM) for _ in subset]
+            obs = _random_hermitian(rng, ANCILLA_DIM)
+            state = rng.standard_normal(ANCILLA_DIM) + 1j * rng.standard_normal(ANCILLA_DIM)
             state = state / np.linalg.norm(state)
             resp = _ancilla_response(subset_amps, hams, obs, state, g)
             samples.append((f"trial={trial} subset={subset}", abs(resp)))

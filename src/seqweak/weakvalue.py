@@ -26,6 +26,11 @@ from .errors import (
 
 F_TOL = 1e-12
 HUGE_WEAK_VALUE = 1e6
+BRANCH_TOL = 1e-10  # a strong-measurement branch below this never occurs
+# `product_weak_value` reconstructs from <q1 q2> at this coupling, with a
+# Gaussian pointer of this width
+PRODUCT_G = 1e-3
+PRODUCT_SIGMA = 1.0
 
 
 def weak_values(c: Circuit, subsets) -> np.ndarray:
@@ -100,7 +105,7 @@ def check_marginal(c: Circuit, subset, drop: int) -> float:
     return abs(weak_value(with_identity, s) - weak_value(c, reduced))
 
 
-def check_strong_agreement(c: Circuit, tol: float = 1e-10) -> float | None:
+def check_strong_agreement(c: Circuit) -> float | None:
     """If strong measurements of all observables are deterministic under
     this pre/post-selection, return |wv(full) - a_1 a_2 ... a_n|; otherwise
     return None.
@@ -111,7 +116,7 @@ def check_strong_agreement(c: Circuit, tol: float = 1e-10) -> float | None:
     from .oracle import branch_decompose
 
     bs = branch_decompose(c)
-    surviving = [seq for seq, amp in bs.branches if abs(amp) > tol]
+    surviving = [seq for seq, amp in bs.branches if abs(amp) > BRANCH_TOL]
     if not surviving:
         return None
     first = surviving[0]
@@ -158,7 +163,7 @@ class ProductWeakValue:
     correlation_reconstruction: float  # 2<q1 q2>/g^2 - Re[(A1)_w conj((A2)_w)]
 
 
-def product_weak_value(c: Circuit, g: float = 1e-3, prof=None) -> ProductWeakValue:
+def product_weak_value(c: Circuit) -> ProductWeakValue:
     """Weak value of a product of two commuting observables at one time.
 
     The circuit must hold the two observables at consecutive boundaries with
@@ -178,10 +183,9 @@ def product_weak_value(c: Circuit, g: float = 1e-3, prof=None) -> ProductWeakVal
         raise NonCommuting("observables at one time must commute")
 
     w1, w2, value = weak_values(c, [(1,), (2,), (1, 2)]).tolist()
-    if prof is None:
-        prof = PointerProfile.gaussian(1.0)
-    q1q2 = predict_moment(c, MomentSpec.parse("q1*q2"), g, prof)
-    rec = 2.0 * q1q2 / g**2 - (w1 * np.conj(w2)).real
+    q1q2 = predict_moment(c, MomentSpec.parse("q1*q2"), PRODUCT_G,
+                          PointerProfile.gaussian(PRODUCT_SIGMA))
+    rec = 2.0 * q1q2 / PRODUCT_G**2 - (w1 * np.conj(w2)).real
     return ProductWeakValue(value=value, correlation_reconstruction=rec)
 
 

@@ -95,6 +95,12 @@ def test_gaussian_pointer_roundtrip():
     (("observe Z", "frobnicate Z"), "UnknownDirective"),
     (("observe Z", "observe Y\nproj 1\nobserve Z"),
      "DuplicateObserveAtBoundary"),
+    (("postselect", "unitary V\n1 0\n0 1\nobserve Z\nproj 1\npostselect"),
+     "DuplicateName"),
+    (("observe Z\n1+0i 0+0i\n0+0i -1+0i",
+      "observe A2\nproj 0\nunitary V\n1 0\n0 1\nobserve\nproj 1"), "DuplicateName"),
+    (("observe Z\n1+0i 0+0i\n0+0i -1+0i\npostselect 0+0i 1+0i",
+      "observe P\nproj 0\npostselect 0+0i 1+0i\ninsert P\ninsert P"), "DuplicateInsert"),
 ])
 def test_diagnostics(mutation, kind):
     old, new = mutation
@@ -102,6 +108,50 @@ def test_diagnostics(mutation, kind):
         parse(BASIC.replace(old, new))
     assert err.value.kind == kind
     assert err.value.line > 0
+
+
+def _sites_document(sites):
+    """BASIC with one more unitary per entry of ``sites``, each followed by
+    the given `observe` line (or by none), and an identity final evolution."""
+    body = "".join(f"unitary V{k}\n1 0\n0 1\n" + (f"{obs}\nproj 0\n" if obs else "")
+                   for k, obs in enumerate(sites, start=2))
+    return BASIC.replace("postselect", body + "unitary W\n1 0\n0 1\npostselect")
+
+
+def test_site_names():
+    # an unnamed observe and a site without one are both `A<site>`
+    doc = parse(_sites_document(["observe", None, "observe X4", "observe"]))
+    assert doc.site_names == ("Z", "A2", "A3", "X4", "A5")
+    assert doc.to_circuit().n == 5
+    assert parse(serialize(doc)).site_names == doc.site_names
+
+
+@pytest.mark.parametrize("sites, line", [
+    (["observe Z"], 13),              # the second observe Z
+    (["observe", "observe A2"], 18),  # site 2's default name, taken by site 3
+    (["observe A3", None], 15),       # site 3 has no observe: the unitary opening it
+])
+def test_duplicate_name_at_second_site(sites, line):
+    text = _sites_document(sites)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.kind == "DuplicateName"
+    assert err.value.line == line
+    assert text.splitlines()[line - 1].split()[0] in ("observe", "unitary")
+
+
+def test_repeated_insert_is_an_error_at_its_line():
+    text = BASIC.replace("observe Z\n1+0i 0+0i\n0+0i -1+0i", "observe P\nproj 0")
+    assert parse(text + "insert P\n").insertion_set().sites == (1,)
+    with pytest.raises(ParseError) as err:
+        parse(text + "insert P\ng 0.1\ninsert P\n")
+    assert err.value.kind == "DuplicateInsert"
+    assert err.value.line == len(text.splitlines()) + 3
+
+
+def test_to_circuit_is_built_once():
+    doc = load(builtin_document_path())
+    assert doc.to_circuit() is doc.to_circuit()
 
 
 def test_error_requires_dim_first():

@@ -249,6 +249,8 @@ def _shipped_with(tmp_path, name, edit):
     (["weakvalues", "{tmp}"], 2),
     (["weakvalues", "{binary}"], 2),
     (["simulate", "{missing_table}", "--moment", "q1"], 2),
+    (["weakvalues", "{dup_name}"], 2),
+    (["weakvalues", "{dup_insert}"], 2),
 ], ids=lambda v: " ".join(map(os.path.basename, v)) if isinstance(v, list) else None)
 def test_error_exit_code_matrix(tmp_path, capsys, argv, code):
     (tmp_path / "binary.wseq").write_bytes(bytes(range(128, 256)))
@@ -261,6 +263,10 @@ def test_error_exit_code_matrix(tmp_path, capsys, argv, code):
             "insert B\ninsert F\n", "")),
         "missing_table": _shipped_with(tmp_path, "missing_table.wseq",
                                        lambda s: s + "pointer tabulated missing.dat\n"),
+        "dup_name": _shipped_with(tmp_path, "dup_name.wseq", lambda s: s.replace(
+            "observe F", "observe B").replace("insert F\n", "")),
+        "dup_insert": _shipped_with(tmp_path, "dup_insert.wseq",
+                                    lambda s: s + "insert B\n"),
     }
     # main returns the code of every error it meets and never raises
     assert main([arg.format(**docs) for arg in argv]) == code
@@ -332,9 +338,8 @@ def _matrix_lines(m):
 
 
 def wide_document(path, n=10, d=2, seed=31):
-    """A seeded n-site document mixing named observes, unnamed ones (which
-    the parser names by their count, not their site) and sites without an
-    observe (labelled `A<site>`)."""
+    """A seeded n-site document mixing named observes, unnamed ones and
+    sites without an observe (both named `A<site>`)."""
     for attempt in range(100):
         rng = np.random.default_rng((seed, attempt))
         lines = ["wseq 1", f"dim {d}",
@@ -379,8 +384,63 @@ def test_weakvalues_output_matches_per_row_report(tmp_path, capsys, monkeypatch,
     assert out == reference_weakvalues(doc, max_order, machine, monkeypatch)
     if max_order is None:
         assert out.count("wv.(") == 2 * 2 ** 10
-        # site 6 has no observe; site 7's is unnamed, the parser's fifth
-        assert "wv.(A6,X5,X4).re" in out and "wv.(A5,X1).re" in out
+        # site 6 has no observe; site 7's is unnamed
+        assert "wv.(A6,X5,X4).re" in out and "wv.(A7,X1).re" in out
+
+
+def test_weakvalues_keys_are_unique(tmp_path, capsys):
+    # every site has one name, so no two subsets share a key
+    doc = wide_document(tmp_path / "wide.wseq")
+    assert main(["weakvalues", doc, "--machine"]) == 0
+    keys = [line.partition("\t")[0] for line in capsys.readouterr().out.splitlines()]
+    assert len(keys) == 4 + 2 * 2 ** 10
+    assert len(set(keys)) == len(keys)
+
+
+# every command on the built-in document, and the circuits it builds: the
+# parser's one, plus for `counterfactual` the circuit of on-projectors
+BUILTIN_COMMANDS = [
+    (["weakvalues", SHIPPED], 1),
+    (["simulate", SHIPPED, "--moment", "q1*q2", "--compare"], 1),
+    (["montecarlo", SHIPPED, "--runs", "300", "--seed", "1"], 1),
+    (["counterfactual", SHIPPED, "--seed", "1", "--trials", "2"], 2),
+    (["demo", "double-interferometer"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, builds", BUILTIN_COMMANDS,
+                         ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_commands_build_the_circuit_once(monkeypatch, capsys, argv, builds):
+    post_init = circuitmodel.Circuit.__post_init__
+    built = []
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(circuitmodel.Circuit, "__post_init__", counting_post_init)
+    assert main(argv) == 0
+    assert len(built) == builds
+
+
+def test_benchmark_tracer_runs_every_command(monkeypatch, capsys):
+    # the benchmark's span tracer wraps package functions and the methods it
+    # names; every command must still run under it, and every work-count
+    # hook must still read its function's arguments and result
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.spans import Tracer
+
+    tracer = Tracer()
+    for op, (argv, _) in enumerate(BUILTIN_COMMANDS):
+        tracer.begin_op(op)
+        try:
+            assert main(argv) == 0
+        finally:
+            tracer.end_op()
+    assert tracer.hook_errors == 0
+    traced = {tracer.names[i] for i in tracer.name_col}
+    assert {"circuitio.CircuitDocument.to_circuit", "circuitio.CircuitDocument.insertion_set",
+            "circuitmodel.Circuit.__post_init__", "cli.cmd_demo"} <= traced
 
 
 @pytest.mark.parametrize("machine", [True, False])
