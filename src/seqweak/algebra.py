@@ -54,11 +54,16 @@ class EigenSystem:
     """Spectral decomposition with degenerate eigenvalues merged.
 
     Projectors are Hermitian, idempotent, mutually orthogonal and sum to
-    the identity; eigenvalues are strictly increasing.
+    the identity; eigenvalues are strictly increasing.  ``vectors`` holds
+    the orthonormal eigenvectors as columns and ``labels[j]`` the merged
+    eigenvalue that column j belongs to, so that the columns labelled a
+    are contiguous and P_a = V_a V_a^dag.
     """
 
     eigenvalues: tuple[float, ...]
     projectors: tuple[np.ndarray, ...]
+    vectors: np.ndarray
+    labels: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         return sum(a * p for a, p in zip(self.eigenvalues, self.projectors))
@@ -84,4 +89,5 @@ def eig_hermitian(a) -> EigenSystem:
     blocks = [(vals[i:j], vecs[:, i:j]) for i, j in zip(cuts, cuts[1:]) if i < j]
     eigenvalues = [float(v.sum() / len(v)) for v, _ in blocks]
     projectors = [b @ b.conj().T for _, b in blocks]
-    return EigenSystem(tuple(eigenvalues), tuple(projectors))
+    labels = np.repeat(np.arange(len(blocks)), [len(v) for v, _ in blocks])
+    return EigenSystem(tuple(eigenvalues), tuple(projectors), vecs, labels)

@@ -14,6 +14,14 @@ binary search whose every probe gathers one basis row.  A Gaussian is read
 out on GRID_POINTS spanning RANGE_SIGMAS widths past its extreme shifts g a, a
 table on its own grid from the exact kernels' samples (`oracle._shifted_table`);
 the state update's `PointerProfile.eval` interpolates the unshifted table.
+
+A run carries U v as its d coordinates in the eigenbasis of the site's
+observable (`algebra.EigenSystem.vectors`), where each projector P_a keeps
+the coordinates labelled a.  Its k^2 mixture weights are then one real GEMM
+per site on the products of coordinate pairs, and the state update scales
+each coordinate by phi(q - g a) and takes one d x d GEMM into the next
+site's eigenbasis.  Post-selected runs go through all sites in blocks of
+RUN_BLOCK, so the per-run temporaries do not grow with the number of runs.
 """
 from __future__ import annotations
 
@@ -29,6 +37,7 @@ from .pointer import MomentSpec, PointerProfile, check_coupling
 
 GRID_POINTS = 4096
 RANGE_SIGMAS = 12.0
+RUN_BLOCK = 4096  # post-selected runs walked through every site together
 
 
 @dataclass(frozen=True)
@@ -91,6 +100,18 @@ def _invert_mixture_cdf(coef: np.ndarray, basis: np.ndarray, x: np.ndarray,
     return x[lo] + np.clip(frac, 0.0, 1.0) * dx
 
 
+def _pair_weights(f: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Real (2 d^2, k^2) matrix H with cols = z.view(float) @ H the Hermitian
+    columns of the pair weights w[(b,a)] = sum_{j in b, l in a} z_jl f_jl,
+    for the pair products z[r, (j,l)] = conj(c_rj) c_rl of eigenbasis
+    coordinates (complex, so each pair is a (real, imaginary) row pair)."""
+    block = labels[:, None] == np.arange(k)
+    w = np.einsum("jl,jb,la->jlba", f, block, block).reshape(len(f) ** 2, k * k)
+    # Re(z w) = Re z Re w + Im z Re(i w), column by Hermitian column
+    return np.stack([_hermitian_columns(w, k), _hermitian_columns(1j * w, k)],
+                    axis=1).reshape(2 * len(w), -1)
+
+
 def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
                 seed: int) -> RunBatch:
     """Simulate ``n_total`` runs with one pointer per measurement site.
@@ -107,7 +128,8 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
 
     sites = site_instruments(c)
     grids, bases, kernels = [], [], []
-    for _, eigs in sites:
+    for _, es in sites:
+        eigs = es.eigenvalues
         shifts = g * np.asarray(eigs)
         if prof.kind == "gaussian":
             x = np.linspace(prof.q_offset + shifts.min() - RANGE_SIGMAS * prof.sigma,
@@ -120,8 +142,10 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
         k, pairs = len(eigs), len(eigs) * (len(eigs) - 1) // 2
         # gm[(b,a), x] = conj(phi(x - g b)) phi(x - g a)
         gm = (np.conj(shifted)[:, None] * shifted[None]).reshape(k * k, len(x))
-        bases.append(_hermitian_columns(_cumulative(gm, x).T, k)
-                     * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs]))
+        # row-major, as every bisection probe gathers rows (`np.take` would
+        # copy a column-major basis whole on each probe)
+        bases.append(np.ascontiguousarray(_hermitian_columns(_cumulative(gm, x).T, k)
+                                          * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs])))
         # the grid's own overlaps, and the exact ones for the mass check
         kernels.append(np.stack([np.trapezoid(gm, x, axis=1).reshape(k, k),
                                  site_kernels(eigs, g, prof).s]))
@@ -137,22 +161,30 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
     rng = np.random.default_rng(seed)
     success = rng.random(n_total) < prob
     n_succ = int(np.sum(success))
+    uniforms = rng.random((c.n, n_succ))  # the same stream as one draw per site
+
+    # coordinates V_i^dag U_i v at site i; the weights <y_b|E|y_a> pair them
+    # against V_i^dag E V_i, and V_{i+1}^dag U_{i+1} V_i carries them on
+    vecs = [es.vectors for _, es in sites]
+    start = vecs[0].conj().T @ c.stages[0][0] @ c.psi_i
+    pair_weights = [_pair_weights(v.conj().T @ e[0] @ v, es.labels, len(es.eigenvalues))
+                    for v, (_, es), e in zip(vecs, sites, walk[1:])]
+    hops = [(v_next.conj().T @ u_next @ v).T
+            for v, v_next, (u_next, _) in zip(vecs, vecs[1:], c.stages[1:])]
 
     samples = np.empty((n_succ, c.n))
-    v = np.broadcast_to(c.psi_i, (n_succ, c.dim))
-    for i, ((pu, eigs), e) in enumerate(zip(sites, walk[1:])):
-        k, d = len(pu), c.dim
-        # w[r, (b,a)] = <y_b|E|y_a> with y_a = P_a U v_r, as v_r^dag M[b,a] v_r
-        # for M[b,a] = (P_b U)^dag E (P_a U)
-        m = pu.conj().swapaxes(1, 2)[:, None] @ e[0] @ pu[None]
-        w = np.einsum("rj,pjl,rl->rp", v.conj(), m.reshape(k * k, d, d), v)
-        xs = _invert_mixture_cdf(_hermitian_columns(w, k), bases[i], grids[i], rng.random(n_succ))
-        samples[:, i] = xs
-        if i < c.n - 1:
-            y = (v @ pu.reshape(k * d, d).T).reshape(n_succ, k, d)
-            phi = prof.eval(xs[:, None] - g * np.asarray(eigs))  # (runs, k)
-            v = np.einsum("ra,rad->rd", phi, y)
-            v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    for lo in range(0, n_succ, RUN_BLOCK):
+        runs = slice(lo, lo + RUN_BLOCK)
+        u = uniforms[:, runs]
+        coords = np.broadcast_to(start, (u.shape[1], c.dim))
+        for i, (_, es) in enumerate(sites):
+            z = (coords.conj()[:, :, None] * coords[:, None, :]).reshape(len(coords), -1)
+            xs = _invert_mixture_cdf(z.view(float) @ pair_weights[i], bases[i], grids[i], u[i])
+            samples[runs, i] = xs
+            if i < c.n - 1:
+                phi = prof.eval(xs[:, None] - g * np.asarray(es.eigenvalues))  # (runs, k)
+                coords = (phi[:, es.labels] * coords) @ hops[i]
+                coords /= np.linalg.norm(coords, axis=1, keepdims=True)
     return RunBatch(postselected=success, samples=samples)
 
 

@@ -124,13 +124,13 @@ def site_kernels(eigs, g: float, prof: PointerProfile) -> OverlapKernel:
     return tabulated_kernels(eigs, g, prof)
 
 
-def site_instruments(c: Circuit) -> list[tuple[np.ndarray, tuple[float, ...]]]:
-    """Per site, the stacked operators P_a U of shape (k, d, d) and the k
-    merged eigenvalues a they belong to."""
+def site_instruments(c: Circuit) -> list[tuple[np.ndarray, algebra.EigenSystem]]:
+    """Per site, the stacked operators P_a U of shape (k, d, d) and the
+    observable's `EigenSystem`, whose k merged eigenvalues a they belong to."""
     out = []
     for u, a in c.stages:
         es = algebra.eig_hermitian(a)
-        out.append((np.stack(es.projectors) @ u, es.eigenvalues))
+        out.append((np.stack(es.projectors) @ u, es))
     return out
 
 
@@ -169,8 +169,8 @@ def exact_moment(c: Circuit, spec: MomentSpec, g: float,
 
     sites = site_instruments(c)
     kernels = []
-    for i, (_, eigs) in enumerate(sites, start=1):
-        kern = site_kernels(eigs, g, prof)
+    for i, (_, es) in enumerate(sites, start=1):
+        kern = site_kernels(es.eigenvalues, g, prof)
         kernels.append(np.stack([kern.s, kern.pick(named.get(i))]))
     den, num = (effects(c, sites, kernels)[0] @ c.psi_i) @ c.psi_i.conj()
     _check_postselected_norm(den)

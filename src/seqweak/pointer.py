@@ -6,6 +6,7 @@ Momentum is p = -i d/dq with hbar = 1.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -77,10 +78,16 @@ class PointerProfile:
             s2 = self.sigma**2
             env = (2 * np.pi * s2) ** -0.25 * np.exp(-((q - self.q_offset) ** 2) / (4 * s2))
             return env * np.exp(1j * self.p_offset * q)
+        grid, real, imag = self._table
+        return (np.interp(q, grid, real, left=0.0, right=0.0)
+                + 1j * np.interp(q, grid, imag, left=0.0, right=0.0))
+
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Grid, real and imaginary samples of a table as arrays, built once
+        per profile rather than once per `eval`."""
         vals = np.asarray(self.values)
-        re = np.interp(q, self.grid, vals.real, left=0.0, right=0.0)
-        im = np.interp(q, self.grid, vals.imag, left=0.0, right=0.0)
-        return re + 1j * im
+        return self.grid, vals.real.copy(), vals.imag.copy()
 
 
 @dataclass(frozen=True)

@@ -66,3 +66,21 @@ def test_eig_hermitian_identity_is_single_branch():
 def test_eig_hermitian_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         algebra.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("spectrum", [None, [0.0, 0.0, 0.0, 1.0], [-0.8, 0.3, 0.3, 1.1],
+                                      [2.0, 2.0, 2.0, 2.0]])
+def test_eig_hermitian_eigenbasis_matches_projectors(rng, spectrum):
+    # the eigenvector columns labelled a span P_a, labels run contiguously
+    # from 0, and each column is an eigenvector of its merged eigenvalue
+    u = random_unitary(rng, 4)
+    h = random_hermitian(rng, 4) if spectrum is None else (u * spectrum) @ u.conj().T
+    es = algebra.eig_hermitian(h)
+    labels = np.asarray(es.labels)
+    assert labels[0] == 0 and np.all(np.diff(labels) >= 0) and np.all(np.diff(labels) <= 1)
+    assert labels[-1] == len(es.eigenvalues) - 1
+    assert np.allclose(es.vectors.conj().T @ es.vectors, np.eye(4), atol=1e-12)
+    for a, p in enumerate(es.projectors):
+        block = es.vectors[:, labels == a]
+        assert np.allclose(block @ block.conj().T, p, atol=1e-12)
+        assert np.allclose(h @ block, es.eigenvalues[a] * block, atol=1e-9)

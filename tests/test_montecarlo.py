@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from seqweak.circuitmodel import builtin_double_interferometer
+from seqweak import montecarlo
+from seqweak.circuitmodel import Circuit, builtin_double_interferometer
 from seqweak.errors import GridResolutionError, NoSuccessfulRuns
 from seqweak.montecarlo import (GRID_POINTS, RANGE_SIGMAS, RunBatch, _cumulative,
                                 _hermitian_columns, _invert_mixture_cdf,
                                 estimate_moment, sample_runs)
-from seqweak.oracle import _shifted_table, branch_decompose, exact_moment, site_kernels
+from seqweak.oracle import (_shifted_table, branch_decompose, effects, exact_moment,
+                            site_instruments, site_kernels)
 from seqweak.pointer import MomentSpec, PointerProfile
 
-from conftest import random_circuit
+from conftest import random_circuit, random_unitary
 
 
 def grid_pair_matrix(prof, eigs, g):
@@ -115,26 +119,149 @@ def joint_tensor_reference(c, g, prof, n_total, seed):
     return success, samples
 
 
+def per_run_vector_walk(c, g, prof, n_total, seed):
+    """Reference sampler: every run carries its system state v through every
+    site.  The weights <y_b|E|y_a>, y_a = P_a U v, come from one einsum
+    over the (k^2, d, d) operators (P_b U)^dag E (P_a U); a readout q sets
+    v to sum_a phi(q - g a) y_a over the (runs, k, d) stack y.  One site's
+    uniforms are drawn at a time.  Returns the post-selection flags and the
+    samples in the layout of `RunBatch`."""
+    sites = site_instruments(c)
+    grids, bases, kernels = [], [], []
+    for _, es in sites:
+        eigs = es.eigenvalues
+        k, pairs = len(eigs), len(eigs) * (len(eigs) - 1) // 2
+        x, gm = grid_pair_matrix(prof, eigs, g)
+        grids.append(x)
+        bases.append(_hermitian_columns(_cumulative(gm, x).T, k)
+                     * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs]))
+        kernels.append(np.stack([np.trapezoid(gm, x, axis=1).reshape(k, k),
+                                 site_kernels(eigs, g, prof).s]))
+    walk = effects(c, sites, kernels)
+    mass_exact = (walk[0][1] @ c.psi_i @ c.psi_i.conj()).real
+    rng = np.random.default_rng(seed)
+    success = rng.random(n_total) < mass_exact / float(np.vdot(c.psi_f, c.psi_f).real)
+    n_succ = int(np.sum(success))
+
+    samples = np.empty((n_succ, c.n))
+    v = np.broadcast_to(c.psi_i, (n_succ, c.dim))
+    for i, ((pu, es), e) in enumerate(zip(sites, walk[1:])):
+        k, d = len(pu), c.dim
+        m = pu.conj().swapaxes(1, 2)[:, None] @ e[0] @ pu[None]
+        w = np.einsum("rj,pjl,rl->rp", v.conj(), m.reshape(k * k, d, d), v)
+        xs = _invert_mixture_cdf(_hermitian_columns(w, k), bases[i], grids[i],
+                                 rng.random(n_succ))
+        samples[:, i] = xs
+        y = (v @ pu.reshape(k * d, d).T).reshape(n_succ, k, d)
+        phi = prof.eval(xs[:, None] - g * np.asarray(es.eigenvalues))
+        v = np.einsum("ra,rad->rd", phi, y)
+        v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return success, samples
+
+
 def _tabulated_gaussian(sigma=1.0, npts=16384, half_width=14.0):
     q = np.linspace(-half_width, half_width, npts)
     return PointerProfile.tabulated(q[0], q[1] - q[0], np.exp(-q**2 / (4 * sigma**2)))
 
 
+def _test_pointer(kind):
+    if kind == "gaussian":
+        return PointerProfile.gaussian(0.8, q_offset=0.3, p_offset=0.2)
+    return _tabulated_gaussian()
+
+
+def _test_circuit(seed, dim, n, observable):
+    """A seeded random circuit whose observables are random Hermitian
+    matrices, rank-1 projectors (blocks of sizes 1 and d - 1), or, at d = 4,
+    one twofold and two simple eigenvalues (blocks of sizes 1, 2, 1)."""
+    c = random_circuit(seed, dim=dim, n=n, projectors=observable == "projector")
+    if observable != "twofold":
+        return c
+    rng = np.random.default_rng(seed)
+    stages = []
+    for u, _ in c.stages:
+        basis = random_unitary(rng, dim)
+        stages.append((u, (basis * [-0.8, 0.3, 0.3, 1.1]) @ basis.conj().T))
+    return Circuit(c.psi_i, tuple(stages), c.u_final, c.psi_f)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim, observable", [
+    pytest.param(2, "hermitian", id="2"),
+    pytest.param(3, "hermitian", id="3"),
+    pytest.param(3, "projector", id="3-projector"),
+    pytest.param(4, "projector", id="4-projector"),
+    pytest.param(4, "twofold", id="4-twofold"),
+])
 @pytest.mark.parametrize("pointer", ["gaussian", "tabulated"])
-def test_sequential_sampler_matches_joint_tensor_reference(n, dim, pointer):
-    c = random_circuit(600 + 10 * n + dim, dim=dim, n=n)
-    if pointer == "gaussian":
-        prof = PointerProfile.gaussian(0.8, q_offset=0.3, p_offset=0.2)
-    else:
-        prof = _tabulated_gaussian()
+def test_sequential_sampler_matches_joint_tensor_reference(n, dim, observable, pointer):
+    c = _test_circuit(600 + 10 * n + dim, dim, n, observable)
+    prof = _test_pointer(pointer)
     g, seed = 0.4, 1000 + n * dim
     batch = sample_runs(c, g, prof, 3000, seed=seed)
     success, samples = joint_tensor_reference(c, g, prof, 3000, seed)
     assert np.array_equal(batch.postselected, success)
     assert batch.samples.shape == samples.shape == (int(success.sum()), n)
     assert np.max(np.abs(batch.samples - samples)) <= 1e-9
+
+
+@pytest.mark.parametrize("n, dim, observable", [
+    (4, 2, "hermitian"), (5, 3, "hermitian"), (6, 4, "hermitian"),
+    (5, 3, "projector"), (6, 4, "twofold"),
+])
+@pytest.mark.parametrize("pointer", ["gaussian", "tabulated"])
+def test_sequential_sampler_matches_per_run_vector_walk(n, dim, observable, pointer):
+    # the joint tensor stops at three sites; the per-run vector walk does not
+    c = _test_circuit(900 + 10 * n + dim, dim, n, observable)
+    prof = _test_pointer(pointer)
+    g, seed = 0.4, 2000 + n * dim
+    batch = sample_runs(c, g, prof, 4000, seed=seed)
+    success, samples = per_run_vector_walk(c, g, prof, 4000, seed)
+    assert np.array_equal(batch.postselected, success)
+    assert batch.samples.shape == samples.shape
+    assert len(samples) >= 100
+    assert np.max(np.abs(batch.samples - samples)) <= 1e-9
+
+
+def test_run_blocks_match_one_block(monkeypatch):
+    # run counts whose post-selected runs fill one block but one, one block,
+    # one run past it and two blocks plus three; and an empty batch
+    c, prof, g, seed = random_circuit(830, dim=3, n=3), PointerProfile.gaussian(1.0), 0.3, 9
+    b = montecarlo.RUN_BLOCK
+    _, prob = exact_moment(c, MomentSpec.parse("q1"), g, prof)
+    counts = np.cumsum(sample_runs(c, g, prof, int(1.5 * (2 * b + 3) / prob),
+                                   seed=seed).postselected)
+    for target in [1, b - 1, b, b + 1, 2 * b + 3]:
+        n_total = int(np.argmax(counts == target)) + 1
+        batch = sample_runs(c, g, prof, n_total, seed=seed)
+        assert len(batch.samples) == target
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "RUN_BLOCK", target + 1)
+            whole = sample_runs(c, g, prof, n_total, seed=seed)
+        assert np.array_equal(batch.postselected, whole.postselected)
+        assert np.max(np.abs(batch.samples - whole.samples)) <= 1e-12
+    empty = next(b for b in (sample_runs(c, g, prof, 1, seed=s) for s in range(20))
+                 if not b.postselected[0])
+    assert empty.samples.shape == (0, 3)
+    with pytest.raises(NoSuccessfulRuns):
+        estimate_moment(empty, MomentSpec.parse("q1*q3"))
+
+
+def test_sampler_memory_does_not_grow_with_runs():
+    # past the arrays that scale with the runs (the flags, the samples and
+    # the per-site uniforms, one float per sample), the traced peak of a
+    # 2e5-run batch may exceed that of a 2e4-run batch by at most 2 MB
+    c, prof = random_circuit(811, dim=3, n=3), PointerProfile.gaussian(1.0)
+    peaks, sizes = [], []
+    for runs in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            batch = sample_runs(c, 0.3, prof, runs, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(batch.postselected.nbytes + 2 * batch.samples.nbytes)
+    assert peaks[1] - peaks[0] <= sizes[1] - sizes[0] + 2 * 2**20
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
