@@ -23,33 +23,37 @@ class Report:
 
     def __init__(self, command: str, fingerprint: str, machine: bool):
         self.machine = machine
-        self.keys: list[str] = ["command", "fingerprint"]
-        self.values: list[str] = [command, fingerprint]
+        # chunks of rows: (keys, values, printf format of the values)
+        self.chunks: list[tuple] = [(["command", "fingerprint"], [command, fingerprint], "%s")]
 
     def add(self, key: str, value):
         if isinstance(value, (complex, float)):
             self.add_numbers([key], np.array([value]))
         else:
-            self.keys.append(key)
-            self.values.append(str(value))
+            self.chunks.append(([key], [str(value)], "%s"))
 
     def add_numbers(self, keys, values: np.ndarray):
         """One row per real entry of ``values``, two (`key.re`, `key.im`)
         per complex one, each formatted to 12 significant digits."""
         if np.iscomplexobj(values):
-            keys = [key + part for key in keys for part in (".re", ".im")]
+            keys = np.asarray(keys, dtype=object)
+            parts = np.empty((len(keys), 2), dtype=object)
+            parts[:, 0] = keys + ".re"
+            parts[:, 1] = keys + ".im"
+            keys = parts.ravel()
             values = np.ascontiguousarray(values, dtype=complex).view(float)
-        self.keys.extend(keys)
-        self.values += map("{:.12g}".format, values.tolist())
+        self.chunks.append((keys, values.tolist(), "%.12g"))
 
     def emit(self):
-        if self.machine:
-            keys, sep = self.keys, "\t"
-        else:
-            width = max(map(len, self.keys))
-            keys, sep = [key.ljust(width) for key in self.keys], "  "
-        sys.stdout.write("".join(itertools.chain.from_iterable(
-            zip(keys, itertools.repeat(sep), self.values, itertools.repeat("\n")))))
+        """Write every row with one printf-style format over all of them."""
+        keys = list(itertools.chain.from_iterable(k for k, _, _ in self.chunks))
+        args = [None] * (2 * len(keys))
+        args[0::2] = keys
+        args[1::2] = itertools.chain.from_iterable(v for _, v, _ in self.chunks)
+        key = "%s\t" if self.machine else f"%-{max(map(len, keys))}s  "
+        lines = {fmt: key + fmt + "\n" for fmt in ("%s", "%.12g")}
+        template = "".join([lines[fmt] * len(v) for _, v, fmt in self.chunks])
+        sys.stdout.write(template % tuple(args))
 
 
 def _file_fingerprint(path: str) -> str:
@@ -66,21 +70,23 @@ def _doc_g(doc, override) -> float:
     return doc.g if doc.g is not None else 1e-3
 
 
-class _SubsetLabels(dict):
-    """`name_r,...,name_1` for a subset (i_1 < ... < i_r) of the sites,
-    later sites first, from the document's site names.  A label extends
-    the memoised one of the subset without its last site, so each table
-    entry costs one concatenation."""
-
-    def __init__(self, site_names):
-        super().__init__({(): ""})
-        self.names = site_names
-
-    def __missing__(self, subset):
-        rest = self[subset[:-1]]
-        name = self.names[subset[-1] - 1]
-        label = self[subset] = name + "," + rest if rest else name
-        return label
+def _subset_labels(site_names, last, prefix, sizes) -> np.ndarray:
+    """`name_r,...,name_1` for each subset (i_1 < ... < i_r) of a list of
+    subsets in blocks of size r = 0, 1, ... (``sizes[r]`` of each), later
+    sites first, from the document's site names.  Subset h is its last
+    site ``last[h]`` after subset ``prefix[h]`` of the block before, so a
+    block's labels are one gather of the block before and one
+    concatenation each."""
+    last, prefix = np.asarray(last), np.asarray(prefix)
+    names = np.array(["", *site_names], dtype=object)
+    labels = names[last]  # right for sizes 0 and 1
+    joined = names + ","
+    lo = sum(sizes[:2])
+    for size in sizes[2:]:
+        block = slice(lo, lo + size)
+        labels[block] = joined[last[block]] + labels[prefix[block]]
+        lo += size
+    return labels
 
 
 def cmd_weakvalues(args) -> int:
@@ -90,9 +96,8 @@ def cmd_weakvalues(args) -> int:
     report = Report("weakvalues", _file_fingerprint(args.file), args.machine)
     table = weakvalue.weak_value_table(c, k)
     report.add("F", transition_amplitude(c))
-    labels = map(_SubsetLabels(doc.site_names).__getitem__, table.entries)
-    report.add_numbers(map("wv.({})".format, labels),
-                       np.fromiter(table.entries.values(), complex, len(table.entries)))
+    labels = _subset_labels(doc.site_names, table.last, table.prefix, table.sizes)
+    report.add_numbers("wv.(" + labels + ")", table.values)
     report.emit()
     return 0
 
@@ -164,7 +169,10 @@ def cmd_counterfactual(args) -> int:
     if cf.witness_history is not None:
         report.add("witness.history", cf.witness_history)
     if cf.witness_subset is not None:
-        label = _SubsetLabels(doc.site_names)[cf.witness_subset]
+        # the chain (), (i_1), (i_1, i_2), ..., one subset per block
+        subset = cf.witness_subset
+        label = _subset_labels(doc.site_names, [0, *subset], [0, *range(len(subset))],
+                              [1] * (len(subset) + 1))[-1]
         report.add("witness.subset", f"({label})")
         report.add("witness.weak_value", cf.witness_value)
     report.add("max_response", max(r for _, r in cf.def3_samples))

@@ -72,12 +72,14 @@ class PointerProfile:
         return abs(mu) <= 1e-9
 
     def eval(self, q) -> np.ndarray:
-        """phi evaluated at arbitrary positions (0 outside a tabulated grid)."""
+        """phi evaluated at arbitrary positions (0 outside a tabulated grid),
+        always complex; a Gaussian skips its phase exp(i p_offset q) when
+        p_offset is 0."""
         q = np.asarray(q, dtype=float)
         if self.kind == "gaussian":
             s2 = self.sigma**2
             env = (2 * np.pi * s2) ** -0.25 * np.exp(-((q - self.q_offset) ** 2) / (4 * s2))
-            return env * np.exp(1j * self.p_offset * q)
+            return env * np.exp(1j * self.p_offset * q) if self.p_offset else env + 0j
         grid, real, imag = self._table
         return (np.interp(q, grid, real, left=0.0, right=0.0)
                 + 1j * np.interp(q, grid, imag, left=0.0, right=0.0))

@@ -4,12 +4,23 @@ The stored weak value for a subset (i1 < ... < ir) of measurement sites is
 the sequential weak value with the later observables applied on the left,
 i.e. the operators appear in reverse time order inside the matrix element.
 `weak_values` computes any list of them in one `circuitmodel.amplitudes` walk.
+
+`weak_value_table` enumerates every subset of at most k sites as arrays, one
+size block r = 0..k at a time: each subset of block r - 1, in lexicographic
+order, is extended by each later site in turn, which keeps block r in
+lexicographic order.  An entry is a 0/1 history row, its last site and the
+index of its prefix (the entry without that site), so work and memory grow
+with the number of entries, sum_{r<=k} C(n, r), never with 2^n; the table
+refuses more than MAX_TABLE_ENTRIES of them.
 """
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import warnings
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +38,30 @@ from .errors import (
 F_TOL = 1e-12
 HUGE_WEAK_VALUE = 1e6
 BRANCH_TOL = 1e-10  # a strong-measurement branch below this never occurs
+MAX_TABLE_ENTRIES = 1 << 20  # the full table at n = 20
 # `product_weak_value` reconstructs from <q1 q2> at this coupling, with a
 # Gaussian pointer of this width
 PRODUCT_G = 1e-3
 PRODUCT_SIGMA = 1.0
+
+
+def _row_weak_values(c: Circuit, rows: np.ndarray) -> np.ndarray:
+    """Weak values of the 0/1 history ``rows`` over F, the amplitude of
+    row 0, which must be the empty history (its own value is 1)."""
+    amps = amplitudes(c, [np.array([u, a @ u]) for u, a in c.stages], rows)
+    f = amps[0]
+    if abs(f) <= F_TOL:
+        raise DegeneratePostSelection(f"|F| = {abs(f):.3e} <= {F_TOL}")
+    wv = amps / f
+    wv[0] = 1.0
+    biggest = np.abs(wv[1:]).max(initial=0.0)
+    if biggest > HUGE_WEAK_VALUE:
+        warnings.warn(
+            f"weak value of modulus {biggest:.3e} is huge; post-selection is nearly orthogonal",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return wv
 
 
 def weak_values(c: Circuit, subsets) -> np.ndarray:
@@ -41,46 +72,100 @@ def weak_values(c: Circuit, subsets) -> np.ndarray:
     rows = np.zeros((len(subsets) + 1, c.n), dtype=np.uint8)
     sites = np.fromiter(itertools.chain.from_iterable(subsets), np.intp, sum(sizes))
     rows[np.repeat(np.arange(1, len(rows)), sizes), sites - 1] = 1
-    amps = amplitudes(c, [np.array([u, a @ u]) for u, a in c.stages], rows)
-    f = amps[0]
-    if abs(f) <= F_TOL:
-        raise DegeneratePostSelection(f"|F| = {abs(f):.3e} <= {F_TOL}")
-    wv = amps[1:] / f
-    biggest = np.abs(wv).max(initial=0.0)
-    if biggest > HUGE_WEAK_VALUE:
-        warnings.warn(
-            f"weak value of modulus {biggest:.3e} is huge; post-selection is nearly orthogonal",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return wv
+    return _row_weak_values(c, rows)[1:]
 
 
 def weak_value(c: Circuit, subset) -> complex:
     return complex(weak_values(c, [valid_subset(subset, c.n)])[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeakValueTable:
-    entries: dict[tuple[int, ...], complex]
+    """Weak values of every subset of at most ``len(sizes) - 1`` sites, in
+    (size, lexicographic) order, ``sizes[r]`` = C(n, r) of each size r.
+
+    Entry h marks its sites in ``rows[h]`` (uint8, one column per site) and
+    has the weak value ``values[h]``; ``last[h]`` is its last site and
+    ``prefix[h]`` the entry of the same subset without that site.  Entry 0
+    is the empty subset, with value 1, last site 0 and itself as prefix.
+    """
+
+    rows: np.ndarray
+    values: np.ndarray
+    last: np.ndarray
+    prefix: np.ndarray
+    sizes: tuple[int, ...]
     circuit_fingerprint: str
+
+    @property
+    def entries(self) -> "TableEntries":
+        return TableEntries(self)
 
     def __getitem__(self, subset) -> complex:
         return self.entries[tuple(subset)]
 
 
+class TableEntries(Mapping):
+    """Read-only {subset tuple: weak value} view of a `WeakValueTable`, in
+    table order.  Its tuples are built only when it is iterated."""
+
+    def __init__(self, table: WeakValueTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table.values)
+
+    def __iter__(self):
+        # the sites of every row, row by row; block r holds r per row
+        sites = np.nonzero(self._table.rows)[1] + 1
+        lo = 0
+        for r, size in enumerate(self._table.sizes):
+            yield from map(tuple, sites[lo:lo + r * size].reshape(size, r).tolist())
+            lo += r * size
+
+    def __getitem__(self, subset) -> complex:
+        t = self._table
+        try:
+            s = [operator.index(i) for i in subset]
+        except TypeError:
+            raise KeyError(subset) from None
+        n, r = t.rows.shape[1], len(s)
+        if (r >= len(t.sizes) or any(a >= b for a, b in zip(s, s[1:]))
+                or (r and (s[0] < 1 or s[-1] > n))):
+            raise KeyError(subset)
+        # lexicographic rank within the block: C(n, r) - 1 - sum_j C(n - s_j, r - j)
+        rank = math.comb(n, r) - 1 - sum(math.comb(n - i, r - j) for j, i in enumerate(s))
+        return complex(t.values[sum(t.sizes[:r]) + rank])
+
+
 def weak_value_table(c: Circuit, max_order: int) -> WeakValueTable:
     """All sequential weak values for subsets of size <= max_order,
-    enumerated in (size, lexicographic) order."""
+    enumerated in (size, lexicographic) order, in one walk."""
     if max_order > c.n:
         raise InvalidInput(f"max_order {max_order} exceeds n = {c.n}")
     if max_order < 0:
         raise InvalidInput(f"max_order {max_order} is negative")
-    subsets = [s for r in range(1, max_order + 1)
-               for s in itertools.combinations(range(1, c.n + 1), r)]
-    entries: dict[tuple[int, ...], complex] = {(): 1.0 + 0.0j}
-    entries.update(zip(subsets, weak_values(c, subsets).tolist()))
-    return WeakValueTable(entries, c.fingerprint())
+    sizes = tuple(math.comb(c.n, r) for r in range(max_order + 1))
+    if sum(sizes) > MAX_TABLE_ENTRIES:
+        raise InvalidInput(f"a table of order {max_order} at n = {c.n} has {sum(sizes)} "
+                           f"entries, more than {MAX_TABLE_ENTRIES}")
+    rows = np.zeros((sum(sizes), c.n), dtype=np.uint8)
+    last = np.zeros(len(rows), dtype=np.intp)
+    prefix = np.zeros(len(rows), dtype=np.intp)
+    lo = 0  # block r - 1 is rows[lo:hi], block r starts at hi
+    for hi, size in zip(itertools.accumulate(sizes), sizes[1:]):
+        # entry p of block r - 1 extends by each site after last[p], in turn
+        counts = c.n - last[lo:hi]
+        parent = np.repeat(np.arange(lo, hi), counts)
+        first = np.cumsum(counts) - counts  # where each parent's run begins
+        block = slice(hi, hi + size)
+        prefix[block] = parent
+        last[block] = last[parent] + 1 + np.arange(size) - np.repeat(first, counts)
+        rows[block] = rows[parent]
+        rows[np.arange(hi, hi + size), last[block] - 1] = 1
+        lo = hi
+    return WeakValueTable(rows, _row_weak_values(c, rows), last, prefix, sizes,
+                          c.fingerprint())
 
 
 def check_linearity(c: Circuit, c_prime: Circuit, site: int) -> float:

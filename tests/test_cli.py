@@ -371,11 +371,19 @@ postselect 0+0i 1+0i
 """
 
 
-@pytest.mark.parametrize("machine", [True, False])
-@pytest.mark.parametrize("max_order", [0, 1, 3, None])
+# (max_order, machine, n, d): every order on the n = 10 document, and the
+# full and a middle order on a wider one
+PER_ROW_CASES = (
+    [pytest.param(k, machine, 10, 2, id=f"{k}-{machine}")
+     for k in (0, 1, 3, None) for machine in (False, True)]
+    + [pytest.param(k, machine, 12, 4, id=f"n12d4-{k}-{machine}")
+       for k in (5, None) for machine in (False, True)])
+
+
+@pytest.mark.parametrize("max_order, machine, n, d", PER_ROW_CASES)
 def test_weakvalues_output_matches_per_row_report(tmp_path, capsys, monkeypatch,
-                                                  max_order, machine):
-    doc = wide_document(tmp_path / "wide.wseq")
+                                                  max_order, machine, n, d):
+    doc = wide_document(tmp_path / "wide.wseq", n=n, d=d)
     argv = ["weakvalues", doc]
     argv += [] if max_order is None else ["--max-order", str(max_order)]
     argv += ["--machine"] if machine else []
@@ -383,9 +391,41 @@ def test_weakvalues_output_matches_per_row_report(tmp_path, capsys, monkeypatch,
     out = capsys.readouterr().out
     assert out == reference_weakvalues(doc, max_order, machine, monkeypatch)
     if max_order is None:
-        assert out.count("wv.(") == 2 * 2 ** 10
+        assert out.count("wv.(") == 2 * 2 ** n
         # site 6 has no observe; site 7's is unnamed
         assert "wv.(A6,X5,X4).re" in out and "wv.(A7,X1).re" in out
+
+
+def test_weakvalues_first_order_at_seventy_sites(tmp_path, capsys, monkeypatch):
+    doc = wide_document(tmp_path / "wide.wseq", n=70)
+    code, rows = machine(capsys, ["weakvalues", doc, "--max-order", "1"])
+    assert code == 0
+    c = circuitio.load(doc).to_circuit()
+    names = circuitio.load(doc).site_names
+    assert len(rows) == 4 + 2 * 71
+    for site in range(1, 71):
+        value = weakvalue.weak_value(c, (site,))
+        assert rows[f"wv.({names[site - 1]}).re"] == f"{value.real:.12g}"
+        assert rows[f"wv.({names[site - 1]}).im"] == f"{value.imag:.12g}"
+    assert main(["weakvalues", doc, "--max-order", "1", "--machine"]) == 0
+    assert capsys.readouterr().out == reference_weakvalues(doc, 1, True, monkeypatch)
+
+
+def test_weakvalues_low_order_of_many_sites(tmp_path, capsys):
+    # 821 entries of a table whose full order would have 2^40
+    doc = wide_document(tmp_path / "wide.wseq", n=40)
+    code, rows = machine(capsys, ["weakvalues", doc, "--max-order", "2"])
+    assert code == 0
+    assert len(rows) == 4 + 2 * (1 + 40 + 780)
+
+
+def test_weakvalues_refuses_an_oversized_table(tmp_path, capsys):
+    # the 2^24 entries are counted, not allocated: exit 2 with the count
+    doc = wide_document(tmp_path / "wide.wseq", n=24)
+    assert main(["weakvalues", doc]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "16777216 entries" in captured.err
 
 
 def test_weakvalues_keys_are_unique(tmp_path, capsys):

@@ -83,6 +83,19 @@ def test_profile_normalization_and_eval():
     assert prof.eval(q[0] - 1.0) == 0.0
 
 
+def test_gaussian_eval_with_and_without_momentum_offset():
+    q = np.linspace(-6.0, 6.0, 241)
+    s2 = 0.7 ** 2
+    env = (2 * np.pi * s2) ** -0.25 * np.exp(-((q - 0.3) ** 2) / (4 * s2))
+    # without an offset the phase is skipped, and the values are the same
+    # complex numbers as the envelope times exp(0j)
+    phi = PointerProfile.gaussian(0.7, q_offset=0.3).eval(q)
+    assert phi.dtype == complex
+    assert np.array_equal(phi, env * np.exp(1j * 0.0 * q))
+    boosted = PointerProfile.gaussian(0.7, q_offset=0.3, p_offset=1.5).eval(q)
+    assert np.allclose(boosted, env * np.exp(1.5j * q), rtol=0, atol=1e-15)
+
+
 def test_grid_too_coarse():
     # a modulation near the decimated grid's aliasing limit makes the
     # half-resolution self-estimate disagree with the full one

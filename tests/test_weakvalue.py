@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 from seqweak.circuitmodel import (P_B, P_C, P_E, P_F, Circuit,
                                   builtin_double_interferometer,
                                   transition_amplitude)
-from seqweak.errors import DegeneratePostSelection, NonCommuting
+from seqweak.errors import DegeneratePostSelection, InvalidInput, NonCommuting
 from seqweak.weakvalue import (check_linearity, check_marginal,
                                check_strong_agreement, path_amplitude_identity,
-                               product_weak_value, ratio_rule_check, weak_value,
-                               weak_value_table)
+                               MAX_TABLE_ENTRIES, product_weak_value,
+                               ratio_rule_check, weak_value, weak_value_table)
 
 from conftest import (random_circuit, random_hermitian, random_projector,
                       random_state, random_unitary)
@@ -122,6 +123,49 @@ def test_table_enumeration_order(rng):
         (), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
     assert table[(1, 2)] == table.entries[(1, 2)]
     assert table.circuit_fingerprint == c.fingerprint()
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_table_blocks_follow_combinations_order(n):
+    # the size blocks are built from arrays, yet list every subset exactly
+    # as itertools.combinations does, size by size
+    c = random_circuit(500 + n, dim=2, n=n)
+    for max_order in range(n + 1):
+        table = weak_value_table(c, max_order)
+        expected = [s for r in range(max_order + 1)
+                    for s in itertools.combinations(range(1, n + 1), r)]
+        assert list(table.entries) == expected
+        assert len(table.entries) == len(expected) == len(table.values)
+        # a lookup by subset finds the entry at its position in the table
+        assert list(table.entries.values()) == table.values.tolist()
+        for h, subset in enumerate(expected):
+            assert [s - 1 for s in subset] == np.flatnonzero(table.rows[h]).tolist()
+            assert table.last[h] == (subset[-1] if subset else 0)
+            assert expected[table.prefix[h]] == subset[:-1]
+
+
+def test_table_entries_miss_like_a_dict():
+    c = random_circuit(9, dim=2, n=4)
+    entries = weak_value_table(c, 2).entries
+    for missing in [(1, 2, 3), (0,), (5,), (2, 1), (1, 1), (1.5,), 3, "ab"]:
+        assert missing not in entries
+        with pytest.raises(KeyError):
+            entries[missing]
+    assert entries[()] == 1.0
+    assert entries.get((5,)) is None
+    with pytest.raises(TypeError):
+        entries[(1,)] = 0.0
+
+
+def test_table_refuses_more_entries_than_the_limit():
+    c = random_circuit(21, dim=2, n=21)
+    # 2^21 entries at full order; order 10, with exactly the limit's 2^20,
+    # is the highest one allowed
+    assert sum(comb(21, r) for r in range(11)) == MAX_TABLE_ENTRIES
+    with pytest.raises(InvalidInput, match="2097152 entries"):
+        weak_value_table(c, 21)
+    with pytest.raises(InvalidInput, match="entries, more than"):
+        weak_value_table(c, 11)
 
 
 def test_table_max_order_truncates(rng):
