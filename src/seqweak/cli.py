@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="exact pointer moment, optionally vs prediction")
     p.add_argument("file")
     p.add_argument("--g", type=float, default=None)
-    p.add_argument("--moment", required=True, help="e.g. q1*q2, p1*p2, q1*p2")
+    p.add_argument("--moment", required=True,
+                   help="any product of q<site>/p<site> readouts, e.g. q1*q2, p1*q2")
     p.add_argument("--compare", action="store_true")
     p.add_argument("--machine", action="store_true")
 

@@ -1,7 +1,7 @@
 """Exception types shared across the package.  Each class carries the CLI
 exit code it ends in (``exit_code``): 2 for bad input, 3 for a vanishing
-post-selection, 4 for a moment without a closed-form prediction.
-`seqweak.cli.main` is the one place that turns an error into its code."""
+post-selection.  `seqweak.cli.main` is the one place that turns an error
+into its code."""
 
 
 class SeqWeakError(Exception):
@@ -39,12 +39,6 @@ class NonCommuting(SeqWeakError):
 
 class BasisIncomplete(SeqWeakError):
     pass
-
-
-class UnsupportedCombination(SeqWeakError):
-    """No closed-form prediction exists for the requested moment."""
-
-    exit_code = 4
 
 
 class AssumptionAViolated(SeqWeakError):

@@ -3,6 +3,14 @@
 Gaussian convention: phi(q) = (2 pi sigma^2)^(-1/4) exp(-(q - q0)^2 / (4 sigma^2))
 times a momentum-offset phase, so Var(q) = sigma^2 and Var(p) = 1/(4 sigma^2).
 Momentum is p = -i d/dq with hbar = 1.
+
+Leading order: each weakly coupled pointer is phi(q) - g A phi'(q).  A single
+position readout has mean mu + g (Re A_w + y Im A_w) for any profile.  Every
+other product of q/p readouts at the sites S needs Assumption A (a real
+zero-mean phi, so each <phi|O|phi> vanishes) and is the g^m term
+    (-g)^m Re sum_{I subset S} (A_I)_w conj((A_{S-I})_w)
+        prod_{i in I} t_i prod_{i not in I} conj(t_i),
+with t = <phi|O|phi'> = -1/2 for q and i v for p (v the momentum variance).
 """
 from __future__ import annotations
 
@@ -14,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuitmodel import Circuit, valid_subset
-from .errors import (AssumptionAViolated, GridTooCoarse, InvalidInput,
-                     UnsupportedCombination)
+from .errors import AssumptionAViolated, GridTooCoarse, InvalidInput
 from .weakvalue import weak_values
 
 
@@ -164,12 +171,6 @@ class MomentSpec:
         return "*".join(f"{k}{s}" for s, k in self.factors)
 
 
-def parity_part(spec: MomentSpec) -> str:
-    """'real' for an even number of p factors, 'imag' for an odd number."""
-    n_p = sum(1 for _, k in spec.factors if k == "p")
-    return "real" if n_p % 2 == 0 else "imag"
-
-
 def ordered_index_partitions(m: int):
     """Ordered pairs (i, j) of complementary increasing index tuples of
     {1..m} with len(i) >= len(j), ties kept only when 1 is in i."""
@@ -199,49 +200,24 @@ def check_coupling(g: float):
 
 def predict_moment(c: Circuit, spec: MomentSpec, g: float, prof: PointerProfile) -> float:
     """Leading-order prediction for the product of pointer readouts named by
-    ``spec``, one weakly coupled pointer per listed site."""
+    ``spec``, one weakly coupled pointer per listed site, by the rule in the
+    module docstring."""
     check_coupling(g)
     sites = [s for s, _ in spec.factors]
     kinds = [k for _, k in spec.factors]
     valid_subset(sites, c.n)
-    m = len(spec.factors)
-
-    def weak_value_map() -> dict[tuple[int, ...], complex]:
-        # keyed by positions into spec.factors (1-based); empty tuple -> 1
-        keys = [p for r in range(1, m + 1)
-                for p in itertools.combinations(range(1, m + 1), r)]
-        values = weak_values(c, [tuple(sites[i - 1] for i in p) for p in keys])
-        return {(): 1.0 + 0.0j, **dict(zip(keys, values.tolist()))}
-
-    if all(k == "q" for k in kinds):
-        if m == 1:
-            mom = moments(prof)
-            w = weak_value_map()[(1,)]
-            return mom.mu + g * (w.real + mom.y * w.imag)
-        _require_assumption_a(prof)
-        wv = weak_value_map()
-        total = sum(wv[i] * np.conj(wv[j]) for i, j in ordered_index_partitions(m))
-        return g**m / 2 ** (m - 1) * float(np.real(total))
-
-    if all(k == "p" for k in kinds):
-        _require_assumption_a(prof)
-        v = moments(prof).v
-        wv = weak_value_map()
-        total = sum((-1) ** len(i) * wv[i] * np.conj(wv[j])
-                    for i, j in ordered_index_partitions(m))
-        half = m // 2
-        if m % 2 == 0:
-            return 2 * (-1) ** half * (g * v) ** m * float(np.real(total))
-        return 2 * (-1) ** (half + 1) * (g * v) ** m * float(np.imag(total))
-
-    if kinds == ["q", "p"]:
-        # expanding phi(q1 - g A1) and the p2 phase factor to second order
-        # gives + g^2 v Im[...]; the sign is pinned by the exact simulator
-        _require_assumption_a(prof)
-        v = moments(prof).v
-        wv = weak_value_map()
-        val = wv[(1, 2)] + np.conj(wv[(1,)]) * wv[(2,)]
-        return g**2 * v * float(np.imag(val))
-
-    raise UnsupportedCombination(
-        f"no closed-form prediction for {spec}; use the exact oracle instead")
+    if kinds == ["q"]:
+        mom = moments(prof)
+        w = complex(weak_values(c, [tuple(sites)])[0])
+        return mom.mu + g * (w.real + mom.y * w.imag)
+    _require_assumption_a(prof)
+    # a table's moments cost a quadrature, so only a p factor asks for v
+    v = moments(prof).v if "p" in kinds else 0.0
+    t = np.array([1j * v if k == "p" else -0.5 for k in kinds])
+    m = len(sites)
+    # subset I of the listed sites <-> bit mask; S - I is the reversed index
+    inside = (np.arange(2**m)[:, None] >> np.arange(m)) & 1 == 1
+    wv = np.append(1.0, weak_values(c, [tuple(itertools.compress(sites, row))
+                                        for row in inside[1:].tolist()]))
+    coef = np.where(inside, t, t.conj()).prod(axis=1)
+    return (-g) ** m * float((wv * wv[::-1].conj() @ coef).real)

@@ -51,9 +51,19 @@ def test_simulate_compare(capsys):
     assert float(rows["postselect_prob"]) == pytest.approx(0.5, abs=1e-6)
 
 
-def test_simulate_unsupported_combination_exit_code(capsys):
-    code = main(["simulate", SHIPPED, "--moment", "p1*q2", "--compare"])
-    assert code == 4
+def test_simulate_compare_momentum_then_position(tmp_path, capsys):
+    # p1*q2 has a leading-order prediction like every q/p product; on the
+    # built-in document it and the exact value are both 0, so use a random one
+    doc = wide_document(tmp_path / "wide.wseq", n=3, d=3)
+    discs = []
+    for g in ("0.01", "0.005"):
+        code, rows = machine(capsys, ["simulate", doc, "--moment", "p1*q2",
+                                      "--g", g, "--compare"])
+        assert code == 0
+        assert float(rows["prediction"]) != 0.0
+        assert float(rows["rel_discrepancy"]) < 0.05
+        discs.append(float(rows["abs_discrepancy"]))
+    assert discs[1] <= discs[0] / 1.9
 
 
 def test_simulate_bad_moment_exit_code(capsys):
@@ -238,7 +248,8 @@ def _shipped_with(tmp_path, name, edit):
     (["simulate", "{f0}", "--moment", "q1*q2", "--g", "0", "--compare"], 3),
     (["montecarlo", "{f0}", "--runs", "100", "--seed", "1", "--g", "0"], 3),
     (["montecarlo", "{f0}", "--runs", "100", "--seed", "1", "--g", "1e-9"], 3),
-    (["simulate", SHIPPED, "--moment", "p1*q2", "--compare"], 4),
+    # Assumption A: a product other than one position needs a centred pointer
+    (["simulate", "{offset}", "--moment", "p1*q2", "--compare"], 2),
     (["simulate", SHIPPED, "--moment", "z9"], 2),
     (["simulate", SHIPPED, "--moment", "q2*q1"], 2),
     (["montecarlo", SHIPPED, "--runs", "100", "--seed", "1", "--moment", "q2*q1"], 2),
@@ -267,6 +278,8 @@ def test_error_exit_code_matrix(tmp_path, capsys, argv, code):
             "observe F", "observe B").replace("insert F\n", "")),
         "dup_insert": _shipped_with(tmp_path, "dup_insert.wseq",
                                     lambda s: s + "insert B\n"),
+        "offset": _shipped_with(tmp_path, "offset.wseq", lambda s: s.replace(
+            "pointer gaussian sigma=1", "pointer gaussian sigma=1 qoffset=0.3")),
     }
     # main returns the code of every error it meets and never raises
     assert main([arg.format(**docs) for arg in argv]) == code

@@ -1,15 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from seqweak.circuitmodel import builtin_double_interferometer
-from seqweak.errors import (AssumptionAViolated, GridTooCoarse,
-                            UnsupportedCombination)
+from seqweak.errors import AssumptionAViolated, GridTooCoarse
 from seqweak.pointer import (MomentSpec, PointerProfile, moments,
-                             ordered_index_partitions, parity_part,
-                             predict_moment)
+                             ordered_index_partitions, predict_moment)
 from seqweak.weakvalue import weak_value
 
 from conftest import random_circuit
+from test_acceptance import converges
 
 
 def sampled_gaussian(sigma=1.0, q_offset=0.0, beta=0.0, npts=2048, span=12.0):
@@ -96,22 +97,37 @@ def test_gaussian_eval_with_and_without_momentum_offset():
     assert np.allclose(boosted, env * np.exp(1.5j * q), rtol=0, atol=1e-15)
 
 
-def test_grid_too_coarse():
+def coarse_profile():
     # a modulation near the decimated grid's aliasing limit makes the
     # half-resolution self-estimate disagree with the full one
     q = np.linspace(-12, 12, 256)
     phi = np.exp(-q**2 / 4) * (1 + 0.5 * np.cos(25 * q)) + 1e-12
-    prof = PointerProfile.tabulated(q[0], q[1] - q[0], phi)
+    return PointerProfile.tabulated(q[0], q[1] - q[0], phi)
+
+
+def test_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
-        moments(prof)
+        moments(coarse_profile())
+
+
+def test_position_products_do_not_need_profile_moments():
+    # only a single position readout (mu, y) or a p factor (v) needs the
+    # profile's moments, so a q-only product works on a grid too coarse
+    # for them
+    c = random_circuit(41, n=2)
+    prof = coarse_profile()
+    assert prof.is_assumption_a
+    val = predict_moment(c, MomentSpec.parse("q1*q2"), 1e-3, prof)
+    assert np.isfinite(val) and val != 0.0
+    for spec in ("q1", "p1", "q1*p2"):
+        with pytest.raises(GridTooCoarse):
+            predict_moment(c, MomentSpec.parse(spec), 1e-3, prof)
 
 
 def test_moment_spec_parse_and_str():
     spec = MomentSpec.parse("q1*p3")
     assert spec.factors == ((1, "q"), (3, "p"))
     assert str(spec) == "q1*p3"
-    assert parity_part(spec) == "imag"
-    assert parity_part(MomentSpec.parse("p1*p2")) == "real"
     for bad in ("", "x1", "q1*q1", "q2*q1", "q"):
         with pytest.raises(ValueError):
             MomentSpec.parse(bad)
@@ -203,8 +219,99 @@ def test_mixed_position_momentum(rng):
     assert val == pytest.approx(expected, rel=1e-12)
 
 
-def test_unsupported_combination(rng):
+def test_momentum_then_position():
+    # <p1 q2> = g^2 v Im[(A2,A1)_w + (A1)_w conj((A2)_w)]
     c = random_circuit(29, n=2)
-    with pytest.raises(UnsupportedCombination):
-        predict_moment(c, MomentSpec.parse("p1*q2"), 1e-3,
-                       PointerProfile.gaussian(1.0))
+    g, sigma = 1e-3, 0.8
+    v = 1 / (4 * sigma**2)
+    w1, w2 = weak_value(c, (1,)), weak_value(c, (2,))
+    w12 = weak_value(c, (1, 2))
+    expected = g**2 * v * (w12 + w1 * np.conj(w2)).imag
+    val = predict_moment(c, MomentSpec.parse("p1*q2"), g,
+                         PointerProfile.gaussian(sigma))
+    assert val == pytest.approx(expected, rel=1e-12)
+
+
+def three_family_prediction(c, spec, g, prof):
+    """The earlier `predict_moment` for m >= 2 or a p factor, kept as a
+    reference: separate closed forms for all-q, all-p and a single q.p pair,
+    nothing else."""
+    sites = [s for s, _ in spec.factors]
+    kinds = [k for _, k in spec.factors]
+    m = len(spec.factors)
+
+    def weak_value_map():
+        # keyed by positions into spec.factors (1-based); empty tuple -> 1
+        keys = [p for r in range(1, m + 1)
+                for p in itertools.combinations(range(1, m + 1), r)]
+        wv = {p: weak_value(c, tuple(sites[i - 1] for i in p)) for p in keys}
+        return {(): 1.0 + 0.0j, **wv}
+
+    if all(k == "q" for k in kinds):
+        wv = weak_value_map()
+        total = sum(wv[i] * np.conj(wv[j]) for i, j in ordered_index_partitions(m))
+        return g**m / 2 ** (m - 1) * float(np.real(total))
+    if all(k == "p" for k in kinds):
+        v = moments(prof).v
+        wv = weak_value_map()
+        total = sum((-1) ** len(i) * wv[i] * np.conj(wv[j])
+                    for i, j in ordered_index_partitions(m))
+        half = m // 2
+        if m % 2 == 0:
+            return 2 * (-1) ** half * (g * v) ** m * float(np.real(total))
+        return 2 * (-1) ** (half + 1) * (g * v) ** m * float(np.imag(total))
+    assert kinds == ["q", "p"]
+    v = moments(prof).v
+    wv = weak_value_map()
+    val = wv[(1, 2)] + np.conj(wv[(1,)]) * wv[(2,)]
+    return g**2 * v * float(np.imag(val))
+
+
+def real_centred_table():
+    """A real, even, non-Gaussian tabulated profile (Assumption A holds)."""
+    q = np.linspace(-12, 12, 2048)
+    return PointerProfile.tabulated(q[0], q[1] - q[0], (1 + q**2) * np.exp(-q**2 / 2))
+
+
+def three_family_specs(n, rng):
+    """Every kind of spec the three closed forms cover on n sites: all-q of
+    2..n sites and all-p of 1..n sites (first sites and a random subset),
+    and q.p on adjacent and, for n >= 3, non-adjacent sites."""
+    specs = []
+    for m in range(1, n + 1):
+        for sites in (range(1, m + 1), sorted(rng.choice(n, m, replace=False) + 1)):
+            for kind in ("q", "p") if m > 1 else ("p",):
+                specs.append("*".join(f"{kind}{s}" for s in sites))
+    if n >= 2:
+        specs.append("q1*p2")
+    if n >= 3:
+        specs += [f"q1*p{n}", f"q2*p{n}"]
+    return specs
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "table"])
+def test_subset_sum_matches_three_closed_forms(profile):
+    prof = PointerProfile.gaussian(0.7) if profile == "gaussian" else real_centred_table()
+    assert prof.is_assumption_a
+    rng = np.random.default_rng(7)
+    checked = set()
+    for seed in range(12):
+        for n in range(1, 6):
+            c = random_circuit(seed + 100 * n, n=n)
+            for text in three_family_specs(n, rng):
+                spec = MomentSpec.parse(text)
+                ref = three_family_prediction(c, spec, 1e-2, prof)
+                assert predict_moment(c, spec, 1e-2, prof) == pytest.approx(
+                    ref, rel=1e-12), (seed, n, text)
+                checked.add(text)
+    assert {"q1*q2*q3*q4*q5", "p1*p2*p3*p4*p5", "p1", "q1*p2", "q1*p5"} <= checked
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "table"])
+@pytest.mark.parametrize("text", ["p1*q2", "q2*p4", "q1*p2*q3", "p1*q2*p3",
+                                  "q1*p2*q3*p4", "p1*p2*q3*q4"])
+def test_mixed_products_converge_to_oracle(text, profile):
+    prof = PointerProfile.gaussian(0.8) if profile == "gaussian" else real_centred_table()
+    for seed in range(3):
+        c = random_circuit(seed + 700, n=4)
+        assert converges(c, text, 1e-2, prof), (seed, text)
