@@ -353,10 +353,33 @@ def _read_text(path: str | Path) -> str:
                          getattr(exc, "strerror", None) or str(exc)) from None
 
 
-def load_tabulated_profile(path: str | Path) -> PointerProfile:
-    """Profile from rows of `q re(phi) im(phi)` with uniform spacing."""
+_COMMENT = re.compile(r"#[^\n]*")
+
+
+def _table_at_once(text: str) -> np.ndarray | None:
+    """The (rows, 3) finite cells of a profile text from one split of the
+    whole text, or None where the row loop must judge (and report) it.  The
+    text must break lines only at "\n" and, with its comments cut and its
+    ends stripped, be rows of three cells joined by single spaces."""
+    if not text.isascii() or any(ch in text for ch in "\r\v\f\x1c\x1d\x1e"):
+        return None
+    body = _COMMENT.sub("", text).strip()
+    cells = body.split()
+    rows = zip(*[iter(cells)] * 3)
+    if len(cells) % 3 or "\n".join(map(" ".join, rows)) != body:
+        return None
+    try:
+        table = np.array(cells, dtype=float).reshape(-1, 3)
+    except ValueError:
+        return None
+    return table if np.isfinite(table).all() else None
+
+
+def _table_by_rows(text: str) -> np.ndarray:
+    """The (rows, 3) cells of a profile text, one line at a time; raises the
+    `ParseError` of the first malformed line."""
     rows, linenos = [], []
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
@@ -375,6 +398,15 @@ def load_tabulated_profile(path: str | Path) -> PointerProfile:
         bad = int(np.argmin(finite))
         raise ParseError("BadNumber", linenos[bad], " ".join(rows[bad]),
                          "profile cells must be finite numbers")
+    return table
+
+
+def load_tabulated_profile(path: str | Path) -> PointerProfile:
+    """Profile from rows of `q re(phi) im(phi)` with uniform spacing."""
+    text = _read_text(path)
+    table = _table_at_once(text)
+    if table is None:
+        table = _table_by_rows(text)
     q = table[:, 0]
     steps = np.diff(q)
     if len(q) < 2 or np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):

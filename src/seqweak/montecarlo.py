@@ -9,11 +9,16 @@ post-selection.  A position readout then leaves the system in the pure state
 sum_a phi(q_i - g a) y_a.  Momentum readouts are not sampled (a single run
 reads out either q or p).  Each conditional CDF is a mixture over eigenvalue
 pairs (b, a), Hermitian in (b, a), so a real sum of k^2 antiderivatives that
-are precomputed once per site as a (grid, k^2) basis; a run is inverted by a
-binary search whose every probe gathers one basis row.  A Gaussian is read
-out on GRID_POINTS spanning RANGE_SIGMAS widths past its extreme shifts g a, a
-table on its own grid from the exact kernels' samples (`oracle._shifted_table`);
-the state update's `PointerProfile.eval` interpolates the unshifted table.
+are precomputed once per site as a (grid, k^2) basis.  A run's readout is
+inverted by guess and check: the mean and standard deviation of its density
+(from the basis columns' moments) and the pointer's standardized quantile at
+its uniform give a start cell, whose two ends are two gathered basis rows; a
+miss takes secant steps, and only the few runs still unbracketed fall back to
+a binary search whose every probe gathers one row.  A Gaussian is read out on
+GRID_POINTS spanning RANGE_SIGMAS widths past its extreme shifts g a, a table
+on its own grid from the exact kernels' samples (`oracle._shifted_table`),
+whose rows also give the site's exact S kernel; the state update's
+`PointerProfile.eval` interpolates the unshifted table.
 
 A run carries U v as its d coordinates in the eigenbasis of the site's
 observable (`algebra.EigenSystem.vectors`), where each projector P_a keeps
@@ -31,13 +36,14 @@ import numpy as np
 
 from .circuitmodel import Circuit, valid_subset
 from .errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
-from .oracle import (_check_postselected_norm, _shifted_table, effects, site_instruments,
-                     site_kernels)
+from .oracle import (_check_postselected_norm, _shifted_table, effects, gaussian_kernels,
+                     site_instruments)
 from .pointer import MomentSpec, PointerProfile, check_coupling
 
 GRID_POINTS = 4096
 RANGE_SIGMAS = 12.0
 RUN_BLOCK = 4096  # post-selected runs walked through every site together
+QUANTILES = 4096  # entries of the pointer's quantile table that guesses cells
 
 
 @dataclass(frozen=True)
@@ -76,28 +82,89 @@ def _hermitian_columns(z: np.ndarray, k: int) -> np.ndarray:
 
 
 def _invert_mixture_cdf(coef: np.ndarray, basis: np.ndarray, x: np.ndarray,
-                        u: np.ndarray) -> np.ndarray:
+                        u: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     """Per-run inverse CDF for cdf_r(x) = sum_j coef[r, j] basis[x, j].
 
-    Finds the largest grid index with cdf_r < u_r * cdf_r(x[-1]) by setting
-    its bits from the highest down, each probe one gathered basis row per
-    run, then interpolates linearly to the next grid point.
+    Finds the grid cell lo of each run with cdf_r(x[lo]) < t_r <=
+    cdf_r(x[lo + 1]), t_r = u_r * cdf_r(x[-1]) (the first cell needs no lower
+    and the last no upper bound), then interpolates linearly to the next grid
+    point.  A run first tries the cell ``start`` guesses and up to four secant
+    steps through its last cell's ends, two gathered basis rows each; runs
+    still unbracketed set the bits of lo from the highest down, one gathered
+    row per probe.  On a CDF nondecreasing on the grid only one cell brackets
+    t_r, so ``start`` changes the cost but never the answer.
     """
-    def value_at(idx):
-        return np.einsum("rj,rj->r", coef, np.take(basis, idx, axis=0, mode="clip"))
+    def value_at(cf, idx):
+        return np.einsum("rj,rj->r", cf, np.take(basis, idx, axis=0, mode="clip"))
 
+    last = len(x) - 1
     target = u * (coef @ basis[-1])
-    lo = np.zeros(len(u), dtype=np.int64)
-    step = 1 << ((len(x) - 1).bit_length() - 1)
-    while step:
-        lo += step * (value_at(lo + step) < target)
-        step >>= 1
-    c_lo = value_at(lo)
-    c_hi = value_at(lo + 1)
+    lo = np.empty(len(u), dtype=np.int64)
+    c_lo, c_hi = np.empty(len(u)), np.empty(len(u))
+    runs, cf, t = np.arange(len(u)), coef, target
+    for _ in range(5 if start is not None else 0):
+        cell = np.minimum(np.maximum(start, 0), last)
+        below, above = value_at(cf, cell), value_at(cf, cell + 1)
+        lo[runs], c_lo[runs], c_hi[runs] = cell, below, above
+        miss = np.flatnonzero(((cell > 0) & (below >= t)) | ((cell < last) & (above < t)))
+        if not len(miss):
+            break
+        runs, cf, t = runs[miss], cf[miss], t[miss]
+        # the secant through the cell's two ends; a flat cell stays put
+        below, slope = below[miss], above[miss] - below[miss]
+        move = (t - below) / np.where(slope > 0, slope, np.inf)
+        start = np.minimum(np.maximum(cell[miss] + move, 0), last).astype(np.int64)
+    else:  # no start, or runs the guess and its secant steps left unbracketed
+        cell = np.zeros(len(runs), dtype=np.int64)
+        step = 1 << (last.bit_length() - 1)
+        while step:
+            cell += step * (value_at(cf, cell + step) < t)
+            step >>= 1
+        cell = np.minimum(cell, last)
+        lo[runs], c_lo[runs], c_hi[runs] = cell, value_at(cf, cell), value_at(cf, cell + 1)
     frac = np.where(c_hi > c_lo,
                     (target - c_lo) / np.maximum(c_hi - c_lo, 1e-300), 0.0)
     dx = x[1] - x[0]
     return x[lo] + np.clip(frac, 0.0, 1.0) * dx
+
+
+def _pointer_quantiles(prof: PointerProfile) -> np.ndarray:
+    """Standardized quantiles (q - mean) / sd of the unshifted pointer
+    density |phi|^2, at the probabilities (i + 1/2) / QUANTILES."""
+    if prof.kind == "gaussian":
+        z = np.linspace(-RANGE_SIGMAS, RANGE_SIGMAS, GRID_POINTS)
+        dens = np.exp(-z**2 / 2)
+    else:
+        q, re, im = prof._table
+        dens = re**2 + im**2
+        mean = np.sum(q * dens) / np.sum(dens)
+        z = (q - mean) / np.sqrt(np.sum((q - mean) ** 2 * dens) / np.sum(dens))
+    cdf = _cumulative(dens[None], z)[0]
+    return np.interp((np.arange(QUANTILES) + 0.5) / QUANTILES, cdf / cdf[-1], z)
+
+
+def _basis_moments(basis: np.ndarray) -> np.ndarray:
+    """(k^2, 3) zeroth to second moments, in grid-index units s, of the
+    densities whose trapezoid antiderivatives C are the basis columns, by
+    parts: int s^m rho = s_end^m C(s_end) - m int s^(m-1) C."""
+    s = np.arange(len(basis), dtype=float)
+    wts = np.ones(len(basis))
+    wts[[0, -1]] = 0.5
+    ints = np.stack([wts, wts * s]) @ basis
+    end = basis[-1]
+    return np.stack([end, s[-1] * end - ints[0], s[-1] ** 2 * end - 2 * ints[1]], axis=1)
+
+
+def _start_cells(coef: np.ndarray, moments: np.ndarray, quantiles: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """Each run's guessed grid cell for `_invert_mixture_cdf` (which clips it
+    to the grid): the mean of its density plus its standard deviation times
+    the pointer's standardized quantile at u, from the `_basis_moments` of
+    its grid."""
+    m0, m1, m2 = (coef @ moments).T
+    mean = m1 / m0
+    sd = np.sqrt(np.maximum(m2 / m0 - mean**2, 0.0))
+    return (mean + sd * quantiles[(u * len(quantiles)).astype(np.intp)]).astype(np.int64)
 
 
 def _pair_weights(f: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -127,7 +194,7 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
         raise InvalidInput("circuit has no measurement sites")
 
     sites = site_instruments(c)
-    grids, bases, kernels = [], [], []
+    grids, bases, moments, kernels = [], [], [], []
     for _, es in sites:
         eigs = es.eigenvalues
         shifts = g * np.asarray(eigs)
@@ -136,19 +203,22 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
                             prof.q_offset + shifts.max() + RANGE_SIGMAS * prof.sigma,
                             GRID_POINTS)
             shifted = prof.eval(x - shifts[:, None])
+            s_exact = gaussian_kernels(eigs, g, prof.sigma, prof.q_offset, prof.p_offset).s
         else:
+            # S as `tabulated_kernels` takes it, from the same shifted rows
             x, (shifted, _) = prof.grid, _shifted_table(prof, shifts)
+            s_exact = (prof.grid_step * np.conj(shifted)) @ shifted.T
         grids.append(x)
         k, pairs = len(eigs), len(eigs) * (len(eigs) - 1) // 2
         # gm[(b,a), x] = conj(phi(x - g b)) phi(x - g a)
         gm = (np.conj(shifted)[:, None] * shifted[None]).reshape(k * k, len(x))
-        # row-major, as every bisection probe gathers rows (`np.take` would
-        # copy a column-major basis whole on each probe)
+        # row-major, as every probe gathers rows (`np.take` would copy a
+        # column-major basis whole on each probe)
         bases.append(np.ascontiguousarray(_hermitian_columns(_cumulative(gm, x).T, k)
                                           * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs])))
+        moments.append(_basis_moments(bases[-1]))
         # the grid's own overlaps, and the exact ones for the mass check
-        kernels.append(np.stack([np.trapezoid(gm, x, axis=1).reshape(k, k),
-                                 site_kernels(eigs, g, prof).s]))
+        kernels.append(np.stack([np.trapezoid(gm, x, axis=1).reshape(k, k), s_exact]))
     walk = effects(c, sites, kernels)
 
     mass_num, mass_exact = (walk[0] @ c.psi_i @ c.psi_i.conj()).real
@@ -172,6 +242,7 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
     hops = [(v_next.conj().T @ u_next @ v).T
             for v, v_next, (u_next, _) in zip(vecs, vecs[1:], c.stages[1:])]
 
+    quantiles = _pointer_quantiles(prof)
     samples = np.empty((n_succ, c.n))
     for lo in range(0, n_succ, RUN_BLOCK):
         runs = slice(lo, lo + RUN_BLOCK)
@@ -179,7 +250,9 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
         coords = np.broadcast_to(start, (u.shape[1], c.dim))
         for i, (_, es) in enumerate(sites):
             z = (coords.conj()[:, :, None] * coords[:, None, :]).reshape(len(coords), -1)
-            xs = _invert_mixture_cdf(z.view(float) @ pair_weights[i], bases[i], grids[i], u[i])
+            coef = z.view(float) @ pair_weights[i]
+            guess = _start_cells(coef, moments[i], quantiles, u[i])
+            xs = _invert_mixture_cdf(coef, bases[i], grids[i], u[i], guess)
             samples[runs, i] = xs
             if i < c.n - 1:
                 phi = prof.eval(xs[:, None] - g * np.asarray(es.eigenvalues))  # (runs, k)

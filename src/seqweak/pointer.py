@@ -67,15 +67,16 @@ class PointerProfile:
     def grid(self) -> np.ndarray:
         return self.grid_min + self.grid_step * np.arange(len(self.values))
 
-    @property
+    @functools.cached_property
     def is_assumption_a(self) -> bool:
+        """A real zero-mean phi (Assumption A), judged once per profile."""
         if self.kind == "gaussian":
             return self.q_offset == 0.0 and self.p_offset == 0.0
-        vals = np.asarray(self.values)
-        if np.max(np.abs(vals.imag)) > 1e-9 * np.max(np.abs(vals)):
+        q, re, im = self._table
+        dens = re**2 + im**2
+        if np.max(np.abs(im)) > 1e-9 * np.sqrt(np.max(dens)):
             return False
-        q = self.grid
-        mu = self.grid_step * float(np.sum(q * np.abs(vals) ** 2))
+        mu = self.grid_step * float(np.sum(q * dens))
         return abs(mu) <= 1e-9
 
     def eval(self, q) -> np.ndarray:

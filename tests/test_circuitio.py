@@ -9,6 +9,7 @@ from seqweak.circuitio import (CircuitDocument, ParseError, builtin_document_pat
                                parse_complex, serialize)
 from seqweak.circuitmodel import builtin_double_interferometer
 from seqweak.errors import InvalidInput
+from seqweak.pointer import PointerProfile
 
 BASIC = """\
 wseq 1
@@ -281,6 +282,49 @@ def test_fuzz_mutated_builtin_document(data):
         if action != "line":
             lines[i] = " ".join(tokens)
     _fuzz_outcome("\n".join(lines) + "\n")
+
+
+def _profile_text(cells, sep=" ", header=False, comment=False, blank=False):
+    """Rows `q re im` of a decaying table whose cells are spelled ``cells(i)``,
+    optionally under a header comment, with a comment after a row, or with a
+    blank line."""
+    rows = [sep.join(cells(i)) for i in range(300)]
+    if header:
+        rows.insert(0, "# q re im")
+    if comment:
+        rows[150] += "  # mid"
+    if blank:
+        rows.insert(100, "")
+    return "\n".join(rows) + "\n"
+
+
+_SPELLINGS = {
+    "repr": lambda i: (f"{-12 + 0.08 * i:.17g}", f"{np.exp(-(-12 + 0.08 * i) ** 2 / 4):.17g}",
+                       "0"),
+    "plus": lambda i: (f"{-12 + 0.08 * i:+.6f}", f"+{np.exp(-(-12 + 0.08 * i) ** 2 / 4):.6e}",
+                       "+0"),
+    "short": lambda i: (f"{-12 + 0.08 * i:.4f}", ".5" if 140 <= i < 160 else "0", "1e-3"
+                        if 140 <= i < 160 else "-0"),
+    "underscore": lambda i: (f"{-12 + 0.08 * i:.4f}", "1_0" if i == 150 else "0", "0"),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(_SPELLINGS))
+@pytest.mark.parametrize("layout", [{}, {"header": True}, {"sep": "\t"}, {"comment": True},
+                                    {"blank": True}])
+def test_profile_read_at_once_equals_row_loop(tmp_path, spelling, layout):
+    text = _profile_text(_SPELLINGS[spelling], **layout)
+    rows = circuitio._table_by_rows(text)
+    at_once = circuitio._table_at_once(text)
+    if set(layout) <= {"header"}:  # single-spaced rows are read at once
+        assert at_once is not None
+    if at_once is not None:
+        assert np.array_equal(at_once, rows) and np.array_equal(np.signbit(at_once),
+                                                                np.signbit(rows))
+    (tmp_path / "p.dat").write_text(text)
+    prof = circuitio.load_tabulated_profile(tmp_path / "p.dat")
+    assert prof == PointerProfile.tabulated(rows[0, 0], rows[1, 0] - rows[0, 0],
+                                            rows[:, 1] + 1j * rows[:, 2])
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from seqweak import montecarlo
+from seqweak import montecarlo, oracle
 from seqweak.circuitmodel import Circuit, builtin_double_interferometer
 from seqweak.errors import GridResolutionError, NoSuccessfulRuns
-from seqweak.montecarlo import (GRID_POINTS, RANGE_SIGMAS, RunBatch, _cumulative,
-                                _hermitian_columns, _invert_mixture_cdf,
-                                estimate_moment, sample_runs)
+from seqweak.montecarlo import (GRID_POINTS, RANGE_SIGMAS, RunBatch, _basis_moments,
+                                _cumulative, _hermitian_columns, _invert_mixture_cdf,
+                                _pointer_quantiles, _start_cells, estimate_moment,
+                                sample_runs)
 from seqweak.oracle import (_shifted_table, branch_decompose, effects, exact_moment,
                             site_instruments, site_kernels)
 from seqweak.pointer import MomentSpec, PointerProfile
@@ -58,6 +59,28 @@ def bisection_reference(w, cdf_basis, x, u):
         hi = np.where(below, hi, mid)
     c_lo = value_at(lo)
     c_hi = value_at(hi)
+    frac = np.where(c_hi > c_lo,
+                    (target - c_lo) / np.maximum(c_hi - c_lo, 1e-300), 0.0)
+    dx = x[1] - x[0]
+    return x[lo] + np.clip(frac, 0.0, 1.0) * dx
+
+
+def bit_bisection(coef, basis, x, u, start=None):
+    """Reference row-gather inverse for cdf_r(x) = sum_j coef[r, j] basis[x, j],
+    the sampler's inversion before cells were guessed: every run sets the bits
+    of its grid index from the highest down, one gathered basis row per probe,
+    then interpolates linearly to the next grid point.  ``start`` is ignored."""
+    def value_at(idx):
+        return np.einsum("rj,rj->r", coef, np.take(basis, idx, axis=0, mode="clip"))
+
+    target = u * (coef @ basis[-1])
+    lo = np.zeros(len(u), dtype=np.int64)
+    step = 1 << ((len(x) - 1).bit_length() - 1)
+    while step:
+        lo += step * (value_at(lo + step) < target)
+        step >>= 1
+    c_lo = value_at(lo)
+    c_hi = value_at(lo + 1)
     frac = np.where(c_hi > c_lo,
                     (target - c_lo) / np.maximum(c_hi - c_lo, 1e-300), 0.0)
     dx = x[1] - x[0]
@@ -294,6 +317,90 @@ def test_row_gather_inversion_matches_bisection_reference(k):
     for r in range(2):
         hit = np.interp(got[r], x, ref[:, r])
         assert abs(hit - u_edge[r] * ref[-1, r]) <= 1e-13 * ref[-1, r]
+
+
+def _mixture_case(k, g, seed, runs=4000):
+    """A Gaussian pointer's (grid, k^2) CDF basis at the shifts g a of k
+    random eigenvalues a, and random PSD pair weights as Hermitian columns,
+    so every run's density is a nonnegative mixture."""
+    rng = np.random.default_rng(seed)
+    eigs = np.sort(rng.normal(size=k))
+    prof = PointerProfile.gaussian(0.9, q_offset=0.2, p_offset=-0.3)
+    x, gm = grid_pair_matrix(prof, eigs, g)
+    a = rng.normal(size=(runs, k, 2)) + 1j * rng.normal(size=(runs, k, 2))
+    w = np.einsum("rbm,ram->rba", a.conj(), a).reshape(runs, k * k)
+    pairs = k * (k - 1) // 2
+    basis = np.ascontiguousarray(_hermitian_columns(_cumulative(gm, x).T, k)
+                                 * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs]))
+    return prof, x, basis, _hermitian_columns(w, k), rng.random(runs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_start_cell_changes_cost_not_answer(k):
+    prof, x, basis, coef, u = _mixture_case(k, 0.7, 70 + k)
+    u[:3] = [0.0, 1 - 1e-6, 1 - 1e-7]
+    ref = bit_bisection(coef, basis, x, u)
+    garbage = np.random.default_rng(k).integers(-10 * len(x), 10 * len(x), len(u))
+    guess = _start_cells(coef, _basis_moments(basis), _pointer_quantiles(prof), u)
+    for start in (None, np.zeros(len(u), dtype=np.int64), np.full(len(u), len(x) - 2),
+                  garbage, guess):
+        assert np.array_equal(_invert_mixture_cdf(coef, basis, x, u, start), ref)
+
+
+def test_bimodal_density_falls_back_to_bisection(monkeypatch):
+    # at g = 3 the shifted copies of the pointer barely overlap, so the
+    # moment-matched guess lands in the trough between the modes, where the
+    # secant steps stall; the leftover runs take the full bisection
+    prof, x, basis, coef, u = _mixture_case(2, 3.0, 7)
+    guess = _start_cells(coef, _basis_moments(basis), _pointer_quantiles(prof), u)
+
+    def cdf_at(cell):
+        return np.einsum("rj,rj->r", coef, np.take(basis, cell, axis=0, mode="clip"))
+
+    cell, target = np.clip(guess, 0, len(x) - 1), u * (coef @ basis[-1])
+    assert np.mean((cdf_at(cell) < target) & (target <= cdf_at(cell + 1))) < 0.9
+    probes, take = [], np.take
+    monkeypatch.setattr(montecarlo.np, "take", lambda a, idx, **kw: probes.append(len(idx))
+                        or take(a, idx, **kw))
+    got = _invert_mixture_cdf(coef, basis, x, u, guess)
+    monkeypatch.undo()
+    assert len(probes) > 10  # the guess and four secant steps gather 2 rows each
+    assert np.array_equal(got, bit_bisection(coef, basis, x, u))
+
+
+@pytest.mark.parametrize("pointer, g, dim, observable", [
+    ("gaussian", 0.1, 2, "hermitian"), ("gaussian", 0.1, 3, "projector"),
+    ("gaussian", 1.0, 3, "hermitian"), ("gaussian", 1.0, 4, "twofold"),
+    ("gaussian", 3.0, 2, "hermitian"), ("gaussian", 3.0, 4, "hermitian"),
+    ("tabulated", 0.4, 2, "hermitian"), ("tabulated", 0.4, 4, "twofold"),
+    ("tabulated", 2.5, 3, "projector"),
+])
+def test_guessed_cells_sample_like_pure_bisection(monkeypatch, pointer, g, dim, observable):
+    c = _test_circuit(1300 + 10 * dim + int(10 * g), dim, 3, observable)
+    prof, seed = _test_pointer(pointer), int(100 * g) + dim
+    batch = sample_runs(c, g, prof, 6000, seed=seed)
+    monkeypatch.setattr(montecarlo, "_invert_mixture_cdf", bit_bisection)
+    ref = sample_runs(c, g, prof, 6000, seed=seed)
+    assert np.array_equal(batch.postselected, ref.postselected)
+    assert np.array_equal(batch.samples, ref.samples)
+
+
+def test_one_shifted_table_pass_per_site(monkeypatch):
+    # the exact S kernels come from the sampler's own shifted rows
+    calls = []
+
+    def counted(prof, shifts):
+        calls.append(len(shifts))
+        return _shifted_table(prof, shifts)
+
+    c, prof, g = random_circuit(61, dim=3, n=3), _tabulated_gaussian(npts=4096), 0.3
+    success, samples = per_run_vector_walk(c, g, prof, 3000, seed=4)
+    monkeypatch.setattr(montecarlo, "_shifted_table", counted)
+    monkeypatch.setattr(oracle, "_shifted_table", counted)
+    batch = sample_runs(c, g, prof, 3000, seed=4)
+    assert len(calls) == c.n
+    assert np.array_equal(batch.postselected, success)
+    assert np.max(np.abs(batch.samples - samples)) <= 1e-9
 
 
 def test_determinism_given_seed():

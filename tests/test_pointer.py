@@ -54,6 +54,21 @@ def test_assumption_a_detection():
     assert not sampled_gaussian(q_offset=0.3).is_assumption_a
 
 
+def test_assumption_a_verdicts_from_the_cached_table():
+    def from_values(prof):  # the verdict rebuilt from the tuple of samples
+        vals = np.asarray(prof.values)
+        if np.max(np.abs(vals.imag)) > 1e-9 * np.max(np.abs(vals)):
+            return False
+        return abs(prof.grid_step * float(np.sum(prof.grid * np.abs(vals) ** 2))) <= 1e-9
+
+    assert PointerProfile.gaussian(0.7).is_assumption_a
+    assert not PointerProfile.gaussian(0.7, q_offset=0.2, p_offset=-0.1).is_assumption_a
+    for prof, verdict in [(sampled_gaussian(), True), (sampled_gaussian(beta=0.2), False),
+                          (sampled_gaussian(q_offset=0.3), False)]:
+        assert prof.is_assumption_a is verdict is from_values(prof)
+        assert prof.is_assumption_a is verdict  # judged once, then cached
+
+
 def test_tabulated_profile_validation():
     with pytest.raises(ValueError, match="256"):
         PointerProfile.tabulated(0.0, 0.1, np.ones(100))
