@@ -33,10 +33,16 @@ def as_vector(v) -> np.ndarray:
     return v
 
 
-def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
+def unitary_deviation(m) -> float:
+    """Largest entry of |m^dag m - 1|; entries past the float range read inf
+    (or nan) without a warning."""
     m = as_operator(m)
-    dev = m.conj().T @ m - np.eye(m.shape[0])
-    return bool(np.max(np.abs(dev)) <= tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+
+
+def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
+    return unitary_deviation(m) <= tol
 
 
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:

@@ -227,8 +227,8 @@ def parse(text: str, base_dir: str | Path | None = None) -> CircuitDocument:
             d = need_dim(lineno, head)
             name = rest[0] if rest else f"U{len(boundaries) + 1}"
             m = _parse_matrix(lines, d, name)
-            if not algebra.is_unitary(m, 1e-9):
-                dev = float(np.max(np.abs(m.conj().T @ m - np.eye(d))))
+            dev = algebra.unitary_deviation(m)
+            if not dev <= 1e-9:
                 raise ParseError("NonUnitary", lineno, name,
                                  f"max deviation {dev:.3e}")
             stanzas.append(UnitaryStanza(name, m))

@@ -139,9 +139,9 @@ def cmd_montecarlo(args) -> int:
     report.add("moment", str(spec))
     pointer.check_coupling(g)
     montecarlo.check_position_moment(spec, c.n)
-    batch = montecarlo.sample_runs(c, g, prof, args.runs, args.seed)
+    batch = montecarlo.sample_runs(c, g, prof, args.runs, args.seed, spec)
     est = montecarlo.estimate_moment(batch, spec)
-    exact, prob = oracle.exact_moment(c, spec, g, prof)
+    exact, prob = batch.exact
     report.add("mean", est.mean)
     report.add("stderr", est.stderr)
     report.add("n_success", est.n_success)

@@ -22,11 +22,19 @@ whose rows also give the site's exact S kernel; the state update's
 
 A run carries U v as its d coordinates in the eigenbasis of the site's
 observable (`algebra.EigenSystem.vectors`), where each projector P_a keeps
-the coordinates labelled a.  Its k^2 mixture weights are then one real GEMM
-per site on the products of coordinate pairs, and the state update scales
-each coordinate by phi(q - g a) and takes one d x d GEMM into the next
-site's eigenbasis.  Post-selected runs go through all sites in blocks of
-RUN_BLOCK, so the per-run temporaries do not grow with the number of runs.
+the coordinates labelled a.  Every run enters site 1 in the same state, so
+site 1's k^2 basis is contracted once into one CDF column that all runs
+invert against.  At a later site a run's k^2 mixture weights are one real
+GEMM on the Hermitian half of its pair products conj(c_j) c_l, j <= l, as
+the weights are Hermitian in (j, l).  The state update scales each
+coordinate by phi(q - g a) times 1/sqrt(sum_j |c_j|^2), read off the
+diagonal pair products (the mixture weights do not depend on a run's
+scale, which only keeps the coordinates bounded), and takes one d x d GEMM
+into the next site's eigenbasis.  Post-selected runs go through all sites
+in blocks of RUN_BLOCK, so the per-run temporaries do not grow with the
+number of runs.  The backward walk also carries the numerator kernels of
+a position moment, if one is given, so that its exact value comes from the
+same walk.
 """
 from __future__ import annotations
 
@@ -36,24 +44,26 @@ import numpy as np
 
 from .circuitmodel import Circuit, valid_subset
 from .errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
-from .oracle import (_check_postselected_norm, _shifted_table, effects, gaussian_kernels,
-                     site_instruments)
+from .oracle import (_postselected_moment, _shifted_table, _table_kernels, effects,
+                     gaussian_kernels, site_instruments)
 from .pointer import MomentSpec, PointerProfile, check_coupling
 
 GRID_POINTS = 4096
 RANGE_SIGMAS = 12.0
 RUN_BLOCK = 4096  # post-selected runs walked through every site together
-QUANTILES = 4096  # entries of the pointer's quantile table that guesses cells
 
 
 @dataclass(frozen=True)
 class RunBatch:
     """Outcome of a batch: ``postselected`` flags every run (bool[N]);
     ``samples`` holds one row of position readouts per post-selected run,
-    in run order (float[n_success, n_sites])."""
+    in run order (float[n_success, n_sites]); ``exact`` is the exact value
+    and post-selection probability (`oracle.exact_moment`) of the moment
+    given to `sample_runs`, if one was."""
 
     postselected: np.ndarray
     samples: np.ndarray
+    exact: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -128,21 +138,6 @@ def _invert_mixture_cdf(coef: np.ndarray, basis: np.ndarray, x: np.ndarray,
     return x[lo] + np.clip(frac, 0.0, 1.0) * dx
 
 
-def _pointer_quantiles(prof: PointerProfile) -> np.ndarray:
-    """Standardized quantiles (q - mean) / sd of the unshifted pointer
-    density |phi|^2, at the probabilities (i + 1/2) / QUANTILES."""
-    if prof.kind == "gaussian":
-        z = np.linspace(-RANGE_SIGMAS, RANGE_SIGMAS, GRID_POINTS)
-        dens = np.exp(-z**2 / 2)
-    else:
-        q, re, im = prof._table
-        dens = re**2 + im**2
-        mean = np.sum(q * dens) / np.sum(dens)
-        z = (q - mean) / np.sqrt(np.sum((q - mean) ** 2 * dens) / np.sum(dens))
-    cdf = _cumulative(dens[None], z)[0]
-    return np.interp((np.arange(QUANTILES) + 0.5) / QUANTILES, cdf / cdf[-1], z)
-
-
 def _basis_moments(basis: np.ndarray) -> np.ndarray:
     """(k^2, 3) zeroth to second moments, in grid-index units s, of the
     densities whose trapezoid antiderivatives C are the basis columns, by
@@ -168,34 +163,47 @@ def _start_cells(coef: np.ndarray, moments: np.ndarray, quantiles: np.ndarray,
 
 
 def _pair_weights(f: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Real (2 d^2, k^2) matrix H with cols = z.view(float) @ H the Hermitian
-    columns of the pair weights w[(b,a)] = sum_{j in b, l in a} z_jl f_jl,
-    for the pair products z[r, (j,l)] = conj(c_rj) c_rl of eigenbasis
-    coordinates (complex, so each pair is a (real, imaginary) row pair)."""
+    """Real (d (d + 1), k^2) matrix H with cols = z.view(float) @ H the
+    Hermitian columns of the pair weights w[(b,a)] = sum_{j in b, l in a}
+    z_jl f_jl, for the Hermitian half z[r, (j,l)] = conj(c_rj) c_rl, j <= l
+    (`np.triu_indices` order), of the pair products of eigenbasis
+    coordinates c (complex, so each pair is a (real, imaginary) row pair).
+    As z_lj = conj(z_jl), the row pair of j < l folds in that of (l, j):
+    the real row as a sum, the imaginary row as a difference."""
+    d = len(f)
     block = labels[:, None] == np.arange(k)
-    w = np.einsum("jl,jb,la->jlba", f, block, block).reshape(len(f) ** 2, k * k)
+    w = np.einsum("jl,jb,la->jlba", f, block, block).reshape(d * d, k * k)
     # Re(z w) = Re z Re w + Im z Re(i w), column by Hermitian column
-    return np.stack([_hermitian_columns(w, k), _hermitian_columns(1j * w, k)],
-                    axis=1).reshape(2 * len(w), -1)
+    full = np.stack([_hermitian_columns(w, k), _hermitian_columns(1j * w, k)],
+                    axis=1).reshape(d, d, 2, -1)
+    j, l = np.triu_indices(d)
+    fold = np.where(j < l, 1.0, 0.0)[:, None, None] * [[1.0], [-1.0]]
+    return (full[j, l] + fold * full[l, j]).reshape(2 * len(j), -1)
 
 
 def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
-                seed: int) -> RunBatch:
+                seed: int, spec: MomentSpec | None = None) -> RunBatch:
     """Simulate ``n_total`` runs with one pointer per measurement site.
 
     Each run is post-selected with the exact probability; successful runs
     carry position samples drawn from the exact joint density |Psi(q)|^2.
-    Fully deterministic given the seed.
+    Fully deterministic given the seed.  Given a position moment ``spec``,
+    the batch also carries its exact value and the post-selection
+    probability (`oracle.exact_moment`), from the sampler's own walk.
     """
     check_coupling(g)
     if n_total <= 0:
         raise InvalidInput("n_total must be positive")
     if c.n == 0:
         raise InvalidInput("circuit has no measurement sites")
+    named = set()
+    if spec is not None:
+        check_position_moment(spec, c.n)
+        named = {site for site, _ in spec.factors}
 
     sites = site_instruments(c)
-    grids, bases, moments, kernels = [], [], [], []
-    for _, es in sites:
+    grids, bases, kernels = [], [], []
+    for i, (_, es) in enumerate(sites, start=1):
         eigs = es.eigenvalues
         shifts = g * np.asarray(eigs)
         if prof.kind == "gaussian":
@@ -203,11 +211,12 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
                             prof.q_offset + shifts.max() + RANGE_SIGMAS * prof.sigma,
                             GRID_POINTS)
             shifted = prof.eval(x - shifts[:, None])
-            s_exact = gaussian_kernels(eigs, g, prof.sigma, prof.q_offset, prof.p_offset).s
+            kern = gaussian_kernels(eigs, g, prof.sigma, prof.q_offset, prof.p_offset)
         else:
-            # S as `tabulated_kernels` takes it, from the same shifted rows
+            # the exact kernels as `tabulated_kernels` takes them, from the
+            # same shifted rows
             x, (shifted, _) = prof.grid, _shifted_table(prof, shifts)
-            s_exact = (prof.grid_step * np.conj(shifted)) @ shifted.T
+            kern = _table_kernels(prof, shifted)
         grids.append(x)
         k, pairs = len(eigs), len(eigs) * (len(eigs) - 1) // 2
         # gm[(b,a), x] = conj(phi(x - g b)) phi(x - g a)
@@ -216,18 +225,20 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
         # column-major basis whole on each probe)
         bases.append(np.ascontiguousarray(_hermitian_columns(_cumulative(gm, x).T, k)
                                           * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs])))
-        moments.append(_basis_moments(bases[-1]))
-        # the grid's own overlaps, and the exact ones for the mass check
-        kernels.append(np.stack([np.trapezoid(gm, x, axis=1).reshape(k, k), s_exact]))
+        # the grid's own overlaps, the exact ones for the mass check, and
+        # the moment's numerator kernels
+        stack = [np.trapezoid(gm, x, axis=1).reshape(k, k), kern.s]
+        if spec is not None:
+            stack.append(kern.q if i in named else kern.s)
+        kernels.append(np.stack(stack))
     walk = effects(c, sites, kernels)
 
-    mass_num, mass_exact = (walk[0] @ c.psi_i @ c.psi_i.conj()).real
-    _check_postselected_norm(mass_exact)
-    mass_err = abs(mass_num / mass_exact - 1.0)
+    norms = (walk[0] @ c.psi_i) @ c.psi_i.conj()
+    moment, prob = _postselected_moment(c, norms[1], norms[-1])
+    mass_err = abs(norms[0].real / norms[1].real - 1.0)
     if not mass_err <= 1e-6:
         raise GridResolutionError(f"density mass outside grid: {mass_err:.3e}")
 
-    prob = mass_exact / float(np.vdot(c.psi_f, c.psi_f).real)
     rng = np.random.default_rng(seed)
     success = rng.random(n_total) < prob
     n_succ = int(np.sum(success))
@@ -239,26 +250,37 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
     start = vecs[0].conj().T @ c.stages[0][0] @ c.psi_i
     pair_weights = [_pair_weights(v.conj().T @ e[0] @ v, es.labels, len(es.eigenvalues))
                     for v, (_, es), e in zip(vecs, sites, walk[1:])]
+    # the pair products' Hermitian half, and where its diagonal |c_j|^2 sits
+    rows, cols = np.triu_indices(c.dim)
+    diagonal = np.flatnonzero(rows == cols)
+    # every run enters site 1 in the same state, so its readouts share one CDF
+    first = (np.conj(start[rows]) * start[cols]).view(float) @ pair_weights[0]
+    bases[0] = (bases[0] @ first).reshape(-1, 1)
+    moments = [_basis_moments(b) for b in bases]
     hops = [(v_next.conj().T @ u_next @ v).T
             for v, v_next, (u_next, _) in zip(vecs, vecs[1:], c.stages[1:])]
 
-    quantiles = _pointer_quantiles(prof)
     samples = np.empty((n_succ, c.n))
     for lo in range(0, n_succ, RUN_BLOCK):
         runs = slice(lo, lo + RUN_BLOCK)
         u = uniforms[:, runs]
-        coords = np.broadcast_to(start, (u.shape[1], c.dim))
+        # site 1 mixes one column with unit weight; a run's coordinates at
+        # later sites are rescaled to unit norm only through its readout
+        # amplitudes, which leaves its mixture weights alone
+        coef, coords, scale = np.ones((u.shape[1], 1)), start, 1.0
         for i, (_, es) in enumerate(sites):
-            z = (coords.conj()[:, :, None] * coords[:, None, :]).reshape(len(coords), -1)
-            coef = z.view(float) @ pair_weights[i]
-            guess = _start_cells(coef, moments[i], quantiles, u[i])
+            if i:
+                z = np.take(coords, rows, axis=1).conj() * np.take(coords, cols, axis=1)
+                coef = z.view(float) @ pair_weights[i]
+                scale = 1.0 / np.sqrt(z.real[:, diagonal].sum(axis=1, keepdims=True))
+            guess = _start_cells(coef, moments[i], prof._quantiles, u[i])
             xs = _invert_mixture_cdf(coef, bases[i], grids[i], u[i], guess)
             samples[runs, i] = xs
             if i < c.n - 1:
-                phi = prof.eval(xs[:, None] - g * np.asarray(es.eigenvalues))  # (runs, k)
+                phi = prof.eval(xs[:, None] - g * np.asarray(es.eigenvalues)) * scale
                 coords = (phi[:, es.labels] * coords) @ hops[i]
-                coords /= np.linalg.norm(coords, axis=1, keepdims=True)
-    return RunBatch(postselected=success, samples=samples)
+    return RunBatch(postselected=success, samples=samples,
+                    exact=(moment, prob) if spec is not None else None)
 
 
 def check_position_moment(spec: MomentSpec, n_sites: int):

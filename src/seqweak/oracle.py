@@ -35,6 +35,19 @@ def _check_postselected_norm(norm) -> None:
         raise DegeneratePostSelection(f"post-selected norm {abs(norm):.3e}")
 
 
+def _postselected_moment(c: Circuit, den, num) -> tuple[float, float]:
+    """The moment num / den and the post-selection probability from the
+    post-selected norm ``den`` and numerator ``num`` of a walk, behind the
+    norm gate and the imaginary-residue gate of an analytically real moment."""
+    _check_postselected_norm(den)
+    ratio = complex(num / den)
+    if abs(ratio.imag) >= IMAG_RESIDUE_TOL:
+        raise NumericallySingular(
+            f"imaginary residue {ratio.imag:.3e} in an analytically real moment")
+    prob = den.real / float(np.vdot(c.psi_f, c.psi_f).real)
+    return float(ratio.real), float(prob)
+
+
 @dataclass(frozen=True)
 class BranchSet:
     branches: tuple[tuple[tuple[float, ...], complex], ...]
@@ -62,12 +75,12 @@ class OverlapKernel:
     """Pointer overlap matrices over one site's eigenvalues.
 
     S(b,a) = int conj(phi(q - g b)) phi(q - g a) dq, Q and P likewise with a
-    q or -i d/dq insertion.
+    q or -i d/dq insertion.  A table's P is None unless it was asked for.
     """
 
     s: np.ndarray
     q: np.ndarray
-    p: np.ndarray
+    p: np.ndarray | None
 
     def pick(self, kind: str | None) -> np.ndarray:
         if kind is None:
@@ -95,33 +108,42 @@ def gaussian_kernels(eigs, g: float, sigma: float,
     return OverlapKernel(s=s, q=q, p=p)
 
 
-def _shifted_table(prof: PointerProfile, shifts) -> tuple[np.ndarray, np.ndarray]:
-    """phi(q - s) and phi'(q - s) on the table's own grid q, one row per shift
-    s.  The FFT shift is circular, so the support |phi| > 1e-8 peak (the decay
-    `PointerProfile.tabulated` requires) must stay on the grid when shifted."""
-    vals, q = np.asarray(prof.values), prof.grid
-    live = q[np.abs(vals) > 1e-8 * np.max(np.abs(vals))]
-    if np.any((live[0] + shifts < q[0]) | (live[-1] + shifts > q[-1])):
+def _shifted_table(prof: PointerProfile, shifts,
+                   derivative: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """phi(q - s), and phi'(q - s) if ``derivative`` (else None), on the
+    table's own grid q, one row per shift s.  The FFT shift is circular, so
+    the support |phi| > 1e-8 peak (the decay `PointerProfile.tabulated`
+    requires) must stay on the grid when shifted."""
+    spectrum, freq, live_lo, live_hi = prof._spectrum
+    q = prof.grid
+    if np.any((live_lo + shifts < q[0]) | (live_hi + shifts > q[-1])):
         raise GridResolutionError("shifted pointer profile does not decay at the grid ends")
-    freq = 2 * np.pi * np.fft.fftfreq(len(vals), d=prof.grid_step)
-    shift = np.fft.fft(vals) * np.exp(-1j * np.outer(shifts, freq))
-    both = np.fft.ifft(np.concatenate([shift, 1j * freq * shift]), axis=1)
-    return both[:len(shifts)], both[len(shifts):]
+    shift = spectrum * np.exp(-1j * np.outer(shifts, freq))
+    dshifted = np.fft.ifft(1j * freq * shift, axis=1) if derivative else None
+    return np.fft.ifft(shift, axis=1), dshifted
 
 
-def tabulated_kernels(eigs, g: float, prof: PointerProfile) -> OverlapKernel:
-    """Quadrature overlaps over a tabulated profile's shifted samples."""
-    shifted, dshifted = _shifted_table(prof, g * np.asarray(eigs, dtype=float))
+def _table_kernels(prof: PointerProfile, shifted: np.ndarray,
+                   dshifted: np.ndarray | None = None) -> OverlapKernel:
+    """Quadrature overlaps over a table's shifted rows (`_shifted_table`);
+    P only from given derivative rows."""
     left = prof.grid_step * np.conj(shifted)
-    return OverlapKernel(s=left @ shifted.T,
-                         q=(left * prof.grid) @ shifted.T,
-                         p=-1j * (left @ dshifted.T))
+    return OverlapKernel(s=left @ shifted.T, q=(left * prof.grid) @ shifted.T,
+                         p=None if dshifted is None else -1j * (left @ dshifted.T))
 
 
-def site_kernels(eigs, g: float, prof: PointerProfile) -> OverlapKernel:
+def tabulated_kernels(eigs, g: float, prof: PointerProfile,
+                      momentum: bool = True) -> OverlapKernel:
+    """Quadrature overlaps over a tabulated profile's shifted samples; P
+    (and the derivative rows it takes) only if ``momentum``."""
+    return _table_kernels(prof, *_shifted_table(prof, g * np.asarray(eigs, dtype=float),
+                                                momentum))
+
+
+def site_kernels(eigs, g: float, prof: PointerProfile, momentum: bool = True) -> OverlapKernel:
     if prof.kind == "gaussian":
         return gaussian_kernels(eigs, g, prof.sigma, prof.q_offset, prof.p_offset)
-    return tabulated_kernels(eigs, g, prof)
+    return tabulated_kernels(eigs, g, prof, momentum)
 
 
 def site_instruments(c: Circuit) -> list[tuple[np.ndarray, algebra.EigenSystem]]:
@@ -170,16 +192,10 @@ def exact_moment(c: Circuit, spec: MomentSpec, g: float,
     sites = site_instruments(c)
     kernels = []
     for i, (_, es) in enumerate(sites, start=1):
-        kern = site_kernels(es.eigenvalues, g, prof)
+        kern = site_kernels(es.eigenvalues, g, prof, momentum=named.get(i) == "p")
         kernels.append(np.stack([kern.s, kern.pick(named.get(i))]))
     den, num = (effects(c, sites, kernels)[0] @ c.psi_i) @ c.psi_i.conj()
-    _check_postselected_norm(den)
-    ratio = complex(num / den)
-    if abs(ratio.imag) >= IMAG_RESIDUE_TOL:
-        raise NumericallySingular(
-            f"imaginary residue {ratio.imag:.3e} in an analytically real moment")
-    prob = den.real / float(np.vdot(c.psi_f, c.psi_f).real)
-    return float(ratio.real), float(prob)
+    return _postselected_moment(c, den, num)
 
 
 def same_pointer_twice(c: Circuit, g: float, prof: PointerProfile) -> float:
@@ -194,12 +210,8 @@ def same_pointer_twice(c: Circuit, g: float, prof: PointerProfile) -> float:
     amps = np.array([amp for _, amp in bs.branches])
     kern = gaussian_kernels(totals, g, prof.sigma)
     den = complex(np.conj(amps) @ kern.s @ amps)
-    _check_postselected_norm(den)
     num = complex(np.conj(amps) @ kern.q @ amps)
-    ratio = num / den
-    if abs(ratio.imag) >= IMAG_RESIDUE_TOL:
-        raise NumericallySingular(f"imaginary residue {ratio.imag:.3e}")
-    return float(ratio.real)
+    return _postselected_moment(c, den, num)[0]
 
 
 def joint_response(c: Circuit, couplings: dict[int, tuple[np.ndarray, np.ndarray]],

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import seqweak
-from seqweak import circuitio, circuitmodel, counterfactual, montecarlo, weakvalue
+from seqweak import cli, circuitio, circuitmodel, counterfactual, montecarlo, oracle, weakvalue
 from seqweak.circuitio import builtin_document_path, format_complex
 from seqweak.cli import build_parser, main
+from seqweak.pointer import MomentSpec
 
 from conftest import per_row_walk, random_hermitian, random_state, random_unitary
 
@@ -111,13 +112,18 @@ def test_demo(capsys):
     assert float(rows["N_E/N"]) == pytest.approx(1.0)
 
 
-def test_module_entry_point():
+def run_module(*argv):
+    """``python -m seqweak.cli`` in a fresh interpreter, this package first on
+    its path."""
     src = str(Path(seqweak.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run(
-        [sys.executable, "-m", "seqweak.cli", "demo", "double-interferometer",
-         "--machine"], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "seqweak.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point():
+    out = run_module("demo", "double-interferometer", "--machine")
     assert out.returncode == 0, out.stderr
     rows = dict(line.split("\t", 1) for line in out.stdout.splitlines())
     assert rows["command"] == "demo double-interferometer"
@@ -224,6 +230,51 @@ def test_tabulated_pointer_errors_name_the_line(tmp_path):
 def test_missing_file_exit_code(capsys):
     assert main(["weakvalues", "/nonexistent.wseq"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_overflowing_unitary_is_one_error_line(tmp_path):
+    # an entry of 1e200 overflows U^dag U: the deviation is computed once,
+    # with no numpy warning, for the check and for the message
+    doc = _shipped_with(tmp_path, "big.wseq", lambda s: s.replace(
+        "0.70710678118654746+0i 0.70710678118654746+0i",
+        "1e200+0i 0.70710678118654746+0i", 1))
+    out = run_module("weakvalues", doc)
+    assert out.returncode == 2
+    assert out.stderr == "error: line 5: NonUnitary: max deviation inf (at 'U1')\n"
+
+
+@pytest.mark.parametrize("pointer, moment", [
+    ("gaussian", None), ("gaussian", "q2"), ("tabulated", "q1"), ("tabulated", None),
+])
+def test_montecarlo_walks_the_effects_once(tmp_path, capsys, monkeypatch, pointer, moment):
+    # the sampler's own backward walk carries the moment's Q kernels, so
+    # `exact` and `postselect_prob` take no second walk; every row prints as
+    # a batch without the moment, `estimate_moment` and `exact_moment` give it
+    doc = SHIPPED
+    if pointer == "tabulated":
+        (tmp_path / "prof.dat").write_text("\n".join(_gaussian_table()) + "\n")
+        doc = _shipped_with(tmp_path, "c.wseq", lambda s: s + "pointer tabulated prof.dat\n")
+    argv = ["montecarlo", doc, "--runs", "3000", "--seed", "4", "--g", "0.3"]
+    walks, effects = [], oracle.effects
+
+    def counted(*args):
+        walks.append(len(args[2][0]))
+        return effects(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "effects", counted)
+        m.setattr(montecarlo, "effects", counted)
+        code, rows = machine(capsys, argv + (["--moment", moment] if moment else []))
+    assert code == 0
+    assert walks == [3]  # grid S, exact S and the moment's numerator
+    loaded = circuitio.load(doc)
+    c, prof = loaded.to_circuit(), cli._doc_profile(loaded)
+    spec = MomentSpec.parse(moment or "q1*q2")
+    est = montecarlo.estimate_moment(montecarlo.sample_runs(c, 0.3, prof, 3000, 4), spec)
+    exact, prob = oracle.exact_moment(c, spec, 0.3, prof)
+    for key, value in [("mean", est.mean), ("stderr", est.stderr), ("exact", exact),
+                       ("postselect_prob", prob)]:
+        assert rows[key] == "%.12g" % value, key
 
 
 def test_human_output_is_aligned(capsys):

@@ -8,13 +8,13 @@ from seqweak.circuitmodel import Circuit, builtin_double_interferometer
 from seqweak.errors import GridResolutionError, NoSuccessfulRuns
 from seqweak.montecarlo import (GRID_POINTS, RANGE_SIGMAS, RunBatch, _basis_moments,
                                 _cumulative, _hermitian_columns, _invert_mixture_cdf,
-                                _pointer_quantiles, _start_cells, estimate_moment,
+                                _start_cells, estimate_moment,
                                 sample_runs)
 from seqweak.oracle import (_shifted_table, branch_decompose, effects, exact_moment,
                             site_instruments, site_kernels)
 from seqweak.pointer import MomentSpec, PointerProfile
 
-from conftest import random_circuit, random_unitary
+from conftest import random_circuit, random_hermitian, random_unitary
 
 
 def grid_pair_matrix(prof, eigs, g):
@@ -188,8 +188,12 @@ def _tabulated_gaussian(sigma=1.0, npts=16384, half_width=14.0):
 
 
 def _test_pointer(kind):
+    """An offset Gaussian, a narrow (sigma = 0.01) or a wide (sigma = 50)
+    centred one, or a tabulated Gaussian."""
     if kind == "gaussian":
         return PointerProfile.gaussian(0.8, q_offset=0.3, p_offset=0.2)
+    if kind in ("narrow", "wide"):
+        return PointerProfile.gaussian(0.01 if kind == "narrow" else 50.0)
     return _tabulated_gaussian()
 
 
@@ -228,11 +232,24 @@ def test_sequential_sampler_matches_joint_tensor_reference(n, dim, observable, p
     assert np.max(np.abs(batch.samples - samples)) <= 1e-9
 
 
-@pytest.mark.parametrize("n, dim, observable", [
-    (4, 2, "hermitian"), (5, 3, "hermitian"), (6, 4, "hermitian"),
-    (5, 3, "projector"), (6, 4, "twofold"),
-])
-@pytest.mark.parametrize("pointer", ["gaussian", "tabulated"])
+_VECTOR_WALK_CASES = [
+    (n, dim, observable, pointer) for pointer in ("gaussian", "tabulated")
+    for n, dim, observable in [(4, 2, "hermitian"), (5, 3, "hermitian"), (6, 4, "hermitian"),
+                               (5, 3, "projector"), (6, 4, "twofold")]
+] + [
+    # one site: every run reads out of the one CDF that site 1 shares
+    (1, 2, "hermitian", "gaussian"), (1, 3, "projector", "tabulated"),
+    (1, 4, "twofold", "gaussian"),
+    # ten sites, so nine state updates each rescale a run through its
+    # readout amplitudes, with readouts that resolve the eigenvalues
+    # (narrow) or barely move the state (wide)
+    (10, 3, "hermitian", "narrow"), (10, 3, "hermitian", "wide"),
+    (10, 3, "hermitian", "tabulated"),
+]
+
+
+@pytest.mark.parametrize("n, dim, observable, pointer", _VECTOR_WALK_CASES,
+                         ids=[f"{p}-{n}-{d}-{o}" for n, d, o, p in _VECTOR_WALK_CASES])
 def test_sequential_sampler_matches_per_run_vector_walk(n, dim, observable, pointer):
     # the joint tensor stops at three sites; the per-run vector walk does not
     c = _test_circuit(900 + 10 * n + dim, dim, n, observable)
@@ -244,6 +261,37 @@ def test_sequential_sampler_matches_per_run_vector_walk(n, dim, observable, poin
     assert batch.samples.shape == samples.shape
     assert len(samples) >= 100
     assert np.max(np.abs(batch.samples - samples)) <= 1e-9
+
+
+def test_rescaled_coordinates_survive_400_sites():
+    # a sigma = 50 pointer's amplitudes are below 0.09, so coordinates that
+    # were never rescaled would underflow to zero long before the last site;
+    # the readouts are of order sigma, and so is the tolerance
+    c, prof = random_circuit(905, dim=2, n=400), _test_pointer("wide")
+    batch = sample_runs(c, 0.4, prof, 4000, seed=9)
+    success, samples = per_run_vector_walk(c, 0.4, prof, 4000, seed=9)
+    assert np.array_equal(batch.postselected, success)
+    assert len(samples) >= 100
+    assert np.max(np.abs(batch.samples - samples)) <= 1e-9 * prof.sigma
+
+
+@pytest.mark.parametrize("dim, labels", [
+    (1, [0]), (2, [0, 1]), (3, [0, 1, 2]), (4, [0, 1, 2, 3]), (4, [0, 1, 1, 2]),
+], ids=["1", "2", "3", "4", "4-twofold"])
+def test_half_pair_products_match_full_contraction(dim, labels):
+    # the Hermitian half of the pair products against the (j, l) weights
+    # folded by `_pair_weights` gives the Hermitian columns of the full
+    # d^2 contraction w[(b,a)] = sum_{j in b, l in a} conj(c_j) f_jl c_l
+    rng = np.random.default_rng(40 + len(set(labels)) + dim)
+    labels, k = np.array(labels), len(set(labels))
+    f = random_hermitian(rng, dim)
+    coords = rng.normal(size=(500, dim)) + 1j * rng.normal(size=(500, dim))
+    block = labels[:, None] == np.arange(k)
+    full = np.einsum("rj,jl,rl,jb,la->rba", coords.conj(), f, coords, block, block)
+    rows, cols = np.triu_indices(dim)
+    half = np.ascontiguousarray(coords[:, rows].conj() * coords[:, cols])
+    got = half.view(float) @ montecarlo._pair_weights(f, labels, k)
+    assert np.max(np.abs(got - _hermitian_columns(full.reshape(500, k * k), k))) <= 1e-12
 
 
 def test_run_blocks_match_one_block(monkeypatch):
@@ -341,7 +389,7 @@ def test_start_cell_changes_cost_not_answer(k):
     u[:3] = [0.0, 1 - 1e-6, 1 - 1e-7]
     ref = bit_bisection(coef, basis, x, u)
     garbage = np.random.default_rng(k).integers(-10 * len(x), 10 * len(x), len(u))
-    guess = _start_cells(coef, _basis_moments(basis), _pointer_quantiles(prof), u)
+    guess = _start_cells(coef, _basis_moments(basis), prof._quantiles, u)
     for start in (None, np.zeros(len(u), dtype=np.int64), np.full(len(u), len(x) - 2),
                   garbage, guess):
         assert np.array_equal(_invert_mixture_cdf(coef, basis, x, u, start), ref)
@@ -352,7 +400,7 @@ def test_bimodal_density_falls_back_to_bisection(monkeypatch):
     # moment-matched guess lands in the trough between the modes, where the
     # secant steps stall; the leftover runs take the full bisection
     prof, x, basis, coef, u = _mixture_case(2, 3.0, 7)
-    guess = _start_cells(coef, _basis_moments(basis), _pointer_quantiles(prof), u)
+    guess = _start_cells(coef, _basis_moments(basis), prof._quantiles, u)
 
     def cdf_at(cell):
         return np.einsum("rj,rj->r", coef, np.take(basis, cell, axis=0, mode="clip"))
@@ -389,9 +437,9 @@ def test_one_shifted_table_pass_per_site(monkeypatch):
     # the exact S kernels come from the sampler's own shifted rows
     calls = []
 
-    def counted(prof, shifts):
+    def counted(prof, shifts, **kwargs):
         calls.append(len(shifts))
-        return _shifted_table(prof, shifts)
+        return _shifted_table(prof, shifts, **kwargs)
 
     c, prof, g = random_circuit(61, dim=3, n=3), _tabulated_gaussian(npts=4096), 0.3
     success, samples = per_run_vector_walk(c, g, prof, 3000, seed=4)

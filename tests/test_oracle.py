@@ -10,6 +10,7 @@ from seqweak.circuitmodel import (P_B, P_F, Circuit,
                                   builtin_double_interferometer,
                                   transition_amplitude)
 from seqweak.errors import AssumptionAViolated, DegeneratePostSelection, GridResolutionError
+from seqweak import montecarlo
 from seqweak.montecarlo import sample_runs
 from seqweak.oracle import (_shifted_table, branch_decompose, exact_moment,
                             gaussian_kernels, joint_response, same_pointer_twice,
@@ -127,7 +128,7 @@ def test_shifted_table_matches_shifted_gaussian(npts):
     q = np.linspace(-14, 14, npts)
     prof = PointerProfile.tabulated(q[0], q[1] - q[0], np.exp(-q**2 / (4 * sigma**2)))
     shifts = np.array([-2.1, -0.37, 0.0, 0.05, 1.3, 3.0])
-    shifted, dshifted = _shifted_table(prof, shifts)
+    shifted, dshifted = _shifted_table(prof, shifts, derivative=True)
     z = q - shifts[:, None]
     phi = (2 * np.pi * sigma**2) ** -0.25 * np.exp(-z**2 / (4 * sigma**2))
     assert np.max(np.abs(shifted - phi)) <= 1e-10
@@ -155,6 +156,42 @@ def test_shift_off_tabulated_grid_is_rejected():
     narrow = PointerProfile.tabulated(q[0], q[1] - q[0], np.exp(-q**2 / 0.36))
     with pytest.raises(GridResolutionError, match="grid ends"):
         _shifted_table(narrow, np.array([9.0]))
+
+
+def both_rows_shifted_table(prof, shifts, derivative=False):
+    """The shifted rows phi and phi' from one inverse FFT of both stacked,
+    the form that always built phi'."""
+    vals, q = np.asarray(prof.values), prof.grid
+    live = q[np.abs(vals) > 1e-8 * np.max(np.abs(vals))]
+    assert not np.any((live[0] + shifts < q[0]) | (live[-1] + shifts > q[-1]))
+    freq = 2 * np.pi * np.fft.fftfreq(len(vals), d=prof.grid_step)
+    shift = np.fft.fft(vals) * np.exp(-1j * np.outer(shifts, freq))
+    both = np.fft.ifft(np.concatenate([shift, 1j * freq * shift]), axis=1)
+    return both[:len(shifts)], both[len(shifts):]
+
+
+def test_derivative_rows_only_on_request(monkeypatch):
+    # phi' is inverse-transformed only for a P kernel; S, Q and P, and the
+    # sampler's samples, stay bitwise those of the form that always built it
+    eigs = np.array([-1.3, -0.2, 0.4, 1.1])
+    ref_phi, ref_dphi = both_rows_shifted_table(TABULATED, 0.35 * eigs)
+    phi, dphi = _shifted_table(TABULATED, 0.35 * eigs)
+    assert dphi is None and np.array_equal(phi, ref_phi)
+    left = TABULATED.grid_step * np.conj(ref_phi)
+    ref = (left @ ref_phi.T, (left * TABULATED.grid) @ ref_phi.T, -1j * (left @ ref_dphi.T))
+    kern = tabulated_kernels(eigs, 0.35, TABULATED)
+    for got, want in zip((kern.s, kern.q, kern.p), ref):
+        assert np.array_equal(got, want)
+    no_p = tabulated_kernels(eigs, 0.35, TABULATED, momentum=False)
+    assert no_p.p is None
+    assert np.array_equal(no_p.s, ref[0]) and np.array_equal(no_p.q, ref[1])
+
+    c, g = random_circuit(77, dim=3, n=3), 0.3
+    batch = sample_runs(c, g, TABULATED, 3000, seed=5)
+    monkeypatch.setattr(montecarlo, "_shifted_table", both_rows_shifted_table)
+    ref_batch = sample_runs(c, g, TABULATED, 3000, seed=5)
+    assert np.array_equal(batch.postselected, ref_batch.postselected)
+    assert np.array_equal(batch.samples, ref_batch.samples)
 
 
 def test_site_kernels_dispatch():

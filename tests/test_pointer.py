@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from seqweak.circuitmodel import builtin_double_interferometer
 from seqweak.errors import AssumptionAViolated, GridTooCoarse
-from seqweak.pointer import (MomentSpec, PointerProfile, moments,
+from seqweak.pointer import (QUANTILES, MomentSpec, PointerProfile, moments,
                              ordered_index_partitions, predict_moment)
 from seqweak.weakvalue import weak_value
 
@@ -330,3 +331,17 @@ def test_mixed_products_converge_to_oracle(text, profile):
     for seed in range(3):
         c = random_circuit(seed + 700, n=4)
         assert converges(c, text, 1e-2, prof), (seed, text)
+
+
+def test_quantile_table_once_per_profile():
+    # a Gaussian's standardized table depends on none of its parameters, so
+    # every Gaussian shares one; a table's is built once per profile.  Both
+    # follow the standard normal quantiles to the accuracy of their grids.
+    gauss = PointerProfile.gaussian(0.5)
+    assert gauss._quantiles is PointerProfile.gaussian(3.0, q_offset=1.0, p_offset=2.0)._quantiles
+    q = np.linspace(-14, 14, 16384)
+    table = PointerProfile.tabulated(q[0], q[1] - q[0], np.exp(-(q - 1.0) ** 2 / 2))
+    assert table._quantiles is table._quantiles
+    normal = ndtri((np.arange(QUANTILES) + 0.5) / QUANTILES)
+    assert np.max(np.abs(gauss._quantiles - normal)) < 1e-4
+    assert np.max(np.abs(table._quantiles - normal)) < 1e-4
