@@ -112,13 +112,13 @@ def test_demo(capsys):
     assert float(rows["N_E/N"]) == pytest.approx(1.0)
 
 
-def run_module(*argv):
-    """``python -m seqweak.cli`` in a fresh interpreter, this package first on
-    its path."""
+def run_module(*argv, python_args=("-m", "seqweak.cli")):
+    """``python -m seqweak.cli`` (or ``python`` with ``python_args``) in a
+    fresh interpreter, this package first on its path."""
     src = str(Path(seqweak.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "seqweak.cli", *argv],
+    return subprocess.run([sys.executable, *python_args, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -129,6 +129,10 @@ def test_module_entry_point():
     assert rows["command"] == "demo double-interferometer"
     assert rows["N_BF/N"] == "-0.5"
     assert rows["wv.(F,B).re"] == "-0.5"
+    # the CLI's runtime imports are numpy and the standard library only
+    out = run_module(python_args=(
+        "-c", "import seqweak.cli, sys; print('scipy' in sys.modules)"))
+    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
 
 
 def test_demo_unknown_name(capsys):

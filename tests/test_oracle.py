@@ -9,10 +9,11 @@ from seqweak.algebra import eig_hermitian
 from seqweak.circuitmodel import (P_B, P_F, Circuit,
                                   builtin_double_interferometer,
                                   transition_amplitude)
-from seqweak.errors import AssumptionAViolated, DegeneratePostSelection, GridResolutionError
+from seqweak.errors import (AssumptionAViolated, DegeneratePostSelection, GridResolutionError,
+                            InvalidInput, NotHermitian)
 from seqweak import montecarlo
 from seqweak.montecarlo import sample_runs
-from seqweak.oracle import (_shifted_table, branch_decompose, exact_moment,
+from seqweak.oracle import (_kicks, _shifted_table, branch_decompose, exact_moment,
                             gaussian_kernels, joint_response, same_pointer_twice,
                             site_kernels, tabulated_kernels,
                             weak_interaction_response)
@@ -413,6 +414,32 @@ def test_joint_response_matches_kron_walk(n, anc_dim):
             resp = joint_response(c, couplings, obs, state, g)
             assert abs(resp - kron_joint_response(c, couplings, obs, state, g)) <= 1e-12
         assert joint_response(c, couplings, obs, state, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("g, h, error", [
+    (float("nan"), np.eye(2), InvalidInput),
+    (float("inf"), np.eye(2), InvalidInput),
+    (-0.1, np.eye(2), InvalidInput),
+    (0.1, np.array([[0.0, 1.0], [1.0 + 1e-8, 0.0]]), NotHermitian),
+], ids=["nan", "inf", "negative", "non-hermitian"])
+def test_joint_response_rejects_bad_input(g, h, error):
+    c = builtin_double_interferometer()
+    state = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(error):
+        joint_response(c, {1: (P_B, h)}, np.diag([1.0, -1.0]), state, g)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_kicks_match_expm(dim):
+    rng = np.random.default_rng(dim)
+    hams = [random_hermitian(rng, dim) for _ in range(3)]
+    hams += [random_projector(rng, dim, rank=max(1, dim // 2)), np.zeros((dim, dim))]
+    for g in (1e-8, 0.05, 3.0):
+        kicks = _kicks(hams, g, dim)
+        for kick, h in zip(kicks, hams):
+            assert np.max(np.abs(kick - expm(-1j * g * h))) <= 1e-13
+    assert np.array_equal(_kicks(hams, 0.0, dim), np.broadcast_to(np.eye(dim), (5, dim, dim)))
+    assert _kicks([], 0.3, dim).shape == (0, dim, dim)
 
 
 # --- differential tests: site-by-site propagation vs the branch-pair sum
