@@ -20,8 +20,8 @@ import numpy as np
 
 from . import algebra
 from .circuitmodel import Circuit, amplitudes, valid_subset
-from .errors import (AssumptionAViolated, DegeneratePostSelection, GridResolutionError,
-                     NotHermitian, NumericallySingular)
+from .errors import (AssumptionAViolated, DegeneratePostSelection, DimMismatch,
+                     GridResolutionError, NotHermitian, NumericallySingular)
 from .pointer import MomentSpec, PointerProfile, check_coupling
 
 IMAG_RESIDUE_TOL = 1e-9
@@ -231,10 +231,15 @@ def joint_response(c: Circuit, couplings: dict[int, tuple[np.ndarray, np.ndarray
     sites = valid_subset(sorted(couplings), c.n)
     ins = InsertionSet(sites, tuple(couplings[s][0] for s in sites))
     hams = [algebra.as_operator(couplings[s][1]) for s in sites]
-    for s, h in zip(sites, hams):
-        if not algebra.is_hermitian(h, algebra.HERMITIAN_TOL):
-            raise NotHermitian(f"site {s} ancilla Hamiltonian: max deviation "
-                               f"{np.max(np.abs(h - h.conj().T)):.3e}")
+    named = [("ancilla observable", anc_obs),
+             *((f"site {s} ancilla Hamiltonian", h) for s, h in zip(sites, hams))]
+    for name, m in named:
+        if len(m) != len(anc_state):
+            raise DimMismatch(f"{name} is {len(m)}x{len(m)}, but the ancilla state "
+                              f"has {len(anc_state)} entries")
+        if not algebra.is_hermitian(m, algebra.HERMITIAN_TOL):
+            raise NotHermitian(f"{name}: max deviation "
+                               f"{np.max(np.abs(m - m.conj().T)):.3e}")
     amps = np.array(list(history_amplitudes(c, ins).values()))
     return _ancilla_response(amps, hams, anc_obs, anc_state, g)
 
@@ -243,7 +248,9 @@ def _ancilla_response(amps: np.ndarray, hams: list[np.ndarray], anc_obs: np.ndar
                       anc_state: np.ndarray, g: float) -> float:
     """`joint_response` from the history amplitudes ``amps`` of the coupled
     sites (in `all_histories` order) and their ancilla Hamiltonians, in site
-    order."""
+    order: one probe per call.  `counterfactual._def3_responses` computes
+    the same response for a whole block of Definition-3 probes at once; the
+    two share `_kicks`."""
     def post_selected(kicks) -> np.ndarray:
         # one ancilla state per history, in `all_histories` order
         states = anc_state[None]

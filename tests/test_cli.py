@@ -14,6 +14,7 @@ from seqweak.cli import build_parser, main
 from seqweak.pointer import MomentSpec
 
 from conftest import per_row_walk, random_hermitian, random_state, random_unitary
+from test_counterfactual import per_trial_def3_reference
 
 SHIPPED = str(builtin_document_path())
 
@@ -573,6 +574,72 @@ def test_counterfactual_witness_label_unchanged(capsys):
                                              2, doc.g, 3)
     assert rows["witness.subset"] == _reference_subset_label(
         cf.witness_subset, _reference_observe_names(doc))
+
+
+def proj_document(path, n, d, seed):
+    """A seeded n-site document with a one-dimensional projector observed
+    and inserted at every site and g = 0.01."""
+    for attempt in range(100):
+        rng = np.random.default_rng((seed, attempt))
+        lines = ["wseq 1", f"dim {d}",
+                 "state " + " ".join(map(format_complex, random_state(rng, d)))]
+        for site in range(1, n + 2):
+            lines += [f"unitary U{site}", *_matrix_lines(random_unitary(rng, d))]
+            if site <= n:
+                lines += [f"observe X{site}", f"proj {int(rng.integers(0, d))}"]
+        lines.append("postselect " + " ".join(map(format_complex, random_state(rng, d))))
+        lines += ["g 0.01", *(f"insert X{site}" for site in range(1, n + 1))]
+        path.write_text("\n".join(lines) + "\n")
+        c = circuitio.load(path).to_circuit()
+        if abs(circuitmodel.transition_amplitude(c)) > 0.1:
+            return str(path)
+    raise RuntimeError("no well-conditioned document")
+
+
+def per_call_def3_test(c, ins, trials, g, seed):
+    """`randomized_def3_test` with Definitions 1 and 2 from their own walks
+    and Definition 3 from one `joint_response` per trial and subset."""
+    d1, wit1 = counterfactual.is_counterfactual_histories(c, ins)
+    d2, wit2 = counterfactual.is_counterfactual_weakvalues(c, ins)
+    samples, null = per_trial_def3_reference(c, ins, trials, g, seed)
+    return counterfactual.CounterfactualReport(
+        d1, d2, wit1, None if wit2 is None else wit2[0], None if wit2 is None else wit2[1],
+        samples, null)
+
+
+@pytest.mark.parametrize("trials", [1, 5, 20])
+def test_counterfactual_matches_per_call_reference(tmp_path, capsys, monkeypatch, trials):
+    docs = [SHIPPED] + [proj_document(tmp_path / f"p{seed}.wseq", n=2 + seed % 3,
+                                      d=2 + seed % 2, seed=700 + seed) for seed in range(4)]
+    # a counterfactual one: the built-in document with B inserted alone
+    docs.append(_shipped_with(tmp_path, "single.wseq", lambda t: t.replace("insert F\n", "")))
+    for seed, doc in enumerate(docs):
+        argv = ["counterfactual", doc, "--seed", str(seed), "--trials", str(trials),
+                "--machine"]
+        assert main(argv) == 0
+        got = capsys.readouterr().out.splitlines()
+        refs = []
+
+        def reference(*args):
+            refs.append(per_call_def3_test(*args))
+            return refs[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(counterfactual, "randomized_def3_test", reference)
+            assert main(argv) == 0
+        want = capsys.readouterr().out.splitlines()
+        assert [line.partition("\t")[0] for line in got] == \
+            [line.partition("\t")[0] for line in want]
+        for line, ref in zip(got, want):
+            key, _, value = line.partition("\t")
+            if key != "max_response":
+                assert line == ref, doc
+                continue
+            # the printed (%.12g) rounding of a value within 1e-13 of the
+            # reference's unrounded largest response
+            top = max(r for _, r in refs[0].def3_samples)
+            lo, hi = (float("%.12g" % (top + e)) for e in (-1e-13, 1e-13))
+            assert lo <= float(value) <= hi, (doc, value, top)
 
 
 def test_consecutive_commands_leak_no_state(capsys):

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -211,33 +213,95 @@ def per_trial_def3_reference(c, ins, trials, g, seed, anc_dim=2):
     return tuple(samples), all(r <= tol3 for _, r in samples)
 
 
-@pytest.mark.parametrize("case", ["builtin", "random3", "counterfactual3"])
-@pytest.mark.parametrize("seed", [3, 99])
-def test_randomized_def3_walks_each_subset_once(monkeypatch, case, seed):
+def def3_case(case, seed):
     if case == "builtin":
-        c, ins = builtin_double_interferometer(), double_insertions()
-    elif case == "random3":
+        return builtin_double_interferometer(), double_insertions()
+    if case == "random3":
         c = random_circuit(800 + seed, dim=3, n=3)
         rng = np.random.default_rng(seed)
-        ins = InsertionSet((1, 2, 3), tuple(random_projector(rng, 3) for _ in range(3)))
-    else:
-        c, ins = counterfactual_instance(seed, n=3)
-    want_samples, want_null = per_trial_def3_reference(c, ins, 6, 0.05, seed)
+        return c, InsertionSet((1, 2, 3), tuple(random_projector(rng, 3) for _ in range(3)))
+    return counterfactual_instance(seed, n=3)
 
-    walks = []
-    walk = counterfactual.history_amplitudes
+
+def count_calls(monkeypatch, name, record):
+    """Replace ``counterfactual.<name>`` by a wrapper that appends
+    ``record(*args)`` to the returned list on every call."""
+    calls, fn = [], getattr(counterfactual, name)
 
     def counted(*args):
-        walks.append(args[1].sites)
-        return walk(*args)
+        calls.append(record(*args))
+        return fn(*args)
 
-    monkeypatch.setattr(counterfactual, "history_amplitudes", counted)
+    monkeypatch.setattr(counterfactual, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["builtin", "random3", "counterfactual3"])
+@pytest.mark.parametrize("seed", [3, 99])
+def test_randomized_def3_walks_once(monkeypatch, case, seed):
+    c, ins = def3_case(case, seed)
+    want_samples, want_null = per_trial_def3_reference(c, ins, 6, 0.05, seed)
+
+    walks = count_calls(monkeypatch, "history_amplitudes", lambda c, ins: ins.sites)
+    kicks = count_calls(monkeypatch, "_kicks", lambda hams, g, dim: len(hams))
     report = randomized_def3_test(c, ins, trials=6, g=0.05, seed=seed)
-    # one walk per nonempty subset of insertion sites; Definition 1 reads the
-    # last one, the whole insertion set
-    assert walks == list(insertion_subsets(ins))
-    assert report.def3_samples == want_samples
+    # one walk over the whole insertion set; the subsets read its marginals.
+    # one kick solve for every Hamiltonian of the one block of trials
+    assert walks == [ins.sites]
+    assert kicks == [6 * sum(len(s) for s in insertion_subsets(ins))]
+    assert [label for label, _ in report.def3_samples] == [label for label, _ in want_samples]
     assert report.def3_null == want_null
+    # the batched contraction rounds differently from the per-call one
+    for (label, got), (_, want) in zip(report.def3_samples, want_samples):
+        assert abs(got - want) <= 1e-13, label
+
+
+@pytest.mark.parametrize("case", ["builtin", "random3"])
+def test_randomized_def3_blocks_keep_the_draw_order(monkeypatch, case):
+    c, ins = def3_case(case, 5)
+    per_trial = 2 ** len(ins) - 1
+    block = counterfactual.DEF3_BLOCK // 3 ** len(ins)
+    assert block >= 3
+    three = randomized_def3_test(c, ins, trials=3, g=0.05, seed=5).def3_samples
+    many = randomized_def3_test(c, ins, trials=block + 2, g=0.05, seed=5).def3_samples
+    assert len(many) == (block + 2) * per_trial
+    assert three == many[:3 * per_trial]
+    # two trials per block: the stream and the samples run on across blocks
+    kicks = count_calls(monkeypatch, "_kicks", lambda hams, g, dim: len(hams))
+    monkeypatch.setattr(counterfactual, "DEF3_BLOCK", 2 * 3 ** len(ins) + 1)
+    blocked = randomized_def3_test(c, ins, trials=5, g=0.05, seed=5).def3_samples
+    assert len(kicks) == 3
+    assert blocked == many[:5 * per_trial]
+
+
+def test_subset_amplitudes_are_the_subsets_own_walks():
+    for n in (3, 4):
+        for seed in range(4):
+            c = random_circuit(600 + 10 * n + seed, n=n)
+            rng = np.random.default_rng(seed)
+            ins = InsertionSet(tuple(range(1, n + 1)),
+                               tuple(random_projector(rng, c.dim) for _ in range(n)))
+            table = np.array(list(history_amplitudes(c, ins).values()))
+            groups = counterfactual._subset_amplitudes(table, n)
+            rows = [row for group in groups for row in group]
+            subsets = list(insertion_subsets(ins))
+            assert [len(g) for g in groups] == [comb(n, r) for r in range(1, n + 1)]
+            assert len(rows) == len(subsets)
+            for subset, row in zip(subsets, rows):
+                own = history_amplitudes(c, InsertionSet(subset, tuple(
+                    ins.on_projectors[s - 1] for s in subset)))
+                assert np.max(np.abs(row - np.array(list(own.values())))) <= 1e-14, subset
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_def3_null_margin_at_small_coupling(n):
+    g = 1e-3
+    for seed in range(40):
+        c, ins = counterfactual_instance(seed, n=n)
+        tol3 = 1e-8 * (1.0 + 1.0 / abs(transition_amplitude(c))) * g**2
+        report = randomized_def3_test(c, ins, trials=5, g=g, seed=seed)
+        assert report.def3_null
+        assert max(r for _, r in report.def3_samples) <= 0.1 * tol3, seed
 
 
 @pytest.mark.parametrize("case", ["builtin", "counterfactual3"])

@@ -9,8 +9,8 @@ from seqweak.algebra import eig_hermitian
 from seqweak.circuitmodel import (P_B, P_F, Circuit,
                                   builtin_double_interferometer,
                                   transition_amplitude)
-from seqweak.errors import (AssumptionAViolated, DegeneratePostSelection, GridResolutionError,
-                            InvalidInput, NotHermitian)
+from seqweak.errors import (AssumptionAViolated, DegeneratePostSelection, DimMismatch,
+                            GridResolutionError, InvalidInput, NotHermitian)
 from seqweak import montecarlo
 from seqweak.montecarlo import sample_runs
 from seqweak.oracle import (_kicks, _shifted_table, branch_decompose, exact_moment,
@@ -427,6 +427,31 @@ def test_joint_response_rejects_bad_input(g, h, error):
     state = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(error):
         joint_response(c, {1: (P_B, h)}, np.diag([1.0, -1.0]), state, g)
+
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("restriction, h, obs, state, error, match", [
+    (P_B, SIGMA_X, [[0.0, 1.0], [0.0, 0.0]], [1.0, 0.0], NotHermitian,
+     r"ancilla observable: max deviation 1\.000e\+00"),
+    (P_B, SIGMA_X, [[1.0, 1e-8], [0.0, -1.0]], [1.0, 0.0], NotHermitian,
+     r"ancilla observable: max deviation 1\.000e-08"),
+    (P_B, SIGMA_X, np.eye(3), [1.0, 0.0], DimMismatch, "ancilla observable is 3x3"),
+    (P_B, SIGMA_X, np.eye(2), [1.0, 0.0, 0.0], DimMismatch, "ancilla observable is 2x2"),
+    (P_B, np.eye(3), np.eye(2), [1.0, 0.0], DimMismatch, "site 1 ancilla Hamiltonian is 3x3"),
+    (np.diag([1.0, 0.0, 0.0]), SIGMA_X, np.eye(2), [1.0, 0.0], DimMismatch,
+     "site 1 on-projector is 3x3"),
+], ids=["non-hermitian-obs", "obs-past-tolerance", "obs-size", "state-size",
+        "hamiltonian-size", "restriction-size"])
+@pytest.mark.parametrize("call", ["joint", "single-site"])
+def test_ancilla_input_is_checked(call, restriction, h, obs, state, error, match):
+    c = builtin_double_interferometer()
+    with pytest.raises(error, match=match):
+        if call == "joint":
+            joint_response(c, {1: (restriction, h)}, obs, state, 0.1)
+        else:
+            weak_interaction_response(c, 1, restriction, h, obs, state, 0.1)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
