@@ -16,8 +16,7 @@ from .counterfactual import (CounterfactualReport, InsertionSet,
                              is_counterfactual_weakvalues, randomized_def3_test)
 from .errors import SeqWeakError
 from .montecarlo import Estimate, RunBatch, estimate_moment, sample_runs
-from .oracle import (BranchSet, branch_decompose, exact_moment,
-                     same_pointer_twice, weak_interaction_response)
+from .oracle import exact_moment, same_pointer_twice, weak_interaction_response
 from .pointer import MomentSpec, PointerMoments, PointerProfile, predict_moment
 from .weakvalue import (ProductWeakValue, WeakValueTable, product_weak_value,
                         weak_value, weak_value_table)
@@ -25,11 +24,11 @@ from .weakvalue import (ProductWeakValue, WeakValueTable, product_weak_value,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchSet", "Circuit", "CircuitDocument", "CounterfactualReport",
+    "Circuit", "CircuitDocument", "CounterfactualReport",
     "EigenSystem", "Estimate", "InsertionSet", "MomentSpec", "P_B", "P_C",
     "P_E", "P_F", "ParseError", "PointerMoments", "PointerProfile",
     "ProductWeakValue", "RunBatch", "SeqWeakError", "WeakValueTable",
-    "branch_decompose", "builtin_document_path", "builtin_double_interferometer",
+    "builtin_document_path", "builtin_double_interferometer",
     "check_equivalence_def1_def2", "determines_output", "eig_hermitian",
     "estimate_moment", "exact_moment", "history_amplitudes",
     "is_counterfactual_histories", "is_counterfactual_weakvalues",

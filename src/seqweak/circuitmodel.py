@@ -6,8 +6,8 @@ boundary after U_k and before U_{k+1}; a boundary without a measurement
 stores the identity there.
 
 `amplitudes` is the one forward walk: <psi_f| U_f X_n ... X_1 |psi_i> for
-many choices of X_k at once (A_k U_k for weak values, N U_k for histories,
-P_a U_k for eigenbranches).  It costs one matvec per distinct prefix of the
+many choices of X_k at once (A_k U_k for weak values, N U_k or (1 - N) U_k
+for histories).  It costs one matvec per distinct prefix of the
 choices, about 2^(n+1) for a full table of 2^n weak values.
 `oracle.effects` is the backward walk.
 """

@@ -34,7 +34,7 @@ class InsertionSet:
     def __post_init__(self):
         projectors = tuple(algebra.as_operator(p) for p in self.on_projectors)
         if len(projectors) != len(self.sites):
-            raise ValueError("one projector per insertion site")
+            raise InvalidInput("one projector per insertion site")
         for p in projectors:
             if not algebra.is_projector(p, 1e-10):
                 raise NotProjector("insertion must be a Hermitian idempotent")

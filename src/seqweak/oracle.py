@@ -6,22 +6,25 @@ P_a U weighted by the pointer overlap kernel K of the site.  `effects` walks
 the post-selection backward through these instruments,
 E <- sum_{b,a} K[b,a] (P_b U)^dag E (P_a U), so the cost is linear in the
 number of sites.  The exact oracle reads <psi_i|E|psi_i> off the last step;
-the Monte Carlo sampler draws each readout against the intermediate effects.
+the Monte Carlo sampler draws each readout against the intermediate effects;
+with identity kernels they are the strong-measurement effects that
+`weakvalue.check_strong_agreement` follows the record against.
 Both read a tabulated profile's spectrally shifted samples (`_shifted_table`).
-Eigenbranch amplitudes (shared-pointer coupling, strong-measurement checks)
-and ancilla responses walk forward through `circuitmodel.amplitudes`.
+The shared-pointer mean contracts the two site instruments directly; the
+ancilla responses walk the off/on histories forward through
+`circuitmodel.amplitudes`.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra
-from .circuitmodel import Circuit, amplitudes, valid_subset
+from .circuitmodel import Circuit, valid_subset
 from .errors import (AssumptionAViolated, DegeneratePostSelection, DimMismatch,
-                     GridResolutionError, NotHermitian, NumericallySingular)
+                     GridResolutionError, InvalidInput, NotHermitian,
+                     NumericallySingular)
 from .pointer import MomentSpec, PointerProfile, check_coupling
 
 IMAG_RESIDUE_TOL = 1e-9
@@ -45,28 +48,6 @@ def _postselected_moment(c: Circuit, den, num) -> tuple[float, float]:
             f"imaginary residue {ratio.imag:.3e} in an analytically real moment")
     prob = den.real / float(np.vdot(c.psi_f, c.psi_f).real)
     return float(ratio.real), float(prob)
-
-
-@dataclass(frozen=True)
-class BranchSet:
-    branches: tuple[tuple[tuple[float, ...], complex], ...]
-    site_spectra: tuple[algebra.EigenSystem, ...]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(es.eigenvalues) for es in self.site_spectra)
-
-
-def branch_decompose(c: Circuit) -> BranchSet:
-    """Amplitudes <psi_f| U_{n+1} P_{a_n} U_n ... P_{a_1} U_1 |psi_i> for
-    every eigenvalue sequence, degenerate eigenspaces merged."""
-    spectra = tuple(algebra.eig_hermitian(a) for _, a in c.stages)
-    choices = list(itertools.product(*[range(len(es.eigenvalues)) for es in spectra]))
-    ops = [np.stack(es.projectors) @ u for (u, _), es in zip(c.stages, spectra)]
-    amps = amplitudes(c, ops, np.array(choices, dtype=np.intp))
-    branches = tuple((tuple(es.eigenvalues[k] for es, k in zip(spectra, choice)), amp)
-                     for choice, amp in zip(choices, amps.tolist()))
-    return BranchSet(branches, spectra)
 
 
 @dataclass(frozen=True)
@@ -97,7 +78,7 @@ def gaussian_kernels(eigs, g: float, sigma: float,
     quadrature in the test suite.
     """
     if sigma <= 0:
-        raise ValueError("sigma must be positive")
+        raise InvalidInput("sigma must be positive")
     a = np.asarray(eigs, dtype=float)
     diff = a[None, :] - a[:, None]      # a - b
     mid = (a[None, :] + a[:, None]) / 2  # (a + b)/2
@@ -162,10 +143,10 @@ def effects(c: Circuit, sites, kernels) -> list[np.ndarray]:
     kernels for site i, so m walks run side by side.  Entry i of the result,
     shape (m, d, d), is the effect of everything after site i (0-based) on
     the state just after site i; entry n is U_f^dag |psi_f><psi_f| U_f and
-    entry 0 acts on the initial state.
+    entry 0 acts on the initial state.  A circuit without sites has one walk.
     """
     bra = c.u_final.conj().T @ c.psi_f
-    m = len(kernels[0])
+    m = len(kernels[0]) if kernels else 1
     e = np.repeat(np.outer(bra, bra.conj())[None], m, axis=0)
     out = [e]
     for (pu, _), kern in zip(reversed(sites), reversed(kernels)):
@@ -199,14 +180,16 @@ def exact_moment(c: Circuit, spec: MomentSpec, g: float,
 
 def same_pointer_twice(c: Circuit, g: float, prof: PointerProfile) -> float:
     """Exact <q> for a single pointer weakly coupled at both sites of a
-    two-site circuit; the pointer ends up translated by g (a1 + a2)."""
+    two-site circuit; the pointer ends up translated by g (a1 + a2).  The
+    (k2, k1) branch amplitudes <psi_f| U_f P_b U_2 P_a U_1 |psi_i> come from
+    the two site instruments."""
     if c.n != 2:
-        raise ValueError("expected a two-site circuit")
+        raise InvalidInput(f"expected a two-site circuit, got n = {c.n}")
     if prof.kind != "gaussian" or not prof.is_assumption_a:
         raise AssumptionAViolated("same-pointer coupling needs a centered Gaussian")
-    bs = branch_decompose(c)
-    totals = np.array([sum(seq) for seq, _ in bs.branches])
-    amps = np.array([amp for _, amp in bs.branches])
+    (pu1, es1), (pu2, es2) = site_instruments(c)
+    amps = (((c.psi_f.conj() @ c.u_final) @ pu2) @ (pu1 @ c.psi_i).T).reshape(-1)
+    totals = np.add.outer(es2.eigenvalues, es1.eigenvalues).reshape(-1)
     kern = gaussian_kernels(totals, g, prof.sigma)
     den = complex(np.conj(amps) @ kern.s @ amps)
     num = complex(np.conj(amps) @ kern.q @ amps)

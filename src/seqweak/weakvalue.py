@@ -38,6 +38,7 @@ from .errors import (
 F_TOL = 1e-12
 HUGE_WEAK_VALUE = 1e6
 BRANCH_TOL = 1e-10  # a strong-measurement branch below this never occurs
+STRONG_REL_TOL = 1e-12  # nor does an outcome below this share of them all
 MAX_TABLE_ENTRIES = 1 << 20  # the full table at n = 20
 # `product_weak_value` reconstructs from <q1 q2> at this coupling, with a
 # Gaussian pointer of this width
@@ -184,7 +185,7 @@ def check_marginal(c: Circuit, subset, drop: int) -> float:
     is the same expression as removing ``drop`` from the subset."""
     s = valid_subset(subset, c.n)
     if drop not in s:
-        raise ValueError(f"site {drop} not in subset {s}")
+        raise InvalidInput(f"site {drop} not in subset {s}")
     with_identity = c.with_observables({drop: np.eye(c.dim)})
     reduced = tuple(i for i in s if i != drop)
     return abs(weak_value(with_identity, s) - weak_value(c, reduced))
@@ -195,20 +196,31 @@ def check_strong_agreement(c: Circuit) -> float | None:
     this pre/post-selection, return |wv(full) - a_1 a_2 ... a_n|; otherwise
     return None.
 
-    Determinism means every measurement history with nonzero amplitude
-    (post-selection included) carries one and the same eigenvalue sequence.
+    Determinism means one eigenvalue sequence carries all the post-selected
+    probability.  A backward walk with identity kernels gives the strong
+    effects E_k; a forward walk follows the record, taking at site k the one
+    outcome a whose class probability <w_a|E_k|w_a>, w_a = P_a U_k v,
+    exceeds max(STRONG_REL_TOL <psi_i|E_0|psi_i>, BRANCH_TOL^2).  The cut is
+    relative because a class probability is rounded relative to the total:
+    classes that only the post-selection empties keep up to ~1e-14 of it.
+    So a stray branch below ~1e-6 of the total amplitude goes unseen.
     """
-    from .oracle import branch_decompose
+    from .oracle import effects, site_instruments
 
-    bs = branch_decompose(c)
-    surviving = [seq for seq, amp in bs.branches if abs(amp) > BRANCH_TOL]
-    if not surviving:
+    sites = site_instruments(c)
+    effs = effects(c, sites, [np.eye(len(es.eigenvalues))[None] for _, es in sites])
+    total = float(np.vdot(c.psi_i, effs[0][0] @ c.psi_i).real)
+    cut = max(STRONG_REL_TOL * total, BRANCH_TOL**2)
+    if total <= cut:
         return None
-    first = surviving[0]
-    for seq in surviving[1:]:
-        if any(abs(x - y) > 1e-9 for x, y in zip(seq, first)):
+    v, product = c.psi_i, 1.0
+    for (pu, es), e in zip(sites, effs[1:]):
+        w = pu @ v
+        occurs = np.flatnonzero(((w.conj() @ e[0]) * w).sum(axis=1).real > cut)
+        if len(occurs) != 1:
             return None
-    product = float(np.prod(first)) if first else 1.0
+        v = w[occurs[0]]
+        product *= es.eigenvalues[occurs[0]]
     return abs(weak_value(c, tuple(range(1, c.n + 1))) - product)
 
 
@@ -220,10 +232,10 @@ def ratio_rule_check(c: Circuit, alt_obs2) -> float:
     truncated circuit that starts in |x> at the second stage.
     """
     if c.n != 2:
-        raise ValueError("ratio rule applies to two-site circuits")
+        raise InvalidInput("ratio rule applies to two-site circuits")
     p = c.observable(1)
     if not algebra.is_projector(p, 1e-10) or abs(np.trace(p) - 1.0) > 1e-8:
-        raise ValueError("first observable must be a rank-1 projector")
+        raise InvalidInput("first observable must be a rank-1 projector")
     vals, vecs = np.linalg.eigh(p)
     x = vecs[:, int(np.argmax(vals))]
 
@@ -259,10 +271,10 @@ def product_weak_value(c: Circuit) -> ProductWeakValue:
     from .pointer import MomentSpec, PointerProfile, predict_moment
 
     if c.n != 2:
-        raise ValueError("expected a circuit with exactly two observables")
+        raise InvalidInput("expected a circuit with exactly two observables")
     u2, a2 = c.stages[1]
     if np.max(np.abs(u2 - np.eye(c.dim))) > 1e-12:
-        raise ValueError("the intervening unitary must be the identity")
+        raise InvalidInput("the intervening unitary must be the identity")
     a1 = c.observable(1)
     if np.max(np.abs(a1 @ a2 - a2 @ a1)) > 1e-10:
         raise NonCommuting("observables at one time must commute")
@@ -300,7 +312,7 @@ def path_amplitude_identity(c: Circuit, bases=None) -> float:
     for k in range(1, c.n + 1):
         p = c.observable(k)
         if not algebra.is_projector(p, 1e-10) or abs(np.trace(p) - 1.0) > 1e-8:
-            raise ValueError(f"observable at site {k} is not a rank-1 projector")
+            raise InvalidInput(f"observable at site {k} is not a rank-1 projector")
         vals, vecs = np.linalg.eigh(p)
         xs.append(vecs[:, int(np.argmax(vals))])
 

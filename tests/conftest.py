@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from seqweak.algebra import eig_hermitian
 from seqweak.circuitmodel import Circuit, transition_amplitude
 
 
@@ -56,6 +57,21 @@ def per_row_walk(c, ops, histories):
     for k, x in enumerate(ops):
         v = x[histories[:, k]] @ v
     return v[:, :, 0] @ (c.psi_f.conj() @ c.u_final)
+
+
+def loop_branches(c):
+    """Every eigenvalue branch walked on its own, one matvec per operator:
+    the tests' one k^n reference for eigenbranch quantities.  Returns the
+    site spectra (degenerate eigenvalues merged) and the amplitudes
+    <psi_f| U_f P_{a_n} U_n ... P_{a_1} U_1 |psi_i>, indexed [a_1, ..., a_n]."""
+    spectra = [eig_hermitian(a) for _, a in c.stages]
+    amps = np.empty(tuple(len(es.eigenvalues) for es in spectra), dtype=complex)
+    for choice in np.ndindex(amps.shape):
+        v = c.psi_i
+        for (u, _), es, k in zip(c.stages, spectra, choice):
+            v = es.projectors[k] @ (u @ v)
+        amps[choice] = np.vdot(c.psi_f, c.u_final @ v)
+    return spectra, amps
 
 
 @pytest.fixture

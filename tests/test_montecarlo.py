@@ -10,11 +10,11 @@ from seqweak.montecarlo import (GRID_POINTS, RANGE_SIGMAS, RunBatch, _basis_mome
                                 _cumulative, _hermitian_columns, _invert_mixture_cdf,
                                 _start_cells, estimate_moment,
                                 sample_runs)
-from seqweak.oracle import (_shifted_table, branch_decompose, effects, exact_moment,
-                            site_instruments, site_kernels)
+from seqweak.oracle import (_shifted_table, effects, exact_moment, site_instruments,
+                            site_kernels)
 from seqweak.pointer import MomentSpec, PointerProfile
 
-from conftest import random_circuit, random_hermitian, random_unitary
+from conftest import loop_branches, random_circuit, random_hermitian, random_unitary
 
 
 def grid_pair_matrix(prof, eigs, g):
@@ -94,10 +94,9 @@ def joint_tensor_reference(c, g, prof, n_total, seed):
     post-selection flags and the samples in the layout of `RunBatch`."""
     n = c.n
     assert 1 <= n <= 3
-    bs = branch_decompose(c)
-    ks = bs.shape
-    amps = np.array([amp for _, amp in bs.branches]).reshape(ks)
-    eig_sets = [np.asarray(es.eigenvalues) for es in bs.site_spectra]
+    spectra, amps = loop_branches(c)
+    ks = amps.shape
+    eig_sets = [np.asarray(es.eigenvalues) for es in spectra]
     letters_b, letters_a = "abc"[:n], "xyz"[:n]
     interleaved = "".join(b + a for b, a in zip(letters_b, letters_a))
     d_tensor = np.einsum(f"{letters_b},{letters_a}->{interleaved}",

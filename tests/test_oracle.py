@@ -5,23 +5,22 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from seqweak.algebra import eig_hermitian
-from seqweak.circuitmodel import (P_B, P_F, Circuit,
+from seqweak.circuitmodel import (P_B, P_C, P_E, P_F, Circuit, amplitudes,
                                   builtin_double_interferometer,
                                   transition_amplitude)
 from seqweak.errors import (AssumptionAViolated, DegeneratePostSelection, DimMismatch,
                             GridResolutionError, InvalidInput, NotHermitian)
 from seqweak import montecarlo
 from seqweak.montecarlo import sample_runs
-from seqweak.oracle import (_kicks, _shifted_table, branch_decompose, exact_moment,
-                            gaussian_kernels, joint_response, same_pointer_twice,
+from seqweak.oracle import (_kicks, _shifted_table, exact_moment, gaussian_kernels,
+                            joint_response, same_pointer_twice, site_instruments,
                             site_kernels, tabulated_kernels,
                             weak_interaction_response)
 from seqweak.pointer import MomentSpec, PointerProfile, predict_moment
 from seqweak.weakvalue import weak_value
 
-from conftest import (random_circuit, random_hermitian, random_projector,
-                      random_state, random_unitary)
+from conftest import (loop_branches, random_circuit, random_hermitian,
+                      random_projector, random_state, random_unitary)
 
 
 def quadrature_kernels(eigs, g, prof, npts=80001, span=30.0):
@@ -205,45 +204,32 @@ def test_site_kernels_dispatch():
 def test_branch_amplitudes_sum_to_transition_amplitude(rng):
     for seed in range(10):
         c = random_circuit(seed, n=2)
-        bs = branch_decompose(c)
-        total = sum(amp for _, amp in bs.branches)
-        assert total == pytest.approx(transition_amplitude(c), abs=1e-10)
+        _, amps = loop_branches(c)
+        assert amps.sum() == pytest.approx(transition_amplitude(c), abs=1e-10)
 
 
 def test_branch_decompose_projector_sites():
     c = builtin_double_interferometer()
-    bs = branch_decompose(c)
-    assert bs.shape == (2, 2)
-    amps = dict(zip([seq for seq, _ in bs.branches],
-                    [amp for _, amp in bs.branches]))
+    spectra, amps = loop_branches(c)
+    assert amps.shape == (2, 2)
     # photon through B then F has amplitude 1/(2 sqrt 2) up to sign
-    assert abs(amps[(1.0, 1.0)]) == pytest.approx(1 / (2 * np.sqrt(2)))
-
-
-def loop_branches(c):
-    """Each eigenvalue branch walked on its own, one matvec per operator:
-    the reference for `branch_decompose`."""
-    spectra = [eig_hermitian(a) for _, a in c.stages]
-    out = []
-    for choice in itertools.product(*[range(len(es.eigenvalues)) for es in spectra]):
-        v = c.psi_i
-        for (u, _), es, k in zip(c.stages, spectra, choice):
-            v = es.projectors[k] @ (u @ v)
-        seq = tuple(es.eigenvalues[k] for es, k in zip(spectra, choice))
-        out.append((seq, complex(np.vdot(c.psi_f, c.u_final @ v))))
-    return out
+    through_bf = amps[spectra[0].eigenvalues.index(1.0), spectra[1].eigenvalues.index(1.0)]
+    assert abs(through_bf) == pytest.approx(1 / (2 * np.sqrt(2)))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("projectors", [False, True])
 def test_branch_decompose_matches_per_branch_loop(n, d, projectors):
+    # the eigenbranch decomposition as the package builds it: the stacked
+    # P_a U of `site_instruments`, every branch walked by `amplitudes`
     c = random_circuit(300 + 10 * n + d, dim=d, n=n, projectors=projectors)
-    bs = branch_decompose(c)
-    ref = loop_branches(c)
-    assert [seq for seq, _ in bs.branches] == [seq for seq, _ in ref]
-    for (_, amp), (_, ref_amp) in zip(bs.branches, ref):
-        assert abs(amp - ref_amp) <= 1e-12
+    spectra, ref = loop_branches(c)
+    sites = site_instruments(c)
+    assert [es.eigenvalues for _, es in sites] == [es.eigenvalues for es in spectra]
+    choices = np.array(list(itertools.product(*map(range, ref.shape))), dtype=np.intp)
+    amps = amplitudes(c, [pu for pu, _ in sites], choices)
+    assert np.max(np.abs(amps - ref.reshape(-1))) <= 1e-12
 
 
 def test_exact_moment_zero_coupling_is_profile_mean(rng):
@@ -308,8 +294,6 @@ def test_exact_momentum_moment_sign():
 
 
 def test_same_pointer_twice():
-    from seqweak.circuitmodel import P_C, P_E
-
     g = 1e-3
     # C and E are both fully occupied, so the shared pointer moves by 2g
     c = builtin_double_interferometer(P_C, P_E)
@@ -346,6 +330,27 @@ def test_same_pointer_twice_requires_centered_gaussian():
     c = builtin_double_interferometer()
     with pytest.raises(AssumptionAViolated):
         same_pointer_twice(c, 1e-3, PointerProfile.gaussian(1.0, q_offset=0.1))
+
+
+def shared_pointer_reference(c, g, sigma):
+    """<q> of one Gaussian pointer coupled at both sites of ``c``, as the
+    pair sum over the `loop_branches` branches, each of which translates
+    the pointer by g (a_1 + a_2)."""
+    spectra, amps = loop_branches(c)
+    totals = np.add.outer(*[es.eigenvalues for es in spectra]).reshape(-1)
+    amps = amps.reshape(-1)
+    kern = gaussian_kernels(totals, g, sigma)
+    return (np.conj(amps) @ kern.q @ amps / (np.conj(amps) @ kern.s @ amps)).real
+
+
+@pytest.mark.parametrize("g", [1e-3, 0.3, 1.5])
+def test_same_pointer_twice_matches_branch_pair_sum(g):
+    circuits = [builtin_double_interferometer(), builtin_double_interferometer(P_C, P_E),
+                *(random_circuit(seed + 700, n=2) for seed in range(8)),
+                *(random_circuit(seed + 700, dim=3, n=2, projectors=True) for seed in range(4))]
+    for c in circuits:
+        val = same_pointer_twice(c, g, PointerProfile.gaussian(0.7))
+        assert val == pytest.approx(shared_pointer_reference(c, g, 0.7), rel=1e-12)
 
 
 def test_weak_interaction_response_tracks_weak_value():
@@ -478,15 +483,15 @@ PROFILES = {
 
 def pair_sum_moment(c, spec, g, prof):
     """The branch-pair sum sum_{b,a} conj(c_b) c_a prod_i K_i[b_i, a_i]
-    over every pair of branch_decompose branches, with the kernel weights
+    over every pair of `loop_branches` branches, with the kernel weights
     gathered per site into one (branches x branches) matrix."""
-    bs = branch_decompose(c)
-    amps = np.array([amp for _, amp in bs.branches])
-    choices = np.array(list(itertools.product(*[range(k) for k in bs.shape])))
+    spectra, amps = loop_branches(c)
+    choices = np.array(list(itertools.product(*map(range, amps.shape))))
+    amps = amps.reshape(-1)
     kinds = dict(spec.factors)
     den_w = np.ones((len(amps), len(amps)), dtype=complex)
     num_w = den_w.copy()
-    for i, es in enumerate(bs.site_spectra):
+    for i, es in enumerate(spectra):
         kern = site_kernels(es.eigenvalues, g, prof)
         pairs = np.ix_(choices[:, i], choices[:, i])
         den_w *= kern.s[pairs]

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import time
 from math import comb
 
 import numpy as np
@@ -7,14 +9,17 @@ import pytest
 from seqweak.circuitmodel import (P_B, P_C, P_E, P_F, Circuit,
                                   builtin_double_interferometer,
                                   transition_amplitude)
-from seqweak.errors import DegeneratePostSelection, InvalidInput, NonCommuting
-from seqweak.weakvalue import (check_linearity, check_marginal,
+from seqweak.counterfactual import InsertionSet
+from seqweak.errors import DegeneratePostSelection, InvalidInput, NonCommuting, SeqWeakError
+from seqweak.oracle import gaussian_kernels, same_pointer_twice
+from seqweak.pointer import PointerProfile
+from seqweak.weakvalue import (BRANCH_TOL, check_linearity, check_marginal,
                                check_strong_agreement, path_amplitude_identity,
                                MAX_TABLE_ENTRIES, product_weak_value,
                                ratio_rule_check, weak_value, weak_value_table)
 
-from conftest import (random_circuit, random_hermitian, random_projector,
-                      random_state, random_unitary)
+from conftest import (loop_branches, random_circuit, random_hermitian,
+                      random_projector, random_state, random_unitary)
 
 
 GOLDEN_SINGLES = {"B": 0.0, "C": 1.0, "E": 1.0, "F": 0.0}
@@ -237,6 +242,112 @@ def test_strong_agreement_none_when_record_is_random(rng):
     assert check_strong_agreement(builtin_double_interferometer()) is None
 
 
+def strong_agreement_reference(c):
+    """`check_strong_agreement` by enumeration: the record is deterministic
+    when exactly one eigenvalue branch has |amplitude| > BRANCH_TOL."""
+    spectra, amps = loop_branches(c)
+    surviving = np.argwhere(np.abs(amps) > BRANCH_TOL)
+    if len(surviving) != 1:
+        return None
+    product = np.prod([es.eigenvalues[k] for es, k in zip(spectra, surviving[0])])
+    return abs(weak_value(c, tuple(range(1, c.n + 1))) - product)
+
+
+def postselection_fixed_circuit(seed, dim=4, n=2):
+    """Circuit with rank-2 projector observables whose strong record only
+    the post-selection fixes: psi_f is orthogonal to every branch but one."""
+    rng = np.random.default_rng(seed)
+    c = Circuit(psi_i=random_state(rng, dim),
+                stages=tuple((random_unitary(rng, dim), random_projector(rng, dim, rank=2))
+                             for _ in range(n)),
+                u_final=random_unitary(rng, dim), psi_f=random_state(rng, dim))
+    # column j of the branch states U_f P U ... P U psi_i is their amplitude on e_j
+    states = np.stack([loop_branches(dataclasses.replace(c, psi_f=e))[1].reshape(-1)
+                       for e in np.eye(dim)], axis=1)
+    others = np.delete(states, rng.integers(len(states)), axis=0)
+    return dataclasses.replace(c, psi_f=np.linalg.svd(others)[2][-1])
+
+
+def assert_strong_agreement_matches_reference(c):
+    dev, ref = check_strong_agreement(c), strong_agreement_reference(c)
+    assert (dev is None) == (ref is None)
+    if ref is not None:
+        assert abs(dev - ref) <= 1e-12
+    return dev
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_strong_agreement_matches_enumeration_on_deterministic_records(n):
+    for seed in range(10):
+        c, _ = deterministic_circuit(seed, dim=3, n=n)
+        if abs(transition_amplitude(c)) > 0.1:
+            assert assert_strong_agreement_matches_reference(c) is not None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("projectors", [False, True])
+def test_strong_agreement_matches_enumeration_on_random_circuits(n, projectors):
+    for seed in range(5):
+        assert_strong_agreement_matches_reference(
+            random_circuit(seed + 40 * n, n=n, projectors=projectors))
+
+
+def test_strong_agreement_matches_enumeration_on_builtin_document():
+    for obs in [(P_B, P_F), (P_C, P_E), (P_B, P_E), (P_C, P_F)]:
+        assert_strong_agreement_matches_reference(builtin_double_interferometer(*obs))
+
+
+def test_strong_agreement_matches_enumeration_on_postselection_fixed_records():
+    # the dead outcome classes hold only rounding, up to ~1e-14 of the total
+    for seed in range(40):
+        assert assert_strong_agreement_matches_reference(
+            postselection_fixed_circuit(seed)) is not None
+
+
+def test_strong_agreement_without_sites():
+    rng = np.random.default_rng(11)
+    c = Circuit(psi_i=random_state(rng, 3), stages=(), u_final=random_unitary(rng, 3),
+                psi_f=random_state(rng, 3))
+    assert assert_strong_agreement_matches_reference(c) == pytest.approx(0.0, abs=1e-15)
+    # nothing survives a post-selection orthogonal to U_f psi_i
+    orthogonal = np.linalg.svd((c.u_final @ c.psi_i)[None].conj())[2][-1].conj()
+    c = dataclasses.replace(c, psi_f=orthogonal)
+    assert abs(transition_amplitude(c)) < 1e-15
+    assert assert_strong_agreement_matches_reference(c) is None
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-8, 1e-5, 1e-3])
+def test_strong_agreement_band(eps):
+    # psi_i moved off a deterministic record by relative amplitude eps: the
+    # stray branches' amplitudes are about eps.  The enumeration counts a
+    # branch above BRANCH_TOL = 1e-10; the walk counts an outcome class
+    # above STRONG_REL_TOL = 1e-12 of the total probability, so at 1e-8 it
+    # still reports the deviation where the enumeration says None.
+    c, _ = deterministic_circuit(0, dim=3, n=2)
+    assert abs(transition_amplitude(c)) > 0.1
+    off = random_state(np.random.default_rng(1), 3)
+    off -= np.vdot(c.psi_i, off) * c.psi_i
+    psi_i = c.psi_i + eps * off / np.linalg.norm(off)
+    c = dataclasses.replace(c, psi_i=psi_i / np.linalg.norm(psi_i))
+    dev, ref = check_strong_agreement(c), strong_agreement_reference(c)
+    if eps == 1e-11:
+        assert dev is not None and ref is not None and abs(dev - ref) <= 1e-12
+    elif eps == 1e-8:
+        assert ref is None and dev is not None and 1e-10 < dev < 1e-6
+    else:
+        assert dev is None and ref is None
+
+
+def test_strong_agreement_forty_sites():
+    c, expected = deterministic_circuit(40, dim=4, n=40)
+    start = time.perf_counter()
+    with pytest.warns(RuntimeWarning, match="huge"):  # the product is 40 eigenvalues
+        dev = check_strong_agreement(c)
+    assert time.perf_counter() - start < 1.0
+    assert dev is not None and dev <= 1e-9 * expected
+    assert check_strong_agreement(random_circuit(40, dim=4, n=40)) is None
+
+
 def ratio_circuit(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
@@ -316,3 +427,22 @@ def test_product_weak_value_rejects_intervening_evolution(rng):
     c = builtin_double_interferometer()
     with pytest.raises(ValueError, match="identity"):
         product_weak_value(c)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: same_pointer_twice(random_circuit(1, n=3), 1e-3, PointerProfile.gaussian(1.0)),
+    lambda: InsertionSet((1, 2), (P_B,)),
+    lambda: gaussian_kernels([0.0, 1.0], 0.1, -1.0),
+    lambda: check_marginal(random_circuit(0, n=2), (1,), 2),
+    lambda: ratio_rule_check(random_circuit(3, dim=3, n=3), np.eye(3)),
+    lambda: ratio_rule_check(random_circuit(3, dim=3, n=2), np.eye(3)),
+    lambda: product_weak_value(random_circuit(3, n=3)),
+    lambda: product_weak_value(builtin_double_interferometer()),
+    lambda: path_amplitude_identity(random_circuit(3, n=2)),
+], ids=["shared-pointer-sites", "insertion-projectors", "kernel-sigma", "marginal-site",
+        "ratio-sites", "ratio-projector", "product-sites", "product-unitary",
+        "path-projector"])
+def test_library_argument_errors_are_invalid_input(call):
+    with pytest.raises(InvalidInput) as info:
+        call()
+    assert isinstance(info.value, SeqWeakError) and info.value.exit_code == 2
