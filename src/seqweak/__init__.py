@@ -13,13 +13,14 @@ from .circuitmodel import (P_B, P_C, P_E, P_F, Circuit,
 from .counterfactual import (CounterfactualReport, InsertionSet,
                              check_equivalence_def1_def2, determines_output,
                              history_amplitudes, is_counterfactual_histories,
-                             is_counterfactual_weakvalues, randomized_def3_test)
+                             is_counterfactual_weakvalues, randomized_def3_test,
+                             weak_interaction_response)
 from .errors import SeqWeakError
 from .montecarlo import Estimate, RunBatch, estimate_moment, sample_runs
-from .oracle import exact_moment, same_pointer_twice, weak_interaction_response
-from .pointer import MomentSpec, PointerMoments, PointerProfile, predict_moment
-from .weakvalue import (ProductWeakValue, WeakValueTable, product_weak_value,
-                        weak_value, weak_value_table)
+from .oracle import exact_moment, same_pointer_twice
+from .pointer import (MomentSpec, PointerMoments, PointerProfile, ProductWeakValue,
+                      predict_moment, product_weak_value)
+from .weakvalue import WeakValueTable, weak_value, weak_value_table
 
 __version__ = "0.1.0"
 

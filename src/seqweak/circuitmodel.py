@@ -1,15 +1,23 @@
-"""Pre/post-selected measurement scenarios and the forward amplitude walk.
+"""Pre/post-selected measurement scenarios and the two circuit walks.
 
 A circuit is an initial state, n stages of (unitary, observable), a final
 unitary and a post-selection bra.  The observable of stage k sits at the
 boundary after U_k and before U_{k+1}; a boundary without a measurement
 stores the identity there.
 
-`amplitudes` is the one forward walk: <psi_f| U_f X_n ... X_1 |psi_i> for
+`amplitudes` is the forward walk: <psi_f| U_f X_n ... X_1 |psi_i> for
 many choices of X_k at once (A_k U_k for weak values, N U_k or (1 - N) U_k
-for histories).  It costs one matvec per distinct prefix of the
-choices, about 2^(n+1) for a full table of 2^n weak values.
-`oracle.effects` is the backward walk.
+for histories, U_k or N U_k for the weak values of on-projectors).  It
+costs one matvec per distinct prefix of the choices, about 2^(n+1) for a
+full table of 2^n weak values.
+
+`effects` is the backward walk.  A pointer coupled at a site makes it a
+quantum instrument with Kraus-like operators P_a U (`site_instruments`, P_a
+the observable's eigenprojectors) weighted by a (k, k) kernel K, and the
+post-selection walks back through them, E <- sum_{b,a} K[b,a] (P_b U)^dag
+E (P_a U), linear in the number of sites.  Pointer overlap kernels
+(`oracle`) give exact moments and the sampler's densities; identity kernels
+give the strong-measurement effects.
 """
 from __future__ import annotations
 
@@ -129,6 +137,38 @@ def amplitudes(c: Circuit, ops, histories) -> np.ndarray:
     out = np.empty(m, dtype=complex)
     out[order] = (v[:, :, 0] @ bra)[np.cumsum(new_run[-1]) - 1]
     return out
+
+
+def site_instruments(c: Circuit) -> list[tuple[np.ndarray, algebra.EigenSystem]]:
+    """Per site, the stacked operators P_a U of shape (k, d, d) and the
+    observable's `EigenSystem`, whose k merged eigenvalues a they belong to."""
+    out = []
+    for u, a in c.stages:
+        es = algebra.eig_hermitian(a)
+        out.append((np.stack(es.projectors) @ u, es))
+    return out
+
+
+def effects(c: Circuit, sites, kernels) -> list[np.ndarray]:
+    """Backward effects of the post-selection through the site instruments.
+
+    ``sites`` comes from `site_instruments`; ``kernels[i]`` stacks m (k, k)
+    kernels for site i, so m walks run side by side.  Entry i of the result,
+    shape (m, d, d), is the effect of everything after site i (0-based) on
+    the state just after site i; entry n is U_f^dag |psi_f><psi_f| U_f and
+    entry 0 acts on the initial state.  A circuit without sites has one walk.
+    """
+    bra = c.u_final.conj().T @ c.psi_f
+    m = len(kernels[0]) if kernels else 1
+    e = np.repeat(np.outer(bra, bra.conj())[None], m, axis=0)
+    out = [e]
+    for (pu, _), kern in zip(reversed(sites), reversed(kernels)):
+        # E <- sum_{b,a} K[b,a] (P_b U)^dag E (P_a U), as plain matmuls
+        right = e[:, None] @ pu
+        mixed = (kern @ right.reshape(m, len(pu), -1)).reshape(right.shape)
+        e = np.add.reduce(pu.conj().swapaxes(1, 2) @ mixed, axis=1)
+        out.append(e)
+    return out[::-1]
 
 
 def transition_amplitude(c: Circuit) -> complex:

@@ -5,7 +5,12 @@ history containing an "on" projector has zero amplitude; by weak values
 when every sequential weak value of the on-projectors vanishes; by general
 weak interactions when every weak coupling restricted to the on-projectors
 yields a null result.  The three verdicts must always agree.  Each
-definition reads one forward walk (`circuitmodel.amplitudes`).
+definition reads one forward walk (`circuitmodel.amplitudes`) of the circuit
+itself, over the operators of `_insertion_ops`: the histories pick
+(1 - N) U or N U at each insertion site, the weak values U or N U.  Every
+ancilla response, of one probe (`joint_response`) or of a block of random
+Definition-3 probes (`randomized_def3_test`), is one contraction of
+history amplitudes with kicked ancilla states (`_responses`).
 """
 from __future__ import annotations
 
@@ -17,8 +22,8 @@ import numpy as np
 from . import algebra
 from .circuitmodel import Circuit, amplitudes, transition_amplitude, valid_subset
 from .errors import (BothZero, DimMismatch, EquivalenceViolation, InvalidInput,
-                     NotProjector, NumericallySingular)
-from .oracle import _kicks
+                     NotHermitian, NotProjector, NumericallySingular)
+from .pointer import check_coupling
 from .weakvalue import weak_values
 
 ZERO_TOL = 1e-10
@@ -61,21 +66,28 @@ def all_histories(k: int):
     return ["".join(h) for h in itertools.product("FN", repeat=k)]
 
 
-def history_amplitudes(c: Circuit, ins: InsertionSet) -> dict[str, complex]:
-    """Amplitude of every history in `all_histories` order: the on-projector
-    (N) or its complement (F) inserted at each insertion site per the
-    history string, identity elsewhere."""
+def _insertion_ops(c: Circuit, ins: InsertionSet, complement: bool) -> list[np.ndarray]:
+    """Per site, the operators a walk picks from (`circuitmodel.amplitudes`):
+    U alone off the insertion sites; at one, N U as choice 1 and as choice 0
+    (1 - N) U if ``complement`` (the histories), else U (the weak values)."""
     sites = valid_subset(ins.sites, c.n)
     for site, p in zip(sites, ins.on_projectors):
         if p.shape != (c.dim, c.dim):
             raise DimMismatch(f"site {site} on-projector is {p.shape[0]}x{p.shape[1]}, "
                               f"the circuit's dimension is {c.dim}")
     on = dict(zip(sites, ins.on_projectors))
-    ops = [np.stack([u - on[k] @ u, on[k] @ u]) if k in on else u[None]
-           for k, (u, _) in enumerate(c.stages, start=1)]
+    return [np.stack([u - on[k] @ u if complement else u, on[k] @ u]) if k in on else u[None]
+            for k, (u, _) in enumerate(c.stages, start=1)]
+
+
+def history_amplitudes(c: Circuit, ins: InsertionSet) -> dict[str, complex]:
+    """Amplitude of every history in `all_histories` order: the on-projector
+    (N) or its complement (F) inserted at each insertion site per the
+    history string, identity elsewhere."""
+    ops = _insertion_ops(c, ins, complement=True)
     histories = all_histories(len(ins))
     rows = np.zeros((len(histories), c.n), dtype=np.uint8)
-    rows[:, [s - 1 for s in sites]] = list(itertools.product((0, 1), repeat=len(ins)))
+    rows[:, [s - 1 for s in ins.sites]] = list(itertools.product((0, 1), repeat=len(ins)))
     return dict(zip(histories, amplitudes(c, ops, rows).tolist()))
 
 
@@ -90,10 +102,6 @@ def _first_on_history(histories):
     return h is None, h
 
 
-def _on_circuit(c: Circuit, ins: InsertionSet) -> Circuit:
-    return c.with_observables(dict(zip(ins.sites, ins.on_projectors)))
-
-
 def insertion_subsets(ins: InsertionSet):
     """Nonempty subsets of insertion sites, by size then lexicographic."""
     for r in range(1, len(ins) + 1):
@@ -103,9 +111,8 @@ def insertion_subsets(ins: InsertionSet):
 def is_counterfactual_weakvalues(c: Circuit, ins: InsertionSet):
     """Definition by weak values; witness is the first subset of insertion
     sites whose sequential weak value of the on-projectors is nonzero."""
-    valid_subset(ins.sites, c.n)
     subsets = list(insertion_subsets(ins))
-    wv = weak_values(_on_circuit(c, ins), subsets).tolist()
+    wv = weak_values(c, subsets, _insertion_ops(c, ins, complement=False)).tolist()
     return _first_on_subset(zip(subsets, wv))
 
 
@@ -122,7 +129,7 @@ def check_equivalence_def1_def2(c: Circuit, ins: InsertionSet) -> bool:
     amps = history_amplitudes(c, ins)
     d1, _ = _first_on_history(amps.items())
     subsets = [()] + list(insertion_subsets(ins))
-    wv = weak_values(_on_circuit(c, ins), subsets)
+    wv = weak_values(c, subsets, _insertion_ops(c, ins, complement=False))
     d2, _ = _first_on_subset(zip(subsets[1:], wv[1:].tolist()))
     if d1 != d2:
         raise EquivalenceViolation(
@@ -173,18 +180,14 @@ def _draw_width(r: int) -> int:
 
 def _def3_responses(amps: list[np.ndarray], draws: np.ndarray, g: float) -> np.ndarray:
     """The Definition-3 ancilla responses of a block of trials, shape
-    (trials, subsets) in `insertion_subsets` order.
+    (trials, subsets) in `insertion_subsets` order (`_responses`).
 
     ``amps`` is `_subset_amplitudes`; row t of ``draws`` holds trial t's
-    normal draws, subset after subset, each as `_draw_width` says.  All the
-    block's kicks come from one `_kicks` call; each subset's post-selected
-    ancilla state sums its history amplitudes times the kicks of the
-    history's "on" sites, applied in site order (`_ancilla_response`).  At
-    g = 0 every kick is the identity, so the baseline is sum(amps) * state.
+    normal draws, subset after subset, each as `_draw_width` says.
     """
     d = ANCILLA_DIM
     trials = len(draws)
-    probes, hams, lo = [], [], 0
+    hams, obs, states, lo = [], [], [], 0
     for r, group in enumerate(amps, start=1):
         width = _draw_width(r)
         cols = draws[:, lo:lo + len(group) * width].reshape(trials, len(group), width)
@@ -193,24 +196,53 @@ def _def3_responses(amps: list[np.ndarray], draws: np.ndarray, g: float) -> np.n
         m = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
         herm = (m + m.conj().swapaxes(-1, -2)) / 2
         state = cols[..., -2 * d:-d] + 1j * cols[..., -d:]
-        state = state / np.linalg.norm(state, axis=-1, keepdims=True)
-        probes.append((group, herm[:, :, r], state))
-        hams.append(herm[:, :, :r].reshape(-1, d, d))
-    kicks = _kicks(np.concatenate(hams), g, d)
+        hams.append(herm[:, :, :r])
+        obs.append(herm[:, :, r])
+        states.append(state / np.linalg.norm(state, axis=-1, keepdims=True))
+    return _responses(amps, hams, obs, states, g)
 
+
+def _responses(amps, hams, obs, states, g: float) -> np.ndarray:
+    """Ancilla responses of groups of probes, shape (trials, probes), the
+    groups side by side.  A probe of group i couples r sites: ``amps[i]``,
+    shape (probes, 2^r), holds its history amplitudes in `all_histories`
+    order, and the (trials, probes, ...) arrays ``hams[i]``, ``obs[i]`` and
+    ``states[i]`` its r ancilla Hamiltonians in site order, its ancilla
+    observable and its ancilla state.
+
+    As exp(-i g N (x) h) = (1 - N) (x) 1 + N (x) exp(-i g h), the
+    post-selected ancilla state sums the history amplitudes times the state
+    kicked by the history's "on" sites in site order; the baseline sums them
+    times un-kicked copies of the state, so both agree exactly at g = 0.
+    All the kicks come from one `_kicks` call.
+    """
+    d = states[0].shape[-1]
+    kicks = _kicks(np.concatenate([h.reshape(-1, d, d) for h in hams]), g, d)
     out, lo = [], 0
-    for r, (group, obs, state) in enumerate(probes, start=1):
-        kick = kicks[lo:lo + trials * len(group) * r].reshape(trials, len(group), r, d, d)
-        lo += trials * len(group) * r
+    for group, h, ob, state in zip(amps, hams, obs, states):
+        trials, size, r = h.shape[:3]
+        kick = kicks[lo:lo + trials * size * r].reshape(h.shape)
+        lo += trials * size * r
         # one ancilla state per history, in `all_histories` order
-        states = state[:, :, None, :]
+        kicked = state[:, :, None, :]
         for j in range(r):
-            kicked = states @ kick[:, :, j].swapaxes(-1, -2)
-            states = np.stack([states, kicked], axis=3).reshape(trials, len(group), -1, d)
-        chi = (group[None, :, None, :] @ states)[:, :, 0, :]
-        baseline = group.sum(axis=1)[None, :, None] * state
-        out.append(_expectation(chi, obs) - _expectation(baseline, obs))
+            step = kicked @ kick[:, :, j].swapaxes(-1, -2)
+            kicked = np.stack([kicked, step], axis=3).reshape(trials, size, -1, d)
+        both = np.stack([kicked, np.repeat(state[:, :, None, :], 2**r, axis=2)])
+        chi, base = _expectation((group[:, None, :] @ both)[..., 0, :], ob)
+        out.append(chi - base)
     return np.concatenate(out, axis=1)
+
+
+def _kicks(hams: list[np.ndarray], g: float, dim: int) -> np.ndarray:
+    """The kicks exp(-i g h), stacked in the order of ``hams``, from one
+    stacked eigendecomposition of the Hermitian parts (h + h^dag) / 2:
+    exp(-i g h) = 1 + V diag(expm1(-i g lambda)) V^dag, which is exactly the
+    identity at g = 0 and keeps its relative accuracy at small g."""
+    h = np.asarray(hams, dtype=complex).reshape(len(hams), dim, dim)
+    lam, vecs = np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2)
+    phases = np.expm1(-1j * g * lam)
+    return np.eye(dim) + (vecs * phases[:, None, :]) @ vecs.conj().swapaxes(1, 2)
 
 
 def _expectation(chi: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -221,6 +253,44 @@ def _expectation(chi: np.ndarray, obs: np.ndarray) -> np.ndarray:
     # matmuls, whose rounding does not depend on the number of trials
     val = chi.conj()[..., None, :] @ (obs @ chi[..., None])
     return val[..., 0, 0].real / norm
+
+
+def joint_response(c: Circuit, couplings: dict[int, tuple[np.ndarray, np.ndarray]],
+                   anc_obs, anc_state, g: float) -> float:
+    """Exact ancilla response for weak interactions exp(-i g N~ (x) h) applied
+    at the given sites (shared ancilla), relative to the g = 0 baseline.
+
+    ``couplings`` maps a 1-based site to its (restriction projector, ancilla
+    Hamiltonian); the response is one probe of `_responses`.
+    """
+    check_coupling(g)
+    anc_state = algebra.as_vector(anc_state)
+    anc_obs = algebra.as_operator(anc_obs)
+    sites = valid_subset(sorted(couplings), c.n)
+    ins = InsertionSet(sites, tuple(couplings[s][0] for s in sites))
+    hams = [algebra.as_operator(couplings[s][1]) for s in sites]
+    named = [("ancilla observable", anc_obs),
+             *((f"site {s} ancilla Hamiltonian", h) for s, h in zip(sites, hams))]
+    for name, m in named:
+        if len(m) != len(anc_state):
+            raise DimMismatch(f"{name} is {len(m)}x{len(m)}, but the ancilla state "
+                              f"has {len(anc_state)} entries")
+        if not algebra.is_hermitian(m, algebra.HERMITIAN_TOL):
+            raise NotHermitian(f"{name}: max deviation "
+                               f"{np.max(np.abs(m - m.conj().T)):.3e}")
+    amps = np.array(list(history_amplitudes(c, ins).values()))
+    resp = _responses([amps[None]], [np.reshape(hams, (1, 1, len(hams), *anc_obs.shape))],
+                      [anc_obs[None, None]], [anc_state[None, None]], g)
+    return float(resp[0, 0])
+
+
+def weak_interaction_response(c: Circuit, site: int, restriction, h_anc,
+                              anc_obs, anc_state, g: float) -> float:
+    """Exact expectation shift of an ancilla observable after the weak
+    interaction exp(-i g restriction (x) h_anc) at one site."""
+    return joint_response(c, {site: (algebra.as_operator(restriction),
+                                     algebra.as_operator(h_anc))},
+                          anc_obs, anc_state, g)
 
 
 def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,

@@ -4,7 +4,7 @@ Each run is one pure system state read out site by site, as in the
 laboratory.  The readout q_i of site i is drawn from its conditional density
 sum_{b,a} <y_b|E|y_a> conj(phi(q - g b)) phi(q - g a), where y_a = P_a U v is
 the run's state v after the site's unitary and projector, and E is the
-backward effect (`oracle.effects`) of every later site and the
+backward effect (`circuitmodel.effects`) of every later site and the
 post-selection.  A position readout then leaves the system in the pure state
 sum_a phi(q_i - g a) y_a.  Momentum readouts are not sampled (a single run
 reads out either q or p).  Each conditional CDF is a mixture over eigenvalue
@@ -42,10 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuitmodel import Circuit, valid_subset
+from .circuitmodel import Circuit, effects, site_instruments, valid_subset
 from .errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
-from .oracle import (_postselected_moment, _shifted_table, _table_kernels, effects,
-                     gaussian_kernels, site_instruments)
+from .oracle import _postselected_moment, _shifted_table, _table_kernels, gaussian_kernels
 from .pointer import MomentSpec, PointerProfile, check_coupling
 
 GRID_POINTS = 4096

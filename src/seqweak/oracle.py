@@ -1,18 +1,13 @@
 """Exact simulation of weakly coupled pointers (no expansion in g).
 
-exp(-i g p A) expanded over the eigenprojectors P_a of A turns each coupled
-site into a quantum instrument on the system, with Kraus-like operators
-P_a U weighted by the pointer overlap kernel K of the site.  `effects` walks
-the post-selection backward through these instruments,
-E <- sum_{b,a} K[b,a] (P_b U)^dag E (P_a U), so the cost is linear in the
-number of sites.  The exact oracle reads <psi_i|E|psi_i> off the last step;
-the Monte Carlo sampler draws each readout against the intermediate effects;
-with identity kernels they are the strong-measurement effects that
-`weakvalue.check_strong_agreement` follows the record against.
-Both read a tabulated profile's spectrally shifted samples (`_shifted_table`).
-The shared-pointer mean contracts the two site instruments directly; the
-ancilla responses walk the off/on histories forward through
-`circuitmodel.amplitudes`.
+A pointer coupled at a site weights the site's instrument (P_a U, from
+`circuitmodel.site_instruments`) by its overlap kernel K over the
+observable's eigenvalues.  The exact oracle walks the post-selection back
+through the kernel-weighted instruments (`circuitmodel.effects`) and reads
+<psi_i|E|psi_i> off the last step; the Monte Carlo sampler draws each
+readout against the intermediate effects.  Both read a tabulated profile's
+spectrally shifted samples (`_shifted_table`).  The shared-pointer mean
+contracts the two site instruments directly.
 """
 from __future__ import annotations
 
@@ -20,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
-from .circuitmodel import Circuit, valid_subset
-from .errors import (AssumptionAViolated, DegeneratePostSelection, DimMismatch,
-                     GridResolutionError, InvalidInput, NotHermitian,
-                     NumericallySingular)
+from .circuitmodel import Circuit, effects, site_instruments, valid_subset
+from .errors import (AssumptionAViolated, DegeneratePostSelection, GridResolutionError,
+                     InvalidInput, NumericallySingular)
 from .pointer import MomentSpec, PointerProfile, check_coupling
 
 IMAG_RESIDUE_TOL = 1e-9
@@ -126,38 +119,6 @@ def site_kernels(eigs, g: float, prof: PointerProfile, momentum: bool = True) ->
     return tabulated_kernels(eigs, g, prof, momentum)
 
 
-def site_instruments(c: Circuit) -> list[tuple[np.ndarray, algebra.EigenSystem]]:
-    """Per site, the stacked operators P_a U of shape (k, d, d) and the
-    observable's `EigenSystem`, whose k merged eigenvalues a they belong to."""
-    out = []
-    for u, a in c.stages:
-        es = algebra.eig_hermitian(a)
-        out.append((np.stack(es.projectors) @ u, es))
-    return out
-
-
-def effects(c: Circuit, sites, kernels) -> list[np.ndarray]:
-    """Backward effects of the post-selection through the site instruments.
-
-    ``sites`` comes from `site_instruments`; ``kernels[i]`` stacks m (k, k)
-    kernels for site i, so m walks run side by side.  Entry i of the result,
-    shape (m, d, d), is the effect of everything after site i (0-based) on
-    the state just after site i; entry n is U_f^dag |psi_f><psi_f| U_f and
-    entry 0 acts on the initial state.  A circuit without sites has one walk.
-    """
-    bra = c.u_final.conj().T @ c.psi_f
-    m = len(kernels[0]) if kernels else 1
-    e = np.repeat(np.outer(bra, bra.conj())[None], m, axis=0)
-    out = [e]
-    for (pu, _), kern in zip(reversed(sites), reversed(kernels)):
-        # E <- sum_{b,a} K[b,a] (P_b U)^dag E (P_a U), as plain matmuls
-        right = e[:, None] @ pu
-        mixed = (kern @ right.reshape(m, len(pu), -1)).reshape(right.shape)
-        e = np.add.reduce(pu.conj().swapaxes(1, 2) @ mixed, axis=1)
-        out.append(e)
-    return out[::-1]
-
-
 def exact_moment(c: Circuit, spec: MomentSpec, g: float,
                  prof: PointerProfile) -> tuple[float, float]:
     """Exact post-selected expectation of the pointer product named by
@@ -194,80 +155,3 @@ def same_pointer_twice(c: Circuit, g: float, prof: PointerProfile) -> float:
     den = complex(np.conj(amps) @ kern.s @ amps)
     num = complex(np.conj(amps) @ kern.q @ amps)
     return _postselected_moment(c, den, num)[0]
-
-
-def joint_response(c: Circuit, couplings: dict[int, tuple[np.ndarray, np.ndarray]],
-                   anc_obs, anc_state, g: float) -> float:
-    """Exact ancilla response for weak interactions exp(-i g N~ (x) h) applied
-    at the given sites (shared ancilla), relative to the g = 0 baseline.
-
-    ``couplings`` maps a 1-based site to its (restriction projector, ancilla
-    Hamiltonian).  As exp(-i g N (x) h) = (1-N) (x) 1 + N (x) exp(-i g h),
-    the post-selected ancilla state sums, over the off/on histories of the
-    coupled sites, the history amplitude times the kicks of its "on" sites.
-    """
-    from .counterfactual import InsertionSet, history_amplitudes
-
-    check_coupling(g)
-    anc_state = algebra.as_vector(anc_state)
-    anc_obs = algebra.as_operator(anc_obs)
-    sites = valid_subset(sorted(couplings), c.n)
-    ins = InsertionSet(sites, tuple(couplings[s][0] for s in sites))
-    hams = [algebra.as_operator(couplings[s][1]) for s in sites]
-    named = [("ancilla observable", anc_obs),
-             *((f"site {s} ancilla Hamiltonian", h) for s, h in zip(sites, hams))]
-    for name, m in named:
-        if len(m) != len(anc_state):
-            raise DimMismatch(f"{name} is {len(m)}x{len(m)}, but the ancilla state "
-                              f"has {len(anc_state)} entries")
-        if not algebra.is_hermitian(m, algebra.HERMITIAN_TOL):
-            raise NotHermitian(f"{name}: max deviation "
-                               f"{np.max(np.abs(m - m.conj().T)):.3e}")
-    amps = np.array(list(history_amplitudes(c, ins).values()))
-    return _ancilla_response(amps, hams, anc_obs, anc_state, g)
-
-
-def _ancilla_response(amps: np.ndarray, hams: list[np.ndarray], anc_obs: np.ndarray,
-                      anc_state: np.ndarray, g: float) -> float:
-    """`joint_response` from the history amplitudes ``amps`` of the coupled
-    sites (in `all_histories` order) and their ancilla Hamiltonians, in site
-    order: one probe per call.  `counterfactual._def3_responses` computes
-    the same response for a whole block of Definition-3 probes at once; the
-    two share `_kicks`."""
-    def post_selected(kicks) -> np.ndarray:
-        # one ancilla state per history, in `all_histories` order
-        states = anc_state[None]
-        for kick in kicks:
-            states = np.stack([states, states @ kick.T], axis=1).reshape(-1, len(anc_state))
-        return amps @ states
-
-    def expectation(chi: np.ndarray) -> float:
-        norm = float(np.vdot(chi, chi).real)
-        if norm < 1e-28:
-            raise NumericallySingular("post-selected ancilla state vanishes")
-        val = np.vdot(chi, anc_obs @ chi) / norm
-        return float(val.real)
-
-    kicks = _kicks(hams, g, len(anc_state))
-    baseline = post_selected([np.eye(len(anc_state))] * len(hams))
-    return expectation(post_selected(kicks)) - expectation(baseline)
-
-
-def _kicks(hams: list[np.ndarray], g: float, dim: int) -> np.ndarray:
-    """The kicks exp(-i g h), stacked in the order of ``hams``, from one
-    stacked eigendecomposition of the Hermitian parts (h + h^dag) / 2:
-    exp(-i g h) = 1 + V diag(expm1(-i g lambda)) V^dag, which is exactly the
-    identity at g = 0 and keeps its relative accuracy at small g."""
-    h = np.asarray(hams, dtype=complex).reshape(len(hams), dim, dim)
-    lam, vecs = np.linalg.eigh((h + h.conj().swapaxes(1, 2)) / 2)
-    phases = np.expm1(-1j * g * lam)
-    return np.eye(dim) + (vecs * phases[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-
-
-def weak_interaction_response(c: Circuit, site: int, restriction, h_anc,
-                              anc_obs, anc_state, g: float) -> float:
-    """Exact expectation shift of an ancilla observable after the weak
-    interaction exp(-i g restriction (x) h_anc) at one site."""
-    return joint_response(c, {site: (algebra.as_operator(restriction),
-                                     algebra.as_operator(h_anc))},
-                          anc_obs, anc_state, g)

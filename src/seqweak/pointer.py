@@ -11,6 +11,8 @@ zero-mean phi, so each <phi|O|phi> vanishes) and is the g^m term
     (-g)^m Re sum_{I subset S} (A_I)_w conj((A_{S-I})_w)
         prod_{i in I} t_i prod_{i not in I} conj(t_i),
 with t = <phi|O|phi'> = -1/2 for q and i v for p (v the momentum variance).
+`product_weak_value` reads Re (A2 A1)_w of two commuting observables back
+from this formula's <q1 q2>.
 """
 from __future__ import annotations
 
@@ -22,10 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuitmodel import Circuit, valid_subset
-from .errors import AssumptionAViolated, GridTooCoarse, InvalidInput
+from .errors import AssumptionAViolated, GridTooCoarse, InvalidInput, NonCommuting
 from .weakvalue import weak_values
 
 QUANTILES = 4096  # entries of a profile's standardized quantile table
+# `product_weak_value` reconstructs from <q1 q2> at this coupling, with a
+# Gaussian pointer of this width
+PRODUCT_G = 1e-3
+PRODUCT_SIGMA = 1.0
 
 
 @functools.cache
@@ -60,9 +66,9 @@ class PointerProfile:
     @classmethod
     def gaussian(cls, sigma: float, q_offset: float = 0.0, p_offset: float = 0.0):
         if not np.all(np.isfinite([sigma, q_offset, p_offset])):
-            raise ValueError("pointer parameters must be finite")
+            raise InvalidInput("pointer parameters must be finite")
         if sigma <= 0:
-            raise ValueError("sigma must be positive")
+            raise InvalidInput("sigma must be positive")
         return cls(kind="gaussian", sigma=float(sigma), q_offset=float(q_offset),
                    p_offset=float(p_offset))
 
@@ -70,16 +76,16 @@ class PointerProfile:
     def tabulated(cls, grid_min: float, grid_step: float, values):
         vals = np.asarray(values, dtype=complex)
         if vals.size < 256:
-            raise ValueError("tabulated profile needs at least 256 points")
+            raise InvalidInput("tabulated profile needs at least 256 points")
         if not (np.isfinite([grid_min, grid_step]).all() and np.isfinite(vals).all()):
-            raise ValueError("tabulated profile must be finite")
+            raise InvalidInput("tabulated profile must be finite")
         if grid_step <= 0:
-            raise ValueError("grid step must be positive")
+            raise InvalidInput("grid step must be positive")
         peak = float(np.max(np.abs(vals)))
         if peak == 0.0:
-            raise ValueError("profile is identically zero")
+            raise InvalidInput("profile is identically zero")
         if abs(vals[0]) > 1e-8 * peak or abs(vals[-1]) > 1e-8 * peak:
-            raise ValueError("profile does not decay at the grid ends")
+            raise InvalidInput("profile does not decay at the grid ends")
         vals = vals / np.sqrt(grid_step * np.sum(np.abs(vals) ** 2))
         return cls(kind="tabulated", grid_min=float(grid_min),
                    grid_step=float(grid_step), values=tuple(vals.tolist()))
@@ -265,3 +271,33 @@ def predict_moment(c: Circuit, spec: MomentSpec, g: float, prof: PointerProfile)
                                         for row in inside[1:].tolist()]))
     coef = np.where(inside, t, t.conj()).prod(axis=1)
     return (-g) ** m * float((wv * wv[::-1].conj() @ coef).real)
+
+
+@dataclass(frozen=True)
+class ProductWeakValue:
+    value: complex
+    correlation_reconstruction: float  # 2<q1 q2>/g^2 - Re[(A1)_w conj((A2)_w)]
+
+
+def product_weak_value(c: Circuit) -> ProductWeakValue:
+    """Weak value of a product of two commuting observables at one time.
+
+    The circuit must hold the two observables at consecutive boundaries with
+    identity evolution in between.  Also reports the reconstruction of
+    Re (A2 A1)_w from the predicted position correlation <q1 q2>, which
+    must match the real part of the direct value.
+    """
+    if c.n != 2:
+        raise InvalidInput("expected a circuit with exactly two observables")
+    u2, a2 = c.stages[1]
+    if np.max(np.abs(u2 - np.eye(c.dim))) > 1e-12:
+        raise InvalidInput("the intervening unitary must be the identity")
+    a1 = c.observable(1)
+    if np.max(np.abs(a1 @ a2 - a2 @ a1)) > 1e-10:
+        raise NonCommuting("observables at one time must commute")
+
+    w1, w2, value = weak_values(c, [(1,), (2,), (1, 2)]).tolist()
+    q1q2 = predict_moment(c, MomentSpec.parse("q1*q2"), PRODUCT_G,
+                          PointerProfile.gaussian(PRODUCT_SIGMA))
+    rec = 2.0 * q1q2 / PRODUCT_G**2 - (w1 * np.conj(w2)).real
+    return ProductWeakValue(value=value, correlation_reconstruction=rec)

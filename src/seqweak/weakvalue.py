@@ -25,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .circuitmodel import Circuit, amplitudes, valid_subset
+from .circuitmodel import Circuit, amplitudes, effects, site_instruments, valid_subset
 from .errors import (
     BasisIncomplete,
     DegeneratePostSelection,
     DimMismatch,
     InvalidInput,
-    NonCommuting,
     RatioUndefined,
 )
 
@@ -40,23 +39,24 @@ HUGE_WEAK_VALUE = 1e6
 BRANCH_TOL = 1e-10  # a strong-measurement branch below this never occurs
 STRONG_REL_TOL = 1e-12  # nor does an outcome below this share of them all
 MAX_TABLE_ENTRIES = 1 << 20  # the full table at n = 20
-# `product_weak_value` reconstructs from <q1 q2> at this coupling, with a
-# Gaussian pointer of this width
-PRODUCT_G = 1e-3
-PRODUCT_SIGMA = 1.0
 
 
-def _row_weak_values(c: Circuit, rows: np.ndarray) -> np.ndarray:
+def _row_weak_values(c: Circuit, rows: np.ndarray, ops=None) -> np.ndarray:
     """Weak values of the 0/1 history ``rows`` over F, the amplitude of
-    row 0, which must be the empty history (its own value is 1)."""
-    amps = amplitudes(c, [np.array([u, a @ u]) for u, a in c.stages], rows)
+    row 0, which must be the empty history (its own value is 1).  A row
+    picks from ``ops`` as `circuitmodel.amplitudes` does: U_k at a 0 and
+    the measured X_k U_k at a 1, by default with X_k = A_k."""
+    if ops is None:
+        ops = [np.array([u, a @ u]) for u, a in c.stages]
+    amps = amplitudes(c, ops, rows)
     f = amps[0]
     if abs(f) <= F_TOL:
         raise DegeneratePostSelection(f"|F| = {abs(f):.3e} <= {F_TOL}")
     wv = amps / f
     wv[0] = 1.0
     biggest = np.abs(wv[1:]).max(initial=0.0)
-    if biggest > HUGE_WEAK_VALUE:
+    # a large F with large observables is not a warning sign, only a small F
+    if biggest > HUGE_WEAK_VALUE and abs(f) < np.linalg.norm(c.psi_f) / HUGE_WEAK_VALUE:
         warnings.warn(
             f"weak value of modulus {biggest:.3e} is huge; post-selection is nearly orthogonal",
             RuntimeWarning,
@@ -65,15 +65,16 @@ def _row_weak_values(c: Circuit, rows: np.ndarray) -> np.ndarray:
     return wv
 
 
-def weak_values(c: Circuit, subsets) -> np.ndarray:
+def weak_values(c: Circuit, subsets, ops=None) -> np.ndarray:
     """Sequential weak values of ``subsets``, in order, over the F of the
-    same walk.  The subsets are not validated: each must be a strictly
-    increasing tuple of 1-based sites of ``c``."""
+    same walk over ``ops`` (`_row_weak_values`).  The subsets are not
+    validated: each must be a strictly increasing tuple of 1-based sites of
+    ``c``."""
     sizes = [len(s) for s in subsets]
     rows = np.zeros((len(subsets) + 1, c.n), dtype=np.uint8)
     sites = np.fromiter(itertools.chain.from_iterable(subsets), np.intp, sum(sizes))
     rows[np.repeat(np.arange(1, len(rows)), sizes), sites - 1] = 1
-    return _row_weak_values(c, rows)[1:]
+    return _row_weak_values(c, rows, ops)[1:]
 
 
 def weak_value(c: Circuit, subset) -> complex:
@@ -205,8 +206,6 @@ def check_strong_agreement(c: Circuit) -> float | None:
     classes that only the post-selection empties keep up to ~1e-14 of it.
     So a stray branch below ~1e-6 of the total amplitude goes unseen.
     """
-    from .oracle import effects, site_instruments
-
     sites = site_instruments(c)
     effs = effects(c, sites, [np.eye(len(es.eigenvalues))[None] for _, es in sites])
     total = float(np.vdot(c.psi_i, effs[0][0] @ c.psi_i).real)
@@ -252,38 +251,6 @@ def ratio_rule_check(c: Circuit, alt_obs2) -> float:
     if abs(den1) <= 1e-12 or abs(den2) <= 1e-12:
         raise RatioUndefined("denominator weak value vanishes")
     return abs(num1 / den1 - num2 / den2)
-
-
-@dataclass(frozen=True)
-class ProductWeakValue:
-    value: complex
-    correlation_reconstruction: float  # 2<q1 q2>/g^2 - Re[(A1)_w conj((A2)_w)]
-
-
-def product_weak_value(c: Circuit) -> ProductWeakValue:
-    """Weak value of a product of two commuting observables at one time.
-
-    The circuit must hold the two observables at consecutive boundaries with
-    identity evolution in between.  Also reports the reconstruction of
-    Re (A2 A1)_w from the predicted position correlation <q1 q2>, which
-    must match the real part of the direct value.
-    """
-    from .pointer import MomentSpec, PointerProfile, predict_moment
-
-    if c.n != 2:
-        raise InvalidInput("expected a circuit with exactly two observables")
-    u2, a2 = c.stages[1]
-    if np.max(np.abs(u2 - np.eye(c.dim))) > 1e-12:
-        raise InvalidInput("the intervening unitary must be the identity")
-    a1 = c.observable(1)
-    if np.max(np.abs(a1 @ a2 - a2 @ a1)) > 1e-10:
-        raise NonCommuting("observables at one time must commute")
-
-    w1, w2, value = weak_values(c, [(1,), (2,), (1, 2)]).tolist()
-    q1q2 = predict_moment(c, MomentSpec.parse("q1*q2"), PRODUCT_G,
-                          PointerProfile.gaussian(PRODUCT_SIGMA))
-    rec = 2.0 * q1q2 / PRODUCT_G**2 - (w1 * np.conj(w2)).real
-    return ProductWeakValue(value=value, correlation_reconstruction=rec)
 
 
 def _complete_basis(x: np.ndarray) -> np.ndarray:

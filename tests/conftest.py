@@ -1,6 +1,7 @@
 """Shared builders for random circuits with well-conditioned post-selection."""
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from seqweak.algebra import eig_hermitian
 from seqweak.circuitmodel import Circuit, transition_amplitude
@@ -72,6 +73,29 @@ def loop_branches(c):
             v = es.projectors[k] @ (u @ v)
         amps[choice] = np.vdot(c.psi_f, c.u_final @ v)
     return spectra, amps
+
+
+def kron_joint_response(c, couplings, anc_obs, anc_state, g):
+    """The joint system-ancilla walk with np.kron and the full
+    exp(-i g N (x) h) at each coupled site: the tests' reference for
+    `joint_response` and the Definition-3 responses, independent of the
+    package's history contraction."""
+    m = len(anc_state)
+
+    def evolve(coupling_on):
+        v = np.kron(c.psi_i, anc_state)
+        for k, (u, _) in enumerate(c.stages, start=1):
+            v = np.kron(u, np.eye(m)) @ v
+            if coupling_on and k in couplings:
+                restriction, h = couplings[k]
+                v = expm(-1j * g * np.kron(restriction, h)) @ v
+        v = np.kron(c.u_final, np.eye(m)) @ v
+        return v.reshape(c.dim, m).T @ np.conj(c.psi_f)
+
+    def expectation(chi):
+        return float((np.vdot(chi, anc_obs @ chi) / np.vdot(chi, chi)).real)
+
+    return expectation(evolve(True)) - expectation(evolve(False))
 
 
 @pytest.fixture

@@ -14,9 +14,10 @@ from seqweak.circuitmodel import (P_B, P_C, P_E, P_F,
                                   transition_amplitude)
 from seqweak.counterfactual import (InsertionSet, check_equivalence_def1_def2,
                                     is_counterfactual_histories,
-                                    is_counterfactual_weakvalues)
+                                    is_counterfactual_weakvalues,
+                                    weak_interaction_response)
 from seqweak.montecarlo import estimate_moment, sample_runs
-from seqweak.oracle import exact_moment, same_pointer_twice, weak_interaction_response
+from seqweak.oracle import exact_moment, same_pointer_twice
 from seqweak.pointer import (MomentSpec, PointerProfile,
                              ordered_index_partitions, predict_moment)
 from seqweak.weakvalue import (check_linearity, check_marginal,

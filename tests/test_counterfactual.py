@@ -1,3 +1,4 @@
+import dataclasses
 from math import comb
 
 import numpy as np
@@ -11,13 +12,13 @@ from seqweak.counterfactual import (CounterfactualReport, InsertionSet,
                                     determines_output, history_amplitudes,
                                     insertion_subsets,
                                     is_counterfactual_histories,
-                                    is_counterfactual_weakvalues,
+                                    is_counterfactual_weakvalues, joint_response,
                                     randomized_def3_test)
 from seqweak import counterfactual
-from seqweak.errors import BothZero, EquivalenceViolation, NotProjector
-from seqweak.oracle import joint_response
+from seqweak.errors import BothZero, EquivalenceViolation, NotProjector, NumericallySingular
 
-from conftest import random_circuit, random_projector, random_state, random_unitary
+from conftest import (kron_joint_response, random_circuit, random_projector, random_state,
+                      random_unitary)
 from test_weakvalue import chain_numerator
 
 
@@ -193,8 +194,9 @@ def test_randomized_interaction_probe_null_for_single_insertion():
 
 def per_trial_def3_reference(c, ins, trials, g, seed, anc_dim=2):
     """Definition-3 samples and null verdict as a per-trial loop computes
-    them: one public `joint_response`, so one history walk, per trial and
-    subset, with the same random draws in the same order."""
+    them: one kron walk of the joint system and ancilla
+    (`kron_joint_response`) per trial and subset, with the same random
+    draws in the same order."""
     def random_hermitian(rng):
         m = rng.standard_normal((anc_dim, anc_dim)) + 1j * rng.standard_normal((anc_dim, anc_dim))
         return (m + m.conj().T) / 2
@@ -208,7 +210,7 @@ def per_trial_def3_reference(c, ins, trials, g, seed, anc_dim=2):
             couplings = {site: (proj_by_site[site], random_hermitian(rng)) for site in subset}
             obs = random_hermitian(rng)
             state = rng.standard_normal(anc_dim) + 1j * rng.standard_normal(anc_dim)
-            resp = joint_response(c, couplings, obs, state / np.linalg.norm(state), g)
+            resp = kron_joint_response(c, couplings, obs, state / np.linalg.norm(state), g)
             samples.append((f"trial={trial} subset={subset}", abs(resp)))
     return tuple(samples), all(r <= tol3 for _, r in samples)
 
@@ -317,9 +319,9 @@ def test_check_equivalence_walks_once(monkeypatch, case):
         history_walks.append(ins.sites)
         return history_walk(c, ins)
 
-    def counted_weak_values(c, subsets):
+    def counted_weak_values(c, subsets, ops):
         wv_walks.append(list(subsets))
-        return wv_walk(c, subsets)
+        return wv_walk(c, subsets, ops)
 
     monkeypatch.setattr(counterfactual, "history_amplitudes", counted_histories)
     monkeypatch.setattr(counterfactual, "weak_values", counted_weak_values)
@@ -336,3 +338,19 @@ def test_check_equivalence_walks_once(monkeypatch, case):
                             lambda c, ins: dict.fromkeys(all_histories(len(ins)), 0j))
         with pytest.raises(EquivalenceViolation, match="histories says True"):
             check_equivalence_def1_def2(c, ins)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.1])
+def test_joint_response_refuses_a_vanishing_ancilla_state(g):
+    # post-selected orthogonal to the bare output, so F vanishes and site
+    # 1's two histories cancel: the post-selected ancilla state vanishes at
+    # g = 0, and its baseline does at every g
+    c = dataclasses.replace(builtin_double_interferometer(),
+                            psi_f=np.array([1.0, 1.0]) / np.sqrt(2))
+    assert abs(transition_amplitude(c)) < 1e-16
+    amps = list(history_amplitudes(c, InsertionSet((1,), (P_B,))).values())
+    assert np.allclose(amps, [-0.5, 0.5], rtol=0.0, atol=1e-15)
+    with pytest.raises(NumericallySingular, match="ancilla state vanishes") as info:
+        joint_response(c, {1: (P_B, np.array([[0.0, 1.0], [1.0, 0.0]]))},
+                       np.diag([1.0, -1.0]), [1.0, 0.0], g)
+    assert info.value.exit_code == 2

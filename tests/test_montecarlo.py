@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from seqweak import montecarlo, oracle
-from seqweak.circuitmodel import Circuit, builtin_double_interferometer
+from seqweak.circuitmodel import (Circuit, builtin_double_interferometer, effects,
+                                  site_instruments)
 from seqweak.errors import GridResolutionError, NoSuccessfulRuns
 from seqweak.montecarlo import (GRID_POINTS, RANGE_SIGMAS, RunBatch, _basis_moments,
                                 _cumulative, _hermitian_columns, _invert_mixture_cdf,
                                 _start_cells, estimate_moment,
                                 sample_runs)
-from seqweak.oracle import (_shifted_table, effects, exact_moment, site_instruments,
-                            site_kernels)
+from seqweak.oracle import _shifted_table, exact_moment, site_kernels
 from seqweak.pointer import MomentSpec, PointerProfile
 
 from conftest import loop_branches, random_circuit, random_hermitian, random_unitary

@@ -6,20 +6,19 @@ import pytest
 from scipy.linalg import expm
 
 from seqweak.circuitmodel import (P_B, P_C, P_E, P_F, Circuit, amplitudes,
-                                  builtin_double_interferometer,
+                                  builtin_double_interferometer, site_instruments,
                                   transition_amplitude)
+from seqweak.counterfactual import _kicks, joint_response, weak_interaction_response
 from seqweak.errors import (AssumptionAViolated, DegeneratePostSelection, DimMismatch,
                             GridResolutionError, InvalidInput, NotHermitian)
 from seqweak import montecarlo
 from seqweak.montecarlo import sample_runs
-from seqweak.oracle import (_kicks, _shifted_table, exact_moment, gaussian_kernels,
-                            joint_response, same_pointer_twice, site_instruments,
-                            site_kernels, tabulated_kernels,
-                            weak_interaction_response)
+from seqweak.oracle import (_shifted_table, exact_moment, gaussian_kernels,
+                            same_pointer_twice, site_kernels, tabulated_kernels)
 from seqweak.pointer import MomentSpec, PointerProfile, predict_moment
 from seqweak.weakvalue import weak_value
 
-from conftest import (loop_branches, random_circuit, random_hermitian,
+from conftest import (kron_joint_response, loop_branches, random_circuit, random_hermitian,
                       random_projector, random_state, random_unitary)
 
 
@@ -380,28 +379,6 @@ def test_joint_response_null_for_vanishing_pair():
     g = 1e-2
     resp = joint_response(c, {1: (P_B, h), 2: (P_F, h)}, obs, state, g)
     assert abs(resp) > 1e-8
-
-
-def kron_joint_response(c, couplings, anc_obs, anc_state, g):
-    """The joint system-ancilla walk with np.kron and the full
-    exp(-i g N (x) h) at each coupled site: the reference for
-    `joint_response`."""
-    m = len(anc_state)
-
-    def evolve(coupling_on):
-        v = np.kron(c.psi_i, anc_state)
-        for k, (u, _) in enumerate(c.stages, start=1):
-            v = np.kron(u, np.eye(m)) @ v
-            if coupling_on and k in couplings:
-                restriction, h = couplings[k]
-                v = expm(-1j * g * np.kron(restriction, h)) @ v
-        v = np.kron(c.u_final, np.eye(m)) @ v
-        return v.reshape(c.dim, m).T @ np.conj(c.psi_f)
-
-    def expectation(chi):
-        return float((np.vdot(chi, anc_obs @ chi) / np.vdot(chi, chi)).real)
-
-    return expectation(evolve(True)) - expectation(evolve(False))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

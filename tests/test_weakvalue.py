@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import time
+import warnings
 from math import comb
 
 import numpy as np
@@ -12,11 +13,11 @@ from seqweak.circuitmodel import (P_B, P_C, P_E, P_F, Circuit,
 from seqweak.counterfactual import InsertionSet
 from seqweak.errors import DegeneratePostSelection, InvalidInput, NonCommuting, SeqWeakError
 from seqweak.oracle import gaussian_kernels, same_pointer_twice
-from seqweak.pointer import PointerProfile
+from seqweak.pointer import PointerProfile, product_weak_value
 from seqweak.weakvalue import (BRANCH_TOL, check_linearity, check_marginal,
                                check_strong_agreement, path_amplitude_identity,
-                               MAX_TABLE_ENTRIES, product_weak_value,
-                               ratio_rule_check, weak_value, weak_value_table)
+                               MAX_TABLE_ENTRIES, ratio_rule_check, weak_value,
+                               weak_value_table)
 
 from conftest import (loop_branches, random_circuit, random_hermitian,
                       random_projector, random_state, random_unitary)
@@ -341,7 +342,9 @@ def test_strong_agreement_band(eps):
 def test_strong_agreement_forty_sites():
     c, expected = deterministic_circuit(40, dim=4, n=40)
     start = time.perf_counter()
-    with pytest.warns(RuntimeWarning, match="huge"):  # the product is 40 eigenvalues
+    with warnings.catch_warnings():
+        # the product of 40 eigenvalues is huge, but |F| is not small
+        warnings.simplefilter("error")
         dev = check_strong_agreement(c)
     assert time.perf_counter() - start < 1.0
     assert dev is not None and dev <= 1e-9 * expected
@@ -439,9 +442,17 @@ def test_product_weak_value_rejects_intervening_evolution(rng):
     lambda: product_weak_value(random_circuit(3, n=3)),
     lambda: product_weak_value(builtin_double_interferometer()),
     lambda: path_amplitude_identity(random_circuit(3, n=2)),
+    lambda: PointerProfile.gaussian(float("nan")),
+    lambda: PointerProfile.gaussian(-1.0),
+    lambda: PointerProfile.tabulated(0.0, 0.1, np.ones(10)),
+    lambda: PointerProfile.tabulated(0.0, float("inf"), np.zeros(256)),
+    lambda: PointerProfile.tabulated(0.0, -0.1, np.zeros(256)),
+    lambda: PointerProfile.tabulated(0.0, 0.1, np.zeros(256)),
+    lambda: PointerProfile.tabulated(0.0, 0.1, np.ones(256)),
 ], ids=["shared-pointer-sites", "insertion-projectors", "kernel-sigma", "marginal-site",
         "ratio-sites", "ratio-projector", "product-sites", "product-unitary",
-        "path-projector"])
+        "path-projector", "profile-nonfinite", "profile-sigma", "table-short",
+        "table-nonfinite", "table-step", "table-zero", "table-no-decay"])
 def test_library_argument_errors_are_invalid_input(call):
     with pytest.raises(InvalidInput) as info:
         call()
