@@ -5,11 +5,16 @@ unitary and a post-selection bra.  The observable of stage k sits at the
 boundary after U_k and before U_{k+1}; a boundary without a measurement
 stores the identity there.
 
-`amplitudes` is the forward walk: <psi_f| U_f X_n ... X_1 |psi_i> for
-many choices of X_k at once (A_k U_k for weak values, N U_k or (1 - N) U_k
-for histories, U_k or N U_k for the weak values of on-projectors).  It
-costs one matvec per distinct prefix of the choices, about 2^(n+1) for a
-full table of 2^n weak values.
+There are two forward walks, both <psi_f| U_f X_n ... X_1 |psi_i> for many
+choices of X_k at once and both one matvec per distinct prefix of the
+choices, about 2^(n+1) for a full table of 2^n weak values.  `amplitudes`
+takes the choices as rows of any list and sorts them to find the shared
+prefixes; the histories (N U_k or (1 - N) U_k), the weak values of
+on-projectors (U_k or N U_k), `weakvalue.weak_values` (A_k U_k), the demo
+and the path identity use it.  `tree_amplitudes` takes a prefix tree of
+site subsets (X_k = A_k U_k at the sites of a subset, U_k elsewhere) that
+names each entry's prefix itself, so it needs no sort; the weak-value
+table (`weakvalue.weak_value_table`) uses it.
 
 `effects` is the backward walk.  A pointer coupled at a site makes it a
 quantum instrument with Kraus-like operators P_a U (`site_instruments`, P_a
@@ -52,9 +57,11 @@ class Circuit:
                 raise DimMismatch("stage dimension does not match the state")
         if psi_f.shape[0] != d:
             raise DimMismatch("post-selection dimension does not match the state")
-        if abs(np.linalg.norm(psi_i) - 1.0) > 1e-10:
+        with np.errstate(over="ignore"):  # entries past ~1e154 give an inf norm
+            norm_i, norm_f = np.linalg.norm(psi_i), np.linalg.norm(psi_f)
+        if abs(norm_i - 1.0) > 1e-10:
             raise InvalidInput("initial state must be normalized")
-        if np.linalg.norm(psi_f) == 0.0:
+        if norm_f == 0.0:
             raise InvalidInput("post-selection state must be nonzero")
         for k, (u, a) in enumerate(stages, start=1):
             if not algebra.is_unitary(u, 1e-9):
@@ -137,6 +144,35 @@ def amplitudes(c: Circuit, ops, histories) -> np.ndarray:
     out = np.empty(m, dtype=complex)
     out[order] = (v[:, :, 0] @ bra)[np.cumsum(new_run[-1]) - 1]
     return out
+
+
+def tree_amplitudes(c: Circuit, measured, last, prefix) -> np.ndarray:
+    """<psi_f| U_f X_n ... X_1 |psi_i> for every entry of a prefix tree of
+    site subsets, X_k = ``measured[k-1]`` (the stage unitary already
+    applied) at the sites of the entry and U_k at the other sites.
+
+    Entry h is its last site ``last[h]`` after the sites of entry
+    ``prefix[h]``, whose own last site is earlier.  Entry 0 is the empty
+    subset, the only one with last site 0.  The states are kept grouped by
+    last site.  At site j one matmul starts every entry whose last site is
+    j from its prefix's state, and one more carries every entry started
+    before through U_j.  That is one matvec per entry and site from its
+    last site on, as many as `amplitudes` takes over the rows of the same
+    subsets, with no sort.
+    """
+    last, prefix = np.asarray(last), np.asarray(prefix)
+    at = np.zeros(len(last), dtype=np.intp)  # each entry's row of s
+    s = np.empty((len(last), c.dim, 1), dtype=complex)
+    s[0, :, 0] = c.psi_i
+    started = 1
+    for j, ((u, _), x) in enumerate(zip(c.stages, measured), start=1):
+        group = np.flatnonzero(last == j)
+        new = x @ s[at[prefix[group]]]
+        at[group] = np.arange(started, started + len(group))
+        s[:started] = u @ s[:started]
+        s[started:started + len(group)] = new
+        started += len(group)
+    return (s[:, :, 0] @ (c.psi_f.conj() @ c.u_final))[at]
 
 
 def site_instruments(c: Circuit) -> list[tuple[np.ndarray, algebra.EigenSystem]]:

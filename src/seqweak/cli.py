@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import sys
 from pathlib import Path
 
@@ -23,36 +22,58 @@ class Report:
 
     def __init__(self, command: str, fingerprint: str, machine: bool):
         self.machine = machine
-        # chunks of rows: (keys, values, printf format of the values)
-        self.chunks: list[tuple] = [(["command", "fingerprint"], [command, fingerprint], "%s")]
+        # every row's key, without its suffix, and value; and chunks of
+        # entries: (the key suffix of each row of an entry, the printf
+        # format of the values, the number of entries)
+        self.keys = ["command", "fingerprint"]
+        self.values = [command, fingerprint]
+        self.chunks: list[tuple] = [(("",), "%s", 2)]
 
     def add(self, key: str, value):
         if isinstance(value, (complex, float)):
             self.add_numbers([key], np.array([value]))
         else:
-            self.chunks.append(([key], [str(value)], "%s"))
+            self.keys.append(key)
+            self.values.append(str(value))
+            self.chunks.append((("",), "%s", 1))
 
-    def add_numbers(self, keys, values: np.ndarray):
+    def add_numbers(self, keys: list, values: np.ndarray):
         """One row per real entry of ``values``, two (`key.re`, `key.im`)
-        per complex one, each formatted to 12 significant digits."""
+        per complex one, each formatted to 12 significant digits.  The two
+        rows of a complex entry share its one key string."""
+        suffixes, rows = ("",), keys
         if np.iscomplexobj(values):
-            keys = np.asarray(keys, dtype=object)
-            parts = np.empty((len(keys), 2), dtype=object)
-            parts[:, 0] = keys + ".re"
-            parts[:, 1] = keys + ".im"
-            keys = parts.ravel()
+            suffixes, rows = (".re", ".im"), [None] * (2 * len(keys))
+            rows[0::2] = keys
+            rows[1::2] = keys
             values = np.ascontiguousarray(values, dtype=complex).view(float)
-        self.chunks.append((keys, values.tolist(), "%.12g"))
+        self.keys += rows
+        self.values += values.tolist()
+        self.chunks.append((suffixes, "%.12g", len(keys)))
 
     def emit(self):
-        """Write every row with one printf-style format over all of them."""
-        keys = list(itertools.chain.from_iterable(k for k, _, _ in self.chunks))
-        args = [None] * (2 * len(keys))
-        args[0::2] = keys
-        args[1::2] = itertools.chain.from_iterable(v for _, v, _ in self.chunks)
-        key = "%s\t" if self.machine else f"%-{max(map(len, keys))}s  "
-        lines = {fmt: key + fmt + "\n" for fmt in ("%s", "%.12g")}
-        template = "".join([lines[fmt] * len(v) for _, v, fmt in self.chunks])
+        """Write every row with one printf-style format over all of them.
+        A row's arguments are its key, in text mode the spaces that pad it,
+        and its value; the key's suffix is part of the format."""
+        columns = [self.keys]
+        if self.machine:
+            line = "%s{}\t{}\n"
+        else:
+            # pad every key and its suffix to the longest of them; the two
+            # suffixes of a complex entry have the same length
+            lengths = np.fromiter(map(len, self.keys), np.intp, len(self.keys))
+            lengths += np.repeat([len(sfx[0]) for sfx, _, _ in self.chunks],
+                                 [len(sfx) * m for sfx, _, m in self.chunks])
+            width = int(lengths.max())
+            spaces = np.array([" " * i for i in range(width + 1)], dtype=object)
+            columns.append(spaces[width - lengths].tolist())
+            line = "%s{}%s  {}\n"
+        columns.append(self.values)
+        args = [None] * (len(columns) * len(self.keys))
+        for i, column in enumerate(columns):
+            args[i::len(columns)] = column
+        template = "".join(["".join(line.format(sfx, fmt) for sfx in suffixes) * m
+                            for suffixes, fmt, m in self.chunks])
         sys.stdout.write(template % tuple(args))
 
 
@@ -71,15 +92,15 @@ def _doc_g(doc, override) -> float:
 
 
 def _subset_labels(site_names, last, prefix, sizes) -> np.ndarray:
-    """`name_r,...,name_1` for each subset (i_1 < ... < i_r) of a list of
+    """`name_r,...,name_1)` for each subset (i_1 < ... < i_r) of a list of
     subsets in blocks of size r = 0, 1, ... (``sizes[r]`` of each), later
-    sites first, from the document's site names.  Subset h is its last
-    site ``last[h]`` after subset ``prefix[h]`` of the block before, so a
-    block's labels are one gather of the block before and one
-    concatenation each."""
+    sites first, from the document's site names, closed by `)` so that one
+    concatenation opens it.  Subset h is its last site ``last[h]`` after
+    subset ``prefix[h]`` of the block before, so a block's labels are one
+    gather of the block before and one concatenation each."""
     last, prefix = np.asarray(last), np.asarray(prefix)
     names = np.array(["", *site_names], dtype=object)
-    labels = names[last]  # right for sizes 0 and 1
+    labels = (names + ")")[last]  # right for sizes 0 and 1
     joined = names + ","
     lo = sum(sizes[:2])
     for size in sizes[2:]:
@@ -97,7 +118,7 @@ def cmd_weakvalues(args) -> int:
     table = weakvalue.weak_value_table(c, k)
     report.add("F", transition_amplitude(c))
     labels = _subset_labels(doc.site_names, table.last, table.prefix, table.sizes)
-    report.add_numbers("wv.(" + labels + ")", table.values)
+    report.add_numbers(("wv.(" + labels).tolist(), table.values)
     report.emit()
     return 0
 
@@ -173,7 +194,7 @@ def cmd_counterfactual(args) -> int:
         subset = cf.witness_subset
         label = _subset_labels(doc.site_names, [0, *subset], [0, *range(len(subset))],
                               [1] * (len(subset) + 1))[-1]
-        report.add("witness.subset", f"({label})")
+        report.add("witness.subset", "(" + label)
         report.add("witness.weak_value", cf.witness_value)
     report.add("max_response", max(r for _, r in cf.def3_samples))
     report.emit()

@@ -8,10 +8,11 @@ i.e. the operators appear in reverse time order inside the matrix element.
 `weak_value_table` enumerates every subset of at most k sites as arrays, one
 size block r = 0..k at a time: each subset of block r - 1, in lexicographic
 order, is extended by each later site in turn, which keeps block r in
-lexicographic order.  An entry is a 0/1 history row, its last site and the
-index of its prefix (the entry without that site), so work and memory grow
-with the number of entries, sum_{r<=k} C(n, r), never with 2^n; the table
-refuses more than MAX_TABLE_ENTRIES of them.
+lexicographic order.  An entry is its last site and the index of its prefix
+(the entry without that site).  That prefix tree is all that
+`circuitmodel.tree_amplitudes` needs to walk the table, so work and memory
+grow with the number of entries, sum_{r<=k} C(n, r), never with 2^n; the
+table refuses more than MAX_TABLE_ENTRIES of them.
 """
 from __future__ import annotations
 
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .circuitmodel import Circuit, amplitudes, effects, site_instruments, valid_subset
+from .circuitmodel import (Circuit, amplitudes, effects, site_instruments, tree_amplitudes,
+                           valid_subset)
 from .errors import (
     BasisIncomplete,
     DegeneratePostSelection,
@@ -41,14 +43,10 @@ STRONG_REL_TOL = 1e-12  # nor does an outcome below this share of them all
 MAX_TABLE_ENTRIES = 1 << 20  # the full table at n = 20
 
 
-def _row_weak_values(c: Circuit, rows: np.ndarray, ops=None) -> np.ndarray:
-    """Weak values of the 0/1 history ``rows`` over F, the amplitude of
-    row 0, which must be the empty history (its own value is 1).  A row
-    picks from ``ops`` as `circuitmodel.amplitudes` does: U_k at a 0 and
-    the measured X_k U_k at a 1, by default with X_k = A_k."""
-    if ops is None:
-        ops = [np.array([u, a @ u]) for u, a in c.stages]
-    amps = amplitudes(c, ops, rows)
+def _over_f(c: Circuit, amps: np.ndarray) -> np.ndarray:
+    """Weak values from the amplitudes ``amps`` of a list of subsets over
+    F, the amplitude of entry 0, which must be the empty subset (its own
+    value is 1)."""
     f = amps[0]
     if abs(f) <= F_TOL:
         raise DegeneratePostSelection(f"|F| = {abs(f):.3e} <= {F_TOL}")
@@ -67,14 +65,17 @@ def _row_weak_values(c: Circuit, rows: np.ndarray, ops=None) -> np.ndarray:
 
 def weak_values(c: Circuit, subsets, ops=None) -> np.ndarray:
     """Sequential weak values of ``subsets``, in order, over the F of the
-    same walk over ``ops`` (`_row_weak_values`).  The subsets are not
-    validated: each must be a strictly increasing tuple of 1-based sites of
-    ``c``."""
+    same walk (`_over_f`).  A subset's 0/1 history row picks from ``ops``
+    as `circuitmodel.amplitudes` does: U_k at a 0 and the measured X_k U_k
+    at a 1, by default with X_k = A_k.  The subsets are not validated: each
+    must be a strictly increasing tuple of 1-based sites of ``c``."""
+    if ops is None:
+        ops = [np.array([u, a @ u]) for u, a in c.stages]
     sizes = [len(s) for s in subsets]
     rows = np.zeros((len(subsets) + 1, c.n), dtype=np.uint8)
     sites = np.fromiter(itertools.chain.from_iterable(subsets), np.intp, sum(sizes))
     rows[np.repeat(np.arange(1, len(rows)), sizes), sites - 1] = 1
-    return _row_weak_values(c, rows, ops)[1:]
+    return _over_f(c, amplitudes(c, ops, rows))[1:]
 
 
 def weak_value(c: Circuit, subset) -> complex:
@@ -83,20 +84,21 @@ def weak_value(c: Circuit, subset) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class WeakValueTable:
-    """Weak values of every subset of at most ``len(sizes) - 1`` sites, in
-    (size, lexicographic) order, ``sizes[r]`` = C(n, r) of each size r.
+    """Weak values of every subset of at most ``len(sizes) - 1`` of the
+    ``n`` sites, in (size, lexicographic) order, ``sizes[r]`` = C(n, r) of
+    each size r.
 
-    Entry h marks its sites in ``rows[h]`` (uint8, one column per site) and
-    has the weak value ``values[h]``; ``last[h]`` is its last site and
-    ``prefix[h]`` the entry of the same subset without that site.  Entry 0
-    is the empty subset, with value 1, last site 0 and itself as prefix.
+    Entry h has the weak value ``values[h]``; ``last[h]`` is its last site
+    and ``prefix[h]`` the entry of the same subset without that site.
+    Entry 0 is the empty subset, with value 1, last site 0 and itself as
+    prefix.
     """
 
-    rows: np.ndarray
     values: np.ndarray
     last: np.ndarray
     prefix: np.ndarray
     sizes: tuple[int, ...]
+    n: int
     circuit_fingerprint: str
 
     @property
@@ -118,12 +120,17 @@ class TableEntries(Mapping):
         return len(self._table.values)
 
     def __iter__(self):
-        # the sites of every row, row by row; block r holds r per row
-        sites = np.nonzero(self._table.rows)[1] + 1
+        # block by block, as `weak_value_table` builds them: the sites of an
+        # entry are those of its prefix in the block before, then its last
+        t = self._table
+        sites = np.zeros((1, 0), dtype=np.intp)  # block 0, the empty subset
+        yield ()
         lo = 0
-        for r, size in enumerate(self._table.sizes):
-            yield from map(tuple, sites[lo:lo + r * size].reshape(size, r).tolist())
-            lo += r * size
+        for hi, size in zip(itertools.accumulate(t.sizes), t.sizes[1:]):
+            block = slice(hi, hi + size)
+            sites = np.column_stack((sites[t.prefix[block] - lo], t.last[block]))
+            yield from map(tuple, sites.tolist())
+            lo = hi
 
     def __getitem__(self, subset) -> complex:
         t = self._table
@@ -131,7 +138,7 @@ class TableEntries(Mapping):
             s = [operator.index(i) for i in subset]
         except TypeError:
             raise KeyError(subset) from None
-        n, r = t.rows.shape[1], len(s)
+        n, r = t.n, len(s)
         if (r >= len(t.sizes) or any(a >= b for a, b in zip(s, s[1:]))
                 or (r and (s[0] < 1 or s[-1] > n))):
             raise KeyError(subset)
@@ -143,6 +150,10 @@ class TableEntries(Mapping):
 def weak_value_table(c: Circuit, max_order: int) -> WeakValueTable:
     """All sequential weak values for subsets of size <= max_order,
     enumerated in (size, lexicographic) order, in one walk."""
+    try:
+        max_order = operator.index(max_order)
+    except TypeError:
+        raise InvalidInput(f"max_order {max_order!r} is not an integer") from None
     if max_order > c.n:
         raise InvalidInput(f"max_order {max_order} exceeds n = {c.n}")
     if max_order < 0:
@@ -151,10 +162,9 @@ def weak_value_table(c: Circuit, max_order: int) -> WeakValueTable:
     if sum(sizes) > MAX_TABLE_ENTRIES:
         raise InvalidInput(f"a table of order {max_order} at n = {c.n} has {sum(sizes)} "
                            f"entries, more than {MAX_TABLE_ENTRIES}")
-    rows = np.zeros((sum(sizes), c.n), dtype=np.uint8)
-    last = np.zeros(len(rows), dtype=np.intp)
-    prefix = np.zeros(len(rows), dtype=np.intp)
-    lo = 0  # block r - 1 is rows[lo:hi], block r starts at hi
+    last = np.zeros(sum(sizes), dtype=np.intp)
+    prefix = np.zeros(sum(sizes), dtype=np.intp)
+    lo = 0  # block r - 1 is [lo, hi), block r starts at hi
     for hi, size in zip(itertools.accumulate(sizes), sizes[1:]):
         # entry p of block r - 1 extends by each site after last[p], in turn
         counts = c.n - last[lo:hi]
@@ -163,11 +173,9 @@ def weak_value_table(c: Circuit, max_order: int) -> WeakValueTable:
         block = slice(hi, hi + size)
         prefix[block] = parent
         last[block] = last[parent] + 1 + np.arange(size) - np.repeat(first, counts)
-        rows[block] = rows[parent]
-        rows[np.arange(hi, hi + size), last[block] - 1] = 1
         lo = hi
-    return WeakValueTable(rows, _row_weak_values(c, rows), last, prefix, sizes,
-                          c.fingerprint())
+    amps = tree_amplitudes(c, [a @ u for u, a in c.stages], last, prefix)
+    return WeakValueTable(_over_f(c, amps), last, prefix, sizes, c.n, c.fingerprint())
 
 
 def check_linearity(c: Circuit, c_prime: Circuit, site: int) -> float:

@@ -1,4 +1,6 @@
 """Shared builders for random circuits with well-conditioned post-selection."""
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -58,6 +60,23 @@ def per_row_walk(c, ops, histories):
     for k, x in enumerate(ops):
         v = x[histories[:, k]] @ v
     return v[:, :, 0] @ (c.psi_f.conj() @ c.u_final)
+
+
+def combination_tree(n, max_order):
+    """Every subset of at most ``max_order`` of n sites in (size,
+    lexicographic) order, from itertools.combinations: the subsets, their
+    0/1 history rows, and the prefix tree `circuitmodel.tree_amplitudes`
+    takes (each subset's last site, and the index of the subset without
+    it)."""
+    subsets = [s for r in range(max_order + 1)
+               for s in itertools.combinations(range(1, n + 1), r)]
+    index = {s: h for h, s in enumerate(subsets)}
+    rows = np.zeros((len(subsets), n), dtype=np.uint8)
+    for h, s in enumerate(subsets):
+        rows[h, [i - 1 for i in s]] = 1
+    last = np.array([s[-1] if s else 0 for s in subsets], dtype=np.intp)
+    prefix = np.array([index[s[:-1]] for s in subsets], dtype=np.intp)
+    return subsets, rows, last, prefix
 
 
 def loop_branches(c):

@@ -6,11 +6,13 @@ import pytest
 from seqweak.circuitmodel import (P_B, P_C, P_E, P_F, U1_DOUBLE, U3_DOUBLE,
                                   Circuit, amplitudes,
                                   builtin_double_interferometer,
-                                  transition_amplitude, valid_subset)
-from seqweak.errors import DimMismatch
+                                  transition_amplitude, tree_amplitudes,
+                                  valid_subset)
+from seqweak import circuitmodel, weakvalue
+from seqweak.errors import DimMismatch, InvalidInput
 from seqweak.weakvalue import weak_value, weak_value_table
 
-from conftest import (per_row_walk, random_circuit, random_hermitian,
+from conftest import (combination_tree, per_row_walk, random_circuit, random_hermitian,
                       random_state, random_unitary)
 
 
@@ -109,6 +111,16 @@ def test_valid_subset():
         valid_subset((1, 1), 2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_states_past_the_float_range_raise_no_warning():
+    # the norm of a 1e200 entry overflows; the state is refused, not warned about
+    with pytest.raises(InvalidInput, match="normalized"):
+        Circuit(psi_i=np.array([1e200, 0.0]), stages=(), u_final=np.eye(2),
+                psi_f=np.array([0.0, 1.0]))
+    Circuit(psi_i=np.array([1.0, 0.0]), stages=(), u_final=np.eye(2),
+            psi_f=np.array([1e200, 0.0]))
+
+
 def test_projector_constants_complete():
     assert np.allclose(P_B + P_C, np.eye(2))
     assert np.allclose(P_E + P_F, np.eye(2))
@@ -179,3 +191,47 @@ def test_table_matches_per_subset_weak_values():
         subset = tuple(sorted(rng.choice(np.arange(1, 13), size, replace=False).tolist()))
         ref = weak_value(c, subset)
         assert abs(table[subset] - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
+def assert_tree_walk_agrees(c, rows, last, prefix):
+    ops = [np.array([u, a @ u]) for u, a in c.stages]
+    got = tree_amplitudes(c, [a @ u for u, a in c.stages], last, prefix)
+    # bitwise the sorting walk's numbers, and the per-row walk's up to rounding
+    assert np.array_equal(got, amplitudes(c, ops, rows))
+    ref = per_row_walk(c, ops, rows)
+    scale = max(np.abs(ref).max(initial=0.0), 1e-300)
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_tree_amplitudes_match_sorting_walk(n, d):
+    c = random_circuit(700 + 10 * n + d, dim=d, n=n)
+    for max_order in range(n + 1):
+        _, rows, last, prefix = combination_tree(n, max_order)
+        assert_tree_walk_agrees(c, rows, last, prefix)
+        # any order of the entries after the empty subset walks the same
+        perm = np.concatenate(([0], 1 + np.random.default_rng(n).permutation(len(rows) - 1)))
+        inverse = np.argsort(perm)
+        got = tree_amplitudes(c, [a @ u for u, a in c.stages], last[perm], inverse[prefix[perm]])
+        assert np.array_equal(got, tree_amplitudes(c, [a @ u for u, a in c.stages],
+                                                   last, prefix)[perm])
+
+
+def test_tree_amplitudes_first_order_at_seventy_sites():
+    c = random_circuit(70, dim=2, n=70)
+    assert_tree_walk_agrees(c, *combination_tree(70, 1)[1:])
+
+
+def test_table_walk_does_not_call_the_sorting_walk(monkeypatch):
+    c = random_circuit(77, dim=3, n=8)
+    expected = weak_value_table(c, 8).values
+
+    def refuse(*args):
+        raise AssertionError("the table walks its own prefix tree")
+
+    monkeypatch.setattr(circuitmodel, "amplitudes", refuse)
+    monkeypatch.setattr(weakvalue, "amplitudes", refuse)
+    assert np.array_equal(weak_value_table(c, 8).values, expected)
+    with pytest.raises(AssertionError, match="prefix tree"):
+        weak_value(c, (1, 2))

@@ -13,7 +13,8 @@ from seqweak.circuitio import builtin_document_path, format_complex
 from seqweak.cli import build_parser, main
 from seqweak.pointer import MomentSpec
 
-from conftest import per_row_walk, random_hermitian, random_state, random_unitary
+from conftest import (combination_tree, per_row_walk, random_hermitian, random_state,
+                      random_unitary)
 from test_counterfactual import per_trial_def3_reference
 
 SHIPPED = str(builtin_document_path())
@@ -374,18 +375,19 @@ def _reference_observe_names(doc):
     return names
 
 
-def reference_weakvalues(path, max_order, machine, monkeypatch):
+def reference_weakvalues(path, max_order, machine):
     """`weakvalues` output as a per-row report writes it: one row per key,
-    numbers formatted one at a time, one print per line, over amplitudes
-    from the per-row walk."""
-    with monkeypatch.context() as m:
-        m.setattr(circuitmodel, "amplitudes", per_row_walk)
-        m.setattr(weakvalue, "amplitudes", per_row_walk)
-        doc = circuitio.load(path)
-        c = doc.to_circuit()
-        k = max_order if max_order is not None else c.n
-        table = weakvalue.weak_value_table(c, k)
-        f = circuitmodel.transition_amplitude(c)
+    numbers formatted one at a time, one print per line.  The subsets come
+    from itertools.combinations and their weak values from the per-row
+    walk over their 0/1 history rows, divided by that walk's F."""
+    doc = circuitio.load(path)
+    c = doc.to_circuit()
+    k = max_order if max_order is not None else c.n
+    subsets, history, _, _ = combination_tree(c.n, k)
+    amps = per_row_walk(c, [np.array([u, a @ u]) for u, a in c.stages], history)
+    values = amps / amps[0]
+    values[0] = 1.0
+    f = circuitmodel.transition_amplitude(c)
     rows = [("command", "weakvalues"),
             ("fingerprint", hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16])]
 
@@ -395,7 +397,7 @@ def reference_weakvalues(path, max_order, machine, monkeypatch):
 
     names = _reference_observe_names(doc)
     add("F", f)
-    for subset, value in table.entries.items():
+    for subset, value in zip(subsets, values):
         add(f"wv.{_reference_subset_label(subset, names)}", value)
     width = max(len(key) for key, _ in rows)
     return "".join(f"{key}\t{value}\n" if machine else f"{key:<{width}}  {value}\n"
@@ -450,22 +452,22 @@ PER_ROW_CASES = (
 
 
 @pytest.mark.parametrize("max_order, machine, n, d", PER_ROW_CASES)
-def test_weakvalues_output_matches_per_row_report(tmp_path, capsys, monkeypatch,
-                                                  max_order, machine, n, d):
+def test_weakvalues_output_matches_per_row_report(tmp_path, capsys, max_order, machine,
+                                                  n, d):
     doc = wide_document(tmp_path / "wide.wseq", n=n, d=d)
     argv = ["weakvalues", doc]
     argv += [] if max_order is None else ["--max-order", str(max_order)]
     argv += ["--machine"] if machine else []
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert out == reference_weakvalues(doc, max_order, machine, monkeypatch)
+    assert out == reference_weakvalues(doc, max_order, machine)
     if max_order is None:
         assert out.count("wv.(") == 2 * 2 ** n
         # site 6 has no observe; site 7's is unnamed
         assert "wv.(A6,X5,X4).re" in out and "wv.(A7,X1).re" in out
 
 
-def test_weakvalues_first_order_at_seventy_sites(tmp_path, capsys, monkeypatch):
+def test_weakvalues_first_order_at_seventy_sites(tmp_path, capsys):
     doc = wide_document(tmp_path / "wide.wseq", n=70)
     code, rows = machine(capsys, ["weakvalues", doc, "--max-order", "1"])
     assert code == 0
@@ -477,7 +479,7 @@ def test_weakvalues_first_order_at_seventy_sites(tmp_path, capsys, monkeypatch):
         assert rows[f"wv.({names[site - 1]}).re"] == f"{value.real:.12g}"
         assert rows[f"wv.({names[site - 1]}).im"] == f"{value.imag:.12g}"
     assert main(["weakvalues", doc, "--max-order", "1", "--machine"]) == 0
-    assert capsys.readouterr().out == reference_weakvalues(doc, 1, True, monkeypatch)
+    assert capsys.readouterr().out == reference_weakvalues(doc, 1, True)
 
 
 def test_weakvalues_low_order_of_many_sites(tmp_path, capsys):
@@ -554,16 +556,35 @@ def test_benchmark_tracer_runs_every_command(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("machine", [True, False])
-def test_weakvalues_without_sites(tmp_path, capsys, monkeypatch, machine):
+def test_weakvalues_without_sites(tmp_path, capsys, machine):
     doc = tmp_path / "no_sites.wseq"
     doc.write_text(NO_SITES)
     assert main(["weakvalues", str(doc)] + (["--machine"] if machine else [])) == 0
     out = capsys.readouterr().out
-    assert out == reference_weakvalues(str(doc), None, machine, monkeypatch)
+    assert out == reference_weakvalues(str(doc), None, machine)
     if machine:
         rows = dict(line.split("\t") for line in out.splitlines())
         assert float(rows["F.re"]) == pytest.approx(np.sqrt(0.5), abs=1e-12)
         assert rows["wv.().re"] == "1" and "wv.().im" in rows
+
+
+@pytest.mark.parametrize("machine", [True, False])
+def test_names_that_read_as_formats_print_verbatim(tmp_path, capsys, machine):
+    # the report is one printf-style format; names are its arguments, never
+    # part of it
+    doc = _shipped_with(tmp_path, "pct.wseq", lambda s: s.replace(
+        "observe B", "observe X%s").replace("insert B", "insert X%s").replace(
+        "observe F", "observe %d%%").replace("insert F", "insert %d%%"))
+    flag = ["--machine"] if machine else []
+    assert main(["weakvalues", doc] + flag) == 0
+    out = capsys.readouterr().out
+    assert out == reference_weakvalues(doc, None, machine)
+    assert "wv.(%d%%,X%s).re" in out and "wv.(X%s).im" in out
+    assert main(["counterfactual", doc, "--seed", "3", "--trials", "2"] + flag) == 0
+    lines = capsys.readouterr().out.splitlines()
+    witness = [line for line in lines if line.startswith("witness.subset")]
+    assert len(witness) == 1
+    assert witness[0].split() == ["witness.subset", "(%d%%,X%s)"]
 
 
 def test_counterfactual_witness_label_unchanged(capsys):

@@ -145,7 +145,6 @@ def test_table_blocks_follow_combinations_order(n):
         # a lookup by subset finds the entry at its position in the table
         assert list(table.entries.values()) == table.values.tolist()
         for h, subset in enumerate(expected):
-            assert [s - 1 for s in subset] == np.flatnonzero(table.rows[h]).tolist()
             assert table.last[h] == (subset[-1] if subset else 0)
             assert expected[table.prefix[h]] == subset[:-1]
 
@@ -182,6 +181,12 @@ def test_table_max_order_truncates(rng):
         weak_value_table(c, 4)
     with pytest.raises(ValueError):
         weak_value_table(c, -1)
+    # numpy integers are orders too; anything else is refused as input
+    assert list(weak_value_table(c, np.int64(1)).entries) == list(table.entries)
+    assert len(weak_value_table(c, np.uint8(3)).entries) == 8
+    for bad in (1.5, float("nan"), "1", None, np.float64(2.0)):
+        with pytest.raises(InvalidInput, match="not an integer"):
+            weak_value_table(c, bad)
 
 
 def test_linearity_rule(rng):
