@@ -33,21 +33,31 @@ def as_vector(v) -> np.ndarray:
     return v
 
 
-def unitary_deviation(m) -> float:
-    """Largest entry of |m^dag m - 1|; entries past the float range read inf
-    (or nan) without a warning."""
-    m = as_operator(m)
+def unitary_deviations(ms) -> np.ndarray:
+    """Largest entry of |m^dag m - 1| for a matrix, or for each matrix of an
+    (m, d, d) stack in one call; entries past the float range read inf (or
+    nan) without a warning."""
+    ms = np.asarray(ms, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+        dev = ms.conj().swapaxes(-1, -2) @ ms - np.eye(ms.shape[-1])
+        return np.abs(dev).max(axis=(-2, -1), initial=0.0)
+
+
+def hermitian_deviations(ms) -> np.ndarray:
+    """Largest entry of |m - m^dag| for a matrix, or for each matrix of an
+    (m, d, d) stack in one call; entries past the float range read inf (or
+    nan) without a warning."""
+    ms = np.asarray(ms, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(ms - ms.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    return unitary_deviation(m) <= tol
+    return bool(unitary_deviations(as_operator(m)) <= tol)
 
 
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    m = as_operator(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(hermitian_deviations(as_operator(m)) <= tol)
 
 
 def is_projector(m, tol: float = DEFAULT_TOL) -> bool:
@@ -83,11 +93,22 @@ def eig_hermitian(a) -> EigenSystem:
     eigenspace.
     """
     a = as_operator(a)
-    if not is_hermitian(a, HERMITIAN_TOL):
-        raise NotHermitian(f"max deviation {np.max(np.abs(a - a.conj().T)):.3e}")
-    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    spread = float(vals[-1] - vals[0]) if len(vals) else 0.0
+    dev = hermitian_deviations(a)
+    if not dev <= HERMITIAN_TOL:
+        raise NotHermitian(f"max deviation {dev:.3e}")
+    return _merged(*np.linalg.eigh((a + a.conj().T) / 2))
 
+
+def eigensystems(a: np.ndarray) -> list[EigenSystem]:
+    """`eig_hermitian` of each matrix of an (m, d, d) stack that the caller
+    has already judged Hermitian, from one stacked ``eigh``; a stacked call
+    gives bitwise the eigenpairs of one call per matrix."""
+    vals, vecs = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2)
+    return list(map(_merged, vals, vecs))
+
+
+def _merged(vals: np.ndarray, vecs: np.ndarray) -> EigenSystem:
+    spread = float(vals[-1] - vals[0]) if len(vals) else 0.0
     # a merged block ends wherever the next eigenvalue is more than the
     # tolerance above it
     gaps = (np.flatnonzero(np.diff(vals) > DEGENERACY_RTOL * (spread + 1.0)) + 1).tolist()

@@ -38,10 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algebra
 from .circuitmodel import Circuit
 from .counterfactual import InsertionSet
-from .errors import SeqWeakError
+from .errors import BadStage, SeqWeakError
 from .pointer import PointerProfile
 
 
@@ -54,7 +53,12 @@ class ParseError(SeqWeakError):
 
 
 _FLOAT_RE = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(rf"^({_FLOAT_RE})(?:([+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i)?$")
+_IMAG_RE = r"[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_COMPLEX_RE = re.compile(rf"^({_FLOAT_RE})(?:({_IMAG_RE})i)?$")
+# literals joined by single spaces; a block with digits outside ASCII, which
+# `_COMPLEX_RE` also takes, is read token by token
+_BLOCK_RE = re.compile(rf"{_FLOAT_RE}(?:{_IMAG_RE}i)?(?: {_FLOAT_RE}(?:{_IMAG_RE}i)?)*",
+                       re.ASCII)
 
 
 def parse_complex(tok: str, line: int) -> complex:
@@ -64,6 +68,19 @@ def parse_complex(tok: str, line: int) -> complex:
     re_part = float(m.group(1))
     im_part = float(m.group(2)) if m.group(2) is not None else 0.0
     return complex(re_part, im_part)
+
+
+def _literals(rows: list[tuple[int, list[str]]]) -> np.ndarray:
+    """The complex literals of a block of (line, tokens) rows, in order.  The
+    joined block is checked against the grammar once and converted in one
+    pass; `complex` reads a grammatical literal, its `i` spelled `j`,
+    exactly as `parse_complex` does.  A block that fails the check goes
+    token by token, so that `parse_complex` names its first bad literal."""
+    text = " ".join(" ".join(tokens) for _, tokens in rows)
+    if _BLOCK_RE.fullmatch(text):
+        return np.array(list(map(complex, text.replace("i", "j").split())), dtype=complex)
+    return np.array([parse_complex(tok, line) for line, tokens in rows for tok in tokens],
+                    dtype=complex)
 
 
 def _finite_float(tok: str) -> float | None:
@@ -163,23 +180,32 @@ class _Lines:
         return row
 
 
-def _parse_vector(tokens: list[str], dim: int, line: int, what: str) -> np.ndarray:
+def _check_count(tokens: list[str], dim: int, line: int, what: str):
     if len(tokens) != dim:
         raise ParseError("DimMismatch", line, tokens[0] if tokens else what,
                          f"{what} needs {dim} entries, got {len(tokens)}")
-    return np.array([parse_complex(t, line) for t in tokens], dtype=complex)
+
+
+def _parse_vector(tokens: list[str], dim: int, line: int, what: str) -> np.ndarray:
+    _check_count(tokens, dim, line, what)
+    return _literals([(line, tokens)])
 
 
 def _parse_matrix(lines: _Lines, dim: int, name: str) -> np.ndarray:
+    """The next ``dim`` rows as a matrix.  A row's fault comes after any bad
+    literal in the rows before it, as a row-by-row reading would find them."""
     rows = []
     for _ in range(dim):
-        row = lines.peek()
-        if row is None:
+        if lines.peek() is None:
+            _literals(rows)
             raise ParseError("DimMismatch", lines.rows[-1][0] if lines.rows else 0,
                              name, f"matrix {name} is missing rows")
         lineno, tokens = lines.next()
-        rows.append(_parse_vector(tokens, dim, lineno, f"matrix {name} row"))
-    return np.array(rows, dtype=complex)
+        if len(tokens) != dim:
+            _literals(rows)
+            _check_count(tokens, dim, lineno, f"matrix {name} row")
+        rows.append((lineno, tokens))
+    return _literals(rows).reshape(dim, dim)
 
 
 def parse(text: str, base_dir: str | Path | None = None) -> CircuitDocument:
@@ -192,9 +218,9 @@ def parse(text: str, base_dir: str | Path | None = None) -> CircuitDocument:
     pointer_source = None
     g_val = None
     insertions: dict[str, int] = {}  # observe name -> line of its `insert`
-    # per boundary k: [U_k, observable, name, line]; the k-th unitary opens
-    # it under the name `A<k>`, and an `observe` sets the observable, its
-    # line and any explicit name
+    # per boundary k: [U_k, observable, name, line, U_k's name, its line];
+    # the k-th unitary opens it under the name `A<k>`, and an `observe` sets
+    # the observable, its line and any explicit name
     boundaries: list[list] = []
 
     def need_dim(lineno: int, tok: str) -> int:
@@ -227,12 +253,8 @@ def parse(text: str, base_dir: str | Path | None = None) -> CircuitDocument:
             d = need_dim(lineno, head)
             name = rest[0] if rest else f"U{len(boundaries) + 1}"
             m = _parse_matrix(lines, d, name)
-            dev = algebra.unitary_deviation(m)
-            if not dev <= 1e-9:
-                raise ParseError("NonUnitary", lineno, name,
-                                 f"max deviation {dev:.3e}")
             stanzas.append(UnitaryStanza(name, m))
-            boundaries.append([m, None, f"A{len(boundaries) + 1}", lineno])
+            boundaries.append([m, None, f"A{len(boundaries) + 1}", lineno, name, lineno])
         elif head == "observe":
             d = need_dim(lineno, head)
             if not boundaries:
@@ -260,11 +282,8 @@ def parse(text: str, base_dir: str | Path | None = None) -> CircuitDocument:
                 stanzas.append(ObserveStanza(name, m, idx))
             else:
                 m = _parse_matrix(lines, d, name)
-                if not algebra.is_hermitian(m, algebra.HERMITIAN_TOL):
-                    raise ParseError("NonHermitian", lineno, name,
-                                     "observable must be Hermitian")
                 stanzas.append(ObserveStanza(name, m, None))
-            boundaries[-1][1:] = m, name, lineno
+            boundaries[-1][1:4] = m, name, lineno
         elif head == "pointer":
             if not rest:
                 raise ParseError("UnknownDirective", lineno, head, "missing pointer kind")
@@ -322,23 +341,33 @@ def parse(text: str, base_dir: str | Path | None = None) -> CircuitDocument:
                          "EOF", "document needs dim, state and postselect")
     eye = np.eye(dim, dtype=complex)
     u_final = eye  # no evolution at all, or a trailing measurement
+    final = None
     if boundaries and boundaries[-1][1] is None:
-        u_final = boundaries.pop()[0]  # the last boundary is the post-selection
+        final = boundaries.pop()  # the last boundary is the post-selection
+        u_final = final[0]
     site_names: list[str] = []
-    for site, (_, _, name, lineno) in enumerate(boundaries, start=1):
+    for site, (_, _, name, lineno, _, _) in enumerate(boundaries, start=1):
         if name in site_names:
             raise ParseError("DuplicateName", lineno, name,
                              f"site {site} has the name of site "
                              f"{site_names.index(name) + 1}")
         site_names.append(name)
-    observe_names = {name for _, a, name, _ in boundaries if a is not None}
+    observe_names = {b[2] for b in boundaries if b[1] is not None}
     for name, lineno in insertions.items():
         if name not in observe_names:
             raise ParseError("UnknownDirective", lineno, name,
                              "insert references an unknown observe")
-    circuit = Circuit(  # all circuit invariants checked on load
-        psi_i=psi_i, stages=tuple((u, eye if a is None else a) for u, a, _, _ in boundaries),
-        u_final=u_final, psi_f=psi_f, labels=labels)
+    try:  # all circuit invariants checked on load, every matrix once
+        circuit = Circuit(
+            psi_i=psi_i, stages=tuple((b[0], eye if b[1] is None else b[1]) for b in boundaries),
+            u_final=u_final, psi_f=psi_f, labels=labels)
+    except BadStage as exc:  # named by the stanza that wrote the matrix
+        _, _, name, lineno, u_name, u_lineno = (boundaries + [final])[exc.site - 1]
+        if exc.observable:
+            raise ParseError("NonHermitian", lineno, name,
+                             "observable must be Hermitian") from None
+        raise ParseError("NonUnitary", u_lineno, u_name,
+                         f"max deviation {exc.deviation:.3e}") from None
     return CircuitDocument(
         dim=dim, psi_i=psi_i, psi_f=psi_f, stanzas=tuple(stanzas), circuit=circuit,
         site_names=tuple(site_names), labels=labels, pointer=pointer,

@@ -275,9 +275,9 @@ def joint_response(c: Circuit, couplings: dict[int, tuple[np.ndarray, np.ndarray
         if len(m) != len(anc_state):
             raise DimMismatch(f"{name} is {len(m)}x{len(m)}, but the ancilla state "
                               f"has {len(anc_state)} entries")
-        if not algebra.is_hermitian(m, algebra.HERMITIAN_TOL):
-            raise NotHermitian(f"{name}: max deviation "
-                               f"{np.max(np.abs(m - m.conj().T)):.3e}")
+        dev = algebra.hermitian_deviations(m)
+        if not dev <= algebra.HERMITIAN_TOL:
+            raise NotHermitian(f"{name}: max deviation {dev:.3e}")
     amps = np.array(list(history_amplitudes(c, ins).values()))
     resp = _responses([amps[None]], [np.reshape(hams, (1, 1, len(hams), *anc_obs.shape))],
                       [anc_obs[None, None]], [anc_state[None, None]], g)

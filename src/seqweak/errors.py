@@ -15,6 +15,19 @@ class InvalidInput(SeqWeakError, ValueError):
     """An argument outside the documented domain."""
 
 
+class BadStage(InvalidInput):
+    """A circuit matrix that fails its check: the evolution of stage
+    ``site`` (1-based; n + 1 is the final evolution) is not unitary, or its
+    observable (``observable``) is not Hermitian; ``deviation`` is the
+    matrix's largest entry deviation."""
+
+    def __init__(self, message: str, site: int, observable: bool, deviation: float):
+        super().__init__(message)
+        self.site = site
+        self.observable = observable
+        self.deviation = deviation
+
+
 class DimMismatch(SeqWeakError):
     pass
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,15 +53,37 @@ def _quantile_table(z: np.ndarray, dens: np.ndarray) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointerProfile:
+    """A Gaussian by its parameters, or a table of samples ``values`` (a
+    read-only complex array) on the grid grid_min + grid_step * i."""
+
     kind: str  # "gaussian" | "tabulated"
     sigma: float = 1.0
     q_offset: float = 0.0
     p_offset: float = 0.0
     grid_min: float = 0.0
     grid_step: float = 0.0
-    values: tuple[complex, ...] = ()
+    values: np.ndarray = field(default_factory=tuple)
+
+    def __post_init__(self):
+        vals = np.array(self.values, dtype=complex)  # a copy that no caller holds
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.sigma, self.q_offset, self.p_offset, self.grid_min,
+                self.grid_step)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointerProfile):
+            return NotImplemented
+        return (self._fields() == other._fields()
+                and np.array_equal(self.values, other.values))
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((*self._fields(), (self.values + 0.0).tobytes()))
 
     @classmethod
     def gaussian(cls, sigma: float, q_offset: float = 0.0, p_offset: float = 0.0):
@@ -88,7 +110,7 @@ class PointerProfile:
             raise InvalidInput("profile does not decay at the grid ends")
         vals = vals / np.sqrt(grid_step * np.sum(np.abs(vals) ** 2))
         return cls(kind="tabulated", grid_min=float(grid_min),
-                   grid_step=float(grid_step), values=tuple(vals.tolist()))
+                   grid_step=float(grid_step), values=vals)
 
     @property
     def grid(self) -> np.ndarray:
@@ -136,7 +158,7 @@ class PointerProfile:
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray, float, float]:
         """A table's FFT, its angular frequencies and the ends of its support
         |phi| > 1e-8 peak, once per profile (`oracle._shifted_table`)."""
-        vals = np.asarray(self.values)
+        vals = self.values
         live = self.grid[np.abs(vals) > 1e-8 * np.max(np.abs(vals))]
         freq = 2 * np.pi * np.fft.fftfreq(len(vals), d=self.grid_step)
         return np.fft.fft(vals), freq, float(live[0]), float(live[-1])
@@ -145,8 +167,7 @@ class PointerProfile:
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grid, real and imaginary samples of a table as arrays, built once
         per profile rather than once per `eval`."""
-        vals = np.asarray(self.values)
-        return self.grid, vals.real.copy(), vals.imag.copy()
+        return self.grid, self.values.real.copy(), self.values.imag.copy()
 
 
 @dataclass(frozen=True)
@@ -179,8 +200,7 @@ def moments(prof: PointerProfile) -> PointerMoments:
     if prof.kind == "gaussian":
         return PointerMoments(mu=prof.q_offset, nu=prof.p_offset,
                               v=1.0 / (4.0 * prof.sigma**2), y=0.0)
-    q = prof.grid
-    vals = np.asarray(prof.values)
+    q, vals = prof.grid, prof.values
     full = _tabulated_moments(q, prof.grid_step, vals)
     # Self-estimate: recompute on the decimated grid and compare.
     coarse = _tabulated_moments(q[::2], 2 * prof.grid_step, vals[::2])

@@ -348,3 +348,120 @@ def test_fuzz_tabulated_profile_rows(tmp_path_factory, data):
     work = tmp_path_factory.getbasetemp()
     (work / "fuzz.dat").write_text("\n".join(rows) + "\n")
     _fuzz_outcome(BASIC + "pointer tabulated fuzz.dat\n", base_dir=work)
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=4)
+_SIGN = st.sampled_from(["", "+", "-"])
+_MANTISSA = st.one_of(
+    st.builds(lambda whole, point, frac: whole + point + (frac if point else ""),
+              _DIGITS, st.sampled_from(["", "."]), st.sampled_from(["", "0", "25", "0707"])),
+    st.builds(lambda frac: "." + frac, _DIGITS))
+_EXPONENT = st.one_of(st.just(""), st.builds(lambda e, sign, digits: e + sign + digits[:3],
+                                             st.sampled_from("eE"), _SIGN, _DIGITS))
+_FLOAT_TEXT = st.builds(lambda *parts: "".join(parts), _SIGN, _MANTISSA, _EXPONENT)
+# spellings at the edges of the grammar: signed zeros, bare points, both
+# exponent letters, leading zeros, overflow to inf and underflow to zero
+_EDGE_LITERALS = ["0", "-0", "+0", "-0-0i", "0-0i", "-0+0i", "5.", ".5", "-.5", "5.-.5i",
+                  "1E-5+1e+5i", "007", "007.500+000.1i", "1e400", "-1e999+1e999i",
+                  "1e-400", "-1e-999-1e-999i", "179769313486231580793728971405301e276"]
+_LITERAL = st.one_of(
+    st.sampled_from(_EDGE_LITERALS),
+    st.builds(lambda re_part, im_sign, im_part: re_part + im_sign + im_part.lstrip("+-") + "i",
+              _FLOAT_TEXT, st.sampled_from("+-"), _FLOAT_TEXT),
+    _FLOAT_TEXT)
+# what Python's complex() (with `i` as `j`) or float() takes and the grammar does not
+_NOT_LITERALS = ["1j", "inf", "-inf", "nan", "1_0", "(1+2i)", "1+2I", "1+i", "1+2j", "2i",
+                 "i", "1e5i", "infinity", "1e", "+-1", "0x10", "1+2i+3i", "(1)", "1..5",
+                 "١+٢j"]
+
+
+def _block(draw, dim):
+    return [(10 + row, draw(st.lists(_LITERAL, min_size=dim, max_size=dim)))
+            for row in range(dim)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_literal_block_equals_token_by_token(data):
+    # one check and one conversion per block, bitwise what parse_complex
+    # gives token by token (signed zeros, infinities and other digits too)
+    rows = _block(data.draw, data.draw(st.integers(1, 5)))
+    if data.draw(st.booleans()):
+        row = data.draw(st.integers(0, len(rows) - 1))
+        rows[row][1][data.draw(st.integers(0, len(rows[row][1]) - 1))] = "١٠+٢e-٣i"
+    expected = np.array([parse_complex(t, line) for line, tokens in rows for t in tokens],
+                        dtype=complex)
+    got = circuitio._literals(rows)
+    assert got.dtype == complex and got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bad_literal_in_a_block_is_named_as_token_by_token(data):
+    # the block fails its check; the first bad literal is reported with its
+    # own line and token, in the document as in the block
+    dim = data.draw(st.integers(1, 4))
+    rows = _block(data.draw, dim)
+    for _ in range(data.draw(st.integers(1, 3))):
+        row = data.draw(st.integers(0, dim - 1))
+        rows[row][1][data.draw(st.integers(0, dim - 1))] = data.draw(
+            st.sampled_from(_NOT_LITERALS))
+    bad = [(line, tok) for line, tokens in rows for tok in tokens
+           if circuitio._COMPLEX_RE.match(tok) is None]
+    with pytest.raises(ParseError) as err:
+        circuitio._literals(rows)
+    assert (err.value.kind, err.value.line, err.value.token) == ("BadComplexLiteral",
+                                                                 *bad[0])
+    text = ("wseq 1\ndim %d\nstate %s\nunitary U\n" % (dim, " ".join(["1"] * dim))
+            + "".join(" ".join(tokens) + "\n" for _, tokens in rows)
+            + "postselect " + " ".join(["1"] * dim) + "\n")
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    line = 5 + [line for line, _ in rows].index(bad[0][0])
+    assert (err.value.kind, err.value.line, err.value.token) == ("BadComplexLiteral",
+                                                                 line, bad[0][1])
+
+
+def test_row_fault_after_bad_literal_in_an_earlier_row():
+    # a matrix reads row by row: a bad literal in row 1 precedes a short row 2
+    # and a missing row 3, and a short row 1 precedes a bad literal in row 2
+    head = "wseq 1\ndim 3\nstate 1 0 0\nunitary U\n"
+    for body, kind, line in [("1 0 x\n0 1\n", "BadComplexLiteral", 5),
+                             ("1 0\n0 x 1\n0 0 1\n", "DimMismatch", 5),
+                             ("1 0 0\n0 1 0\n", "DimMismatch", 6),
+                             ("1 0 0\n0 1 0\n0 0 1i\n", "BadComplexLiteral", 7)]:
+        with pytest.raises(ParseError) as err:
+            parse(head + body)
+        assert (err.value.kind, err.value.line) == (kind, line)
+
+
+def test_matrix_faults_name_their_stanza():
+    # the circuit judges the matrices; the error names the stanza's line,
+    # name and deviation as a check at the stanza would
+    u = np.array([[0.70710678118654746, 0.70710678118654746], [0.9, -0.9]])
+    bad_u = BASIC.replace("0.70710678118654746+0i -0.70710678118654746+0i", "0.9+0i -0.9+0i")
+    with pytest.raises(ParseError) as err:
+        parse(bad_u)
+    dev = np.max(np.abs(u.T @ u - np.eye(2)))
+    assert str(err.value) == f"line 4: NonUnitary: max deviation {dev:.3e} (at 'H')"
+    bad_a = BASIC.replace("observe Z\n1+0i 0+0i\n0+0i -1+0i", "observe Z\n0+0i 1+0i\n0+0i 0+0i")
+    with pytest.raises(ParseError) as err:
+        parse(bad_a)
+    assert str(err.value) == "line 7: NonHermitian: observable must be Hermitian (at 'Z')"
+    # an unnamed final evolution, after a named site
+    final = BASIC.replace("postselect", "unitary\n1+0i 0+0i\n0+0i 2+0i\npostselect")
+    with pytest.raises(ParseError) as err:
+        parse(final)
+    assert str(err.value) == "line 10: NonUnitary: max deviation 3.000e+00 (at 'U2')"
+
+
+def test_structural_fault_precedes_a_bad_matrix():
+    # every structural fault of the document comes before the judgment of its
+    # matrices, wherever it stands
+    bad_u = BASIC.replace("0.70710678118654746+0i -0.70710678118654746+0i", "0.9+0i -0.9+0i")
+    with pytest.raises(ParseError) as err:
+        parse(bad_u + "frobnicate\n")
+    assert (err.value.kind, err.value.line) == ("UnknownDirective", 11)
+    with pytest.raises(ParseError) as err:
+        parse(bad_u + "insert Q\n")
+    assert (err.value.kind, err.value.line) == ("UnknownDirective", 11)

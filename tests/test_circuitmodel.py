@@ -9,11 +9,12 @@ from seqweak.circuitmodel import (P_B, P_C, P_E, P_F, U1_DOUBLE, U3_DOUBLE,
                                   transition_amplitude, tree_amplitudes,
                                   valid_subset)
 from seqweak import circuitmodel, weakvalue
+from seqweak.algebra import eig_hermitian
 from seqweak.errors import DimMismatch, InvalidInput
 from seqweak.weakvalue import weak_value, weak_value_table
 
 from conftest import (combination_tree, per_row_walk, random_circuit, random_hermitian,
-                      random_state, random_unitary)
+                      random_projector, random_state, random_unitary)
 
 
 def test_builtin_transition_amplitude():
@@ -117,8 +118,13 @@ def test_states_past_the_float_range_raise_no_warning():
     with pytest.raises(InvalidInput, match="normalized"):
         Circuit(psi_i=np.array([1e200, 0.0]), stages=(), u_final=np.eye(2),
                 psi_f=np.array([0.0, 1.0]))
+    # a post-selection needs no unit norm, but a finite squared norm
+    for big in (1e200, np.inf):
+        with pytest.raises(InvalidInput, match="finite squared norm"):
+            Circuit(psi_i=np.array([1.0, 0.0]), stages=(), u_final=np.eye(2),
+                    psi_f=np.array([big, 0.0]))
     Circuit(psi_i=np.array([1.0, 0.0]), stages=(), u_final=np.eye(2),
-            psi_f=np.array([1e200, 0.0]))
+            psi_f=np.array([1e150, 0.0]))
 
 
 def test_projector_constants_complete():
@@ -235,3 +241,38 @@ def test_table_walk_does_not_call_the_sorting_walk(monkeypatch):
     assert np.array_equal(weak_value_table(c, 8).values, expected)
     with pytest.raises(AssertionError, match="prefix tree"):
         weak_value(c, (1, 2))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_stacked_site_spectra_equal_per_site_eig_hermitian(seed):
+    # one stacked eigh over all sites gives bitwise each site's own
+    # eigendecomposition: general, degenerate (rotated and diagonal
+    # projectors) and identity observables, d = 1..8
+    rng = np.random.default_rng((4096, seed))
+    d, n = seed % 8 + 1, int(rng.integers(1, 7))
+    kinds = rng.permutation(["hermitian", "rotated", "proj", "identity"] * 2)[:n]
+    stages = []
+    for kind in kinds:
+        if kind == "hermitian":
+            a = random_hermitian(rng, d)
+        elif kind == "rotated":
+            a = random_projector(rng, d, rank=int(rng.integers(1, d + 1)))
+        elif kind == "proj":
+            a = np.diag(rng.integers(0, 2, d)).astype(complex)
+        else:
+            a = np.eye(d, dtype=complex)
+        stages.append((random_unitary(rng, d), a))
+    c = Circuit(psi_i=random_state(rng, d), stages=tuple(stages),
+                u_final=random_unitary(rng, d), psi_f=random_state(rng, d))
+    instruments = circuitmodel.site_instruments(c)
+    assert len(instruments) == n
+    for (u, a), (pu, es) in zip(c.stages, instruments):
+        ref = eig_hermitian(a)
+        assert es.eigenvalues == ref.eigenvalues
+        assert np.array_equal(es.vectors, ref.vectors)
+        assert np.array_equal(es.labels, ref.labels)
+        assert len(es.projectors) == len(ref.projectors)
+        assert all(np.array_equal(p, q) for p, q in zip(es.projectors, ref.projectors))
+        assert np.array_equal(pu, np.stack(ref.projectors) @ u)
+    no_sites = Circuit(psi_i=c.psi_i, stages=(), u_final=c.u_final, psi_f=c.psi_f)
+    assert circuitmodel.site_instruments(no_sites) == []

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import seqweak
-from seqweak import cli, circuitio, circuitmodel, counterfactual, montecarlo, oracle, weakvalue
+from seqweak import (algebra, cli, circuitio, circuitmodel, counterfactual, montecarlo,
+                     oracle, weakvalue)
 from seqweak.circuitio import builtin_document_path, format_complex
 from seqweak.cli import build_parser, main
 from seqweak.pointer import MomentSpec
@@ -686,3 +687,51 @@ def test_consecutive_commands_leak_no_state(capsys):
         build_parser.cache_clear()
         assert main(argv) == 0
         assert capsys.readouterr().out == out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", ["1e200+0i", "1e400+0i"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{doc}", "--moment", "q1*q2", "--compare"],
+    ["montecarlo", "{doc}", "--runs", "100", "--seed", "1"],
+    ["weakvalues", "{doc}"],
+    ["counterfactual", "{doc}", "--seed", "1"],
+])
+def test_postselection_past_the_float_range_is_one_error_line(tmp_path, capsys, entry,
+                                                              argv):
+    # its squared norm overflows, so the circuit refuses it on load, before
+    # any walk could print nan
+    doc = _shipped_with(tmp_path, "big.wseq", lambda s: s.replace(
+        "postselect 0+0i 1+0i", f"postselect 0+0i {entry}"))
+    assert main([a.format(doc=doc) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: post-selection state must have a finite squared norm\n"
+
+
+@pytest.mark.parametrize("doc", ["shipped", "wide"])
+def test_each_matrix_is_judged_once(tmp_path, capsys, monkeypatch, doc):
+    # a load judges every evolution in one stacked call and every observable
+    # in another, and a simulate command adds one stacked eigh, no more
+    path = SHIPPED if doc == "shipped" else wide_document(tmp_path / "w.wseq", n=6, d=3)
+    calls = []
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append((name, np.ndim(args[0])))
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("unitary_deviations", "hermitian_deviations", "is_unitary", "is_hermitian",
+                 "eig_hermitian"):
+        count(algebra, name)
+    count(np.linalg, "eigh")
+    c = circuitio.load(path).to_circuit()
+    assert sorted(calls) == [("hermitian_deviations", 3), ("unitary_deviations", 3)]
+    calls.clear()
+    assert main(["simulate", path, "--moment", "q1*q2", "--compare"]) == 0
+    assert sorted(calls) == [("eigh", 3), ("hermitian_deviations", 3),
+                             ("unitary_deviations", 3)]
+    assert c.n == (2 if doc == "shipped" else 6)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from seqweak.circuitio import builtin_document_path, parse, serialize
 from seqweak.circuitmodel import builtin_double_interferometer
 from seqweak.errors import AssumptionAViolated, GridTooCoarse
 from seqweak.pointer import (QUANTILES, MomentSpec, PointerProfile, moments,
@@ -345,3 +346,33 @@ def test_quantile_table_once_per_profile():
     normal = ndtri((np.arange(QUANTILES) + 0.5) / QUANTILES)
     assert np.max(np.abs(gauss._quantiles - normal)) < 1e-4
     assert np.max(np.abs(table._quantiles - normal)) < 1e-4
+
+
+def test_tabulated_samples_are_one_read_only_array(tmp_path):
+    q = np.linspace(-12, 12, 512)
+    phi = np.exp(-q**2 / 4) * (1 + 0.25j * q)
+    a = PointerProfile.tabulated(q[0], q[1] - q[0], phi)
+    b = PointerProfile.tabulated(q[0], q[1] - q[0], phi.tolist())
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.values.dtype == complex and a.values.shape == (512,)
+    with pytest.raises(ValueError):
+        a.values[0] = 1.0
+    assert a != PointerProfile.tabulated(q[0], q[1] - q[0], phi.conj())
+    assert a != PointerProfile.tabulated(q[0] + 1e-9, q[1] - q[0], phi)
+    assert PointerProfile.gaussian(0.5) == PointerProfile.gaussian(0.5) != a
+    assert hash(PointerProfile.gaussian(0.5)) == hash(PointerProfile.gaussian(0.5))
+    # equal samples hash equal, signed zeros included; the caller's array
+    # stays the caller's
+    samples = np.array([1.0, -0.0, complex(0.0, -0.0)])
+    c = PointerProfile(kind="tabulated", grid_step=1.0, values=samples)
+    samples[0] = 5.0
+    d = PointerProfile(kind="tabulated", grid_step=1.0, values=[1.0, 0.0, 0.0])
+    assert c == d and hash(c) == hash(d)
+    # a document with a table still reads back to its own text
+    (tmp_path / "phi.dat").write_text("".join(f"{x:.17g} {z.real:.17g} {z.imag:.17g}\n"
+                                              for x, z in zip(q, phi)))
+    text = (builtin_document_path().read_text()
+            .replace("pointer gaussian sigma=1", "pointer tabulated phi.dat"))
+    doc = parse(text, base_dir=tmp_path)
+    assert serialize(parse(serialize(doc), base_dir=tmp_path)) == serialize(doc) == text
+    assert doc.pointer == a and hash(doc.pointer) == hash(a)
