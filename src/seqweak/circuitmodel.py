@@ -7,14 +7,13 @@ stores the identity there.
 
 There are two forward walks, both <psi_f| U_f X_n ... X_1 |psi_i> for many
 choices of X_k at once and both one matvec per distinct prefix of the
-choices, about 2^(n+1) for a full table of 2^n weak values.  `amplitudes`
-takes the choices as rows of any list and sorts them to find the shared
-prefixes; the histories (N U_k or (1 - N) U_k), the weak values of
-on-projectors (U_k or N U_k), `weakvalue.weak_values` (A_k U_k), the demo
-and the path identity use it.  `tree_amplitudes` takes a prefix tree of
-site subsets (X_k = A_k U_k at the sites of a subset, U_k elsewhere) that
-names each entry's prefix itself, so it needs no sort; the weak-value
-table (`weakvalue.weak_value_table`) uses it.
+choices.  `product_amplitudes` walks every combination of some operators
+per site: the histories (N U_k or (1 - N) U_k), the weak values of every
+subset of some sites (U_k or X_k U_k), the demo's grid, the path identity
+and single rows such as `transition_amplitude`.  `tree_amplitudes` walks
+a prefix tree of site subsets (X_k = A_k U_k at the sites of a subset, U_k
+elsewhere), which a table truncated at some order is and no product is;
+the weak-value table (`weakvalue.weak_value_table`) uses it.
 
 `effects` is the backward walk.  A pointer coupled at a site makes it a
 quantum instrument with Kraus-like operators P_a U (`site_instruments`, P_a
@@ -117,43 +116,23 @@ class Circuit:
         return h.hexdigest()
 
 
-def amplitudes(c: Circuit, ops, histories) -> np.ndarray:
-    """<psi_f| U_f X_n ... X_1 |psi_i> for every row of ``histories``.
+def product_amplitudes(c: Circuit, ops) -> np.ndarray:
+    """<psi_f| U_f X_n ... X_1 |psi_i> for every choice of the X_k.
 
-    ``ops[k]`` stacks the operators tried at site k+1 with the stage unitary
-    already applied, shape (m_k, d, d); row h of the int array
-    ``histories``, shape (m, n), picks X_{k+1} = ops[k][h[k]].  The result
-    has shape (m,).
+    ``ops[k]`` stacks the m_k operators tried at site k+1 with the stage
+    unitary already applied, shape (m_k, d, d).  The result is flat, in C
+    order: reshaped to (m_1, ..., m_n), entry (j_1, ..., j_n) takes
+    X_k = ops[k-1][j_k].  (It stays flat because a single row past 64 sites
+    has more axes than an array may.)
 
-    Rows that share a prefix share its state: after one lexicographic sort
-    each distinct prefix through site k+1 is a contiguous run of rows, and
-    the walk takes one matvec per run, from the state of its parent run.
-    That is one matvec per distinct prefix, about 2^(n+1) for a full table
-    of 2^n rows, instead of one per row and site.
+    The states after site k are those of every choice at sites 1..k, in
+    C order; each becomes m_{k+1} states by one broadcast matvec per
+    operator, so every prefix of the choices is walked once.
     """
-    h = np.asarray(histories)
-    m, n = h.shape
-    bra = c.psi_f.conj() @ c.u_final
-    if m == 0 or n == 0:  # np.lexsort needs a key; every row is the empty history
-        return np.repeat(c.psi_i[None, :], m, axis=0) @ bra
-    order = np.lexsort(h.T[::-1])
-    hs = np.ascontiguousarray(h[order].T)
-    # new_run[k, i]: sorted row i starts a new distinct prefix through site
-    # k+1.  Every start at site k is also one at site k+1, so the parent of
-    # a run is the number of site-k starts among the site-(k+1) starts up to
-    # its own, less one.
-    new_run = np.empty((n, m), dtype=bool)
-    new_run[:, 0] = True
-    np.logical_or.accumulate(hs[:, 1:] != hs[:, :-1], axis=0, out=new_run[:, 1:])
     v = c.psi_i[None, :, None]
-    for k, x in enumerate(ops):
-        starts = np.flatnonzero(new_run[k])
-        parent = (np.cumsum(new_run[k - 1, starts]) - 1 if k
-                  else np.zeros(len(starts), dtype=np.intp))
-        v = x[hs[k, starts]] @ v[parent]
-    out = np.empty(m, dtype=complex)
-    out[order] = (v[:, :, 0] @ bra)[np.cumsum(new_run[-1]) - 1]
-    return out
+    for x in ops:
+        v = (x @ v[:, None]).reshape(-1, c.dim, 1)
+    return v[:, :, 0] @ (c.psi_f.conj() @ c.u_final)
 
 
 def tree_amplitudes(c: Circuit, measured, last, prefix) -> np.ndarray:
@@ -167,8 +146,7 @@ def tree_amplitudes(c: Circuit, measured, last, prefix) -> np.ndarray:
     last site.  At site j one matmul starts every entry whose last site is
     j from its prefix's state, and one more carries every entry started
     before through U_j.  That is one matvec per entry and site from its
-    last site on, as many as `amplitudes` takes over the rows of the same
-    subsets, with no sort.
+    last site on: one per distinct prefix of the subsets' 0/1 rows.
     """
     last, prefix = np.asarray(last), np.asarray(prefix)
     at = np.zeros(len(last), dtype=np.intp)  # each entry's row of s
@@ -220,8 +198,7 @@ def effects(c: Circuit, sites, kernels) -> list[np.ndarray]:
 
 def transition_amplitude(c: Circuit) -> complex:
     """<psi_f| U_{n+1} ... U_1 |psi_i>, observables skipped."""
-    ops = [u[None] for u, _ in c.stages]
-    return complex(amplitudes(c, ops, np.zeros((1, c.n), dtype=np.uint8))[0])
+    return complex(product_amplitudes(c, [u[None] for u, _ in c.stages])[0])
 
 
 def valid_subset(subset, n: int) -> tuple[int, ...]:

@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuitio, counterfactual, montecarlo, oracle, pointer, weakvalue
-from .circuitmodel import (P_B, P_C, P_E, P_F, amplitudes,
-                           builtin_double_interferometer, transition_amplitude)
+from .circuitmodel import P_B, P_C, P_E, P_F, builtin_double_interferometer, product_amplitudes
 from .errors import InvalidInput, SeqWeakError
 
 
@@ -116,7 +115,7 @@ def cmd_weakvalues(args) -> int:
     k = args.max_order if args.max_order is not None else c.n
     report = Report("weakvalues", _file_fingerprint(args.file), args.machine)
     table = weakvalue.weak_value_table(c, k)
-    report.add("F", transition_amplitude(c))
+    report.add("F", table.f)
     labels = _subset_labels(doc.site_names, table.last, table.prefix, table.sizes)
     report.add_numbers(("wv.(" + labels).tolist(), table.values)
     report.emit()
@@ -207,16 +206,18 @@ def cmd_demo(args) -> int:
     base = builtin_double_interferometer()
     report = Report("demo double-interferometer", base.fingerprint()[:16],
                     args.machine)
-    # one walk through U, P_B U or P_C U, then U, P_E U or P_F U; row 0 is F
+    # one walk through U, P_B U or P_C U, then U, P_E U or P_F U; entry
+    # (0, 0) of the 3 x 3 grid is F
     (u1, _), (u2, _) = base.stages
     ops = [np.stack([u1, P_B @ u1, P_C @ u1]), np.stack([u2, P_E @ u2, P_F @ u2])]
+    grid = product_amplitudes(base, ops).reshape(3, 3).tolist()
     observed = {"B": (1, 0), "C": (2, 0), "E": (0, 1), "F": (0, 2),
                 "E,B": (1, 1), "F,B": (1, 2), "E,C": (2, 1), "F,C": (2, 2)}
-    f, *amps = amplitudes(base, ops, np.array([(0, 0), *observed.values()])).tolist()
+    f = grid[0][0]
     report.add("F", f)
     wv = {}
-    for label, amp in zip(observed, amps):
-        wv[label] = amp / f
+    for label, (i, j) in observed.items():
+        wv[label] = grid[i][j] / f
         report.add(f"wv.({label})", wv[label])
     # weak path occupations per successful run
     for key, label in (("N_E/N", "E"), ("N_C/N", "C"), ("N_CE/N", "E,C"),

@@ -5,9 +5,10 @@ history containing an "on" projector has zero amplitude; by weak values
 when every sequential weak value of the on-projectors vanishes; by general
 weak interactions when every weak coupling restricted to the on-projectors
 yields a null result.  The three verdicts must always agree.  Each
-definition reads one forward walk (`circuitmodel.amplitudes`) of the circuit
-itself, over the operators of `_insertion_ops`: the histories pick
-(1 - N) U or N U at each insertion site, the weak values U or N U.  Every
+definition reads one forward walk (`circuitmodel.product_amplitudes`) of the
+circuit itself, over the operators of `_insertion_ops`: the histories are
+every choice of (1 - N) U or N U at the insertion sites, the weak values
+every choice of U or N U, a (2,) * k cube either way.  Every
 ancilla response, of one probe (`joint_response`) or of a block of random
 Definition-3 probes (`randomized_def3_test`), is one contraction of
 history amplitudes with kicked ancilla states (`_responses`).
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
-from .circuitmodel import Circuit, amplitudes, transition_amplitude, valid_subset
+from .circuitmodel import Circuit, product_amplitudes, transition_amplitude, valid_subset
 from .errors import (BothZero, DimMismatch, EquivalenceViolation, InvalidInput,
                      NotHermitian, NotProjector, NumericallySingular)
 from .pointer import check_coupling
@@ -67,9 +68,10 @@ def all_histories(k: int):
 
 
 def _insertion_ops(c: Circuit, ins: InsertionSet, complement: bool) -> list[np.ndarray]:
-    """Per site, the operators a walk picks from (`circuitmodel.amplitudes`):
-    U alone off the insertion sites; at one, N U as choice 1 and as choice 0
-    (1 - N) U if ``complement`` (the histories), else U (the weak values)."""
+    """Per site, the operators a walk picks from
+    (`circuitmodel.product_amplitudes`): U alone off the insertion sites; at
+    one, N U as choice 1 and as choice 0 (1 - N) U if ``complement`` (the
+    histories), else U (the weak values)."""
     sites = valid_subset(ins.sites, c.n)
     for site, p in zip(sites, ins.on_projectors):
         if p.shape != (c.dim, c.dim):
@@ -84,11 +86,8 @@ def history_amplitudes(c: Circuit, ins: InsertionSet) -> dict[str, complex]:
     """Amplitude of every history in `all_histories` order: the on-projector
     (N) or its complement (F) inserted at each insertion site per the
     history string, identity elsewhere."""
-    ops = _insertion_ops(c, ins, complement=True)
-    histories = all_histories(len(ins))
-    rows = np.zeros((len(histories), c.n), dtype=np.uint8)
-    rows[:, [s - 1 for s in ins.sites]] = list(itertools.product((0, 1), repeat=len(ins)))
-    return dict(zip(histories, amplitudes(c, ops, rows).tolist()))
+    amps = product_amplitudes(c, _insertion_ops(c, ins, complement=True))
+    return dict(zip(all_histories(len(ins)), amps.tolist()))
 
 
 def is_counterfactual_histories(c: Circuit, ins: InsertionSet):
@@ -111,13 +110,16 @@ def insertion_subsets(ins: InsertionSet):
 def is_counterfactual_weakvalues(c: Circuit, ins: InsertionSet):
     """Definition by weak values; witness is the first subset of insertion
     sites whose sequential weak value of the on-projectors is nonzero."""
-    subsets = list(insertion_subsets(ins))
-    wv = weak_values(c, subsets, _insertion_ops(c, ins, complement=False)).tolist()
-    return _first_on_subset(zip(subsets, wv))
+    return _first_on_subset(ins, weak_values(c, ins.sites,
+                                             _insertion_ops(c, ins, complement=False)))
 
 
-def _first_on_subset(weak_values_by_subset):
-    hit = next(((s, wv) for s, wv in weak_values_by_subset if abs(wv) > ZERO_TOL), None)
+def _first_on_subset(ins: InsertionSet, cube: np.ndarray):
+    """The Definition-2 verdict and witness from the (2,) * k cube of weak
+    values of the insertion subsets, read in `insertion_subsets` order."""
+    values = ((s, complex(cube[tuple(int(i in s) for i in ins.sites)]))
+              for s in insertion_subsets(ins))
+    hit = next(((s, wv) for s, wv in values if abs(wv) > ZERO_TOL), None)
     return hit is None, hit
 
 
@@ -128,22 +130,19 @@ def check_equivalence_def1_def2(c: Circuit, ins: InsertionSet) -> bool:
     numerators."""
     amps = history_amplitudes(c, ins)
     d1, _ = _first_on_history(amps.items())
-    subsets = [()] + list(insertion_subsets(ins))
-    wv = weak_values(c, subsets, _insertion_ops(c, ins, complement=False))
-    d2, _ = _first_on_subset(zip(subsets[1:], wv[1:].tolist()))
+    wv = weak_values(c, ins.sites, _insertion_ops(c, ins, complement=False))
+    d2, _ = _first_on_subset(ins, wv)
     if d1 != d2:
         raise EquivalenceViolation(
             f"histories says {d1}, weak values says {d2}")
 
-    numerators = dict(zip(subsets, (transition_amplitude(c) * wv).tolist()))
-    for h, amp in amps.items():
-        n_sites = tuple(s for s, sym in zip(ins.sites, h) if sym == "N")
-        f_sites = tuple(s for s, sym in zip(ins.sites, h) if sym == "F")
-        total = 0.0 + 0.0j
-        for extra in itertools.chain.from_iterable(
-                itertools.combinations(f_sites, r) for r in range(len(f_sites) + 1)):
-            subset = tuple(sorted(n_sites + extra))
-            total += (-1) ** len(extra) * numerators[subset]
+    # F = 1 - N at each insertion site: along every axis of the numerator
+    # cube, the F history's amplitude is the U entry less the N entry
+    expanded = transition_amplitude(c) * wv
+    for axis in range(len(ins)):
+        on = expanded.take(1, axis)
+        expanded = np.stack([expanded.take(0, axis) - on, on], axis)
+    for (h, amp), total in zip(amps.items(), expanded.reshape(-1).tolist()):
         if abs(total - amp) > 1e-10:
             raise EquivalenceViolation(
                 f"history {h} amplitude does not match its subset expansion")

@@ -278,17 +278,18 @@ def predict_moment(c: Circuit, spec: MomentSpec, g: float, prof: PointerProfile)
     valid_subset(sites, c.n)
     if kinds == ["q"]:
         mom = moments(prof)
-        w = complex(weak_values(c, [tuple(sites)])[0])
+        w = complex(weak_values(c, sites)[1])
         return mom.mu + g * (w.real + mom.y * w.imag)
     _require_assumption_a(prof)
     # a table's moments cost a quadrature, so only a p factor asks for v
     v = moments(prof).v if "p" in kinds else 0.0
     t = np.array([1j * v if k == "p" else -0.5 for k in kinds])
     m = len(sites)
-    # subset I of the listed sites <-> bit mask; S - I is the reversed index
+    # subset I of the listed sites <-> bit mask (bit i for sites[i]), which
+    # is the weak-value cube's index with its axes reversed; S - I is the
+    # reversed index
     inside = (np.arange(2**m)[:, None] >> np.arange(m)) & 1 == 1
-    wv = np.append(1.0, weak_values(c, [tuple(itertools.compress(sites, row))
-                                        for row in inside[1:].tolist()]))
+    wv = weak_values(c, sites).transpose().reshape(-1)
     coef = np.where(inside, t, t.conj()).prod(axis=1)
     return (-g) ** m * float((wv * wv[::-1].conj() @ coef).real)
 
@@ -316,7 +317,7 @@ def product_weak_value(c: Circuit) -> ProductWeakValue:
     if np.max(np.abs(a1 @ a2 - a2 @ a1)) > 1e-10:
         raise NonCommuting("observables at one time must commute")
 
-    w1, w2, value = weak_values(c, [(1,), (2,), (1, 2)]).tolist()
+    _, w2, w1, value = weak_values(c, (1, 2)).reshape(-1).tolist()
     q1q2 = predict_moment(c, MomentSpec.parse("q1*q2"), PRODUCT_G,
                           PointerProfile.gaussian(PRODUCT_SIGMA))
     rec = 2.0 * q1q2 / PRODUCT_G**2 - (w1 * np.conj(w2)).real

@@ -3,7 +3,9 @@
 The stored weak value for a subset (i1 < ... < ir) of measurement sites is
 the sequential weak value with the later observables applied on the left,
 i.e. the operators appear in reverse time order inside the matrix element.
-`weak_values` computes any list of them in one `circuitmodel.amplitudes` walk.
+`weak_values` computes those of every subset of some sites in one
+`circuitmodel.product_amplitudes` walk, `weak_value` one of them in two
+single-row walks.
 
 `weak_value_table` enumerates every subset of at most k sites as arrays, one
 size block r = 0..k at a time: each subset of block r - 1, in lexicographic
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .circuitmodel import (Circuit, amplitudes, effects, site_instruments, tree_amplitudes,
-                           valid_subset)
+from .circuitmodel import (Circuit, effects, product_amplitudes, site_instruments,
+                           transition_amplitude, tree_amplitudes, valid_subset)
 from .errors import (
     BasisIncomplete,
     DegeneratePostSelection,
@@ -63,23 +65,27 @@ def _over_f(c: Circuit, amps: np.ndarray) -> np.ndarray:
     return wv
 
 
-def weak_values(c: Circuit, subsets, ops=None) -> np.ndarray:
-    """Sequential weak values of ``subsets``, in order, over the F of the
-    same walk (`_over_f`).  A subset's 0/1 history row picks from ``ops``
-    as `circuitmodel.amplitudes` does: U_k at a 0 and the measured X_k U_k
-    at a 1, by default with X_k = A_k.  The subsets are not validated: each
-    must be a strictly increasing tuple of 1-based sites of ``c``."""
+def weak_values(c: Circuit, sites, ops=None) -> np.ndarray:
+    """Sequential weak values of every subset of ``sites`` (strictly
+    increasing 1-based sites of ``c``, not validated) over the F of the
+    same walk (`_over_f`), as a (2,) * len(sites) cube: index 1 on axis i
+    puts ``sites[i]`` in the subset, and the all-0 corner, the empty subset,
+    is 1.  ``ops`` are the walk's operators (`product_amplitudes`), by
+    default U_k and A_k U_k at the sites and U_k elsewhere."""
     if ops is None:
-        ops = [np.array([u, a @ u]) for u, a in c.stages]
-    sizes = [len(s) for s in subsets]
-    rows = np.zeros((len(subsets) + 1, c.n), dtype=np.uint8)
-    sites = np.fromiter(itertools.chain.from_iterable(subsets), np.intp, sum(sizes))
-    rows[np.repeat(np.arange(1, len(rows)), sizes), sites - 1] = 1
-    return _over_f(c, amplitudes(c, ops, rows))[1:]
+        on = set(sites)
+        ops = [np.array([u, a @ u]) if k in on else u[None]
+               for k, (u, a) in enumerate(c.stages, start=1)]
+    return _over_f(c, product_amplitudes(c, ops)).reshape((2,) * len(sites))
 
 
 def weak_value(c: Circuit, subset) -> complex:
-    return complex(weak_values(c, [valid_subset(subset, c.n)])[0])
+    """The weak value of one subset, from two single-row walks, the
+    subset's and F's, so linear in the number of sites."""
+    s = valid_subset(subset, c.n)
+    ops = [(a @ u if k in s else u)[None] for k, (u, a) in enumerate(c.stages, start=1)]
+    amps = np.array([transition_amplitude(c), product_amplitudes(c, ops)[0]])
+    return complex(_over_f(c, amps)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +97,11 @@ class WeakValueTable:
     Entry h has the weak value ``values[h]``; ``last[h]`` is its last site
     and ``prefix[h]`` the entry of the same subset without that site.
     Entry 0 is the empty subset, with value 1, last site 0 and itself as
-    prefix.
+    prefix; its amplitude, the F every value is divided by, is ``f``.
     """
 
     values: np.ndarray
+    f: complex
     last: np.ndarray
     prefix: np.ndarray
     sizes: tuple[int, ...]
@@ -175,7 +182,8 @@ def weak_value_table(c: Circuit, max_order: int) -> WeakValueTable:
         last[block] = last[parent] + 1 + np.arange(size) - np.repeat(first, counts)
         lo = hi
     amps = tree_amplitudes(c, [a @ u for u, a in c.stages], last, prefix)
-    return WeakValueTable(_over_f(c, amps), last, prefix, sizes, c.n, c.fingerprint())
+    return WeakValueTable(_over_f(c, amps), complex(amps[0]), last, prefix, sizes, c.n,
+                          c.fingerprint())
 
 
 def check_linearity(c: Circuit, c_prime: Circuit, site: int) -> float:
@@ -301,14 +309,13 @@ def path_amplitude_identity(c: Circuit, bases=None) -> float:
             if min(np.linalg.norm(b[:, j] - x) for j in range(b.shape[1])) > 1e-9:
                 raise BasisIncomplete("basis does not contain the projected direction")
 
-    # Row 0 walks through the measured directions |x_k><x_k| U_k, the other
-    # rows through every choice of basis vectors |b_j><b_j| U_k per stage.
+    # operator 0 of a stage is its measured direction |x_k><x_k| U_k, the
+    # others its basis vectors |b_j><b_j| U_k: the target walks through the
+    # former, the total through every choice of the latter
     ops = [np.stack([np.outer(x, x.conj())] + [np.outer(b, b.conj()) for b in basis.T]) @ u
            for (u, _), x, basis in zip(c.stages, xs, bases)]
-    rows = np.array([(0,) * c.n] + list(itertools.product(
-        *[range(1, b.shape[1] + 1) for b in bases])), dtype=np.intp)
-    amps = amplitudes(c, ops, rows)
-    target, total = amps[0], amps[1:].sum()
+    target = product_amplitudes(c, [x[:1] for x in ops])[0]
+    total = product_amplitudes(c, [x[1:] for x in ops]).sum()
     if abs(total) <= F_TOL:
         raise DegeneratePostSelection("path-amplitude sum vanishes")
     wv = weak_value(c, tuple(range(1, c.n + 1)))

@@ -53,9 +53,10 @@ def random_circuit(seed, dim=None, n=2, projectors=False, min_f=0.1):
 
 
 def per_row_walk(c, ops, histories):
-    """Reference forward walk for `circuitmodel.amplitudes`: every row
-    carries its own state through every site, gathering one (d, d) operator
-    per row and site."""
+    """Reference forward walk for `circuitmodel.product_amplitudes` and
+    `circuitmodel.tree_amplitudes`: row h of the int array ``histories``
+    picks operator ``ops[k][h[k]]`` at site k+1, and every row carries its
+    own state through every site, one (d, d) operator per row and site."""
     v = np.repeat(c.psi_i[None, :, None], len(histories), axis=0)
     for k, x in enumerate(ops):
         v = x[histories[:, k]] @ v

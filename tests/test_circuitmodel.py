@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from seqweak.circuitmodel import (P_B, P_C, P_E, P_F, U1_DOUBLE, U3_DOUBLE,
-                                  Circuit, amplitudes,
-                                  builtin_double_interferometer,
+                                  Circuit, builtin_double_interferometer, product_amplitudes,
                                   transition_amplitude, tree_amplitudes,
                                   valid_subset)
 from seqweak import circuitmodel, weakvalue
@@ -134,57 +133,33 @@ def test_projector_constants_complete():
     assert np.allclose(U3_DOUBLE @ U3_DOUBLE.conj().T, np.eye(2))
 
 
-def random_walk_case(seed):
-    """A random circuit (n in 0..6, d in 2..4), 1..4 random operators per
-    site and a random set of rows: unsorted, with duplicates."""
+def random_walk_case(seed, n=None):
+    """A random circuit (n in 0..6 unless given, d in 2..4) and 1..4 random
+    operators per site."""
     rng = np.random.default_rng((2024, seed))
-    n, d = int(rng.integers(0, 7)), int(rng.integers(2, 5))
+    drawn, d = int(rng.integers(0, 7)), int(rng.integers(2, 5))
+    n = drawn if n is None else n
     stages = tuple((random_unitary(rng, d), random_hermitian(rng, d)) for _ in range(n))
     c = Circuit(psi_i=random_state(rng, d), stages=stages,
                 u_final=random_unitary(rng, d), psi_f=random_state(rng, d))
     ops = [np.stack([random_hermitian(rng, d) @ u
                      for _ in range(int(rng.integers(1, 5)))]) for u, _ in c.stages]
-    m = int(rng.integers(1, 40))
-    rows = np.array([[rng.integers(0, len(x)) for x in ops] for _ in range(m)],
-                    dtype=np.intp).reshape(m, n)
-    rows = rows[rng.integers(0, m, size=m + 5)]  # repeats some rows
-    return c, ops, rows
+    return c, ops
 
 
-def assert_walks_agree(c, ops, rows):
-    for dtype in (np.uint8, np.intp):
-        got = amplitudes(c, ops, rows.astype(dtype))
-        ref = per_row_walk(c, ops, rows.astype(dtype))
-        assert got.shape == ref.shape
-        scale = max(np.abs(ref).max(initial=0.0), 1e-300)
-        assert np.abs(got - ref).max(initial=0.0) <= 1e-13 * scale
-
-
-@pytest.mark.parametrize("seed", range(40))
-def test_amplitudes_match_per_row_walk(seed):
-    c, ops, rows = random_walk_case(seed)
-    assert_walks_agree(c, ops, rows)
-    assert_walks_agree(c, ops, rows[:1])
-    assert_walks_agree(c, ops, rows[::-1].copy())
-
-
-@pytest.mark.parametrize("n", range(7))
-def test_amplitudes_full_table_every_size(n):
-    c = random_circuit(300 + n, dim=3, n=n)
-    ops = [np.array([u, a @ u]) for u, a in c.stages]
-    rows = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.uint8)
-    assert_walks_agree(c, ops, rows)
-
-
-def test_amplitudes_without_sites():
-    # n = 0: no key to sort on, every row is the empty history
-    c = Circuit(psi_i=np.array([1.0, 0.0]), stages=(), u_final=U1_DOUBLE,
-                psi_f=np.array([0.0, 1.0]))
-    amps = amplitudes(c, [], np.zeros((3, 0), dtype=np.uint8))
-    assert amps.shape == (3,)
-    assert np.allclose(amps, U1_DOUBLE[1, 0])
-    assert amplitudes(c, [], np.zeros((0, 0), dtype=np.intp)).shape == (0,)
-    assert transition_amplitude(c) == pytest.approx(U1_DOUBLE[1, 0], abs=1e-15)
+@pytest.mark.parametrize("seed, n", [pytest.param(seed, None, id=str(seed)) for seed in range(40)]
+                         + [pytest.param(40, 0, id="no-sites")])
+def test_amplitudes_match_per_row_walk(seed, n):
+    c, ops = random_walk_case(seed, n)
+    got = product_amplitudes(c, ops)
+    assert got.shape == (np.prod([len(x) for x in ops], dtype=int),)
+    # every choice of one operator per site, in C order
+    choices = list(itertools.product(*[range(len(x)) for x in ops]))
+    ref = per_row_walk(c, ops, np.array(choices, dtype=np.intp).reshape(len(choices), c.n))
+    scale = max(np.abs(ref).max(initial=0.0), 1e-300)
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-13 * scale
+    if not ops:  # without sites, the one empty row is the transition amplitude
+        assert transition_amplitude(c) == got[0]
 
 
 def test_table_matches_per_subset_weak_values():
@@ -202,8 +177,22 @@ def test_table_matches_per_subset_weak_values():
 def assert_tree_walk_agrees(c, rows, last, prefix):
     ops = [np.array([u, a @ u]) for u, a in c.stages]
     got = tree_amplitudes(c, [a @ u for u, a in c.stages], last, prefix)
-    # bitwise the sorting walk's numbers, and the per-row walk's up to rounding
-    assert np.array_equal(got, amplitudes(c, ops, rows))
+    # bitwise the product walk's numbers, and the per-row walk's up to
+    # rounding.  Both walks end in one product of their final states with
+    # the bra, which is a dot for one state and otherwise a matrix-vector
+    # product that rounds each row alike; so a lone entry is compared with
+    # a single-row walk, up to ten sites the others with the full cube at
+    # the table's rows, and beyond that each with a two-row walk (its row,
+    # and the same with the other choice at site 1)
+    if len(rows) == 1:
+        want = product_amplitudes(c, [x[[j]] for x, j in zip(ops, rows[0])])
+    elif c.n <= 10:
+        want = product_amplitudes(c, ops)[rows @ 2 ** np.arange(c.n)[::-1]]
+    else:
+        want = np.array([
+            product_amplitudes(c, [ops[0], *(x[[j]] for x, j in zip(ops[1:], row[1:]))])[row[0]]
+            for row in rows])
+    assert np.array_equal(got, want)
     ref = per_row_walk(c, ops, rows)
     scale = max(np.abs(ref).max(initial=0.0), 1e-300)
     assert np.abs(got - ref).max(initial=0.0) <= 1e-13 * scale
@@ -230,14 +219,15 @@ def test_tree_amplitudes_first_order_at_seventy_sites():
 
 
 def test_table_walk_does_not_call_the_sorting_walk(monkeypatch):
+    # nor the product walk: a truncated table is no product
     c = random_circuit(77, dim=3, n=8)
     expected = weak_value_table(c, 8).values
 
     def refuse(*args):
         raise AssertionError("the table walks its own prefix tree")
 
-    monkeypatch.setattr(circuitmodel, "amplitudes", refuse)
-    monkeypatch.setattr(weakvalue, "amplitudes", refuse)
+    monkeypatch.setattr(circuitmodel, "product_amplitudes", refuse)
+    monkeypatch.setattr(weakvalue, "product_amplitudes", refuse)
     assert np.array_equal(weak_value_table(c, 8).values, expected)
     with pytest.raises(AssertionError, match="prefix tree"):
         weak_value(c, (1, 2))

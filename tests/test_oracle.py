@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from seqweak.circuitmodel import (P_B, P_C, P_E, P_F, Circuit, amplitudes,
-                                  builtin_double_interferometer, site_instruments,
-                                  transition_amplitude)
+from seqweak.circuitmodel import (P_B, P_C, P_E, P_F, Circuit,
+                                  builtin_double_interferometer, product_amplitudes,
+                                  site_instruments, transition_amplitude)
 from seqweak.counterfactual import _kicks, joint_response, weak_interaction_response
 from seqweak.errors import (AssumptionAViolated, DegeneratePostSelection, DimMismatch,
                             GridResolutionError, InvalidInput, NotHermitian)
@@ -221,13 +221,12 @@ def test_branch_decompose_projector_sites():
 @pytest.mark.parametrize("projectors", [False, True])
 def test_branch_decompose_matches_per_branch_loop(n, d, projectors):
     # the eigenbranch decomposition as the package builds it: the stacked
-    # P_a U of `site_instruments`, every branch walked by `amplitudes`
+    # P_a U of `site_instruments`, every branch walked by `product_amplitudes`
     c = random_circuit(300 + 10 * n + d, dim=d, n=n, projectors=projectors)
     spectra, ref = loop_branches(c)
     sites = site_instruments(c)
     assert [es.eigenvalues for _, es in sites] == [es.eigenvalues for es in spectra]
-    choices = np.array(list(itertools.product(*map(range, ref.shape))), dtype=np.intp)
-    amps = amplitudes(c, [pu for pu, _ in sites], choices)
+    amps = product_amplitudes(c, [pu for pu, _ in sites])
     assert np.max(np.abs(amps - ref.reshape(-1))) <= 1e-12
 
 
