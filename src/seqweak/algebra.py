@@ -2,8 +2,11 @@
 
 Vectors and operators are plain numpy arrays of dtype complex; the helpers
 here add the structure checks and the degeneracy-merged Hermitian
-eigendecomposition whose projectors define the oracle's per-site
-instruments and its eigenbranches.
+eigendecomposition.  `eigensystems` decomposes a whole stack of observables
+in one stacked ``eigh`` and labels every eigenvector column with its merged
+eigenvalue in one pass over the (n, d) eigenvalue array; a projector P_a is
+never built, it is the columns labelled a (P_a = V_a V_a^dag).
+`eig_hermitian` is the same routine for one matrix.
 """
 from __future__ import annotations
 
@@ -67,54 +70,54 @@ def is_projector(m, tol: float = DEFAULT_TOL) -> bool:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Spectral decomposition with degenerate eigenvalues merged.
+    """Spectral decomposition of one matrix with degenerate eigenvalues
+    merged.
 
-    Projectors are Hermitian, idempotent, mutually orthogonal and sum to
-    the identity; eigenvalues are strictly increasing.  ``vectors`` holds
-    the orthonormal eigenvectors as columns and ``labels[j]`` the merged
-    eigenvalue that column j belongs to, so that the columns labelled a
-    are contiguous and P_a = V_a V_a^dag.
+    ``eigenvalues`` are the merged eigenvalues, strictly increasing;
+    ``vectors`` holds the orthonormal eigenvectors as columns and
+    ``labels[j]`` the index of the merged eigenvalue that column j belongs
+    to, so that the columns labelled a are contiguous and span the
+    eigenspace of eigenvalue a (its projector is V_a V_a^dag).
     """
 
     eigenvalues: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...]
     vectors: np.ndarray
     labels: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return sum(a * p for a, p in zip(self.eigenvalues, self.projectors))
-
 
 def eig_hermitian(a) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with degeneracy merging.
-
-    Eigenvalues closer than ``DEGENERACY_RTOL * (spectral range + 1)`` are
-    merged into a single branch whose projector spans the combined
-    eigenspace.
-    """
+    """Eigendecomposition of a Hermitian matrix with degeneracy merging:
+    `eigensystems` of a stack of one."""
     a = as_operator(a)
     dev = hermitian_deviations(a)
     if not dev <= HERMITIAN_TOL:
         raise NotHermitian(f"max deviation {dev:.3e}")
-    return _merged(*np.linalg.eigh((a + a.conj().T) / 2))
+    eigenvalues, _, labels, vectors = eigensystems(a[None])
+    return EigenSystem(tuple(eigenvalues[0].tolist()), vectors[0], labels[0])
 
 
-def eigensystems(a: np.ndarray) -> list[EigenSystem]:
-    """`eig_hermitian` of each matrix of an (m, d, d) stack that the caller
-    has already judged Hermitian, from one stacked ``eigh``; a stacked call
-    gives bitwise the eigenpairs of one call per matrix."""
+def eigensystems(a: np.ndarray):
+    """Merged eigendecompositions of each matrix of an (n, d, d) stack that
+    the caller has already judged Hermitian, from one stacked ``eigh``.
+
+    Eigenvalues closer than ``DEGENERACY_RTOL * (spectral range + 1)`` are
+    merged into one, the mean of the block they form.  Returns, per matrix,
+    its k merged eigenvalues (a tuple of n arrays), and as (n, d) arrays
+    each eigenvector column's merged eigenvalue and its label (the index of
+    that eigenvalue), then the (n, d, d) eigenvectors.  The labels come from
+    one pass over the whole (n, d) eigenvalue array, and a stacked call
+    gives bitwise the eigenpairs of one call per matrix.
+    """
     vals, vecs = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2)
-    return list(map(_merged, vals, vecs))
-
-
-def _merged(vals: np.ndarray, vecs: np.ndarray) -> EigenSystem:
-    spread = float(vals[-1] - vals[0]) if len(vals) else 0.0
-    # a merged block ends wherever the next eigenvalue is more than the
-    # tolerance above it
-    gaps = (np.flatnonzero(np.diff(vals) > DEGENERACY_RTOL * (spread + 1.0)) + 1).tolist()
-    cuts = [0, *gaps, len(vals)]
-    blocks = [(vals[i:j], vecs[:, i:j]) for i, j in zip(cuts, cuts[1:]) if i < j]
-    eigenvalues = [float(v.sum() / len(v)) for v, _ in blocks]
-    projectors = [b @ b.conj().T for _, b in blocks]
-    labels = np.repeat(np.arange(len(blocks)), [len(v) for v, _ in blocks])
-    return EigenSystem(tuple(eigenvalues), tuple(projectors), vecs, labels)
+    n, d = vals.shape
+    spread = vals[:, -1] - vals[:, 0]
+    # a merged block starts at each row's first column and wherever the
+    # next eigenvalue is more than the tolerance above the one before
+    starts = np.ones((n, d), dtype=bool)
+    starts[:, 1:] = vals[:, 1:] - vals[:, :-1] > DEGENERACY_RTOL * (spread + 1.0)[:, None]
+    block = np.cumsum(starts.reshape(-1)) - 1
+    means = np.add.reduceat(vals.reshape(-1), np.flatnonzero(starts)) / np.bincount(block)
+    block = block.reshape(n, d)
+    cuts = [*block[:, 0].tolist(), len(means)]
+    eigenvalues = tuple(means[i:j] for i, j in zip(cuts, cuts[1:]))
+    return eigenvalues, means[block], block - block[:, :1], vecs

@@ -31,9 +31,11 @@ returns holds the validated `Circuit` and the site names.
 """
 from __future__ import annotations
 
+import hashlib
+import io
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +133,7 @@ class CircuitDocument:
     pointer_source: str | None = None  # original `pointer ...` argument text
     g: float | None = None
     insertions: tuple[str, ...] = ()
+    sha256: str | None = None  # hex digest of the bytes `load` read; not compared
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CircuitDocument):
@@ -374,9 +377,12 @@ def parse(text: str, base_dir: str | Path | None = None) -> CircuitDocument:
         pointer_source=pointer_source, g=g_val, insertions=tuple(insertions))
 
 
-def _read_text(path: str | Path) -> str:
+def _read(path: str | Path) -> tuple[bytes, str]:
+    """A file's bytes, read once, and their text decoded as `Path.read_text`
+    decodes it: in the locale's encoding, with universal newlines."""
     try:
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
+        return data, io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)).read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError("Unreadable", 0, str(path),
                          getattr(exc, "strerror", None) or str(exc)) from None
@@ -432,7 +438,7 @@ def _table_by_rows(text: str) -> np.ndarray:
 
 def load_tabulated_profile(path: str | Path) -> PointerProfile:
     """Profile from rows of `q re(phi) im(phi)` with uniform spacing."""
-    text = _read_text(path)
+    _, text = _read(path)
     table = _table_at_once(text)
     if table is None:
         table = _table_by_rows(text)
@@ -475,7 +481,11 @@ def serialize(doc: CircuitDocument) -> str:
 
 
 def load(path: str | Path) -> CircuitDocument:
-    return parse(_read_text(path), base_dir=Path(path).parent)
+    """`parse` of a file's text, with the SHA-256 of the bytes it was
+    decoded from."""
+    data, text = _read(path)
+    return replace(parse(text, base_dir=Path(path).parent),
+                   sha256=hashlib.sha256(data).hexdigest())
 
 
 def builtin_document_path(name: str = "double_interferometer") -> Path:

@@ -16,12 +16,18 @@ elsewhere), which a table truncated at some order is and no product is;
 the weak-value table (`weakvalue.weak_value_table`) uses it.
 
 `effects` is the backward walk.  A pointer coupled at a site makes it a
-quantum instrument with Kraus-like operators P_a U (`site_instruments`, P_a
-the observable's eigenprojectors) weighted by a (k, k) kernel K, and the
-post-selection walks back through them, E <- sum_{b,a} K[b,a] (P_b U)^dag
-E (P_a U), linear in the number of sites.  Pointer overlap kernels
-(`oracle`) give exact moments and the sampler's densities; identity kernels
-give the strong-measurement effects.
+quantum instrument with Kraus-like operators P_a U (P_a the observable's
+eigenprojectors) weighted by a (k, k) kernel K, and the post-selection
+walks back through them, E <- sum_{b,a} K[b,a] (P_b U)^dag E (P_a U),
+linear in the number of sites.  No projector is built: the walk runs in
+the sites' eigenbases (`eigenbases`: one stacked eigendecomposition, the
+eigenvector labels, the hops T_i = V_{i+1}^dag U_{i+1} V_i between
+consecutive eigenbases, the start coordinates and the post-selection bra),
+where P_a keeps the coordinates labelled a.  There the walk carries
+F_i = V_i^dag E_i V_i, and a step is F_{i-1} = T^dag (K~ o F_i) T with K~
+the kernel expanded by labels.  Pointer overlap kernels (`oracle`) give
+exact moments and the sampler's densities; identity kernels give the
+strong-measurement effects.
 """
 from __future__ import annotations
 
@@ -163,37 +169,73 @@ def tree_amplitudes(c: Circuit, measured, last, prefix) -> np.ndarray:
     return (s[:, :, 0] @ (c.psi_f.conj() @ c.u_final))[at]
 
 
-def site_instruments(c: Circuit) -> list[tuple[np.ndarray, algebra.EigenSystem]]:
-    """Per site, the stacked operators P_a U of shape (k, d, d) and the
-    observable's `EigenSystem`, whose k merged eigenvalues a they belong to.
-    The circuit has judged its observables Hermitian, so one stacked
-    eigendecomposition serves every site."""
-    if not c.stages:
-        return []
-    spectra = algebra.eigensystems(np.stack([a for _, a in c.stages]))
-    return [(np.stack(es.projectors) @ u, es) for (u, _), es in zip(c.stages, spectra)]
+@dataclass(frozen=True)
+class Eigenbases:
+    """Every site's observable A_i in its eigenbasis V_i, from one stacked
+    eigendecomposition, with the circuit carried between those bases.
 
-
-def effects(c: Circuit, sites, kernels) -> list[np.ndarray]:
-    """Backward effects of the post-selection through the site instruments.
-
-    ``sites`` comes from `site_instruments`; ``kernels[i]`` stacks m (k, k)
-    kernels for site i, so m walks run side by side.  Entry i of the result,
-    shape (m, d, d), is the effect of everything after site i (0-based) on
-    the state just after site i; entry n is U_f^dag |psi_f><psi_f| U_f and
-    entry 0 acts on the initial state.  A circuit without sites has one walk.
+    ``eigenvalues[i]`` holds site i+1's k merged eigenvalues; ``merged``
+    and ``labels``, shape (n, d), give each eigenvector column's merged
+    eigenvalue and its index, so that the projector P_a keeps the
+    coordinates labelled a.  ``hops[i]`` = V_{i+2}^dag U_{i+2} V_{i+1}
+    carries coordinates from site i+1's eigenbasis to the next site's,
+    ``start`` = V_1^dag U_1 psi_i is the state entering site 1 and ``bra``
+    = V_n^dag U_f^dag psi_f the post-selection, in the last site's
+    eigenbasis.  Without sites V_0 = 1: ``start`` is psi_i and ``bra``
+    U_f^dag psi_f.
     """
-    bra = c.u_final.conj().T @ c.psi_f
-    m = len(kernels[0]) if kernels else 1
-    e = np.repeat(np.outer(bra, bra.conj())[None], m, axis=0)
-    out = [e]
-    for (pu, _), kern in zip(reversed(sites), reversed(kernels)):
-        # E <- sum_{b,a} K[b,a] (P_b U)^dag E (P_a U), as plain matmuls
-        right = e[:, None] @ pu
-        mixed = (kern @ right.reshape(m, len(pu), -1)).reshape(right.shape)
-        e = np.add.reduce(pu.conj().swapaxes(1, 2) @ mixed, axis=1)
-        out.append(e)
-    return out[::-1]
+
+    eigenvalues: tuple[np.ndarray, ...]
+    merged: np.ndarray
+    labels: np.ndarray
+    vectors: np.ndarray
+    hops: np.ndarray
+    start: np.ndarray
+    bra: np.ndarray
+
+
+def eigenbases(c: Circuit) -> Eigenbases:
+    """The circuit's `Eigenbases`.  The circuit has judged its observables
+    Hermitian, so one stacked eigendecomposition serves every site, and one
+    stacked product gives every hop."""
+    d = c.dim
+    eigenvalues, merged, labels, vectors = algebra.eigensystems(
+        np.array([a for _, a in c.stages], dtype=complex).reshape(c.n, d, d))
+    dag = vectors.conj().swapaxes(1, 2)
+    units = np.array([u for u, _ in c.stages[1:]], dtype=complex).reshape(-1, d, d)
+    if c.n:
+        start = dag[0] @ c.stages[0][0] @ c.psi_i
+        bra = dag[-1] @ (c.u_final.conj().T @ c.psi_f)
+    else:
+        start, bra = c.psi_i, c.u_final.conj().T @ c.psi_f
+    return Eigenbases(eigenvalues, merged, labels, vectors,
+                      dag[1:] @ units @ vectors[:-1], start, bra)
+
+
+def effects(sites: Eigenbases, kernels: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The post-selection walked back through every site, in the sites'
+    eigenbases (`eigenbases`).
+
+    ``kernels`` has shape (n, m, d, d): site i's m kernels over its
+    eigenvector columns, K~[j, l] = K[labels_j, labels_l] for a (k, k)
+    kernel K over its merged eigenvalues, so m walks run side by side.  A
+    pointer coupled at site i makes E_{i-1} = sum_{b,a} K[b,a]
+    (P_b U_i)^dag E_i (P_a U_i) the effect just before it, and in the
+    eigenbases F_i = V_i^dag E_i V_i that is F_{i-1} = T^dag (K~ o F_i) T,
+    a Hadamard product and two matmuls by the hop T.  Returns the m values
+    <psi_i|E_0|psi_i> = x^dag (K~_1 o F_1) x, x the start coordinates, and
+    F_1, ..., F_n, each of shape (m, d, d); F_n = bra bra^dag.
+    """
+    f = np.repeat((sites.bra[:, None] * sites.bra.conj())[None], kernels.shape[1], axis=0)
+    walk = []
+    for hop, kern in zip(sites.hops[::-1], kernels[:0:-1]):
+        walk.append(f)
+        f = hop.conj().T @ (kern * f) @ hop
+    if len(kernels):
+        walk.append(f)
+        f = kernels[0] * f
+    x = sites.start
+    return (f @ x) @ x.conj(), walk[::-1]
 
 
 def transition_amplitude(c: Circuit) -> complex:

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -76,10 +74,6 @@ class Report:
         sys.stdout.write(template % tuple(args))
 
 
-def _file_fingerprint(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
-
-
 def _doc_profile(doc) -> pointer.PointerProfile:
     return doc.pointer if doc.pointer is not None else pointer.PointerProfile.gaussian(1.0)
 
@@ -113,7 +107,7 @@ def cmd_weakvalues(args) -> int:
     doc = circuitio.load(args.file)
     c = doc.to_circuit()
     k = args.max_order if args.max_order is not None else c.n
-    report = Report("weakvalues", _file_fingerprint(args.file), args.machine)
+    report = Report("weakvalues", doc.sha256[:16], args.machine)
     table = weakvalue.weak_value_table(c, k)
     report.add("F", table.f)
     labels = _subset_labels(doc.site_names, table.last, table.prefix, table.sizes)
@@ -128,7 +122,7 @@ def cmd_simulate(args) -> int:
     g = _doc_g(doc, args.g)
     prof = _doc_profile(doc)
     spec = pointer.MomentSpec.parse(args.moment)
-    report = Report("simulate", _file_fingerprint(args.file), args.machine)
+    report = Report("simulate", doc.sha256[:16], args.machine)
     report.add("g", g)
     report.add("moment", str(spec))
     exact, prob = oracle.exact_moment(c, spec, g, prof)
@@ -153,7 +147,7 @@ def cmd_montecarlo(args) -> int:
     prof = _doc_profile(doc)
     moment = args.moment or "*".join(f"q{i}" for i in range(1, c.n + 1))
     spec = pointer.MomentSpec.parse(moment)
-    report = Report("montecarlo", _file_fingerprint(args.file), args.machine)
+    report = Report("montecarlo", doc.sha256[:16], args.machine)
     report.add("g", g)
     report.add("seed", args.seed)
     report.add("moment", str(spec))
@@ -178,7 +172,7 @@ def cmd_counterfactual(args) -> int:
     if not doc.insertions:
         raise InvalidInput("the document declares no `insert` lines")
     ins = doc.insertion_set()
-    report = Report("counterfactual", _file_fingerprint(args.file), args.machine)
+    report = Report("counterfactual", doc.sha256[:16], args.machine)
     cf = counterfactual.randomized_def3_test(c, ins, args.trials,
                                              _doc_g(doc, args.g), args.seed)
     report.add("def1_counterfactual", cf.def1_holds)

@@ -4,8 +4,9 @@ Each run is one pure system state read out site by site, as in the
 laboratory.  The readout q_i of site i is drawn from its conditional density
 sum_{b,a} <y_b|E|y_a> conj(phi(q - g b)) phi(q - g a), where y_a = P_a U v is
 the run's state v after the site's unitary and projector, and E is the
-backward effect (`circuitmodel.effects`) of every later site and the
-post-selection.  A position readout then leaves the system in the pure state
+backward effect of every later site and the post-selection, which the walk
+(`circuitmodel.effects`) gives in the site's eigenbasis, F_i = V_i^dag E
+V_i.  A position readout then leaves the system in the pure state
 sum_a phi(q_i - g a) y_a.  Momentum readouts are not sampled (a single run
 reads out either q or p).  Each conditional CDF is a mixture over eigenvalue
 pairs (b, a), Hermitian in (b, a), so a real sum of k^2 antiderivatives that
@@ -21,19 +22,20 @@ whose rows also give the site's exact S kernel; the state update's
 `PointerProfile.eval` interpolates the unshifted table.
 
 A run carries U v as its d coordinates in the eigenbasis of the site's
-observable (`algebra.EigenSystem.vectors`), where each projector P_a keeps
-the coordinates labelled a.  Every run enters site 1 in the same state, so
-site 1's k^2 basis is contracted once into one CDF column that all runs
-invert against.  At a later site a run's k^2 mixture weights are one real
-GEMM on the Hermitian half of its pair products conj(c_j) c_l, j <= l, as
-the weights are Hermitian in (j, l).  The state update scales each
-coordinate by phi(q - g a) times 1/sqrt(sum_j |c_j|^2), read off the
-diagonal pair products (the mixture weights do not depend on a run's
-scale, which only keeps the coordinates bounded), and takes one d x d GEMM
-into the next site's eigenbasis.  Post-selected runs go through all sites
-in blocks of RUN_BLOCK, so the per-run temporaries do not grow with the
-number of runs.  The backward walk also carries the numerator kernels of
-a position moment, if one is given, so that its exact value comes from the
+observable (`circuitmodel.eigenbases`), where each projector P_a keeps the
+coordinates labelled a and the pair weights read F_i directly.  Every run
+enters site 1 in the same state, so site 1's k^2 basis is contracted once
+into one CDF column that all runs invert against.  At a later site a run's
+k^2 mixture weights are one real GEMM on the Hermitian half of its pair
+products conj(c_j) c_l, j <= l, as the weights are Hermitian in (j, l).
+The state update scales each coordinate by phi(q - g a) times
+1/sqrt(sum_j |c_j|^2), read off the diagonal pair products (the mixture
+weights do not depend on a run's scale, which only keeps the coordinates
+bounded), and takes one d x d GEMM by the hop V_{i+1}^dag U_{i+1} V_i into
+the next site's eigenbasis.  Post-selected runs go through all sites in
+blocks of RUN_BLOCK, so the per-run temporaries do not grow with the number
+of runs.  The backward walk also carries the numerator kernels of a
+position moment, if one is given, so that its exact value comes from the
 same walk.
 """
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuitmodel import Circuit, effects, site_instruments, valid_subset
+from .circuitmodel import Circuit, effects, eigenbases, valid_subset
 from .errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
 from .oracle import _postselected_moment, _shifted_table, _table_kernels, gaussian_kernels
 from .pointer import MomentSpec, PointerProfile, check_coupling
@@ -200,11 +202,10 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
         check_position_moment(spec, c.n)
         named = {site for site, _ in spec.factors}
 
-    sites = site_instruments(c)
+    sites = eigenbases(c)
     grids, bases, kernels = [], [], []
-    for i, (_, es) in enumerate(sites, start=1):
-        eigs = es.eigenvalues
-        shifts = g * np.asarray(eigs)
+    for i, (eigs, labels) in enumerate(zip(sites.eigenvalues, sites.labels), start=1):
+        shifts = g * eigs
         if prof.kind == "gaussian":
             x = np.linspace(prof.q_offset + shifts.min() - RANGE_SIGMAS * prof.sigma,
                             prof.q_offset + shifts.max() + RANGE_SIGMAS * prof.sigma,
@@ -225,14 +226,13 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
         bases.append(np.ascontiguousarray(_hermitian_columns(_cumulative(gm, x).T, k)
                                           * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs])))
         # the grid's own overlaps, the exact ones for the mass check, and
-        # the moment's numerator kernels
+        # the moment's numerator kernels, over the eigenvector columns
         stack = [np.trapezoid(gm, x, axis=1).reshape(k, k), kern.s]
         if spec is not None:
             stack.append(kern.q if i in named else kern.s)
-        kernels.append(np.stack(stack))
-    walk = effects(c, sites, kernels)
+        kernels.append(np.stack(stack)[:, labels[:, None], labels])
+    norms, walk = effects(sites, np.stack(kernels))
 
-    norms = (walk[0] @ c.psi_i) @ c.psi_i.conj()
     moment, prob = _postselected_moment(c, norms[1], norms[-1])
     mass_err = abs(norms[0].real / norms[1].real - 1.0)
     if not mass_err <= 1e-6:
@@ -243,21 +243,20 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
     n_succ = int(np.sum(success))
     uniforms = rng.random((c.n, n_succ))  # the same stream as one draw per site
 
-    # coordinates V_i^dag U_i v at site i; the weights <y_b|E|y_a> pair them
-    # against V_i^dag E V_i, and V_{i+1}^dag U_{i+1} V_i carries them on
-    vecs = [es.vectors for _, es in sites]
-    start = vecs[0].conj().T @ c.stages[0][0] @ c.psi_i
-    pair_weights = [_pair_weights(v.conj().T @ e[0] @ v, es.labels, len(es.eigenvalues))
-                    for v, (_, es), e in zip(vecs, sites, walk[1:])]
+    # a run's coordinates at site i are V_i^dag U_i v; the weights <y_b|E|y_a>
+    # pair them against F_i = V_i^dag E_i V_i of the grid's walk, and the
+    # hop V_{i+1}^dag U_{i+1} V_i carries them on
+    pair_weights = [_pair_weights(f[0], labels, len(eigs))
+                    for f, eigs, labels in zip(walk, sites.eigenvalues, sites.labels)]
     # the pair products' Hermitian half, and where its diagonal |c_j|^2 sits
     rows, cols = np.triu_indices(c.dim)
     diagonal = np.flatnonzero(rows == cols)
     # every run enters site 1 in the same state, so its readouts share one CDF
+    start = sites.start
     first = (np.conj(start[rows]) * start[cols]).view(float) @ pair_weights[0]
     bases[0] = (bases[0] @ first).reshape(-1, 1)
     moments = [_basis_moments(b) for b in bases]
-    hops = [(v_next.conj().T @ u_next @ v).T
-            for v, v_next, (u_next, _) in zip(vecs, vecs[1:], c.stages[1:])]
+    hops = sites.hops.swapaxes(1, 2)
 
     samples = np.empty((n_succ, c.n))
     for lo in range(0, n_succ, RUN_BLOCK):
@@ -267,7 +266,7 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
         # later sites are rescaled to unit norm only through its readout
         # amplitudes, which leaves its mixture weights alone
         coef, coords, scale = np.ones((u.shape[1], 1)), start, 1.0
-        for i, (_, es) in enumerate(sites):
+        for i, (eigs, labels) in enumerate(zip(sites.eigenvalues, sites.labels)):
             if i:
                 z = np.take(coords, rows, axis=1).conj() * np.take(coords, cols, axis=1)
                 coef = z.view(float) @ pair_weights[i]
@@ -276,8 +275,8 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
             xs = _invert_mixture_cdf(coef, bases[i], grids[i], u[i], guess)
             samples[runs, i] = xs
             if i < c.n - 1:
-                phi = prof.eval(xs[:, None] - g * np.asarray(es.eigenvalues)) * scale
-                coords = (phi[:, es.labels] * coords) @ hops[i]
+                phi = prof.eval(xs[:, None] - g * eigs) * scale
+                coords = (phi[:, labels] * coords) @ hops[i]
     return RunBatch(postselected=success, samples=samples,
                     exact=(moment, prob) if spec is not None else None)
 

@@ -1,13 +1,18 @@
 """Exact simulation of weakly coupled pointers (no expansion in g).
 
-A pointer coupled at a site weights the site's instrument (P_a U, from
-`circuitmodel.site_instruments`) by its overlap kernel K over the
-observable's eigenvalues.  The exact oracle walks the post-selection back
-through the kernel-weighted instruments (`circuitmodel.effects`) and reads
-<psi_i|E|psi_i> off the last step; the Monte Carlo sampler draws each
-readout against the intermediate effects.  Both read a tabulated profile's
-spectrally shifted samples (`_shifted_table`).  The shared-pointer mean
-contracts the two site instruments directly.
+A pointer coupled at a site weights the site's instrument, the operators
+P_a U over the observable's merged eigenvalues a, by its overlap kernel K.
+The exact oracle walks the post-selection back through the kernel-weighted
+instruments in the sites' eigenbases (`circuitmodel.effects`), with each
+kernel expanded to the eigenvector columns by their labels, K~[j, l] =
+K[labels_j, labels_l], and reads <psi_i|E_0|psi_i> off the last step; the
+Monte Carlo sampler draws each readout against the intermediate F_i =
+V_i^dag E_i V_i.  A Gaussian's kernels for every site come from one call
+over the (n, d) array of each column's merged eigenvalue; a table's are
+taken per site over its merged eigenvalues, from its spectrally shifted
+samples (`_shifted_table`), and expanded.  The shared-pointer mean sums
+its branch amplitudes <psi_f| U_f P_b U_2 P_a U_1 |psi_i> as label masks
+of bra x T x start.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuitmodel import Circuit, effects, site_instruments, valid_subset
+from .circuitmodel import Circuit, Eigenbases, effects, eigenbases, valid_subset
 from .errors import (AssumptionAViolated, DegeneratePostSelection, GridResolutionError,
                      InvalidInput, NumericallySingular)
 from .pointer import MomentSpec, PointerProfile, check_coupling
@@ -68,13 +73,14 @@ def gaussian_kernels(eigs, g: float, sigma: float,
     For zero offsets: S(b,a) = exp(-g^2 (a-b)^2 / (8 sigma^2)),
     Q(b,a) = S(b,a) g (a+b)/2 and P(b,a) = S(b,a) i g (b-a)/(4 sigma^2);
     offsets add the translation/boost terms.  Validated against numeric
-    quadrature in the test suite.
+    quadrature in the test suite.  ``eigs`` of shape (..., k) gives
+    kernels of shape (..., k, k), one per row.
     """
     if sigma <= 0:
         raise InvalidInput("sigma must be positive")
     a = np.asarray(eigs, dtype=float)
-    diff = a[None, :] - a[:, None]      # a - b
-    mid = (a[None, :] + a[:, None]) / 2  # (a + b)/2
+    diff = a[..., None, :] - a[..., :, None]      # a - b
+    mid = (a[..., None, :] + a[..., :, None]) / 2  # (a + b)/2
     s = np.exp(-(g * diff) ** 2 / (8 * sigma**2)) * np.exp(-1j * p_offset * g * diff)
     q = s * (q_offset + g * mid)
     p = s * (p_offset - 1j * g * diff / (4 * sigma**2))
@@ -119,6 +125,23 @@ def site_kernels(eigs, g: float, prof: PointerProfile, momentum: bool = True) ->
     return tabulated_kernels(eigs, g, prof, momentum)
 
 
+def _column_kernels(sites: Eigenbases, g: float, prof: PointerProfile,
+                    kinds) -> np.ndarray:
+    """(n, 2, d, d): per site its S kernel and the kernel that ``kinds[i]``
+    (None, "q" or "p") picks, over the site's eigenvector columns."""
+    if prof.kind == "gaussian":
+        kern = site_kernels(sites.merged, g, prof)
+        kinds = np.array(kinds, dtype=object)[:, None, None]
+        return np.stack([kern.s, np.where(kinds == "q", kern.q,
+                                          np.where(kinds == "p", kern.p, kern.s))], axis=1)
+    stacks = []
+    for eigs, labels, kind in zip(sites.eigenvalues, sites.labels, kinds):
+        kern = site_kernels(eigs, g, prof, momentum=kind == "p")
+        stacks.append(np.stack([kern.s, kern.pick(kind)])[:, labels[:, None], labels])
+    d = sites.merged.shape[1]
+    return np.array(stacks, dtype=complex).reshape(len(kinds), 2, d, d)
+
+
 def exact_moment(c: Circuit, spec: MomentSpec, g: float,
                  prof: PointerProfile) -> tuple[float, float]:
     """Exact post-selected expectation of the pointer product named by
@@ -130,27 +153,28 @@ def exact_moment(c: Circuit, spec: MomentSpec, g: float,
     named = {s: k for s, k in spec.factors}
     valid_subset(sorted(named), c.n)
 
-    sites = site_instruments(c)
-    kernels = []
-    for i, (_, es) in enumerate(sites, start=1):
-        kern = site_kernels(es.eigenvalues, g, prof, momentum=named.get(i) == "p")
-        kernels.append(np.stack([kern.s, kern.pick(named.get(i))]))
-    den, num = (effects(c, sites, kernels)[0] @ c.psi_i) @ c.psi_i.conj()
+    sites = eigenbases(c)
+    kernels = _column_kernels(sites, g, prof, [named.get(i) for i in range(1, c.n + 1)])
+    (den, num), _ = effects(sites, kernels)
     return _postselected_moment(c, den, num)
 
 
 def same_pointer_twice(c: Circuit, g: float, prof: PointerProfile) -> float:
     """Exact <q> for a single pointer weakly coupled at both sites of a
     two-site circuit; the pointer ends up translated by g (a1 + a2).  The
-    (k2, k1) branch amplitudes <psi_f| U_f P_b U_2 P_a U_1 |psi_i> come from
-    the two site instruments."""
+    (k2, k1) branch amplitudes <psi_f| U_f P_b U_2 P_a U_1 |psi_i> are the
+    sums of conj(bra_j) T_jl start_l over the columns j labelled b at site 2
+    and l labelled a at site 1."""
     if c.n != 2:
         raise InvalidInput(f"expected a two-site circuit, got n = {c.n}")
     if prof.kind != "gaussian" or not prof.is_assumption_a:
         raise AssumptionAViolated("same-pointer coupling needs a centered Gaussian")
-    (pu1, es1), (pu2, es2) = site_instruments(c)
-    amps = (((c.psi_f.conj() @ c.u_final) @ pu2) @ (pu1 @ c.psi_i).T).reshape(-1)
-    totals = np.add.outer(es2.eigenvalues, es1.eigenvalues).reshape(-1)
+    sites = eigenbases(c)
+    (eig1, eig2), (lab1, lab2) = sites.eigenvalues, sites.labels
+    paths = sites.bra.conj()[:, None] * sites.hops[0] * sites.start
+    amps = ((lab2[:, None] == np.arange(len(eig2))).T @ paths
+            @ (lab1[:, None] == np.arange(len(eig1)))).reshape(-1)
+    totals = np.add.outer(eig2, eig1).reshape(-1)
     kern = gaussian_kernels(totals, g, prof.sigma)
     den = complex(np.conj(amps) @ kern.s @ amps)
     num = complex(np.conj(amps) @ kern.q @ amps)

@@ -15,6 +15,12 @@ lexicographic order.  An entry is its last site and the index of its prefix
 `circuitmodel.tree_amplitudes` needs to walk the table, so work and memory
 grow with the number of entries, sum_{r<=k} C(n, r), never with 2^n; the
 table refuses more than MAX_TABLE_ENTRIES of them.
+
+`check_strong_agreement` reads the circuit in its eigenbasis form
+(`circuitmodel.eigenbases`): one backward walk with identity kernels, which
+are the masks of equal labels, gives the strong effects F_k = V_k^dag E_k
+V_k, and the record is followed forward in eigenbasis coordinates, where
+each outcome class is a label mask and each step a hop.
 """
 from __future__ import annotations
 
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .circuitmodel import (Circuit, effects, product_amplitudes, site_instruments,
+from .circuitmodel import (Circuit, effects, eigenbases, product_amplitudes,
                            transition_amplitude, tree_amplitudes, valid_subset)
 from .errors import (
     BasisIncomplete,
@@ -214,28 +220,36 @@ def check_strong_agreement(c: Circuit) -> float | None:
     return None.
 
     Determinism means one eigenvalue sequence carries all the post-selected
-    probability.  A backward walk with identity kernels gives the strong
-    effects E_k; a forward walk follows the record, taking at site k the one
-    outcome a whose class probability <w_a|E_k|w_a>, w_a = P_a U_k v,
-    exceeds max(STRONG_REL_TOL <psi_i|E_0|psi_i>, BRANCH_TOL^2).  The cut is
-    relative because a class probability is rounded relative to the total:
-    classes that only the post-selection empties keep up to ~1e-14 of it.
-    So a stray branch below ~1e-6 of the total amplitude goes unseen.
+    probability.  A backward walk with identity kernels (in the eigenbases,
+    the masks of equal labels) gives the strong effects F_k in each site's
+    eigenbasis; a forward walk follows the record in eigenbasis
+    coordinates x, taking at site k the one outcome a whose class
+    probability, the sum of conj(x_j) F_k[j, l] x_l over the columns j, l
+    labelled a, exceeds max(STRONG_REL_TOL <psi_i|E_0|psi_i>, BRANCH_TOL^2),
+    and keeping the coordinates labelled a before the hop to the next site.
+    The cut is relative because a class probability is rounded relative to
+    the total: classes that only the post-selection empties keep up to
+    ~1e-14 of it.  So a stray branch below ~1e-6 of the total amplitude goes
+    unseen.
     """
-    sites = site_instruments(c)
-    effs = effects(c, sites, [np.eye(len(es.eigenvalues))[None] for _, es in sites])
-    total = float(np.vdot(c.psi_i, effs[0][0] @ c.psi_i).real)
+    sites = eigenbases(c)
+    same = sites.labels[:, :, None] == sites.labels[:, None, :]
+    totals, walk = effects(sites, same[:, None].astype(float))
+    total = float(totals[0].real)
     cut = max(STRONG_REL_TOL * total, BRANCH_TOL**2)
     if total <= cut:
         return None
-    v, product = c.psi_i, 1.0
-    for (pu, es), e in zip(sites, effs[1:]):
-        w = pu @ v
-        occurs = np.flatnonzero(((w.conj() @ e[0]) * w).sum(axis=1).real > cut)
+    x, product = sites.start, 1.0
+    for i, (eigs, labels, mask, f) in enumerate(zip(sites.eigenvalues, sites.labels,
+                                                    same, walk)):
+        paths = (x.conj()[:, None] * f[0] * x).real
+        probs = np.bincount(labels, (paths * mask).sum(axis=1), len(eigs))
+        occurs = np.flatnonzero(probs > cut)
         if len(occurs) != 1:
             return None
-        v = w[occurs[0]]
-        product *= es.eigenvalues[occurs[0]]
+        product *= float(eigs[occurs[0]])
+        if i < c.n - 1:
+            x = sites.hops[i] @ np.where(labels == occurs[0], x, 0.0)
     return abs(weak_value(c, tuple(range(1, c.n + 1))) - product)
 
 

@@ -80,19 +80,54 @@ def combination_tree(n, max_order):
     return subsets, rows, last, prefix
 
 
+def projectors(es):
+    """The (k, d, d) stack of an `EigenSystem`'s projectors P_a = V_a V_a^dag,
+    V_a its eigenvector columns labelled a."""
+    blocks = [es.vectors[:, es.labels == a] for a in range(len(es.eigenvalues))]
+    return np.stack([b @ b.conj().T for b in blocks])
+
+
 def loop_branches(c):
     """Every eigenvalue branch walked on its own, one matvec per operator:
     the tests' one k^n reference for eigenbranch quantities.  Returns the
     site spectra (degenerate eigenvalues merged) and the amplitudes
     <psi_f| U_f P_{a_n} U_n ... P_{a_1} U_1 |psi_i>, indexed [a_1, ..., a_n]."""
     spectra = [eig_hermitian(a) for _, a in c.stages]
+    stacks = [projectors(es) for es in spectra]
     amps = np.empty(tuple(len(es.eigenvalues) for es in spectra), dtype=complex)
     for choice in np.ndindex(amps.shape):
         v = c.psi_i
-        for (u, _), es, k in zip(c.stages, spectra, choice):
-            v = es.projectors[k] @ (u @ v)
+        for (u, _), p, k in zip(c.stages, stacks, choice):
+            v = p[k] @ (u @ v)
         amps[choice] = np.vdot(c.psi_f, c.u_final @ v)
     return spectra, amps
+
+
+def projector_instruments(c):
+    """The sites in projector form, one matrix at a time: per site the
+    stacked operators P_a U, shape (k, d, d), and the observable's
+    `EigenSystem`."""
+    spectra = [eig_hermitian(a) for _, a in c.stages]
+    return [(projectors(es) @ u, es) for (u, _), es in zip(c.stages, spectra)]
+
+
+def projector_effects(c, sites, kernels):
+    """Reference backward walk for `circuitmodel.effects` over the
+    `projector_instruments` ``sites``, E <- sum_{b,a} K[b,a] (P_b U)^dag E
+    (P_a U) with (k, k) kernels: ``kernels[i]`` stacks site i's m kernels.
+    Entry i of the result, shape (m, d, d), is the effect of everything
+    after site i (0-based) on the state just after it; entry n is
+    U_f^dag |psi_f><psi_f| U_f and entry 0 acts on the initial state."""
+    bra = c.u_final.conj().T @ c.psi_f
+    m = len(kernels[0]) if kernels else 1
+    e = np.repeat(np.outer(bra, bra.conj())[None], m, axis=0)
+    out = [e]
+    for (pu, _), kern in zip(reversed(sites), reversed(kernels)):
+        right = e[:, None] @ pu
+        mixed = (kern @ right.reshape(m, len(pu), -1)).reshape(right.shape)
+        e = np.add.reduce(pu.conj().swapaxes(1, 2) @ mixed, axis=1)
+        out.append(e)
+    return out[::-1]
 
 
 def kron_joint_response(c, couplings, anc_obs, anc_state, g):

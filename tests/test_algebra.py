@@ -4,7 +4,7 @@ import pytest
 from seqweak import algebra
 from seqweak.errors import DimMismatch, NotHermitian
 
-from conftest import random_hermitian, random_unitary
+from conftest import projectors, random_hermitian, random_unitary
 
 
 def test_as_operator_rejects_non_square():
@@ -35,14 +35,16 @@ def test_eig_hermitian_reconstructs(rng):
     for _ in range(20):
         h = random_hermitian(rng, 4)
         es = algebra.eig_hermitian(h)
-        assert np.allclose(es.reconstruct(), h, atol=1e-10)
+        # P_a = V_a V_a^dag from the columns labelled a
+        ps = projectors(es)
+        assert np.allclose(sum(a * p for a, p in zip(es.eigenvalues, ps)), h, atol=1e-10)
         # strictly increasing eigenvalues, orthogonal complete projectors
         assert all(a < b for a, b in zip(es.eigenvalues, es.eigenvalues[1:]))
-        total = sum(es.projectors)
+        total = sum(ps)
         assert np.allclose(total, np.eye(4), atol=1e-10)
-        for i, p in enumerate(es.projectors):
+        for i, p in enumerate(ps):
             assert algebra.is_projector(p, 1e-9)
-            for q in es.projectors[i + 1:]:
+            for q in ps[i + 1:]:
                 assert np.max(np.abs(p @ q)) < 1e-9
 
 
@@ -54,13 +56,14 @@ def test_eig_hermitian_merges_degenerate_eigenvalues(rng):
     assert len(es.eigenvalues) == 2
     assert es.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
     assert es.eigenvalues[1] == pytest.approx(1.0, abs=1e-12)
-    assert np.trace(es.projectors[0]).real == pytest.approx(3.0)
+    assert np.trace(projectors(es)[0]).real == pytest.approx(3.0)
 
 
 def test_eig_hermitian_identity_is_single_branch():
     es = algebra.eig_hermitian(np.eye(3))
     assert es.eigenvalues == (1.0,)
-    assert np.allclose(es.projectors[0], np.eye(3))
+    assert np.array_equal(es.labels, [0, 0, 0])
+    assert np.allclose(projectors(es)[0], np.eye(3))
 
 
 def test_eig_hermitian_rejects_non_hermitian():
@@ -80,7 +83,11 @@ def test_eig_hermitian_eigenbasis_matches_projectors(rng, spectrum):
     assert labels[0] == 0 and np.all(np.diff(labels) >= 0) and np.all(np.diff(labels) <= 1)
     assert labels[-1] == len(es.eigenvalues) - 1
     assert np.allclose(es.vectors.conj().T @ es.vectors, np.eye(4), atol=1e-12)
-    for a, p in enumerate(es.projectors):
+    # the projectors the labels select sum to the identity and rebuild h
+    ps = projectors(es)
+    assert np.allclose(ps.sum(axis=0), np.eye(4), atol=1e-12)
+    assert np.allclose(np.tensordot(es.eigenvalues, ps, axes=1), h, atol=1e-9)
+    for a, p in enumerate(ps):
         block = es.vectors[:, labels == a]
-        assert np.allclose(block @ block.conj().T, p, atol=1e-12)
+        assert np.allclose(p @ p, p, atol=1e-12)
         assert np.allclose(h @ block, es.eigenvalues[a] * block, atol=1e-9)

@@ -218,8 +218,8 @@ def test_tree_amplitudes_first_order_at_seventy_sites():
     assert_tree_walk_agrees(c, *combination_tree(70, 1)[1:])
 
 
-def test_table_walk_does_not_call_the_sorting_walk(monkeypatch):
-    # nor the product walk: a truncated table is no product
+def test_table_walk_does_not_call_the_product_walk(monkeypatch):
+    # a truncated table is no product, so it walks its own prefix tree
     c = random_circuit(77, dim=3, n=8)
     expected = weak_value_table(c, 8).values
 
@@ -254,15 +254,27 @@ def test_stacked_site_spectra_equal_per_site_eig_hermitian(seed):
         stages.append((random_unitary(rng, d), a))
     c = Circuit(psi_i=random_state(rng, d), stages=tuple(stages),
                 u_final=random_unitary(rng, d), psi_f=random_state(rng, d))
-    instruments = circuitmodel.site_instruments(c)
-    assert len(instruments) == n
-    for (u, a), (pu, es) in zip(c.stages, instruments):
+    sites = circuitmodel.eigenbases(c)
+    assert len(sites.eigenvalues) == n
+    for (_, a), eigs, merged, labels, vectors in zip(c.stages, sites.eigenvalues, sites.merged,
+                                                     sites.labels, sites.vectors):
         ref = eig_hermitian(a)
-        assert es.eigenvalues == ref.eigenvalues
-        assert np.array_equal(es.vectors, ref.vectors)
-        assert np.array_equal(es.labels, ref.labels)
-        assert len(es.projectors) == len(ref.projectors)
-        assert all(np.array_equal(p, q) for p, q in zip(es.projectors, ref.projectors))
-        assert np.array_equal(pu, np.stack(ref.projectors) @ u)
-    no_sites = Circuit(psi_i=c.psi_i, stages=(), u_final=c.u_final, psi_f=c.psi_f)
-    assert circuitmodel.site_instruments(no_sites) == []
+        assert tuple(eigs.tolist()) == ref.eigenvalues
+        assert np.array_equal(vectors, ref.vectors)
+        assert np.array_equal(labels, ref.labels)
+        assert np.array_equal(merged, eigs[labels])
+        # the columns labelled a span the eigenspace of eigenvalue a
+        assert np.allclose((vectors * merged) @ vectors.conj().T, a, atol=1e-12)
+    # the hops, the start coordinates and the bra, one matrix at a time
+    v = sites.vectors
+    for i, hop in enumerate(sites.hops):
+        assert np.allclose(hop, v[i + 1].conj().T @ c.stages[i + 1][0] @ v[i], atol=1e-14)
+    assert sites.hops.shape == (n - 1, d, d)
+    assert np.allclose(sites.start, v[0].conj().T @ c.stages[0][0] @ c.psi_i, atol=1e-14)
+    assert np.allclose(sites.bra, v[-1].conj().T @ c.u_final.conj().T @ c.psi_f, atol=1e-14)
+    no_sites = circuitmodel.eigenbases(
+        Circuit(psi_i=c.psi_i, stages=(), u_final=c.u_final, psi_f=c.psi_f))
+    assert no_sites.eigenvalues == () and no_sites.labels.shape == (0, d)
+    assert no_sites.hops.shape == (0, d, d)
+    assert np.array_equal(no_sites.start, c.psi_i)
+    assert np.array_equal(no_sites.bra, c.u_final.conj().T @ c.psi_f)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -292,7 +293,7 @@ def test_montecarlo_walks_the_effects_once(tmp_path, capsys, monkeypatch, pointe
     walks, effects = [], oracle.effects
 
     def counted(*args):
-        walks.append(len(args[2][0]))
+        walks.append(len(args[1][0]))
         return effects(*args)
 
     with monkeypatch.context() as m:
@@ -736,11 +737,45 @@ def test_postselection_past_the_float_range_is_one_error_line(tmp_path, capsys, 
     assert err == "error: post-selection state must have a finite squared norm\n"
 
 
+def test_crlf_document_is_opened_once_and_hashed_as_read(tmp_path, capsys, monkeypatch):
+    # the text is decoded as `Path.read_text` decodes it, universal newlines
+    # included, so a CRLF copy parses as the LF original; the fingerprint
+    # hashes the bytes that were parsed, and each command opens the
+    # document once
+    crlf = tmp_path / "crlf.wseq"
+    crlf.write_bytes(Path(SHIPPED).read_bytes().replace(b"\n", b"\r\n"))
+    assert circuitio.load(crlf) == circuitio.parse(crlf.read_text()) == circuitio.load(SHIPPED)
+    want = hashlib.sha256(crlf.read_bytes()).hexdigest()[:16]
+    assert want != hashlib.sha256(Path(SHIPPED).read_bytes()).hexdigest()[:16]
+    opened, io_open = [], io.open
+
+    def counted(file, *args, **kwargs):
+        if str(file) == str(crlf):
+            opened.append(args[0] if args else kwargs.get("mode"))
+        return io_open(file, *args, **kwargs)
+
+    for argv in (["weakvalues"], ["simulate", "--moment", "q1*q2", "--compare"],
+                 ["montecarlo", "--runs", "100", "--seed", "1"],
+                 ["counterfactual", "--seed", "1", "--trials", "2"]):
+        _, lf = machine(capsys, [argv[0], SHIPPED, *argv[1:]])
+        opened.clear()
+        with monkeypatch.context() as m:
+            m.setattr(io, "open", counted)
+            code, rows = machine(capsys, [argv[0], str(crlf), *argv[1:]])
+        assert code == 0 and opened == ["rb"], argv[0]
+        assert rows.pop("fingerprint") == want
+        lf.pop("fingerprint")
+        assert rows == lf
+
+
 @pytest.mark.parametrize("doc", ["shipped", "wide"])
 def test_each_matrix_is_judged_once(tmp_path, capsys, monkeypatch, doc):
     # a load judges every evolution in one stacked call and every observable
-    # in another, and a simulate command adds one stacked eigh, no more
+    # in another, and a simulate, montecarlo or counterfactual command adds
+    # one stacked eigh, no more, and no eig_hermitian of a single matrix
     path = SHIPPED if doc == "shipped" else wide_document(tmp_path / "w.wseq", n=6, d=3)
+    if doc == "wide":
+        Path(path).write_text(Path(path).read_text() + "insert X1\n")
     calls = []
 
     def count(owner, name):
@@ -757,8 +792,13 @@ def test_each_matrix_is_judged_once(tmp_path, capsys, monkeypatch, doc):
     count(np.linalg, "eigh")
     c = circuitio.load(path).to_circuit()
     assert sorted(calls) == [("hermitian_deviations", 3), ("unitary_deviations", 3)]
-    calls.clear()
-    assert main(["simulate", path, "--moment", "q1*q2", "--compare"]) == 0
-    assert sorted(calls) == [("eigh", 3), ("hermitian_deviations", 3),
-                             ("unitary_deviations", 3)]
+    for argv in (["simulate", path, "--moment", "q1*q2", "--compare"],
+                 ["montecarlo", path, "--runs", "200", "--seed", "1"],
+                 ["counterfactual", path, "--seed", "1", "--trials", "3"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert [call for call in calls if "eig" in call[0]] == [("eigh", 3)], argv[0]
+        if argv[0] != "counterfactual":  # whose insertion set judges its projectors
+            assert sorted(calls) == [("eigh", 3), ("hermitian_deviations", 3),
+                                     ("unitary_deviations", 3)], argv[0]
     assert c.n == (2 if doc == "shipped" else 6)

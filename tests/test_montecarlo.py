@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from seqweak import montecarlo, oracle
-from seqweak.circuitmodel import (Circuit, builtin_double_interferometer, effects,
-                                  site_instruments)
+from seqweak.circuitmodel import Circuit, builtin_double_interferometer
 from seqweak.errors import GridResolutionError, NoSuccessfulRuns
 from seqweak.montecarlo import (GRID_POINTS, RANGE_SIGMAS, RunBatch, _basis_moments,
                                 _cumulative, _hermitian_columns, _invert_mixture_cdf,
@@ -14,7 +13,8 @@ from seqweak.montecarlo import (GRID_POINTS, RANGE_SIGMAS, RunBatch, _basis_mome
 from seqweak.oracle import _shifted_table, exact_moment, site_kernels
 from seqweak.pointer import MomentSpec, PointerProfile
 
-from conftest import loop_branches, random_circuit, random_hermitian, random_unitary
+from conftest import (loop_branches, projector_effects, projector_instruments, random_circuit,
+                      random_hermitian, random_unitary)
 
 
 def grid_pair_matrix(prof, eigs, g):
@@ -148,7 +148,7 @@ def per_run_vector_walk(c, g, prof, n_total, seed):
     v to sum_a phi(q - g a) y_a over the (runs, k, d) stack y.  One site's
     uniforms are drawn at a time.  Returns the post-selection flags and the
     samples in the layout of `RunBatch`."""
-    sites = site_instruments(c)
+    sites = projector_instruments(c)
     grids, bases, kernels = [], [], []
     for _, es in sites:
         eigs = es.eigenvalues
@@ -159,7 +159,7 @@ def per_run_vector_walk(c, g, prof, n_total, seed):
                      * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs]))
         kernels.append(np.stack([np.trapezoid(gm, x, axis=1).reshape(k, k),
                                  site_kernels(eigs, g, prof).s]))
-    walk = effects(c, sites, kernels)
+    walk = projector_effects(c, sites, kernels)
     mass_exact = (walk[0][1] @ c.psi_i @ c.psi_i.conj()).real
     rng = np.random.default_rng(seed)
     success = rng.random(n_total) < mass_exact / float(np.vdot(c.psi_f, c.psi_f).real)

@@ -7,19 +7,20 @@ from scipy.linalg import expm
 
 from seqweak.circuitmodel import (P_B, P_C, P_E, P_F, Circuit,
                                   builtin_double_interferometer, product_amplitudes,
-                                  site_instruments, transition_amplitude)
+                                  transition_amplitude)
 from seqweak.counterfactual import _kicks, joint_response, weak_interaction_response
 from seqweak.errors import (AssumptionAViolated, DegeneratePostSelection, DimMismatch,
                             GridResolutionError, InvalidInput, NotHermitian)
-from seqweak import montecarlo
+from seqweak import circuitmodel, montecarlo, oracle
 from seqweak.montecarlo import sample_runs
 from seqweak.oracle import (_shifted_table, exact_moment, gaussian_kernels,
                             same_pointer_twice, site_kernels, tabulated_kernels)
 from seqweak.pointer import MomentSpec, PointerProfile, predict_moment
-from seqweak.weakvalue import weak_value
+from seqweak.weakvalue import BRANCH_TOL, STRONG_REL_TOL, check_strong_agreement, weak_value
 
-from conftest import (kron_joint_response, loop_branches, random_circuit, random_hermitian,
-                      random_projector, random_state, random_unitary)
+from conftest import (kron_joint_response, loop_branches, projector_effects,
+                      projector_instruments, random_circuit, random_hermitian, random_projector,
+                      random_state, random_unitary)
 
 
 def quadrature_kernels(eigs, g, prof, npts=80001, span=30.0):
@@ -220,11 +221,11 @@ def test_branch_decompose_projector_sites():
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("projectors", [False, True])
 def test_branch_decompose_matches_per_branch_loop(n, d, projectors):
-    # the eigenbranch decomposition as the package builds it: the stacked
-    # P_a U of `site_instruments`, every branch walked by `product_amplitudes`
+    # the eigenbranch decomposition in projector form: the stacked P_a U of
+    # `projector_instruments`, every branch walked by `product_amplitudes`
     c = random_circuit(300 + 10 * n + d, dim=d, n=n, projectors=projectors)
     spectra, ref = loop_branches(c)
-    sites = site_instruments(c)
+    sites = projector_instruments(c)
     assert [es.eigenvalues for _, es in sites] == [es.eigenvalues for es in spectra]
     amps = product_amplitudes(c, [pu for pu, _ in sites])
     assert np.max(np.abs(amps - ref.reshape(-1))) <= 1e-12
@@ -528,3 +529,132 @@ def test_exact_moment_forty_sites():
     val, _ = exact_moment(c, spec, g, PointerProfile.gaussian(1.0))
     pred = predict_moment(c, spec, g, PointerProfile.gaussian(1.0))
     assert val == pytest.approx(pred, abs=1e-3 * g)
+
+
+# --- the eigenbasis walk against the projector walk
+
+def mixed_circuit(seed, n, d, deterministic):
+    """A seeded circuit whose sites mix general, rank-1 projector,
+    twofold-degenerate and identity observables.  If ``deterministic``,
+    each observable holds the evolving state as an eigenvector, so that the
+    strong record is forced."""
+    rng = np.random.default_rng((2200, seed))
+    for _ in range(100):
+        v = psi_i = random_state(rng, d)
+        stages = []
+        for _ in range(n):
+            u = random_unitary(rng, d)
+            v = u @ v
+            basis = random_unitary(rng, d)
+            if deterministic:
+                basis = np.linalg.qr(np.column_stack([v, basis[:, 1:]]))[0]
+            kind = int(rng.integers(4))
+            spectrum = rng.uniform(-1.5, 1.5, d)
+            if kind == 1:
+                spectrum = (np.arange(d) == rng.integers(d)).astype(float)
+            elif kind == 2 and d > 1:
+                spectrum[1] = spectrum[0]
+            elif kind == 3:
+                spectrum[:] = spectrum[0]
+            stages.append((u, (basis * spectrum) @ basis.conj().T))
+        c = Circuit(psi_i=psi_i, stages=tuple(stages), u_final=random_unitary(rng, d),
+                    psi_f=random_state(rng, d))
+        if abs(transition_amplitude(c)) > 0.1:
+            return c
+    raise RuntimeError("no well-conditioned circuit")
+
+
+def expanded(sites, kernels, m):
+    """(n, m, d, d) kernels over the eigenvector columns from per-site
+    (m, k, k) stacks."""
+    d = sites.merged.shape[1]
+    return np.array([kern[:, lab[:, None], lab] for kern, lab in zip(kernels, sites.labels)],
+                    dtype=complex).reshape(len(kernels), m, d, d)
+
+
+def projector_strong_agreement(c):
+    """`check_strong_agreement` on the projector walk: the class
+    probabilities <w_a|E_k|w_a> of w_a = P_a U_k v, one state per class."""
+    sites = projector_instruments(c)
+    effs = projector_effects(c, sites, [np.eye(len(es.eigenvalues))[None] for _, es in sites])
+    total = float(np.vdot(c.psi_i, effs[0][0] @ c.psi_i).real)
+    cut = max(STRONG_REL_TOL * total, BRANCH_TOL**2)
+    if total <= cut:
+        return None
+    v, product = c.psi_i, 1.0
+    for (pu, es), e in zip(sites, effs[1:]):
+        w = pu @ v
+        occurs = np.flatnonzero(((w.conj() @ e[0]) * w).sum(axis=1).real > cut)
+        if len(occurs) != 1:
+            return None
+        v = w[occurs[0]]
+        product *= es.eigenvalues[occurs[0]]
+    return abs(weak_value(c, tuple(range(1, c.n + 1))) - product)
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_eigenbasis_walk_matches_projector_walk(n, d, deterministic, monkeypatch):
+    # E_0, both moments of `exact_moment`, the sampler's F_i and the strong
+    # agreement check, from the eigenbasis form, against the walk through
+    # the stacked P_a U, at 1e-13 of scale
+    c = mixed_circuit(100 * n + 10 * d + deterministic, n, d, deterministic)
+    sites, projected = circuitmodel.eigenbases(c), projector_instruments(c)
+    assert [tuple(eigs.tolist()) for eigs in sites.eigenvalues] == [
+        es.eigenvalues for _, es in projected]
+    got, want = check_strong_agreement(c), projector_strong_agreement(c)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert abs(got - want) <= 1e-13
+    assert want is not None or not deterministic
+    if not n:
+        # no sites: E_0 is U_f^dag |psi_f><psi_f| U_f, and V_0 = 1
+        ends, walk = circuitmodel.effects(sites, np.zeros((0, 1, d, d)))
+        e0 = projector_effects(c, [], [])[0][0]
+        assert walk == [] and np.array_equal(np.outer(sites.bra, sites.bra.conj()), e0)
+        assert abs(ends[0] - (e0 @ c.psi_i) @ c.psi_i.conj()) <= 1e-13 * np.abs(e0).max()
+        return
+    g, kinds = 0.4, [("q", "p", None)[i % 3] for i in range(n)]
+    spec = MomentSpec(tuple((i, kind) for i, kind in enumerate(kinds, start=1) if kind))
+    w = sites.vectors[0].conj().T @ c.stages[0][0]  # V_1^dag U_1
+    for prof in (PROFILES["gaussian-offsets"], TABULATED):
+        per_site = [site_kernels(eigs, g, prof) for eigs in sites.eigenvalues]
+        kernels = [np.stack([k.s, k.pick(kind)]) for k, kind in zip(per_site, kinds)]
+        # a Gaussian's kernels from one call over every column are bitwise
+        # the per-site kernels expanded by labels
+        column_kernels = oracle._column_kernels(sites, g, prof, kinds)
+        assert np.array_equal(column_kernels, expanded(sites, kernels, 2))
+        ends, walk = circuitmodel.effects(sites, column_kernels)
+        ref = projector_effects(c, projected, kernels)
+        scale = np.abs(ref[0]).max()
+        e0 = w.conj().T @ (column_kernels[0] * walk[0]) @ w
+        assert np.abs(e0 - ref[0]).max() <= 1e-13 * scale
+        den, num = (ref[0] @ c.psi_i) @ c.psi_i.conj()
+        assert np.abs(ends - [den, num]).max() <= 1e-13 * scale
+        for f, v, e in zip(walk, sites.vectors, ref[1:]):
+            assert np.abs(f - v.conj().T @ e @ v).max() <= 1e-13 * scale
+        val, prob = exact_moment(c, spec, g, prof)
+        ref_val = (num / den).real
+        assert abs(val - ref_val) <= 1e-13 * scale * (1 + abs(ref_val)) / abs(den)
+        assert abs(prob - den.real / np.vdot(c.psi_f, c.psi_f).real) <= 1e-13 * scale
+        # the sampler's F_i from its own kernels: the grid's overlaps and
+        # the exact S kernel, each expanded by labels
+        seen = []
+
+        def recorded(*args):
+            seen.append((args[1], *circuitmodel.effects(*args)))
+            return seen[-1][1:]
+
+        monkeypatch.setattr(montecarlo, "effects", recorded)
+        sample_runs(c, g, prof, 20, seed=n)
+        (sampler_kernels, sampler_ends, sampler_walk), = seen
+        firsts = [np.searchsorted(lab, np.arange(len(eigs)))
+                  for eigs, lab in zip(sites.eigenvalues, sites.labels)]
+        small = [kern[:, i[:, None], i] for kern, i in zip(sampler_kernels, firsts)]
+        assert np.array_equal(expanded(sites, small, 2), sampler_kernels)
+        ref = projector_effects(c, projected, small)
+        scale = np.abs(ref[0]).max()
+        assert np.abs(sampler_ends - (ref[0] @ c.psi_i) @ c.psi_i.conj()).max() <= 1e-13 * scale
+        for f, v, e in zip(sampler_walk, sites.vectors, ref[1:]):
+            assert np.abs(f - v.conj().T @ e @ v).max() <= 1e-13 * scale
