@@ -131,9 +131,11 @@ def cmd_simulate(args) -> int:
     if args.compare:
         predicted = pointer.predict_moment(c, spec, g, prof)
         report.add("prediction", predicted)
-        report.add("abs_discrepancy", abs(exact - predicted))
+        gap = abs(exact - predicted)
+        report.add("abs_discrepancy", gap)
+        # a zero scale (g = 0, or g^(m+1) underflows): no gap is 0, any other inf
         scale = max(abs(predicted), g ** (len(spec.factors) + 1))
-        report.add("rel_discrepancy", abs(exact - predicted) / scale)
+        report.add("rel_discrepancy", gap / scale if scale else (np.inf if gap else 0.0))
     report.emit()
     return 0
 

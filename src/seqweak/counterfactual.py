@@ -24,7 +24,7 @@ from . import algebra
 from .circuitmodel import Circuit, product_amplitudes, transition_amplitude, valid_subset
 from .errors import (BothZero, DimMismatch, EquivalenceViolation, InvalidInput,
                      NotHermitian, NotProjector, NumericallySingular)
-from .pointer import check_coupling
+from .pointer import check_coupling, check_seed
 from .weakvalue import weak_values
 
 ZERO_TOL = 1e-10
@@ -41,9 +41,15 @@ class InsertionSet:
         projectors = tuple(algebra.as_operator(p) for p in self.on_projectors)
         if len(projectors) != len(self.sites):
             raise InvalidInput("one projector per insertion site")
-        for p in projectors:
-            if not algebra.is_projector(p, 1e-10):
-                raise NotProjector("insertion must be a Hermitian idempotent")
+        sizes = sorted({len(p) for p in projectors})
+        if len(sizes) > 1:
+            raise DimMismatch(f"insertion projectors of sizes {sizes} cannot share a circuit")
+        d = sizes[0] if sizes else 0
+        stack = np.array(projectors, dtype=complex).reshape(len(projectors), d, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            idempotence = np.abs(stack @ stack - stack).max(axis=(-2, -1), initial=0.0)
+        if not np.all((algebra.hermitian_deviations(stack) <= 1e-10) & (idempotence <= 1e-10)):
+            raise NotProjector("insertion must be a Hermitian idempotent")
         object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
         object.__setattr__(self, "on_projectors", projectors)
 
@@ -314,6 +320,7 @@ def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
         raise InvalidInput("trials must be >= 1")
     if not (np.isfinite(g) and g > 0):
         raise InvalidInput(f"coupling must be finite and positive, got {g}")
+    check_seed(seed)
     d2, wit2 = is_counterfactual_weakvalues(c, ins)
     table = np.array(list(history_amplitudes(c, ins).values()))
     d1, wit1 = _first_on_history(zip(all_histories(len(ins)), table))

@@ -47,7 +47,7 @@ import numpy as np
 from .circuitmodel import Circuit, effects, eigenbases, valid_subset
 from .errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
 from .oracle import _postselected_moment, _shifted_table, _table_kernels, gaussian_kernels
-from .pointer import MomentSpec, PointerProfile, check_coupling
+from .pointer import MomentSpec, PointerProfile, check_coupling, check_seed
 
 GRID_POINTS = 4096
 RANGE_SIGMAS = 12.0
@@ -193,6 +193,7 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
     probability (`oracle.exact_moment`), from the sampler's own walk.
     """
     check_coupling(g)
+    check_seed(seed)
     if n_total <= 0:
         raise InvalidInput("n_total must be positive")
     if c.n == 0:
@@ -213,8 +214,8 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
             shifted = prof.eval(x - shifts[:, None])
             kern = gaussian_kernels(eigs, g, prof.sigma, prof.q_offset, prof.p_offset)
         else:
-            # the exact kernels as `tabulated_kernels` takes them, from the
-            # same shifted rows
+            # the exact kernels as `oracle.site_kernels` takes them, from
+            # the same shifted rows
             x, (shifted, _) = prof.grid, _shifted_table(prof, shifts)
             kern = _table_kernels(prof, shifted)
         grids.append(x)

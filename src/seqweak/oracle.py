@@ -7,12 +7,12 @@ instruments in the sites' eigenbases (`circuitmodel.effects`), with each
 kernel expanded to the eigenvector columns by their labels, K~[j, l] =
 K[labels_j, labels_l], and reads <psi_i|E_0|psi_i> off the last step; the
 Monte Carlo sampler draws each readout against the intermediate F_i =
-V_i^dag E_i V_i.  A Gaussian's kernels for every site come from one call
-over the (n, d) array of each column's merged eigenvalue; a table's are
-taken per site over its merged eigenvalues, from its spectrally shifted
-samples (`_shifted_table`), and expanded.  The shared-pointer mean sums
-its branch amplitudes <psi_f| U_f P_b U_2 P_a U_1 |psi_i> as label masks
-of bra x T x start.
+V_i^dag E_i V_i.  `site_kernels`, the one kernel entry, calls two formula
+helpers: `gaussian_kernels` once over the (n, d) merged eigenvalues of the
+columns, or per site `_table_kernels` over a table's spectrally shifted
+samples (`_shifted_table`), expanded by labels.  The shared-pointer mean
+sums its branch amplitudes <psi_f| U_f P_b U_2 P_a U_1 |psi_i> as label
+masks of bra x T x start.
 """
 from __future__ import annotations
 
@@ -29,17 +29,12 @@ IMAG_RESIDUE_TOL = 1e-9
 NORM_TOL = 1e-14
 
 
-def _check_postselected_norm(norm) -> None:
-    """A post-selected norm below NORM_TOL leaves no moment defined."""
-    if abs(norm) < NORM_TOL:
-        raise DegeneratePostSelection(f"post-selected norm {abs(norm):.3e}")
-
-
 def _postselected_moment(c: Circuit, den, num) -> tuple[float, float]:
     """The moment num / den and the post-selection probability from the
     post-selected norm ``den`` and numerator ``num`` of a walk, behind the
     norm gate and the imaginary-residue gate of an analytically real moment."""
-    _check_postselected_norm(den)
+    if abs(den) < NORM_TOL:  # no moment is defined
+        raise DegeneratePostSelection(f"post-selected norm {abs(den):.3e}")
     ratio = complex(num / den)
     if abs(ratio.imag) >= IMAG_RESIDUE_TOL:
         raise NumericallySingular(
@@ -59,11 +54,6 @@ class OverlapKernel:
     s: np.ndarray
     q: np.ndarray
     p: np.ndarray | None
-
-    def pick(self, kind: str | None) -> np.ndarray:
-        if kind is None:
-            return self.s
-        return self.q if kind == "q" else self.p
 
 
 def gaussian_kernels(eigs, g: float, sigma: float,
@@ -111,35 +101,23 @@ def _table_kernels(prof: PointerProfile, shifted: np.ndarray,
                          p=None if dshifted is None else -1j * (left @ dshifted.T))
 
 
-def tabulated_kernels(eigs, g: float, prof: PointerProfile,
-                      momentum: bool = True) -> OverlapKernel:
-    """Quadrature overlaps over a tabulated profile's shifted samples; P
-    (and the derivative rows it takes) only if ``momentum``."""
-    return _table_kernels(prof, *_shifted_table(prof, g * np.asarray(eigs, dtype=float),
-                                                momentum))
-
-
-def site_kernels(eigs, g: float, prof: PointerProfile, momentum: bool = True) -> OverlapKernel:
-    if prof.kind == "gaussian":
-        return gaussian_kernels(eigs, g, prof.sigma, prof.q_offset, prof.p_offset)
-    return tabulated_kernels(eigs, g, prof, momentum)
-
-
-def _column_kernels(sites: Eigenbases, g: float, prof: PointerProfile,
-                    kinds) -> np.ndarray:
+def site_kernels(sites: Eigenbases, g: float, prof: PointerProfile, kinds) -> np.ndarray:
     """(n, 2, d, d): per site its S kernel and the kernel that ``kinds[i]``
-    (None, "q" or "p") picks, over the site's eigenvector columns."""
+    (None, "q" or "p") picks, over the site's eigenvector columns; a table
+    builds its derivative rows only at the "p" sites."""
     if prof.kind == "gaussian":
-        kern = site_kernels(sites.merged, g, prof)
-        kinds = np.array(kinds, dtype=object)[:, None, None]
-        return np.stack([kern.s, np.where(kinds == "q", kern.q,
-                                          np.where(kinds == "p", kern.p, kern.s))], axis=1)
-    stacks = []
-    for eigs, labels, kind in zip(sites.eigenvalues, sites.labels, kinds):
-        kern = site_kernels(eigs, g, prof, momentum=kind == "p")
-        stacks.append(np.stack([kern.s, kern.pick(kind)])[:, labels[:, None], labels])
-    d = sites.merged.shape[1]
-    return np.array(stacks, dtype=complex).reshape(len(kinds), 2, d, d)
+        kern = gaussian_kernels(sites.merged, g, prof.sigma, prof.q_offset, prof.p_offset)
+        s, q, p = kern.s, kern.q, kern.p
+    else:
+        stacks = []
+        for eigs, labels, kind in zip(sites.eigenvalues, sites.labels, kinds):
+            kern = _table_kernels(prof, *_shifted_table(prof, g * eigs, kind == "p"))
+            p = kern.s if kern.p is None else kern.p  # not picked without a "p"
+            stacks.append(np.stack([kern.s, kern.q, p])[:, labels[:, None], labels])
+        d = sites.merged.shape[1]
+        s, q, p = np.array(stacks, dtype=complex).reshape(len(kinds), 3, d, d).swapaxes(0, 1)
+    kinds = np.array(kinds, dtype=object)[:, None, None]
+    return np.stack([s, np.where(kinds == "q", q, np.where(kinds == "p", p, s))], axis=1)
 
 
 def exact_moment(c: Circuit, spec: MomentSpec, g: float,
@@ -154,7 +132,7 @@ def exact_moment(c: Circuit, spec: MomentSpec, g: float,
     valid_subset(sorted(named), c.n)
 
     sites = eigenbases(c)
-    kernels = _column_kernels(sites, g, prof, [named.get(i) for i in range(1, c.n + 1)])
+    kernels = site_kernels(sites, g, prof, [named.get(i) for i in range(1, c.n + 1)])
     (den, num), _ = effects(sites, kernels)
     return _postselected_moment(c, den, num)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -266,6 +267,16 @@ def check_coupling(g: float):
     (nan included)."""
     if not (np.isfinite(g) and g >= 0):
         raise InvalidInput(f"coupling must be finite and nonnegative, got {g}")
+
+
+def check_seed(seed) -> None:
+    """Refuse a sampler's seed that is not an integer >= 0."""
+    try:
+        if operator.index(seed) >= 0:
+            return
+    except TypeError:
+        pass
+    raise InvalidInput(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def predict_moment(c: Circuit, spec: MomentSpec, g: float, prof: PointerProfile) -> float:

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from seqweak.algebra import eig_hermitian
 from seqweak.circuitmodel import Circuit, transition_amplitude
+from seqweak.oracle import _shifted_table, _table_kernels, gaussian_kernels
 
 
 def random_unitary(rng, dim):
@@ -128,6 +129,15 @@ def projector_effects(c, sites, kernels):
         e = np.add.reduce(pu.conj().swapaxes(1, 2) @ mixed, axis=1)
         out.append(e)
     return out[::-1]
+
+
+def one_site_kernels(eigs, g, prof):
+    """S, Q and P over one site's merged eigenvalues, from the oracle's
+    formula helpers: the per-site reference for `oracle.site_kernels`."""
+    eigs = np.asarray(eigs, dtype=float)
+    if prof.kind == "gaussian":
+        return gaussian_kernels(eigs, g, prof.sigma, prof.q_offset, prof.p_offset)
+    return _table_kernels(prof, *_shifted_table(prof, g * eigs, derivative=True))
 
 
 def kron_joint_response(c, couplings, anc_obs, anc_state, g):

@@ -190,6 +190,32 @@ def test_library_input_errors_exit_code(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("moment,g,rel", [
+    ("q1", "0", "0"), ("q1", "1e-300", "inf"), ("q1*q2", "1e-200", "0"),
+])
+def test_compare_at_a_vanishing_scale(capsys, moment, g, rel):
+    # the relative scale max(|prediction|, g^(m+1)) is 0 here: the relative
+    # discrepancy reads 0 when the absolute one is 0, and inf otherwise
+    argv = ["simulate", SHIPPED, "--moment", moment, "--g", g, "--compare", "--machine"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    rows = dict(line.split("\t") for line in out.splitlines())
+    assert err == "" and rows["prediction"] in ("0", "-0")
+    assert (rows["abs_discrepancy"] == "0") == (rel == "0")
+    assert rows["rel_discrepancy"] == rel
+
+
+@pytest.mark.parametrize("argv", [
+    ["montecarlo", SHIPPED, "--runs", "100", "--seed", "-1"],
+    ["counterfactual", SHIPPED, "--seed", "-5"],
+])
+def test_negative_seed_is_one_error_line(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err
+
+
 @pytest.mark.parametrize("extra", [
     ["--moment", "p1"], ["--moment", "q1*p2"], ["--moment", "q3"],
     ["--moment", "q1*q3"], ["--g", "nan"], ["--g", "-1"],
@@ -772,7 +798,8 @@ def test_crlf_document_is_opened_once_and_hashed_as_read(tmp_path, capsys, monke
 def test_each_matrix_is_judged_once(tmp_path, capsys, monkeypatch, doc):
     # a load judges every evolution in one stacked call and every observable
     # in another, and a simulate, montecarlo or counterfactual command adds
-    # one stacked eigh, no more, and no eig_hermitian of a single matrix
+    # one stacked eigh, no more, and no eig_hermitian of a single matrix;
+    # the counterfactual adds one stacked check of its insertion projectors
     path = SHIPPED if doc == "shipped" else wide_document(tmp_path / "w.wseq", n=6, d=3)
     if doc == "wide":
         Path(path).write_text(Path(path).read_text() + "insert X1\n")
@@ -787,7 +814,7 @@ def test_each_matrix_is_judged_once(tmp_path, capsys, monkeypatch, doc):
         monkeypatch.setattr(owner, name, counted)
 
     for name in ("unitary_deviations", "hermitian_deviations", "is_unitary", "is_hermitian",
-                 "eig_hermitian"):
+                 "is_projector", "eig_hermitian"):
         count(algebra, name)
     count(np.linalg, "eigh")
     c = circuitio.load(path).to_circuit()
@@ -798,7 +825,8 @@ def test_each_matrix_is_judged_once(tmp_path, capsys, monkeypatch, doc):
         calls.clear()
         assert main(argv) == 0
         assert [call for call in calls if "eig" in call[0]] == [("eigh", 3)], argv[0]
-        if argv[0] != "counterfactual":  # whose insertion set judges its projectors
-            assert sorted(calls) == [("eigh", 3), ("hermitian_deviations", 3),
-                                     ("unitary_deviations", 3)], argv[0]
+        # the counterfactual's insertion set judges its projectors in one
+        # more stacked call: no 2-D `hermitian_deviations`, no `is_hermitian`
+        judged = [("hermitian_deviations", 3)] * (2 if argv[0] == "counterfactual" else 1)
+        assert sorted(calls) == [("eigh", 3), *judged, ("unitary_deviations", 3)], argv[0]
     assert c.n == (2 if doc == "shipped" else 6)

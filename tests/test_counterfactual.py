@@ -14,8 +14,9 @@ from seqweak.counterfactual import (CounterfactualReport, InsertionSet,
                                     is_counterfactual_histories,
                                     is_counterfactual_weakvalues, joint_response,
                                     randomized_def3_test)
-from seqweak import counterfactual
-from seqweak.errors import BothZero, EquivalenceViolation, NotProjector, NumericallySingular
+from seqweak import algebra, counterfactual
+from seqweak.errors import (BothZero, DimMismatch, EquivalenceViolation, InvalidInput,
+                            NotProjector, NumericallySingular)
 
 from conftest import (kron_joint_response, random_circuit, random_projector, random_state,
                       random_unitary)
@@ -32,6 +33,39 @@ def test_insertion_set_validation():
     with pytest.raises(ValueError):
         InsertionSet(sites=(1, 2), on_projectors=(P_B,))
     assert len(double_insertions()) == 2
+
+
+def test_insertion_set_judges_its_projectors_in_one_stack(monkeypatch):
+    # one stacked Hermiticity and one stacked idempotence check at 1e-10,
+    # the verdict of `algebra.is_projector` on every matrix; projectors of
+    # different sizes cannot share a circuit
+    rng = np.random.default_rng(8)
+    for trial in range(200):
+        d = int(rng.integers(1, 5))
+        ps = [random_projector(rng, d, rank=int(rng.integers(1, d + 1))) for _ in range(3)]
+        k = int(rng.integers(3))
+        ps[k] = ps[k] + rng.choice([0, 1e-11, 1e-9]) * (rng.standard_normal((d, d))
+                                                       + 1j * rng.standard_normal((d, d)))
+        want = all(algebra.is_projector(p, 1e-10) for p in ps)
+        try:
+            InsertionSet((1, 2, 3), tuple(ps))
+            got = True
+        except NotProjector:
+            got = False
+        assert got == want, trial
+    with pytest.raises(NotProjector):
+        InsertionSet((1,), (np.array([[1.0, 1.0], [0.0, 0.0]]),))  # idempotent, not Hermitian
+    with pytest.raises(NotProjector):
+        InsertionSet((1, 2), (P_B, np.full((2, 2), np.inf)))
+    with pytest.raises(DimMismatch, match=r"sizes \[2, 3\]"):
+        InsertionSet((1, 2), (P_B, np.eye(3)))
+    calls = []
+    for name in ("hermitian_deviations", "is_hermitian", "is_projector"):
+        inner = getattr(algebra, name)
+        monkeypatch.setattr(algebra, name, lambda m, *a, inner=inner, name=name: (
+            calls.append((name, np.ndim(m))), inner(m, *a))[1])
+    assert len(InsertionSet((1, 2), (P_B, P_F))) == 2
+    assert calls == [("hermitian_deviations", 3)]
 
 
 def test_all_histories_order():
@@ -190,6 +224,19 @@ def test_randomized_interaction_probe_null_for_single_insertion():
     # a site outside the circuit is reported with the whole insertion set
     with pytest.raises(ValueError, match=r"\(1, 5\) out of range"):
         randomized_def3_test(c, InsertionSet((1, 5), (P_B, P_F)), trials=1, g=0.1, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, -5, 2.0, None])
+def test_randomized_def3_refuses_a_bad_seed(monkeypatch, seed):
+    # a seed that is not an integer >= 0 is InvalidInput, before any walk
+    def refuse(*args):
+        raise AssertionError("walked for a bad seed")
+
+    monkeypatch.setattr(counterfactual, "product_amplitudes", refuse)
+    monkeypatch.setattr(counterfactual, "weak_values", refuse)
+    with pytest.raises(InvalidInput, match="seed"):
+        randomized_def3_test(builtin_double_interferometer(), double_insertions(),
+                             trials=2, g=0.1, seed=seed)
 
 
 def per_trial_def3_reference(c, ins, trials, g, seed, anc_dim=2):

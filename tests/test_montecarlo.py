@@ -5,16 +5,16 @@ import pytest
 
 from seqweak import montecarlo, oracle
 from seqweak.circuitmodel import Circuit, builtin_double_interferometer
-from seqweak.errors import GridResolutionError, NoSuccessfulRuns
+from seqweak.errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
 from seqweak.montecarlo import (GRID_POINTS, RANGE_SIGMAS, RunBatch, _basis_moments,
                                 _cumulative, _hermitian_columns, _invert_mixture_cdf,
                                 _start_cells, estimate_moment,
                                 sample_runs)
-from seqweak.oracle import _shifted_table, exact_moment, site_kernels
+from seqweak.oracle import _shifted_table, exact_moment
 from seqweak.pointer import MomentSpec, PointerProfile
 
-from conftest import (loop_branches, projector_effects, projector_instruments, random_circuit,
-                      random_hermitian, random_unitary)
+from conftest import (loop_branches, one_site_kernels, projector_effects, projector_instruments,
+                      random_circuit, random_hermitian, random_unitary)
 
 
 def grid_pair_matrix(prof, eigs, g):
@@ -108,7 +108,7 @@ def joint_tensor_reference(c, g, prof, n_total, seed):
         grids.append(x)
         pair_cdfs.append(_cumulative(gm, x))
         s_numeric.append(np.trapezoid(gm, x, axis=1))
-    s_exact = [site_kernels(eigs, g, prof).s.reshape(-1) for eigs in eig_sets]
+    s_exact = [one_site_kernels(eigs, g, prof).s.reshape(-1) for eigs in eig_sets]
 
     def contract_all(vectors):
         sub = letters_b + "," + ",".join(letters_b) + "->"
@@ -158,7 +158,7 @@ def per_run_vector_walk(c, g, prof, n_total, seed):
         bases.append(_hermitian_columns(_cumulative(gm, x).T, k)
                      * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs]))
         kernels.append(np.stack([np.trapezoid(gm, x, axis=1).reshape(k, k),
-                                 site_kernels(eigs, g, prof).s]))
+                                 one_site_kernels(eigs, g, prof).s]))
     walk = projector_effects(c, sites, kernels)
     mass_exact = (walk[0][1] @ c.psi_i @ c.psi_i.conj()).real
     rng = np.random.default_rng(seed)
@@ -448,6 +448,24 @@ def test_one_shifted_table_pass_per_site(monkeypatch):
     assert len(calls) == c.n
     assert np.array_equal(batch.postselected, success)
     assert np.max(np.abs(batch.samples - samples)) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [-1, -5, 1.5, "1", None])
+def test_sample_runs_refuses_a_bad_seed(monkeypatch, seed):
+    # a seed that is not an integer >= 0 is InvalidInput, before any work
+    def refuse(*args):
+        raise AssertionError("eigenbases built for a bad seed")
+
+    monkeypatch.setattr(montecarlo, "eigenbases", refuse)
+    with pytest.raises(InvalidInput, match="seed"):
+        sample_runs(builtin_double_interferometer(), 0.1, PointerProfile.gaussian(1.0), 100, seed)
+
+
+def test_integer_like_seed_is_its_int():
+    c, prof = builtin_double_interferometer(), PointerProfile.gaussian(1.0)
+    a, b = sample_runs(c, 0.1, prof, 300, np.int64(3)), sample_runs(c, 0.1, prof, 300, 3)
+    assert np.array_equal(a.postselected, b.postselected)
+    assert np.array_equal(a.samples, b.samples)
 
 
 def test_determinism_given_seed():

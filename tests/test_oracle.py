@@ -13,12 +13,12 @@ from seqweak.errors import (AssumptionAViolated, DegeneratePostSelection, DimMis
                             GridResolutionError, InvalidInput, NotHermitian)
 from seqweak import circuitmodel, montecarlo, oracle
 from seqweak.montecarlo import sample_runs
-from seqweak.oracle import (_shifted_table, exact_moment, gaussian_kernels,
-                            same_pointer_twice, site_kernels, tabulated_kernels)
+from seqweak.oracle import (_shifted_table, _table_kernels, exact_moment, gaussian_kernels,
+                            same_pointer_twice, site_kernels)
 from seqweak.pointer import MomentSpec, PointerProfile, predict_moment
 from seqweak.weakvalue import BRANCH_TOL, STRONG_REL_TOL, check_strong_agreement, weak_value
 
-from conftest import (kron_joint_response, loop_branches, projector_effects,
+from conftest import (kron_joint_response, loop_branches, one_site_kernels, projector_effects,
                       projector_instruments, random_circuit, random_hermitian, random_projector,
                       random_state, random_unitary)
 
@@ -80,7 +80,7 @@ def test_tabulated_kernels_match_gaussian_closed_form():
     prof = PointerProfile.tabulated(q[0], q[1] - q[0], phi)
     eigs = np.array([-0.5, 0.3, 1.2])
     g = 0.2
-    kern = tabulated_kernels(eigs, g, prof)
+    kern = one_site_kernels(eigs, g, prof)
     ref = gaussian_kernels(eigs, g, sigma)
     assert np.max(np.abs(kern.s - ref.s)) < 1e-8
     assert np.max(np.abs(kern.q - ref.q)) < 1e-7
@@ -116,7 +116,7 @@ def loop_tabulated_kernels(eigs, g, prof):
 
 def test_tabulated_kernels_match_loop_reference():
     eigs = np.array([-1.3, -0.2, 0.4, 1.1])
-    kern = tabulated_kernels(eigs, 0.35, TABULATED)
+    kern = one_site_kernels(eigs, 0.35, TABULATED)
     for got, ref in zip((kern.s, kern.q, kern.p),
                         loop_tabulated_kernels(eigs, 0.35, TABULATED)):
         assert np.max(np.abs(got - ref)) < 1e-13
@@ -179,10 +179,10 @@ def test_derivative_rows_only_on_request(monkeypatch):
     assert dphi is None and np.array_equal(phi, ref_phi)
     left = TABULATED.grid_step * np.conj(ref_phi)
     ref = (left @ ref_phi.T, (left * TABULATED.grid) @ ref_phi.T, -1j * (left @ ref_dphi.T))
-    kern = tabulated_kernels(eigs, 0.35, TABULATED)
+    kern = _table_kernels(TABULATED, *_shifted_table(TABULATED, 0.35 * eigs, derivative=True))
     for got, want in zip((kern.s, kern.q, kern.p), ref):
         assert np.array_equal(got, want)
-    no_p = tabulated_kernels(eigs, 0.35, TABULATED, momentum=False)
+    no_p = _table_kernels(TABULATED, phi, dphi)
     assert no_p.p is None
     assert np.array_equal(no_p.s, ref[0]) and np.array_equal(no_p.q, ref[1])
 
@@ -194,11 +194,46 @@ def test_derivative_rows_only_on_request(monkeypatch):
     assert np.array_equal(batch.samples, ref_batch.samples)
 
 
+def picked(kern, kind):
+    """The kernel that a readout kind (None, "q" or "p") names."""
+    return {None: kern.s, "q": kern.q, "p": kern.p}[kind]
+
+
 def test_site_kernels_dispatch():
-    eigs = [0.0, 1.0]
-    g = 0.1
-    gauss = site_kernels(eigs, g, PointerProfile.gaussian(1.0))
-    assert np.allclose(gauss.s, gaussian_kernels(eigs, g, 1.0).s)
+    # one entry for both pointer kinds: per site its S kernel and the kernel
+    # that its readout kind picks, bitwise the per-site kernels expanded by
+    # labels (the rank-1 projectors make twofold-degenerate eigenvalues)
+    c, g, kinds = random_circuit(5, dim=3, n=4, projectors=True), 0.1, [None, "q", "p", "q"]
+    sites = circuitmodel.eigenbases(c)
+    for prof in (PointerProfile.gaussian(1.0), TABULATED):
+        got = site_kernels(sites, g, prof, kinds)
+        assert got.shape == (4, 2, 3, 3)
+        for kern, eigs, labels, kind in zip(got, sites.eigenvalues, sites.labels, kinds):
+            ref, cols = one_site_kernels(eigs, g, prof), (labels[:, None], labels)
+            assert np.array_equal(kern[0], ref.s[cols])
+            assert np.array_equal(kern[1], picked(ref, kind)[cols])
+
+
+def test_table_derivative_rows_only_at_p_sites(monkeypatch):
+    # a table's P kernel takes the derivative rows phi', which are built at
+    # the "p" sites of the moment and only there, one shifted-row pass per
+    # site; a Gaussian shifts no rows
+    calls = []
+
+    def counted(prof, shifts, derivative=False):
+        calls.append(derivative)
+        return _shifted_table(prof, shifts, derivative)
+
+    monkeypatch.setattr(oracle, "_shifted_table", counted)
+    c = random_circuit(9, dim=3, n=4)
+    for text, want in (("q1", [False] * 4), ("p2", [False, True, False, False]),
+                       ("q1*p2*p4", [False, True, False, True]), ("p1*p2*p3*p4", [True] * 4)):
+        calls.clear()
+        exact_moment(c, MomentSpec.parse(text), 0.3, TABULATED)
+        assert calls == want, text
+    calls.clear()
+    exact_moment(c, MomentSpec.parse("p1*q2"), 0.3, PointerProfile.gaussian(1.0))
+    assert calls == []
 
 
 def test_branch_amplitudes_sum_to_transition_amplitude(rng):
@@ -469,10 +504,10 @@ def pair_sum_moment(c, spec, g, prof):
     den_w = np.ones((len(amps), len(amps)), dtype=complex)
     num_w = den_w.copy()
     for i, es in enumerate(spectra):
-        kern = site_kernels(es.eigenvalues, g, prof)
+        kern = one_site_kernels(es.eigenvalues, g, prof)
         pairs = np.ix_(choices[:, i], choices[:, i])
         den_w *= kern.s[pairs]
-        num_w *= kern.pick(kinds.get(i + 1))[pairs]
+        num_w *= picked(kern, kinds.get(i + 1))[pairs]
     den = np.conj(amps) @ den_w @ amps
     num = np.conj(amps) @ num_w @ amps
     return (num / den).real, den.real / np.vdot(c.psi_f, c.psi_f).real
@@ -619,11 +654,11 @@ def test_eigenbasis_walk_matches_projector_walk(n, d, deterministic, monkeypatch
     spec = MomentSpec(tuple((i, kind) for i, kind in enumerate(kinds, start=1) if kind))
     w = sites.vectors[0].conj().T @ c.stages[0][0]  # V_1^dag U_1
     for prof in (PROFILES["gaussian-offsets"], TABULATED):
-        per_site = [site_kernels(eigs, g, prof) for eigs in sites.eigenvalues]
-        kernels = [np.stack([k.s, k.pick(kind)]) for k, kind in zip(per_site, kinds)]
+        per_site = [one_site_kernels(eigs, g, prof) for eigs in sites.eigenvalues]
+        kernels = [np.stack([k.s, picked(k, kind)]) for k, kind in zip(per_site, kinds)]
         # a Gaussian's kernels from one call over every column are bitwise
         # the per-site kernels expanded by labels
-        column_kernels = oracle._column_kernels(sites, g, prof, kinds)
+        column_kernels = site_kernels(sites, g, prof, kinds)
         assert np.array_equal(column_kernels, expanded(sites, kernels, 2))
         ends, walk = circuitmodel.effects(sites, column_kernels)
         ref = projector_effects(c, projected, kernels)
