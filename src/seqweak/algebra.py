@@ -2,21 +2,20 @@
 
 Vectors and operators are plain numpy arrays of dtype complex; the helpers
 here add the structure checks and the degeneracy-merged Hermitian
-eigendecomposition.  `eigensystems` decomposes a whole stack of observables
-in one stacked ``eigh`` and labels every eigenvector column with its merged
-eigenvalue in one pass over the (n, d) eigenvalue array; a projector P_a is
-never built, it is the columns labelled a (P_a = V_a V_a^dag).
-`eig_hermitian` is the same routine for one matrix.
+eigendecomposition.  Each check has one form, which takes a matrix or an
+(m, d, d) stack and gives every matrix's deviation in one call:
+`unitary_deviations`, `hermitian_deviations` and `projector_deviations`.
+`eigensystems` decomposes a whole stack of observables in one stacked
+``eigh`` and labels every eigenvector column with its merged eigenvalue in
+one pass over the (n, d) eigenvalue array; a projector P_a is never built,
+it is the columns labelled a (P_a = V_a V_a^dag).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimMismatch, NotHermitian
+from .errors import DimMismatch
 
-DEFAULT_TOL = 1e-10
 HERMITIAN_TOL = 1e-9  # an observable's tolerance, wherever it is checked
 # eigenvalues closer than this times (spectral range + 1) are one branch
 DEGENERACY_RTOL = 1e-8
@@ -55,45 +54,16 @@ def hermitian_deviations(ms) -> np.ndarray:
         return np.abs(ms - ms.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
-def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    return bool(unitary_deviations(as_operator(m)) <= tol)
-
-
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    return bool(hermitian_deviations(as_operator(m)) <= tol)
-
-
-def is_projector(m, tol: float = DEFAULT_TOL) -> bool:
-    m = as_operator(m)
-    return is_hermitian(m, tol) and bool(np.max(np.abs(m @ m - m)) <= tol)
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Spectral decomposition of one matrix with degenerate eigenvalues
-    merged.
-
-    ``eigenvalues`` are the merged eigenvalues, strictly increasing;
-    ``vectors`` holds the orthonormal eigenvectors as columns and
-    ``labels[j]`` the index of the merged eigenvalue that column j belongs
-    to, so that the columns labelled a are contiguous and span the
-    eigenspace of eigenvalue a (its projector is V_a V_a^dag).
-    """
-
-    eigenvalues: tuple[float, ...]
-    vectors: np.ndarray
-    labels: np.ndarray
-
-
-def eig_hermitian(a) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with degeneracy merging:
-    `eigensystems` of a stack of one."""
-    a = as_operator(a)
-    dev = hermitian_deviations(a)
-    if not dev <= HERMITIAN_TOL:
-        raise NotHermitian(f"max deviation {dev:.3e}")
-    eigenvalues, _, labels, vectors = eigensystems(a[None])
-    return EigenSystem(tuple(eigenvalues[0].tolist()), vectors[0], labels[0])
+def projector_deviations(ms) -> np.ndarray:
+    """The larger of the Hermitian deviation and the idempotence deviation,
+    the largest entry of |m m - m|, for a matrix, or for each matrix of an
+    (m, d, d) stack in one call; a matrix with an entry past the float
+    range reads inf, without a warning."""
+    ms = np.asarray(ms, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.maximum(np.abs(ms - ms.conj().swapaxes(-1, -2)),
+                         np.abs(ms @ ms - ms)).max(axis=(-2, -1), initial=0.0)
+    return np.where(np.isnan(dev), np.inf, dev)
 
 
 def eigensystems(a: np.ndarray):

@@ -224,18 +224,21 @@ def effects(sites: Eigenbases, kernels: np.ndarray) -> tuple[np.ndarray, list[np
     eigenbases F_i = V_i^dag E_i V_i that is F_{i-1} = T^dag (K~ o F_i) T,
     a Hadamard product and two matmuls by the hop T.  Returns the m values
     <psi_i|E_0|psi_i> = x^dag (K~_1 o F_1) x, x the start coordinates, and
-    F_1, ..., F_n, each of shape (m, d, d); F_n = bra bra^dag.
+    F_1, ..., F_n, each of shape (m, d, d); F_n = bra bra^dag.  Kernels
+    of a huge coupling can overflow the walk: its values then read inf or
+    nan, without a warning, for the caller to judge.
     """
     f = np.repeat((sites.bra[:, None] * sites.bra.conj())[None], kernels.shape[1], axis=0)
     walk = []
-    for hop, kern in zip(sites.hops[::-1], kernels[:0:-1]):
-        walk.append(f)
-        f = hop.conj().T @ (kern * f) @ hop
-    if len(kernels):
-        walk.append(f)
-        f = kernels[0] * f
-    x = sites.start
-    return (f @ x) @ x.conj(), walk[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for hop, kern in zip(sites.hops[::-1], kernels[:0:-1]):
+            walk.append(f)
+            f = hop.conj().T @ (kern * f) @ hop
+        if len(kernels):
+            walk.append(f)
+            f = kernels[0] * f
+        x = sites.start
+        return (f @ x) @ x.conj(), walk[::-1]
 
 
 def transition_amplitude(c: Circuit) -> complex:

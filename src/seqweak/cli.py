@@ -134,7 +134,10 @@ def cmd_simulate(args) -> int:
         gap = abs(exact - predicted)
         report.add("abs_discrepancy", gap)
         # a zero scale (g = 0, or g^(m+1) underflows): no gap is 0, any other inf
-        scale = max(abs(predicted), g ** (len(spec.factors) + 1))
+        try:
+            scale = max(abs(predicted), g ** (len(spec.factors) + 1))
+        except OverflowError:  # g^(m+1) past the float range
+            scale = np.inf
         report.add("rel_discrepancy", gap / scale if scale else (np.inf if gap else 0.0))
     report.emit()
     return 0
@@ -145,6 +148,8 @@ def cmd_montecarlo(args) -> int:
     c = doc.to_circuit()
     if args.runs <= 0:
         raise InvalidInput("--runs must be positive")
+    if c.n == 0:
+        raise InvalidInput("circuit has no measurement sites")
     g = _doc_g(doc, args.g)
     prof = _doc_profile(doc)
     moment = args.moment or "*".join(f"q{i}" for i in range(1, c.n + 1))
@@ -185,11 +190,8 @@ def cmd_counterfactual(args) -> int:
     if cf.witness_history is not None:
         report.add("witness.history", cf.witness_history)
     if cf.witness_subset is not None:
-        # the chain (), (i_1), (i_1, i_2), ..., one subset per block
-        subset = cf.witness_subset
-        label = _subset_labels(doc.site_names, [0, *subset], [0, *range(len(subset))],
-                              [1] * (len(subset) + 1))[-1]
-        report.add("witness.subset", "(" + label)
+        names = [doc.site_names[i - 1] for i in reversed(cf.witness_subset)]
+        report.add("witness.subset", "(" + ",".join(names) + ")")
         report.add("witness.weak_value", cf.witness_value)
     report.add("max_response", max(r for _, r in cf.def3_samples))
     report.emit()

@@ -46,9 +46,7 @@ class InsertionSet:
             raise DimMismatch(f"insertion projectors of sizes {sizes} cannot share a circuit")
         d = sizes[0] if sizes else 0
         stack = np.array(projectors, dtype=complex).reshape(len(projectors), d, d)
-        with np.errstate(over="ignore", invalid="ignore"):
-            idempotence = np.abs(stack @ stack - stack).max(axis=(-2, -1), initial=0.0)
-        if not np.all((algebra.hermitian_deviations(stack) <= 1e-10) & (idempotence <= 1e-10)):
+        if not np.all(algebra.projector_deviations(stack) <= 1e-10):
             raise NotProjector("insertion must be a Hermitian idempotent")
         object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
         object.__setattr__(self, "on_projectors", projectors)
@@ -320,6 +318,9 @@ def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
         raise InvalidInput("trials must be >= 1")
     if not (np.isfinite(g) and g > 0):
         raise InvalidInput(f"coupling must be finite and positive, got {g}")
+    g = float(g)
+    if not np.isfinite(g * g):  # the tolerance below scales with g^2
+        raise InvalidInput(f"coupling {g} is too large: its square overflows")
     check_seed(seed)
     d2, wit2 = is_counterfactual_weakvalues(c, ins)
     table = np.array(list(history_amplitudes(c, ins).values()))

@@ -16,6 +16,7 @@ masks of bra x T x start.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,14 @@ NORM_TOL = 1e-14
 def _postselected_moment(c: Circuit, den, num) -> tuple[float, float]:
     """The moment num / den and the post-selection probability from the
     post-selected norm ``den`` and numerator ``num`` of a walk, behind the
-    norm gate and the imaginary-residue gate of an analytically real moment."""
+    norm gate, a finiteness gate (a walk at a huge coupling overflows) and
+    the imaginary-residue gate of an analytically real moment."""
     if abs(den) < NORM_TOL:  # no moment is defined
         raise DegeneratePostSelection(f"post-selected norm {abs(den):.3e}")
-    ratio = complex(num / den)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = complex(num / den)
+    if not (cmath.isfinite(den) and cmath.isfinite(num) and cmath.isfinite(ratio)):
+        raise NumericallySingular("the post-selected walk overflows the float range")
     if abs(ratio.imag) >= IMAG_RESIDUE_TOL:
         raise NumericallySingular(
             f"imaginary residue {ratio.imag:.3e} in an analytically real moment")
@@ -64,14 +69,16 @@ def gaussian_kernels(eigs, g: float, sigma: float,
     Q(b,a) = S(b,a) g (a+b)/2 and P(b,a) = S(b,a) i g (b-a)/(4 sigma^2);
     offsets add the translation/boost terms.  Validated against numeric
     quadrature in the test suite.  ``eigs`` of shape (..., k) gives
-    kernels of shape (..., k, k), one per row.
+    kernels of shape (..., k, k), one per row.  Where (g (a - b))^2
+    overflows, S reads its exact limit exp(-inf) = 0, without a warning.
     """
     if sigma <= 0:
         raise InvalidInput("sigma must be positive")
     a = np.asarray(eigs, dtype=float)
     diff = a[..., None, :] - a[..., :, None]      # a - b
     mid = (a[..., None, :] + a[..., :, None]) / 2  # (a + b)/2
-    s = np.exp(-(g * diff) ** 2 / (8 * sigma**2)) * np.exp(-1j * p_offset * g * diff)
+    with np.errstate(over="ignore"):
+        s = np.exp(-(g * diff) ** 2 / (8 * sigma**2)) * np.exp(-1j * p_offset * g * diff)
     q = s * (q_offset + g * mid)
     p = s * (p_offset - 1j * g * diff / (4 * sigma**2))
     return OverlapKernel(s=s, q=q, p=p)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuitmodel import Circuit, valid_subset
-from .errors import AssumptionAViolated, GridTooCoarse, InvalidInput, NonCommuting
+from .errors import (AssumptionAViolated, GridTooCoarse, InvalidInput, NonCommuting,
+                     NumericallySingular)
 from .weakvalue import weak_values
 
 QUANTILES = 4096  # entries of a profile's standardized quantile table
@@ -136,7 +138,8 @@ class PointerProfile:
         q = np.asarray(q, dtype=float)
         if self.kind == "gaussian":
             s2 = self.sigma**2
-            env = (2 * np.pi * s2) ** -0.25 * np.exp(-((q - self.q_offset) ** 2) / (4 * s2))
+            with np.errstate(over="ignore"):  # far out, exp(-inf) = 0 exactly
+                env = (2 * np.pi * s2) ** -0.25 * np.exp(-((q - self.q_offset) ** 2) / (4 * s2))
             return env * np.exp(1j * self.p_offset * q) if self.p_offset else env + 0j
         grid, real, imag = self._table
         return (np.interp(q, grid, real, left=0.0, right=0.0)
@@ -290,19 +293,26 @@ def predict_moment(c: Circuit, spec: MomentSpec, g: float, prof: PointerProfile)
     if kinds == ["q"]:
         mom = moments(prof)
         w = complex(weak_values(c, sites)[1])
-        return mom.mu + g * (w.real + mom.y * w.imag)
-    _require_assumption_a(prof)
-    # a table's moments cost a quadrature, so only a p factor asks for v
-    v = moments(prof).v if "p" in kinds else 0.0
-    t = np.array([1j * v if k == "p" else -0.5 for k in kinds])
-    m = len(sites)
-    # subset I of the listed sites <-> bit mask (bit i for sites[i]), which
-    # is the weak-value cube's index with its axes reversed; S - I is the
-    # reversed index
-    inside = (np.arange(2**m)[:, None] >> np.arange(m)) & 1 == 1
-    wv = weak_values(c, sites).transpose().reshape(-1)
-    coef = np.where(inside, t, t.conj()).prod(axis=1)
-    return (-g) ** m * float((wv * wv[::-1].conj() @ coef).real)
+        value = mom.mu + g * (w.real + mom.y * w.imag)
+    else:
+        _require_assumption_a(prof)
+        # a table's moments cost a quadrature, so only a p factor asks for v
+        v = moments(prof).v if "p" in kinds else 0.0
+        t = np.array([1j * v if k == "p" else -0.5 for k in kinds])
+        m = len(sites)
+        # subset I of the listed sites <-> bit mask (bit i for sites[i]),
+        # which is the weak-value cube's index with its axes reversed; S - I
+        # is the reversed index
+        inside = (np.arange(2**m)[:, None] >> np.arange(m)) & 1 == 1
+        wv = weak_values(c, sites).transpose().reshape(-1)
+        coef = np.where(inside, t, t.conj()).prod(axis=1)
+        try:
+            value = (-g) ** m * float((wv * wv[::-1].conj() @ coef).real)
+        except OverflowError:  # g^m past the float range
+            value = math.inf
+    if not math.isfinite(value):
+        raise NumericallySingular(f"the leading-order prediction overflows at g = {g}")
+    return value
 
 
 @dataclass(frozen=True)

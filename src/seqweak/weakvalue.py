@@ -21,6 +21,10 @@ table refuses more than MAX_TABLE_ENTRIES of them.
 are the masks of equal labels, gives the strong effects F_k = V_k^dag E_k
 V_k, and the record is followed forward in eigenbasis coordinates, where
 each outcome class is a label mask and each step a hop.
+
+`ratio_rule_check` and `path_amplitude_identity` read the directions x of
+their rank-1 projector observables |x><x| from one stacked projector check
+and one stacked ``eigh`` (`_rank1_directions`).
 """
 from __future__ import annotations
 
@@ -253,6 +257,18 @@ def check_strong_agreement(c: Circuit) -> float | None:
     return abs(weak_value(c, tuple(range(1, c.n + 1))) - product)
 
 
+def _rank1_directions(ps: np.ndarray, refusal: str) -> np.ndarray:
+    """Rows x_k of an (m, d, d) stack of rank-1 projectors |x_k><x_k|, each
+    the last eigenvector column of one stacked ``eigh``, behind one stacked
+    projector check (1e-10) and a trace check (1e-8); ``refusal`` names the
+    first failing matrix by its 1-based ``{site}``."""
+    ok = ((algebra.projector_deviations(ps) <= 1e-10)
+          & (np.abs(np.trace(ps, axis1=-2, axis2=-1) - 1.0) <= 1e-8))
+    if not np.all(ok):
+        raise InvalidInput(refusal.format(site=int(np.argmin(ok)) + 1))
+    return np.linalg.eigh(ps)[1][..., -1]
+
+
 def ratio_rule_check(c: Circuit, alt_obs2) -> float:
     """Projector ratio rule for a two-site circuit whose first observable is
     a rank-1 projector |x><x|.
@@ -262,11 +278,8 @@ def ratio_rule_check(c: Circuit, alt_obs2) -> float:
     """
     if c.n != 2:
         raise InvalidInput("ratio rule applies to two-site circuits")
-    p = c.observable(1)
-    if not algebra.is_projector(p, 1e-10) or abs(np.trace(p) - 1.0) > 1e-8:
-        raise InvalidInput("first observable must be a rank-1 projector")
-    vals, vecs = np.linalg.eigh(p)
-    x = vecs[:, int(np.argmax(vals))]
+    (x,) = _rank1_directions(c.observable(1)[None],
+                             "first observable must be a rank-1 projector")
 
     alt = c.with_observables({2: alt_obs2})
     num1 = weak_value(c, (1, 2))
@@ -305,23 +318,18 @@ def path_amplitude_identity(c: Circuit, bases=None) -> float:
     ``bases`` optionally supplies, per stage, an orthonormal basis (columns)
     whose first column is the projected direction.
     """
-    xs = []
-    for k in range(1, c.n + 1):
-        p = c.observable(k)
-        if not algebra.is_projector(p, 1e-10) or abs(np.trace(p) - 1.0) > 1e-8:
-            raise InvalidInput(f"observable at site {k} is not a rank-1 projector")
-        vals, vecs = np.linalg.eigh(p)
-        xs.append(vecs[:, int(np.argmax(vals))])
-
+    xs = _rank1_directions(np.array([a for _, a in c.stages]).reshape(c.n, c.dim, c.dim),
+                           "observable at site {site} is not a rank-1 projector")
     if bases is None:
         bases = [_complete_basis(x) for x in xs]
     else:
-        bases = [np.asarray(b, dtype=complex) for b in bases]
-        for b, x in zip(bases, xs):
-            if not algebra.is_unitary(b, 1e-9):
-                raise BasisIncomplete("per-stage basis is not orthonormal-complete")
-            if min(np.linalg.norm(b[:, j] - x) for j in range(b.shape[1])) > 1e-9:
-                raise BasisIncomplete("basis does not contain the projected direction")
+        bases = np.asarray(bases, dtype=complex)
+        if bases.shape != (c.n, c.dim, c.dim):
+            raise DimMismatch(f"expected {c.n} bases of {c.dim}x{c.dim}, got {bases.shape}")
+        if not np.all(algebra.unitary_deviations(bases) <= 1e-9):
+            raise BasisIncomplete("per-stage basis is not orthonormal-complete")
+        if np.any(np.linalg.norm(bases - xs[:, :, None], axis=1).min(axis=1) > 1e-9):
+            raise BasisIncomplete("basis does not contain the projected direction")
 
     # operator 0 of a stage is its measured direction |x_k><x_k| U_k, the
     # others its basis vectors |b_j><b_j| U_k: the target walks through the

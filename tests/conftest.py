@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from seqweak.algebra import eig_hermitian
+from seqweak.algebra import eigensystems
 from seqweak.circuitmodel import Circuit, transition_amplitude
 from seqweak.oracle import _shifted_table, _table_kernels, gaussian_kernels
 
@@ -81,35 +81,50 @@ def combination_tree(n, max_order):
     return subsets, rows, last, prefix
 
 
-def projectors(es):
-    """The (k, d, d) stack of an `EigenSystem`'s projectors P_a = V_a V_a^dag,
-    V_a its eigenvector columns labelled a."""
-    blocks = [es.vectors[:, es.labels == a] for a in range(len(es.eigenvalues))]
+def one_spectrum(a):
+    """One matrix's merged eigenvalues (a tuple), eigenvectors and labels,
+    from `algebra.eigensystems` of a stack of one: the per-site reference."""
+    eigenvalues, _, labels, vectors = eigensystems(np.asarray(a, dtype=complex)[None])
+    return tuple(eigenvalues[0].tolist()), vectors[0], labels[0]
+
+
+def projector_deviation(m):
+    """The larger of |m - m^dag| and |m m - m| over the entries of one
+    matrix: the per-matrix reference for `algebra.projector_deviations`."""
+    return max(np.abs(m - m.conj().T).max(), np.abs(m @ m - m).max())
+
+
+def projectors(vectors, labels):
+    """The (k, d, d) stack of the projectors P_a = V_a V_a^dag of one
+    eigendecomposition, V_a its eigenvector columns labelled a."""
+    blocks = [vectors[:, labels == a] for a in range(labels.max() + 1)]
     return np.stack([b @ b.conj().T for b in blocks])
 
 
 def loop_branches(c):
     """Every eigenvalue branch walked on its own, one matvec per operator:
     the tests' one k^n reference for eigenbranch quantities.  Returns the
-    site spectra (degenerate eigenvalues merged) and the amplitudes
-    <psi_f| U_f P_{a_n} U_n ... P_{a_1} U_1 |psi_i>, indexed [a_1, ..., a_n]."""
-    spectra = [eig_hermitian(a) for _, a in c.stages]
-    stacks = [projectors(es) for es in spectra]
-    amps = np.empty(tuple(len(es.eigenvalues) for es in spectra), dtype=complex)
+    site spectra (per site its merged eigenvalues, a tuple) and the
+    amplitudes <psi_f| U_f P_{a_n} U_n ... P_{a_1} U_1 |psi_i>, indexed
+    [a_1, ..., a_n]."""
+    spectra = [one_spectrum(a) for _, a in c.stages]
+    stacks = [projectors(vectors, labels) for _, vectors, labels in spectra]
+    amps = np.empty(tuple(len(eigs) for eigs, _, _ in spectra), dtype=complex)
     for choice in np.ndindex(amps.shape):
         v = c.psi_i
         for (u, _), p, k in zip(c.stages, stacks, choice):
             v = p[k] @ (u @ v)
         amps[choice] = np.vdot(c.psi_f, c.u_final @ v)
-    return spectra, amps
+    return [eigs for eigs, _, _ in spectra], amps
 
 
 def projector_instruments(c):
     """The sites in projector form, one matrix at a time: per site the
-    stacked operators P_a U, shape (k, d, d), and the observable's
-    `EigenSystem`."""
-    spectra = [eig_hermitian(a) for _, a in c.stages]
-    return [(projectors(es) @ u, es) for (u, _), es in zip(c.stages, spectra)]
+    stacked operators P_a U, shape (k, d, d), and the observable's merged
+    eigenvalues (a tuple)."""
+    spectra = [one_spectrum(a) for _, a in c.stages]
+    return [(projectors(vectors, labels) @ u, eigs)
+            for (u, _), (eigs, vectors, labels) in zip(c.stages, spectra)]
 
 
 def projector_effects(c, sites, kernels):

@@ -205,6 +205,41 @@ def test_compare_at_a_vanishing_scale(capsys, moment, g, rel):
     assert rows["rel_discrepancy"] == rel
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", SHIPPED, "--moment", "q1", "--g", "1e200", "--compare"], 0),
+    (["simulate", SHIPPED, "--moment", "q1", "--g", "1e200"], 0),
+    (["simulate", SHIPPED, "--moment", "q1*q2", "--g", "1e300"], 2),
+    (["simulate", SHIPPED, "--moment", "p1*q2", "--g", "1e300", "--compare"], 2),
+    (["counterfactual", SHIPPED, "--seed", "1", "--g", "1e155"], 2),
+    (["montecarlo", SHIPPED, "--runs", "100", "--seed", "1", "--g", "1e155"], 2),
+    (["montecarlo", SHIPPED, "--runs", "100", "--seed", "1", "--g", "1e300"], 2),
+], ids=["q1-compare", "q1", "q1*q2", "p1*q2-compare", "counterfactual", "montecarlo-1e155",
+        "montecarlo-1e300"])
+def test_huge_coupling_is_a_result_or_one_error_line(capsys, argv, code):
+    # a finite result with no nan, or one `error:` line; no traceback and
+    # no numpy warning
+    assert main(argv + ["--machine"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        rows = dict(line.split("\t") for line in out.splitlines())
+        assert err == "" and all(np.isfinite(float(rows[key]))
+                                 for key in ("exact", "postselect_prob"))
+        assert "nan" not in out
+        if "--compare" in argv:
+            assert rows["rel_discrepancy"] == "0"  # the scale g^2 reads inf
+
+
+def test_montecarlo_without_sites_names_the_fault(tmp_path, capsys):
+    doc = tmp_path / "no_sites.wseq"
+    doc.write_text(NO_SITES)
+    assert main(["montecarlo", str(doc), "--runs", "10", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: circuit has no measurement sites\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["montecarlo", SHIPPED, "--runs", "100", "--seed", "-1"],
     ["counterfactual", SHIPPED, "--seed", "-5"],
@@ -798,8 +833,8 @@ def test_crlf_document_is_opened_once_and_hashed_as_read(tmp_path, capsys, monke
 def test_each_matrix_is_judged_once(tmp_path, capsys, monkeypatch, doc):
     # a load judges every evolution in one stacked call and every observable
     # in another, and a simulate, montecarlo or counterfactual command adds
-    # one stacked eigh, no more, and no eig_hermitian of a single matrix;
-    # the counterfactual adds one stacked check of its insertion projectors
+    # one stacked eigh, no more; the counterfactual adds one stacked check
+    # of its insertion projectors
     path = SHIPPED if doc == "shipped" else wide_document(tmp_path / "w.wseq", n=6, d=3)
     if doc == "wide":
         Path(path).write_text(Path(path).read_text() + "insert X1\n")
@@ -813,8 +848,7 @@ def test_each_matrix_is_judged_once(tmp_path, capsys, monkeypatch, doc):
             return inner(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("unitary_deviations", "hermitian_deviations", "is_unitary", "is_hermitian",
-                 "is_projector", "eig_hermitian"):
+    for name in ("unitary_deviations", "hermitian_deviations", "projector_deviations"):
         count(algebra, name)
     count(np.linalg, "eigh")
     c = circuitio.load(path).to_circuit()
@@ -826,7 +860,8 @@ def test_each_matrix_is_judged_once(tmp_path, capsys, monkeypatch, doc):
         assert main(argv) == 0
         assert [call for call in calls if "eig" in call[0]] == [("eigh", 3)], argv[0]
         # the counterfactual's insertion set judges its projectors in one
-        # more stacked call: no 2-D `hermitian_deviations`, no `is_hermitian`
-        judged = [("hermitian_deviations", 3)] * (2 if argv[0] == "counterfactual" else 1)
-        assert sorted(calls) == [("eigh", 3), *judged, ("unitary_deviations", 3)], argv[0]
+        # more stacked call, a 3-D `projector_deviations`
+        judged = [("projector_deviations", 3)] if argv[0] == "counterfactual" else []
+        assert sorted(calls) == [("eigh", 3), ("hermitian_deviations", 3), *judged,
+                                 ("unitary_deviations", 3)], argv[0]
     assert c.n == (2 if doc == "shipped" else 6)

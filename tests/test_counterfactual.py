@@ -18,8 +18,8 @@ from seqweak import algebra, counterfactual
 from seqweak.errors import (BothZero, DimMismatch, EquivalenceViolation, InvalidInput,
                             NotProjector, NumericallySingular)
 
-from conftest import (kron_joint_response, random_circuit, random_projector, random_state,
-                      random_unitary)
+from conftest import (kron_joint_response, projector_deviation, random_circuit,
+                      random_projector, random_state, random_unitary)
 from test_weakvalue import chain_numerator
 
 
@@ -36,9 +36,10 @@ def test_insertion_set_validation():
 
 
 def test_insertion_set_judges_its_projectors_in_one_stack(monkeypatch):
-    # one stacked Hermiticity and one stacked idempotence check at 1e-10,
-    # the verdict of `algebra.is_projector` on every matrix; projectors of
-    # different sizes cannot share a circuit
+    # one stacked `algebra.projector_deviations` check at 1e-10, the verdict
+    # of the per-matrix reference (Hermitian and idempotent, each within the
+    # tolerance) on every matrix; projectors of different sizes cannot share
+    # a circuit
     rng = np.random.default_rng(8)
     for trial in range(200):
         d = int(rng.integers(1, 5))
@@ -46,7 +47,7 @@ def test_insertion_set_judges_its_projectors_in_one_stack(monkeypatch):
         k = int(rng.integers(3))
         ps[k] = ps[k] + rng.choice([0, 1e-11, 1e-9]) * (rng.standard_normal((d, d))
                                                        + 1j * rng.standard_normal((d, d)))
-        want = all(algebra.is_projector(p, 1e-10) for p in ps)
+        want = all(projector_deviation(p) <= 1e-10 for p in ps)
         try:
             InsertionSet((1, 2, 3), tuple(ps))
             got = True
@@ -60,12 +61,12 @@ def test_insertion_set_judges_its_projectors_in_one_stack(monkeypatch):
     with pytest.raises(DimMismatch, match=r"sizes \[2, 3\]"):
         InsertionSet((1, 2), (P_B, np.eye(3)))
     calls = []
-    for name in ("hermitian_deviations", "is_hermitian", "is_projector"):
+    for name in ("hermitian_deviations", "projector_deviations"):
         inner = getattr(algebra, name)
         monkeypatch.setattr(algebra, name, lambda m, *a, inner=inner, name=name: (
             calls.append((name, np.ndim(m))), inner(m, *a))[1])
     assert len(InsertionSet((1, 2), (P_B, P_F))) == 2
-    assert calls == [("hermitian_deviations", 3)]
+    assert calls == [("projector_deviations", 3)]
 
 
 def test_all_histories_order():

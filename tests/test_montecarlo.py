@@ -96,7 +96,7 @@ def joint_tensor_reference(c, g, prof, n_total, seed):
     assert 1 <= n <= 3
     spectra, amps = loop_branches(c)
     ks = amps.shape
-    eig_sets = [np.asarray(es.eigenvalues) for es in spectra]
+    eig_sets = [np.asarray(eigs) for eigs in spectra]
     letters_b, letters_a = "abc"[:n], "xyz"[:n]
     interleaved = "".join(b + a for b, a in zip(letters_b, letters_a))
     d_tensor = np.einsum(f"{letters_b},{letters_a}->{interleaved}",
@@ -150,8 +150,7 @@ def per_run_vector_walk(c, g, prof, n_total, seed):
     samples in the layout of `RunBatch`."""
     sites = projector_instruments(c)
     grids, bases, kernels = [], [], []
-    for _, es in sites:
-        eigs = es.eigenvalues
+    for _, eigs in sites:
         k, pairs = len(eigs), len(eigs) * (len(eigs) - 1) // 2
         x, gm = grid_pair_matrix(prof, eigs, g)
         grids.append(x)
@@ -167,7 +166,7 @@ def per_run_vector_walk(c, g, prof, n_total, seed):
 
     samples = np.empty((n_succ, c.n))
     v = np.broadcast_to(c.psi_i, (n_succ, c.dim))
-    for i, ((pu, es), e) in enumerate(zip(sites, walk[1:])):
+    for i, ((pu, eigs), e) in enumerate(zip(sites, walk[1:])):
         k, d = len(pu), c.dim
         m = pu.conj().swapaxes(1, 2)[:, None] @ e[0] @ pu[None]
         w = np.einsum("rj,pjl,rl->rp", v.conj(), m.reshape(k * k, d, d), v)
@@ -175,7 +174,7 @@ def per_run_vector_walk(c, g, prof, n_total, seed):
                                  rng.random(n_succ))
         samples[:, i] = xs
         y = (v @ pu.reshape(k * d, d).T).reshape(n_succ, k, d)
-        phi = prof.eval(xs[:, None] - g * np.asarray(es.eigenvalues))
+        phi = prof.eval(xs[:, None] - g * np.asarray(eigs))
         v = np.einsum("ra,rad->rd", phi, y)
         v = v / np.linalg.norm(v, axis=1, keepdims=True)
     return success, samples

@@ -248,7 +248,7 @@ def test_branch_decompose_projector_sites():
     spectra, amps = loop_branches(c)
     assert amps.shape == (2, 2)
     # photon through B then F has amplitude 1/(2 sqrt 2) up to sign
-    through_bf = amps[spectra[0].eigenvalues.index(1.0), spectra[1].eigenvalues.index(1.0)]
+    through_bf = amps[spectra[0].index(1.0), spectra[1].index(1.0)]
     assert abs(through_bf) == pytest.approx(1 / (2 * np.sqrt(2)))
 
 
@@ -261,7 +261,7 @@ def test_branch_decompose_matches_per_branch_loop(n, d, projectors):
     c = random_circuit(300 + 10 * n + d, dim=d, n=n, projectors=projectors)
     spectra, ref = loop_branches(c)
     sites = projector_instruments(c)
-    assert [es.eigenvalues for _, es in sites] == [es.eigenvalues for es in spectra]
+    assert [eigs for _, eigs in sites] == spectra
     amps = product_amplitudes(c, [pu for pu, _ in sites])
     assert np.max(np.abs(amps - ref.reshape(-1))) <= 1e-12
 
@@ -371,7 +371,7 @@ def shared_pointer_reference(c, g, sigma):
     pair sum over the `loop_branches` branches, each of which translates
     the pointer by g (a_1 + a_2)."""
     spectra, amps = loop_branches(c)
-    totals = np.add.outer(*[es.eigenvalues for es in spectra]).reshape(-1)
+    totals = np.add.outer(*spectra).reshape(-1)
     amps = amps.reshape(-1)
     kern = gaussian_kernels(totals, g, sigma)
     return (np.conj(amps) @ kern.q @ amps / (np.conj(amps) @ kern.s @ amps)).real
@@ -503,8 +503,8 @@ def pair_sum_moment(c, spec, g, prof):
     kinds = dict(spec.factors)
     den_w = np.ones((len(amps), len(amps)), dtype=complex)
     num_w = den_w.copy()
-    for i, es in enumerate(spectra):
-        kern = one_site_kernels(es.eigenvalues, g, prof)
+    for i, eigs in enumerate(spectra):
+        kern = one_site_kernels(eigs, g, prof)
         pairs = np.ix_(choices[:, i], choices[:, i])
         den_w *= kern.s[pairs]
         num_w *= picked(kern, kinds.get(i + 1))[pairs]
@@ -611,19 +611,19 @@ def projector_strong_agreement(c):
     """`check_strong_agreement` on the projector walk: the class
     probabilities <w_a|E_k|w_a> of w_a = P_a U_k v, one state per class."""
     sites = projector_instruments(c)
-    effs = projector_effects(c, sites, [np.eye(len(es.eigenvalues))[None] for _, es in sites])
+    effs = projector_effects(c, sites, [np.eye(len(eigs))[None] for _, eigs in sites])
     total = float(np.vdot(c.psi_i, effs[0][0] @ c.psi_i).real)
     cut = max(STRONG_REL_TOL * total, BRANCH_TOL**2)
     if total <= cut:
         return None
     v, product = c.psi_i, 1.0
-    for (pu, es), e in zip(sites, effs[1:]):
+    for (pu, eigs), e in zip(sites, effs[1:]):
         w = pu @ v
         occurs = np.flatnonzero(((w.conj() @ e[0]) * w).sum(axis=1).real > cut)
         if len(occurs) != 1:
             return None
         v = w[occurs[0]]
-        product *= es.eigenvalues[occurs[0]]
+        product *= eigs[occurs[0]]
     return abs(weak_value(c, tuple(range(1, c.n + 1))) - product)
 
 
@@ -637,7 +637,7 @@ def test_eigenbasis_walk_matches_projector_walk(n, d, deterministic, monkeypatch
     c = mixed_circuit(100 * n + 10 * d + deterministic, n, d, deterministic)
     sites, projected = circuitmodel.eigenbases(c), projector_instruments(c)
     assert [tuple(eigs.tolist()) for eigs in sites.eigenvalues] == [
-        es.eigenvalues for _, es in projected]
+        eigs for _, eigs in projected]
     got, want = check_strong_agreement(c), projector_strong_agreement(c)
     assert (got is None) == (want is None)
     if want is not None:

@@ -11,7 +11,8 @@ from seqweak.circuitmodel import (P_B, P_C, P_E, P_F, Circuit,
                                   builtin_double_interferometer,
                                   transition_amplitude)
 from seqweak.counterfactual import InsertionSet
-from seqweak.errors import DegeneratePostSelection, InvalidInput, NonCommuting, SeqWeakError
+from seqweak.errors import (BasisIncomplete, DegeneratePostSelection, DimMismatch,
+                            InvalidInput, NonCommuting, SeqWeakError)
 from seqweak.oracle import gaussian_kernels, same_pointer_twice
 from seqweak.pointer import PointerProfile, product_weak_value
 from seqweak.weakvalue import (BRANCH_TOL, check_linearity, check_marginal,
@@ -255,7 +256,7 @@ def strong_agreement_reference(c):
     surviving = np.argwhere(np.abs(amps) > BRANCH_TOL)
     if len(surviving) != 1:
         return None
-    product = np.prod([es.eigenvalues[k] for es, k in zip(spectra, surviving[0])])
+    product = np.prod([eigs[k] for eigs, k in zip(spectra, surviving[0])])
     return abs(weak_value(c, tuple(range(1, c.n + 1))) - product)
 
 
@@ -402,6 +403,41 @@ def test_path_amplitude_identity_with_explicit_bases():
     bases[0] = np.eye(2, dtype=complex)          # x1 = e0 (path B)
     bases[1] = np.eye(2, dtype=complex)[:, ::-1]  # x2 = e1 (path F)
     assert path_amplitude_identity(c, bases) < 1e-12
+
+
+def test_ratio_rule_refuses_a_rank_two_projector():
+    rng = np.random.default_rng(11)
+    c = Circuit(psi_i=random_state(rng, 3),
+                stages=((random_unitary(rng, 3), random_projector(rng, 3, rank=2)),
+                        (random_unitary(rng, 3), random_hermitian(rng, 3))),
+                u_final=random_unitary(rng, 3), psi_f=random_state(rng, 3))
+    with pytest.raises(InvalidInput, match="^first observable must be a rank-1 projector$"):
+        ratio_rule_check(c, np.eye(3))
+
+
+@pytest.mark.parametrize("site2", ["hermitian", "rank-2"])
+def test_path_amplitude_identity_names_the_failing_site(site2):
+    # sites 1 and 3 are rank-1 projectors, only site 2 is not one
+    rng = np.random.default_rng(12)
+    bad = random_hermitian(rng, 3) if site2 == "hermitian" else random_projector(rng, 3, 2)
+    stages = tuple((random_unitary(rng, 3), a)
+                   for a in (random_projector(rng, 3), bad, random_projector(rng, 3)))
+    c = Circuit(psi_i=random_state(rng, 3), stages=stages, u_final=random_unitary(rng, 3),
+                psi_f=random_state(rng, 3))
+    with pytest.raises(InvalidInput, match="^observable at site 2 is not a rank-1 projector$"):
+        path_amplitude_identity(c)
+
+
+def test_path_amplitude_identity_judges_the_supplied_bases():
+    c = builtin_double_interferometer(P_B, P_F)
+    good = np.array([np.eye(2), np.eye(2)[:, ::-1]], dtype=complex)
+    assert path_amplitude_identity(c, good) < 1e-12
+    with pytest.raises(BasisIncomplete, match="orthonormal"):
+        path_amplitude_identity(c, [good[0], 2 * good[1]])
+    with pytest.raises(BasisIncomplete, match="projected direction"):
+        path_amplitude_identity(c, [good[0], np.array([[1, 1], [1, -1]]) / np.sqrt(2)])
+    with pytest.raises(DimMismatch):
+        path_amplitude_identity(c, good[:1])
 
 
 def test_product_weak_value_commuting_pair(rng):
