@@ -158,8 +158,6 @@ def cmd_montecarlo(args) -> int:
     report.add("g", g)
     report.add("seed", args.seed)
     report.add("moment", str(spec))
-    pointer.check_coupling(g)
-    montecarlo.check_position_moment(spec, c.n)
     batch = montecarlo.sample_runs(c, g, prof, args.runs, args.seed, spec)
     est = montecarlo.estimate_moment(batch, spec)
     exact, prob = batch.exact

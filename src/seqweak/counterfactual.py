@@ -319,7 +319,7 @@ def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
     if not (np.isfinite(g) and g > 0):
         raise InvalidInput(f"coupling must be finite and positive, got {g}")
     g = float(g)
-    if not np.isfinite(g * g):  # the tolerance below scales with g^2
+    if not np.isfinite(g * g):  # keeps the kicks' phases g lambda inside the float range
         raise InvalidInput(f"coupling {g} is too large: its square overflows")
     check_seed(seed)
     d2, wit2 = is_counterfactual_weakvalues(c, ins)
@@ -329,7 +329,8 @@ def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
         raise EquivalenceViolation(f"histories says {d1}, weak values says {d2}")
 
     f = transition_amplitude(c)
-    tol3 = 1e-8 * (1.0 + 1.0 / abs(f)) * g**2
+    # responses grow as g^2 only while g is small; they stay below about 3
+    tol3 = 1e-8 * (1.0 + 1.0 / abs(f)) * min(g * g, 1.0)
     amps = _subset_amplitudes(table, len(ins))
     labels = [f"subset={subset}" for subset in insertion_subsets(ins)]
     width = sum(len(group) * _draw_width(r) for r, group in enumerate(amps, start=1))

@@ -46,7 +46,8 @@ import numpy as np
 
 from .circuitmodel import Circuit, effects, eigenbases, valid_subset
 from .errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
-from .oracle import _postselected_moment, _shifted_table, _table_kernels, gaussian_kernels
+from .oracle import (KINDS, _postselected_moment, _shifted_table, _table_kernels,
+                     gaussian_kernels)
 from .pointer import MomentSpec, PointerProfile, check_coupling, check_seed
 
 GRID_POINTS = 4096
@@ -198,19 +199,23 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
         raise InvalidInput("n_total must be positive")
     if c.n == 0:
         raise InvalidInput("circuit has no measurement sites")
-    named = set()
+    named = {}
     if spec is not None:
         check_position_moment(spec, c.n)
-        named = {site for site, _ in spec.factors}
+        named = dict(spec.factors)
 
     sites = eigenbases(c)
     grids, bases, kernels = [], [], []
     for i, (eigs, labels) in enumerate(zip(sites.eigenvalues, sites.labels), start=1):
-        shifts = g * eigs
+        with np.errstate(over="ignore"):  # an overflowed shift is refused below
+            shifts = g * eigs
         if prof.kind == "gaussian":
-            x = np.linspace(prof.q_offset + shifts.min() - RANGE_SIGMAS * prof.sigma,
-                            prof.q_offset + shifts.max() + RANGE_SIGMAS * prof.sigma,
-                            GRID_POINTS)
+            # Python floats, which overflow to inf without a warning
+            lo = prof.q_offset + float(shifts.min()) - RANGE_SIGMAS * prof.sigma
+            hi = prof.q_offset + float(shifts.max()) + RANGE_SIGMAS * prof.sigma
+            if not np.isfinite(hi - lo):
+                raise GridResolutionError("shifted pointer grid exceeds the float range")
+            x = np.linspace(lo, hi, GRID_POINTS)
             shifted = prof.eval(x - shifts[:, None])
             kern = gaussian_kernels(eigs, g, prof.sigma, prof.q_offset, prof.p_offset)
         else:
@@ -228,9 +233,9 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
                                           * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs])))
         # the grid's own overlaps, the exact ones for the mass check, and
         # the moment's numerator kernels, over the eigenvector columns
-        stack = [np.trapezoid(gm, x, axis=1).reshape(k, k), kern.s]
+        stack = [np.trapezoid(gm, x, axis=1).reshape(k, k), kern[0]]
         if spec is not None:
-            stack.append(kern.q if i in named else kern.s)
+            stack.append(kern[KINDS.index(named.get(i))])
         kernels.append(np.stack(stack)[:, labels[:, None], labels])
     norms, walk = effects(sites, np.stack(kernels))
 

@@ -7,17 +7,18 @@ instruments in the sites' eigenbases (`circuitmodel.effects`), with each
 kernel expanded to the eigenvector columns by their labels, K~[j, l] =
 K[labels_j, labels_l], and reads <psi_i|E_0|psi_i> off the last step; the
 Monte Carlo sampler draws each readout against the intermediate F_i =
-V_i^dag E_i V_i.  `site_kernels`, the one kernel entry, calls two formula
-helpers: `gaussian_kernels` once over the (n, d) merged eigenvalues of the
-columns, or per site `_table_kernels` over a table's spectrally shifted
-samples (`_shifted_table`), expanded by labels.  The shared-pointer mean
-sums its branch amplitudes <psi_f| U_f P_b U_2 P_a U_1 |psi_i> as label
-masks of bra x T x start.
+V_i^dag E_i V_i.  Kernels stay arrays: the two formula helpers return
+[S, Q, P] stacks (a table's P only from derivative rows), and a readout
+kind picks the kernel at its index in `KINDS`.  `site_kernels`, the one
+kernel entry, calls `gaussian_kernels` once over the (n, d) merged
+eigenvalues of the columns, or per site `_table_kernels` over a table's
+spectrally shifted samples (`_shifted_table`), expanded by labels.  The
+shared-pointer mean sums its branch amplitudes <psi_f| U_f P_b U_2 P_a U_1
+|psi_i> as label masks of bra x T x start.
 """
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,40 +49,33 @@ def _postselected_moment(c: Circuit, den, num) -> tuple[float, float]:
     return float(ratio.real), float(prob)
 
 
-@dataclass(frozen=True)
-class OverlapKernel:
-    """Pointer overlap matrices over one site's eigenvalues.
-
-    S(b,a) = int conj(phi(q - g b)) phi(q - g a) dq, Q and P likewise with a
-    q or -i d/dq insertion.  A table's P is None unless it was asked for.
-    """
-
-    s: np.ndarray
-    q: np.ndarray
-    p: np.ndarray | None
+KINDS = (None, "q", "p")  # a readout kind picks the kernel at its index
 
 
 def gaussian_kernels(eigs, g: float, sigma: float,
-                     q_offset: float = 0.0, p_offset: float = 0.0) -> OverlapKernel:
-    """Closed-form overlaps for a Gaussian profile.
+                     q_offset: float = 0.0, p_offset: float = 0.0) -> np.ndarray:
+    """Closed-form overlaps [S, Q, P] for a Gaussian profile.
 
-    For zero offsets: S(b,a) = exp(-g^2 (a-b)^2 / (8 sigma^2)),
-    Q(b,a) = S(b,a) g (a+b)/2 and P(b,a) = S(b,a) i g (b-a)/(4 sigma^2);
-    offsets add the translation/boost terms.  Validated against numeric
-    quadrature in the test suite.  ``eigs`` of shape (..., k) gives
-    kernels of shape (..., k, k), one per row.  Where (g (a - b))^2
-    overflows, S reads its exact limit exp(-inf) = 0, without a warning.
+    S(b,a) = int conj(phi(q - g b)) phi(q - g a) dq, Q and P likewise with a
+    q or -i d/dq insertion.  For zero offsets: S(b,a) = exp(-g^2 (a-b)^2 /
+    (8 sigma^2)), Q(b,a) = S(b,a) g (a+b)/2 and P(b,a) = S(b,a) i g (b-a) /
+    (4 sigma^2); offsets add the translation/boost terms.  Validated against
+    numeric quadrature in the test suite.  ``eigs`` of shape (..., k) gives
+    kernels of shape (3, ..., k, k), one per row.  Where (g (a - b))^2
+    overflows, S reads its exact limit exp(-inf) = 0; where a shift g a
+    overflows, Q and P read inf or nan, for the walk's caller to refuse;
+    neither warns.
     """
     if sigma <= 0:
         raise InvalidInput("sigma must be positive")
     a = np.asarray(eigs, dtype=float)
     diff = a[..., None, :] - a[..., :, None]      # a - b
     mid = (a[..., None, :] + a[..., :, None]) / 2  # (a + b)/2
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         s = np.exp(-(g * diff) ** 2 / (8 * sigma**2)) * np.exp(-1j * p_offset * g * diff)
-    q = s * (q_offset + g * mid)
-    p = s * (p_offset - 1j * g * diff / (4 * sigma**2))
-    return OverlapKernel(s=s, q=q, p=p)
+        q = s * (q_offset + g * mid)
+        p = s * (p_offset - 1j * g * diff / (4 * sigma**2))
+    return np.stack([s, q, p])
 
 
 def _shifted_table(prof: PointerProfile, shifts,
@@ -89,7 +83,8 @@ def _shifted_table(prof: PointerProfile, shifts,
     """phi(q - s), and phi'(q - s) if ``derivative`` (else None), on the
     table's own grid q, one row per shift s.  The FFT shift is circular, so
     the support |phi| > 1e-8 peak (the decay `PointerProfile.tabulated`
-    requires) must stay on the grid when shifted."""
+    requires) must stay on the grid when shifted; an infinite shift never
+    does."""
     spectrum, freq, live_lo, live_hi = prof._spectrum
     q = prof.grid
     if np.any((live_lo + shifts < q[0]) | (live_hi + shifts > q[-1])):
@@ -99,32 +94,33 @@ def _shifted_table(prof: PointerProfile, shifts,
     return np.fft.ifft(shift, axis=1), dshifted
 
 
-def _table_kernels(prof: PointerProfile, shifted: np.ndarray,
-                   dshifted: np.ndarray | None = None) -> OverlapKernel:
-    """Quadrature overlaps over a table's shifted rows (`_shifted_table`);
-    P only from given derivative rows."""
-    left = prof.grid_step * np.conj(shifted)
-    return OverlapKernel(s=left @ shifted.T, q=(left * prof.grid) @ shifted.T,
-                         p=None if dshifted is None else -1j * (left @ dshifted.T))
+def _table_kernels(prof: PointerProfile, rows: np.ndarray,
+                   drows: np.ndarray | None = None) -> np.ndarray:
+    """Quadrature overlaps [S, Q] over a table's shifted rows
+    (`_shifted_table`), or [S, Q, P] given its derivative rows."""
+    left = prof.grid_step * np.conj(rows)
+    kern = [left @ rows.T, (left * prof.grid) @ rows.T]
+    if drows is not None:
+        kern.append(-1j * (left @ drows.T))
+    return np.array(kern)
 
 
 def site_kernels(sites: Eigenbases, g: float, prof: PointerProfile, kinds) -> np.ndarray:
     """(n, 2, d, d): per site its S kernel and the kernel that ``kinds[i]``
-    (None, "q" or "p") picks, over the site's eigenvector columns; a table
-    builds its derivative rows only at the "p" sites."""
+    picks, its index in `KINDS`, over the site's eigenvector columns; a
+    table builds its derivative rows only at the "p" sites."""
     if prof.kind == "gaussian":
         kern = gaussian_kernels(sites.merged, g, prof.sigma, prof.q_offset, prof.p_offset)
-        s, q, p = kern.s, kern.q, kern.p
-    else:
-        stacks = []
-        for eigs, labels, kind in zip(sites.eigenvalues, sites.labels, kinds):
-            kern = _table_kernels(prof, *_shifted_table(prof, g * eigs, kind == "p"))
-            p = kern.s if kern.p is None else kern.p  # not picked without a "p"
-            stacks.append(np.stack([kern.s, kern.q, p])[:, labels[:, None], labels])
-        d = sites.merged.shape[1]
-        s, q, p = np.array(stacks, dtype=complex).reshape(len(kinds), 3, d, d).swapaxes(0, 1)
-    kinds = np.array(kinds, dtype=object)[:, None, None]
-    return np.stack([s, np.where(kinds == "q", q, np.where(kinds == "p", p, s))], axis=1)
+        picks = [KINDS.index(kind) for kind in kinds]
+        return np.stack([kern[0], kern[picks, range(len(picks))]], axis=1)
+    with np.errstate(over="ignore"):  # an overflowed shift is off every grid
+        shifts = [g * eigs for eigs in sites.eigenvalues]
+    stacks = []
+    for s, labels, kind in zip(shifts, sites.labels, kinds):
+        kern = _table_kernels(prof, *_shifted_table(prof, s, kind == "p"))
+        stacks.append(kern[[0, KINDS.index(kind)]][:, labels[:, None], labels])
+    d = sites.merged.shape[1]
+    return np.array(stacks, dtype=complex).reshape(-1, 2, d, d)
 
 
 def exact_moment(c: Circuit, spec: MomentSpec, g: float,
@@ -161,6 +157,6 @@ def same_pointer_twice(c: Circuit, g: float, prof: PointerProfile) -> float:
             @ (lab1[:, None] == np.arange(len(eig1)))).reshape(-1)
     totals = np.add.outer(eig2, eig1).reshape(-1)
     kern = gaussian_kernels(totals, g, prof.sigma)
-    den = complex(np.conj(amps) @ kern.s @ amps)
-    num = complex(np.conj(amps) @ kern.q @ amps)
+    den = complex(np.conj(amps) @ kern[0] @ amps)
+    num = complex(np.conj(amps) @ kern[1] @ amps)
     return _postselected_moment(c, den, num)[0]

@@ -116,7 +116,6 @@ class WeakValueTable:
     prefix: np.ndarray
     sizes: tuple[int, ...]
     n: int
-    circuit_fingerprint: str
 
     @property
     def entries(self) -> "TableEntries":
@@ -192,8 +191,7 @@ def weak_value_table(c: Circuit, max_order: int) -> WeakValueTable:
         last[block] = last[parent] + 1 + np.arange(size) - np.repeat(first, counts)
         lo = hi
     amps = tree_amplitudes(c, [a @ u for u, a in c.stages], last, prefix)
-    return WeakValueTable(_over_f(c, amps), complex(amps[0]), last, prefix, sizes, c.n,
-                          c.fingerprint())
+    return WeakValueTable(_over_f(c, amps), complex(amps[0]), last, prefix, sizes, c.n)
 
 
 def check_linearity(c: Circuit, c_prime: Circuit, site: int) -> float:

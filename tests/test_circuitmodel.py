@@ -65,6 +65,9 @@ def test_rejects_dimension_mismatch():
     with pytest.raises(DimMismatch):
         Circuit(psi_i=np.array([1.0, 0.0]), stages=((np.eye(3), np.eye(3)),),
                 u_final=np.eye(3), psi_f=np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(DimMismatch, match="post-selection dimension"):
+        Circuit(psi_i=np.array([1.0, 0.0]), stages=((np.eye(2), np.eye(2)),),
+                u_final=np.eye(2), psi_f=np.array([1.0, 0.0, 0.0]))
 
 
 def test_unnormalized_postselection_allowed(rng):

@@ -232,6 +232,50 @@ def test_huge_coupling_is_a_result_or_one_error_line(capsys, argv, code):
             assert rows["rel_discrepancy"] == "0"  # the scale g^2 reads inf
 
 
+def _spread_spectra(text):
+    """The built-in document with observables of eigenvalues (2, -1) and
+    (1.5, -1.5) in place of its projectors, and no insertions: at g = 1e308
+    every shift g a and every difference g (a - b) overflows."""
+    return (text.replace("proj 0\n", "2+0i 0+0i\n0+0i -1+0i\n")
+            .replace("proj 1\n", "0+0i 1.5+0i\n1.5+0i 0+0i\n")
+            .replace("insert B\ninsert F\n", ""))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("pointer", ["gaussian sigma=1", "tabulated prof.dat"])
+@pytest.mark.parametrize("g", ["1e308", "1.7e308"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--moment", "q1"],
+    ["simulate", "--moment", "p1*q2", "--compare"],
+    ["montecarlo", "--runs", "100", "--seed", "1"],
+], ids=["q1", "p1*q2-compare", "montecarlo"])
+def test_overflowing_shifts_are_a_result_or_one_error_line(tmp_path, capsys, pointer, g,
+                                                           argv):
+    (tmp_path / "prof.dat").write_text("\n".join(_gaussian_table()) + "\n")
+    doc = _shipped_with(tmp_path, "c.wseq",
+                        lambda s: _spread_spectra(s) + f"pointer {pointer}\n")
+    code = main([argv[0], doc, *argv[1:], "--g", g, "--machine"])
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == "" and "nan" not in out
+
+
+@pytest.mark.parametrize("g", ["10", "1e4", "1e5", "1e154"])
+@pytest.mark.parametrize("single, null", [(False, "False"), (True, "True")])
+def test_definitions_agree_at_a_large_coupling(tmp_path, capsys, g, single, null):
+    # the Definition-3 tolerance stops growing at g = 1, as the responses
+    # stay below about 3; the built-in document with B inserted alone is
+    # counterfactual
+    doc = SHIPPED if not single else _shipped_with(
+        tmp_path, "single.wseq", lambda t: t.replace("insert F\n", ""))
+    code, rows = machine(capsys, ["counterfactual", doc, "--seed", "1", "--g", g])
+    assert code == 0
+    assert rows["def3_null"] == null and rows["definitions_agree"] == "True"
+
+
 def test_montecarlo_without_sites_names_the_fault(tmp_path, capsys):
     doc = tmp_path / "no_sites.wseq"
     doc.write_text(NO_SITES)
@@ -256,10 +300,11 @@ def test_negative_seed_is_one_error_line(capsys, argv):
     ["--moment", "q1*q3"], ["--g", "nan"], ["--g", "-1"],
 ])
 def test_montecarlo_checks_input_before_sampling(capsys, monkeypatch, extra):
+    # `sample_runs` judges its input before its first work, the eigenbases
     def refuse(*args, **kwargs):
-        raise AssertionError("sample_runs called on invalid input")
+        raise AssertionError("sampling started on invalid input")
 
-    monkeypatch.setattr(montecarlo, "sample_runs", refuse)
+    monkeypatch.setattr(montecarlo, "eigenbases", refuse)
     code = main(["montecarlo", SHIPPED, "--runs", "1000000", "--seed", "1", *extra])
     assert code == 2
     assert "error:" in capsys.readouterr().err

@@ -249,7 +249,7 @@ def per_trial_def3_reference(c, ins, trials, g, seed, anc_dim=2):
         m = rng.standard_normal((anc_dim, anc_dim)) + 1j * rng.standard_normal((anc_dim, anc_dim))
         return (m + m.conj().T) / 2
 
-    tol3 = 1e-8 * (1.0 + 1.0 / abs(transition_amplitude(c))) * g**2
+    tol3 = 1e-8 * (1.0 + 1.0 / abs(transition_amplitude(c))) * min(g * g, 1.0)
     rng = np.random.default_rng(seed)
     proj_by_site = dict(zip(ins.sites, ins.on_projectors))
     samples = []

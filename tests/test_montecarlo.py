@@ -108,7 +108,7 @@ def joint_tensor_reference(c, g, prof, n_total, seed):
         grids.append(x)
         pair_cdfs.append(_cumulative(gm, x))
         s_numeric.append(np.trapezoid(gm, x, axis=1))
-    s_exact = [one_site_kernels(eigs, g, prof).s.reshape(-1) for eigs in eig_sets]
+    s_exact = [one_site_kernels(eigs, g, prof)[0].reshape(-1) for eigs in eig_sets]
 
     def contract_all(vectors):
         sub = letters_b + "," + ",".join(letters_b) + "->"
@@ -157,7 +157,7 @@ def per_run_vector_walk(c, g, prof, n_total, seed):
         bases.append(_hermitian_columns(_cumulative(gm, x).T, k)
                      * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs]))
         kernels.append(np.stack([np.trapezoid(gm, x, axis=1).reshape(k, k),
-                                 one_site_kernels(eigs, g, prof).s]))
+                                 one_site_kernels(eigs, g, prof)[0]]))
     walk = projector_effects(c, sites, kernels)
     mass_exact = (walk[0][1] @ c.psi_i @ c.psi_i.conj()).real
     rng = np.random.default_rng(seed)
