@@ -3,7 +3,10 @@
 A circuit is an initial state, n stages of (unitary, observable), a final
 unitary and a post-selection bra.  The observable of stage k sits at the
 boundary after U_k and before U_{k+1}; a boundary without a measurement
-stores the identity there.
+stores the identity there.  Post-selection is onto a ray, so `Circuit`
+keeps the unit vector of the bra it is given, and no walk or gate sees the
+given bra's length: every amplitude is that of the unit post-selection,
+and |F|^2 is the bare post-selection probability.
 
 There are two forward walks, both <psi_f| U_f X_n ... X_1 |psi_i> for many
 choices of X_k at once and both one matvec per distinct prefix of the
@@ -79,12 +82,20 @@ class Circuit:
                                a_dev[k - 1])
         with np.errstate(over="ignore"):  # entries past ~1e154 give an inf norm
             norm_i, norm_f = np.linalg.norm(psi_i), np.linalg.norm(psi_f)
+            top = np.abs(psi_f).max()
         if not abs(norm_i - 1.0) <= 1e-10:
             raise InvalidInput("initial state must be normalized")
-        if norm_f == 0.0:
+        if top == 0.0:
             raise InvalidInput("post-selection state must be nonzero")
         if not np.isfinite(norm_f):
             raise InvalidInput("post-selection state must have a finite squared norm")
+        # post-selection is onto the ray of psi_f: keep its unit vector.  The
+        # squares of a bra below ~1e-154 underflow, so a tiny one is first
+        # scaled by its largest entry
+        if norm_f < 1e-150:
+            psi_f = psi_f.real / top + 1j * (psi_f.imag / top)
+            norm_f = np.linalg.norm(psi_f)
+        psi_f = psi_f / norm_f
         object.__setattr__(self, "psi_i", psi_i)
         object.__setattr__(self, "psi_f", psi_f)
         object.__setattr__(self, "stages", stages)

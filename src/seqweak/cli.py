@@ -133,9 +133,12 @@ def cmd_simulate(args) -> int:
         report.add("prediction", predicted)
         gap = abs(exact - predicted)
         report.add("abs_discrepancy", gap)
-        # a zero scale (g = 0, or g^(m+1) underflows): no gap is 0, any other inf
+        # the scale is floored at the next order g^(m+1) and at the exact
+        # moment's rounding level 1e-15 g^m; where it is 0 (g = 0, or both
+        # underflow) no gap is 0, any other inf
+        m = len(spec.factors)
         try:
-            scale = max(abs(predicted), g ** (len(spec.factors) + 1))
+            scale = max(abs(predicted), g ** (m + 1), 1e-15 * g ** m)
         except OverflowError:  # g^(m+1) past the float range
             scale = np.inf
         report.add("rel_discrepancy", gap / scale if scale else (np.inf if gap else 0.0))
@@ -191,7 +194,7 @@ def cmd_counterfactual(args) -> int:
         names = [doc.site_names[i - 1] for i in reversed(cf.witness_subset)]
         report.add("witness.subset", "(" + ",".join(names) + ")")
         report.add("witness.weak_value", cf.witness_value)
-    report.add("max_response", max(r for _, r in cf.def3_samples))
+    report.add("max_response", float(cf.def3_responses.max()))
     report.emit()
     return 0
 

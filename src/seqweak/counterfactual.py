@@ -16,7 +16,7 @@ history amplitudes with kicked ancilla states (`_responses`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,13 +57,17 @@ class InsertionSet:
 
 @dataclass(frozen=True)
 class CounterfactualReport:
+    """The three verdicts and their witnesses.  ``def3_responses`` holds
+    the modulus of every Definition-3 response, shape (trials, 2^k - 1),
+    the subsets of the k insertion sites in `insertion_subsets` order."""
+
     def1_holds: bool
     def2_holds: bool
     witness_history: str | None
     witness_subset: tuple[int, ...] | None
     witness_value: complex | None
-    def3_samples: tuple[tuple[str, float], ...] = ()
-    def3_null: bool | None = None
+    def3_responses: np.ndarray
+    def3_null: bool
 
 
 def all_histories(k: int):
@@ -312,7 +316,8 @@ def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
     A trial carries 3^k ancilla states for k insertions; trials run in
     blocks of DEF3_BLOCK // 3^k (at least one), one normal draw and one
     stacked kick solve per block (`_def3_responses`), so the cost is linear
-    in ``trials`` and the working memory is bounded.
+    in ``trials``, the ancilla states' memory is bounded, and the report
+    keeps one float per response.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
@@ -332,19 +337,13 @@ def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
     # responses grow as g^2 only while g is small; they stay below about 3
     tol3 = 1e-8 * (1.0 + 1.0 / abs(f)) * min(g * g, 1.0)
     amps = _subset_amplitudes(table, len(ins))
-    labels = [f"subset={subset}" for subset in insertion_subsets(ins)]
     width = sum(len(group) * _draw_width(r) for r, group in enumerate(amps, start=1))
     # a trial carries 3^k ancilla states: 2^r histories per size-r subset
     block = max(1, DEF3_BLOCK // 3 ** len(ins))
     rng = np.random.default_rng(seed)
-    samples = []
-    null = True
-    for lo in range(0, trials, block):
-        n = min(block, trials - lo)
-        resp = np.abs(_def3_responses(amps, rng.standard_normal((n, width)), g))
-        null = null and not np.any(resp > tol3)
-        samples += [(f"trial={lo + t} {label}", r)
-                    for t, row in enumerate(resp.tolist()) for label, r in zip(labels, row)]
+    resp = np.abs(np.concatenate([
+        _def3_responses(amps, rng.standard_normal((min(block, trials - lo), width)), g)
+        for lo in range(0, trials, block)]))
 
     return CounterfactualReport(
         def1_holds=d1,
@@ -352,6 +351,6 @@ def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
         witness_history=wit1,
         witness_subset=None if wit2 is None else wit2[0],
         witness_value=None if wit2 is None else wit2[1],
-        def3_samples=tuple(samples),
-        def3_null=null,
+        def3_responses=resp,
+        def3_null=not np.any(resp > tol3),
     )

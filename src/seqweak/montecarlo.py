@@ -239,7 +239,7 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
         kernels.append(np.stack(stack)[:, labels[:, None], labels])
     norms, walk = effects(sites, np.stack(kernels))
 
-    moment, prob = _postselected_moment(c, norms[1], norms[-1])
+    moment, prob = _postselected_moment(norms[1], norms[-1])
     mass_err = abs(norms[0].real / norms[1].real - 1.0)
     if not mass_err <= 1e-6:
         raise GridResolutionError(f"density mass outside grid: {mass_err:.3e}")

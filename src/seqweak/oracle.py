@@ -31,22 +31,23 @@ IMAG_RESIDUE_TOL = 1e-9
 NORM_TOL = 1e-14
 
 
-def _postselected_moment(c: Circuit, den, num) -> tuple[float, float]:
-    """The moment num / den and the post-selection probability from the
-    post-selected norm ``den`` and numerator ``num`` of a walk, behind the
-    norm gate, a finiteness gate (a walk at a huge coupling overflows) and
-    the imaginary-residue gate of an analytically real moment."""
+def _postselected_moment(den, num) -> tuple[float, float]:
+    """The moment num / den and the post-selection probability den from the
+    post-selected norm ``den`` and numerator ``num`` of a walk (whose
+    post-selection `Circuit` keeps at unit length), behind the norm gate, a
+    finiteness gate (a walk at a huge coupling overflows) and the
+    imaginary-residue gate of an analytically real moment, which is
+    relative to the moment's size once that exceeds 1."""
     if abs(den) < NORM_TOL:  # no moment is defined
         raise DegeneratePostSelection(f"post-selected norm {abs(den):.3e}")
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = complex(num / den)
     if not (cmath.isfinite(den) and cmath.isfinite(num) and cmath.isfinite(ratio)):
         raise NumericallySingular("the post-selected walk overflows the float range")
-    if abs(ratio.imag) >= IMAG_RESIDUE_TOL:
+    if abs(ratio.imag) >= IMAG_RESIDUE_TOL * max(1.0, abs(ratio.real)):
         raise NumericallySingular(
             f"imaginary residue {ratio.imag:.3e} in an analytically real moment")
-    prob = den.real / float(np.vdot(c.psi_f, c.psi_f).real)
-    return float(ratio.real), float(prob)
+    return float(ratio.real), float(den.real)
 
 
 KINDS = (None, "q", "p")  # a readout kind picks the kernel at its index
@@ -137,7 +138,7 @@ def exact_moment(c: Circuit, spec: MomentSpec, g: float,
     sites = eigenbases(c)
     kernels = site_kernels(sites, g, prof, [named.get(i) for i in range(1, c.n + 1)])
     (den, num), _ = effects(sites, kernels)
-    return _postselected_moment(c, den, num)
+    return _postselected_moment(den, num)
 
 
 def same_pointer_twice(c: Circuit, g: float, prof: PointerProfile) -> float:
@@ -159,4 +160,4 @@ def same_pointer_twice(c: Circuit, g: float, prof: PointerProfile) -> float:
     kern = gaussian_kernels(totals, g, prof.sigma)
     den = complex(np.conj(amps) @ kern[0] @ amps)
     num = complex(np.conj(amps) @ kern[1] @ amps)
-    return _postselected_moment(c, den, num)[0]
+    return _postselected_moment(den, num)[0]

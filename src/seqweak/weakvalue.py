@@ -5,7 +5,10 @@ the sequential weak value with the later observables applied on the left,
 i.e. the operators appear in reverse time order inside the matrix element.
 `weak_values` computes those of every subset of some sites in one
 `circuitmodel.product_amplitudes` walk, `weak_value` one of them in two
-single-row walks.
+single-row walks.  A weak value is an amplitude over F, the amplitude of
+the empty subset; `Circuit` keeps the post-selection at unit length, so F
+and the gates on |F| (F_TOL, the huge-value warning) do not depend on the
+length of the post-selection bra a caller gives.
 
 `weak_value_table` enumerates every subset of at most k sites as arrays, one
 size block r = 0..k at a time: each subset of block r - 1, in lexicographic
@@ -55,10 +58,11 @@ STRONG_REL_TOL = 1e-12  # nor does an outcome below this share of them all
 MAX_TABLE_ENTRIES = 1 << 20  # the full table at n = 20
 
 
-def _over_f(c: Circuit, amps: np.ndarray) -> np.ndarray:
+def _over_f(amps: np.ndarray) -> np.ndarray:
     """Weak values from the amplitudes ``amps`` of a list of subsets over
     F, the amplitude of entry 0, which must be the empty subset (its own
-    value is 1)."""
+    value is 1).  The post-selection is a unit vector (`Circuit`), so |F|
+    is on the scale of a probability amplitude."""
     f = amps[0]
     if abs(f) <= F_TOL:
         raise DegeneratePostSelection(f"|F| = {abs(f):.3e} <= {F_TOL}")
@@ -66,7 +70,7 @@ def _over_f(c: Circuit, amps: np.ndarray) -> np.ndarray:
     wv[0] = 1.0
     biggest = np.abs(wv[1:]).max(initial=0.0)
     # a large F with large observables is not a warning sign, only a small F
-    if biggest > HUGE_WEAK_VALUE and abs(f) < np.linalg.norm(c.psi_f) / HUGE_WEAK_VALUE:
+    if biggest > HUGE_WEAK_VALUE and abs(f) < 1.0 / HUGE_WEAK_VALUE:
         warnings.warn(
             f"weak value of modulus {biggest:.3e} is huge; post-selection is nearly orthogonal",
             RuntimeWarning,
@@ -86,7 +90,7 @@ def weak_values(c: Circuit, sites, ops=None) -> np.ndarray:
         on = set(sites)
         ops = [np.array([u, a @ u]) if k in on else u[None]
                for k, (u, a) in enumerate(c.stages, start=1)]
-    return _over_f(c, product_amplitudes(c, ops)).reshape((2,) * len(sites))
+    return _over_f(product_amplitudes(c, ops)).reshape((2,) * len(sites))
 
 
 def weak_value(c: Circuit, subset) -> complex:
@@ -95,7 +99,7 @@ def weak_value(c: Circuit, subset) -> complex:
     s = valid_subset(subset, c.n)
     ops = [(a @ u if k in s else u)[None] for k, (u, a) in enumerate(c.stages, start=1)]
     amps = np.array([transition_amplitude(c), product_amplitudes(c, ops)[0]])
-    return complex(_over_f(c, amps)[1])
+    return complex(_over_f(amps)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +195,7 @@ def weak_value_table(c: Circuit, max_order: int) -> WeakValueTable:
         last[block] = last[parent] + 1 + np.arange(size) - np.repeat(first, counts)
         lo = hi
     amps = tree_amplitudes(c, [a @ u for u, a in c.stages], last, prefix)
-    return WeakValueTable(_over_f(c, amps), complex(amps[0]), last, prefix, sizes, c.n)
+    return WeakValueTable(_over_f(amps), complex(amps[0]), last, prefix, sizes, c.n)
 
 
 def check_linearity(c: Circuit, c_prime: Circuit, site: int) -> float:

@@ -8,7 +8,10 @@ from seqweak.circuitmodel import (P_B, P_C, P_E, P_F, U1_DOUBLE, U3_DOUBLE,
                                   transition_amplitude, tree_amplitudes,
                                   valid_subset)
 from seqweak import circuitmodel, weakvalue
+from seqweak.counterfactual import InsertionSet, randomized_def3_test
 from seqweak.errors import DimMismatch, InvalidInput
+from seqweak.oracle import exact_moment
+from seqweak.pointer import MomentSpec, PointerProfile
 from seqweak.weakvalue import weak_value, weak_value_table
 
 from conftest import (combination_tree, one_spectrum, per_row_walk, random_circuit,
@@ -71,12 +74,40 @@ def test_rejects_dimension_mismatch():
 
 
 def test_unnormalized_postselection_allowed(rng):
-    # the post-selection bra need not be normalized; ratios are unaffected
-    c = random_circuit(3)
+    # the post-selection bra need not be normalized, and its length changes
+    # nothing: post-selection is onto its ray, so F, the weak values, the
+    # exact moments and the three counterfactuality verdicts are those of
+    # the unit bra
+    c = random_circuit(3, dim=3, n=3)
     scaled = Circuit(psi_i=c.psi_i, stages=c.stages, u_final=c.u_final,
                      psi_f=2.5 * c.psi_f)
-    assert transition_amplitude(scaled) == pytest.approx(
-        2.5 * transition_amplitude(c))
+    assert np.linalg.norm(scaled.psi_f) == pytest.approx(1.0, rel=1e-15)
+    assert transition_amplitude(scaled) == pytest.approx(transition_amplitude(c), rel=1e-12)
+    sites = (1, 2, 3)
+    assert np.allclose(weakvalue.weak_values(scaled, sites),
+                       weakvalue.weak_values(c, sites), rtol=1e-12, atol=0)
+    prof = PointerProfile.gaussian(1.0)
+    for moment in ("q1", "q1*p2", "q1*q2*q3"):
+        spec = MomentSpec.parse(moment)
+        got, want = (np.array(exact_moment(x, spec, 0.2, prof)) for x in (scaled, c))
+        assert np.allclose(got, want, rtol=1e-12, atol=0), moment
+    gen = np.random.default_rng(3)
+    ins = InsertionSet(sites, tuple(random_projector(gen, 3) for _ in sites))
+    got, want = (randomized_def3_test(x, ins, trials=3, g=0.05, seed=1)
+                 for x in (scaled, c))
+    assert ((got.def1_holds, got.def2_holds, got.def3_null)
+            == (want.def1_holds, want.def2_holds, want.def3_null))
+    assert np.allclose(got.def3_responses, want.def3_responses, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("s", [1e-160, 1e-150, 1e150])
+def test_postselection_far_from_unit_length_is_normalized(s):
+    # a bra whose squares underflow (1e-160) or nearly overflow (1e150)
+    # keeps its unit vector to rounding, never a wrong one
+    c = Circuit(psi_i=np.array([1.0, 0.0]), stages=(), u_final=np.eye(2),
+                psi_f=s * np.array([1.0, 1.0]))
+    assert np.linalg.norm(c.psi_f) == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(c.psi_f, np.sqrt(0.5), rtol=1e-15, atol=0)
 
 
 def test_with_observables_replaces_only_named_sites(rng):
@@ -274,9 +305,11 @@ def test_stacked_site_spectra_equal_per_site_eig_hermitian(seed):
     assert sites.hops.shape == (n - 1, d, d)
     assert np.allclose(sites.start, v[0].conj().T @ c.stages[0][0] @ c.psi_i, atol=1e-14)
     assert np.allclose(sites.bra, v[-1].conj().T @ c.u_final.conj().T @ c.psi_f, atol=1e-14)
-    no_sites = circuitmodel.eigenbases(
-        Circuit(psi_i=c.psi_i, stages=(), u_final=c.u_final, psi_f=c.psi_f))
+    # the no-site circuit normalizes c.psi_f again, which may move it by an
+    # ulp: its bra is bitwise that of its own psi_f
+    bare = Circuit(psi_i=c.psi_i, stages=(), u_final=c.u_final, psi_f=c.psi_f)
+    no_sites = circuitmodel.eigenbases(bare)
     assert no_sites.eigenvalues == () and no_sites.labels.shape == (0, d)
     assert no_sites.hops.shape == (0, d, d)
     assert np.array_equal(no_sites.start, c.psi_i)
-    assert np.array_equal(no_sites.bra, c.u_final.conj().T @ c.psi_f)
+    assert np.array_equal(no_sites.bra, c.u_final.conj().T @ bare.psi_f)

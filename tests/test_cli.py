@@ -191,18 +191,75 @@ def test_library_input_errors_exit_code(capsys, argv):
 
 
 @pytest.mark.parametrize("moment,g,rel", [
-    ("q1", "0", "0"), ("q1", "1e-300", "inf"), ("q1*q2", "1e-200", "0"),
+    ("q1", "0", "0"),
+    # g^2 underflows, but the rounding floor 1e-15 g does not (the id names
+    # what this case read before that floor)
+    pytest.param("q1", "1e-300", "<=0.1", id="q1-1e-300-inf"),
+    ("q1*q2", "1e-200", "0"),
 ])
 def test_compare_at_a_vanishing_scale(capsys, moment, g, rel):
-    # the relative scale max(|prediction|, g^(m+1)) is 0 here: the relative
-    # discrepancy reads 0 when the absolute one is 0, and inf otherwise
+    # the relative scale max(|prediction|, g^(m+1), 1e-15 g^m) is 0 at g = 0
+    # and for q1*q2 at 1e-200: the relative discrepancy reads 0 when the
+    # absolute one is 0, and inf otherwise
     argv = ["simulate", SHIPPED, "--moment", moment, "--g", g, "--compare", "--machine"]
     assert main(argv) == 0
     out, err = capsys.readouterr()
     rows = dict(line.split("\t") for line in out.splitlines())
     assert err == "" and rows["prediction"] in ("0", "-0")
     assert (rows["abs_discrepancy"] == "0") == (rel == "0")
-    assert rows["rel_discrepancy"] == rel
+    if rel == "<=0.1":
+        assert 0 < float(rows["rel_discrepancy"]) <= 0.1
+    else:
+        assert rows["rel_discrepancy"] == rel
+
+
+@pytest.mark.parametrize("g", ["1e-20", "1e-100", "1e-160", "1e-300"])
+def test_compare_is_not_swamped_by_rounding_at_a_small_coupling(capsys, g):
+    # q1's weak value is 0, so the exact moment is its g^3 term and a
+    # rounding residue of about 1.7e-17 g; the relative scale's floor
+    # 1e-15 g keeps that residue a small relative discrepancy
+    code, rows = machine(capsys, ["simulate", SHIPPED, "--moment", "q1", "--g", g,
+                                  "--compare"])
+    assert code == 0
+    assert float(rows["rel_discrepancy"]) <= 0.1
+
+
+# a random two-site document with Hermitian observables (d = 2), whose q1
+# moment grows as g^2 once g is large
+LARGE_MOMENT = """wseq 1
+dim 2
+state 0.38606994068462674+0.13165249458046743i 0.89920357692071007+0.15827365170333682i
+unitary U1
+0.46183939010342212+0.50560817059615504i -0.71424189864785337+0.1446487669882387i
+-0.6891298235854163+0.23699122730692179i -0.14217478005047454+0.66986683478307152i
+observe A1
+1.1785618097328687+0i 1.2035589014920487-0.21435403601145908i
+1.2035589014920487+0.21435403601145908i -1.0331849352730886+0i
+unitary U2
+0.46707856615744459+0.21308472719033389i -0.60950592453072261+0.60409853503917355i
+0.072354943772937205-0.85510073920336527i -0.46310992309234211-0.22157772238850726i
+observe A2
+0.56183273935798783+0i 0.9042351474338024+0.55796054094774938i
+0.9042351474338024-0.55796054094774938i -1.5260671779190476+0i
+unitary U3
+-0.28507460908762594-0.592463404761712i 0.46471214921749981+0.59309543889777916i
+-0.12883684150731045+0.74237500600580375i 0.02912809397216648+0.65683481399043653i
+postselect -0.56021526965421098+0.26246574951371543i 0.091067548047336591-0.78036996589509333i
+pointer gaussian sigma=1
+g 0.050000000000000003
+"""
+
+
+@pytest.mark.parametrize("g, exact", [("1e6", "-751.516745221"), ("1e8", "-75151.6745221"),
+                                      ("1e10", "-7515167.45221"), ("1e12", "-751516745.221")])
+def test_large_moment_keeps_a_relative_imaginary_residue(tmp_path, capsys, g, exact):
+    # the walk's ratio at g = 1e8 is -75151.67 + 4.2e-9 i: a residue of
+    # 5.5e-14 relative to the moment, not a complex moment
+    doc = tmp_path / "large.wseq"
+    doc.write_text(LARGE_MOMENT)
+    code, rows = machine(capsys, ["simulate", str(doc), "--moment", "q1", "--g", g])
+    assert code == 0
+    assert rows["exact"] == exact
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -758,10 +815,10 @@ def per_call_def3_test(c, ins, trials, g, seed):
     and Definition 3 from one `joint_response` per trial and subset."""
     d1, wit1 = counterfactual.is_counterfactual_histories(c, ins)
     d2, wit2 = counterfactual.is_counterfactual_weakvalues(c, ins)
-    samples, null = per_trial_def3_reference(c, ins, trials, g, seed)
+    responses, null = per_trial_def3_reference(c, ins, trials, g, seed)
     return counterfactual.CounterfactualReport(
         d1, d2, wit1, None if wit2 is None else wit2[0], None if wit2 is None else wit2[1],
-        samples, null)
+        responses, null)
 
 
 @pytest.mark.parametrize("trials", [1, 5, 20])
@@ -794,7 +851,7 @@ def test_counterfactual_matches_per_call_reference(tmp_path, capsys, monkeypatch
                 continue
             # the printed (%.12g) rounding of a value within 1e-13 of the
             # reference's unrounded largest response
-            top = max(r for _, r in refs[0].def3_samples)
+            top = float(refs[0].def3_responses.max())
             lo, hi = (float("%.12g" % (top + e)) for e in (-1e-13, 1e-13))
             assert lo <= float(value) <= hi, (doc, value, top)
 
@@ -821,6 +878,37 @@ def test_consecutive_commands_leak_no_state(capsys):
         build_parser.cache_clear()
         assert main(argv) == 0
         assert capsys.readouterr().out == out
+
+
+SCALED_COMMANDS = [
+    ["weakvalues", "{doc}"],
+    ["simulate", "{doc}", "--moment", "q1*q2", "--compare"],
+    ["simulate", "{doc}", "--moment", "q1", "--compare"],
+    ["montecarlo", "{doc}", "--runs", "2000", "--seed", "1"],
+    ["counterfactual", "{doc}", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("scale", ["1e-12", "1e-10", "1e-9", "1e6", "1e100"])
+def test_postselection_length_changes_no_report(tmp_path, capsys, scale):
+    # post-selection is onto a ray: the built-in document with its bra
+    # scaled prints the rows of the unit bra, every verdict and witness
+    # equal and every number within 1e-9 relative (only the document's
+    # fingerprint differs)
+    doc = _shipped_with(tmp_path, "scaled.wseq", lambda s: s.replace(
+        "postselect 0+0i 1+0i", f"postselect 0+0i {scale}+0i"))
+    for argv in SCALED_COMMANDS:
+        code, got = machine(capsys, [a.format(doc=doc) for a in argv])
+        assert code == 0, argv
+        _, want = machine(capsys, [a.format(doc=SHIPPED) for a in argv])
+        assert got.keys() == want.keys()
+        for key in want.keys() - {"fingerprint"}:
+            try:
+                value = float(want[key])
+            except ValueError:
+                assert got[key] == want[key], (argv, key)
+            else:
+                assert float(got[key]) == pytest.approx(value, rel=1e-9, abs=1e-15), (argv, key)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

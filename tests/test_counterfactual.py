@@ -207,7 +207,7 @@ def test_randomized_interaction_probe_flags_the_pair():
     assert report.witness_history == "FN"
     assert report.witness_subset == (1, 2)
     assert report.witness_value == pytest.approx(-0.5, abs=1e-12)
-    assert len(report.def3_samples) == 5 * 3  # trials x nonempty subsets
+    assert report.def3_responses.shape == (5, 3)  # trials x nonempty subsets
 
 
 def test_randomized_interaction_probe_null_for_single_insertion():
@@ -216,7 +216,7 @@ def test_randomized_interaction_probe_null_for_single_insertion():
     # the null holds to all orders: even g = 0.3 cannot move the ancilla
     report = randomized_def3_test(c, ins, trials=10, g=0.3, seed=7)
     assert report.def1_holds and report.def2_holds and report.def3_null
-    assert max(r for _, r in report.def3_samples) < 1e-12
+    assert report.def3_responses.max() < 1e-12
     with pytest.raises(ValueError):
         randomized_def3_test(c, ins, trials=0, g=0.1, seed=1)
     for g in (0.0, -0.1, float("nan"), float("inf")):
@@ -241,10 +241,10 @@ def test_randomized_def3_refuses_a_bad_seed(monkeypatch, seed):
 
 
 def per_trial_def3_reference(c, ins, trials, g, seed, anc_dim=2):
-    """Definition-3 samples and null verdict as a per-trial loop computes
-    them: one kron walk of the joint system and ancilla
-    (`kron_joint_response`) per trial and subset, with the same random
-    draws in the same order."""
+    """Definition-3 responses, shape (trials, subsets), and null verdict as
+    a per-trial loop computes them: one kron walk of the joint system and
+    ancilla (`kron_joint_response`) per trial and subset, with the same
+    random draws in the same order."""
     def random_hermitian(rng):
         m = rng.standard_normal((anc_dim, anc_dim)) + 1j * rng.standard_normal((anc_dim, anc_dim))
         return (m + m.conj().T) / 2
@@ -252,15 +252,15 @@ def per_trial_def3_reference(c, ins, trials, g, seed, anc_dim=2):
     tol3 = 1e-8 * (1.0 + 1.0 / abs(transition_amplitude(c))) * min(g * g, 1.0)
     rng = np.random.default_rng(seed)
     proj_by_site = dict(zip(ins.sites, ins.on_projectors))
-    samples = []
+    responses = np.empty((trials, 2 ** len(ins) - 1))
     for trial in range(trials):
-        for subset in insertion_subsets(ins):
+        for j, subset in enumerate(insertion_subsets(ins)):
             couplings = {site: (proj_by_site[site], random_hermitian(rng)) for site in subset}
             obs = random_hermitian(rng)
             state = rng.standard_normal(anc_dim) + 1j * rng.standard_normal(anc_dim)
             resp = kron_joint_response(c, couplings, obs, state / np.linalg.norm(state), g)
-            samples.append((f"trial={trial} subset={subset}", abs(resp)))
-    return tuple(samples), all(r <= tol3 for _, r in samples)
+            responses[trial, j] = abs(resp)
+    return responses, bool(np.all(responses <= tol3))
 
 
 def def3_case(case, seed):
@@ -290,7 +290,7 @@ def count_calls(monkeypatch, name, record):
 @pytest.mark.parametrize("seed", [3, 99])
 def test_randomized_def3_walks_once(monkeypatch, case, seed):
     c, ins = def3_case(case, seed)
-    want_samples, want_null = per_trial_def3_reference(c, ins, 6, 0.05, seed)
+    want, want_null = per_trial_def3_reference(c, ins, 6, 0.05, seed)
 
     walks = count_calls(monkeypatch, "history_amplitudes", lambda c, ins: ins.sites)
     kicks = count_calls(monkeypatch, "_kicks", lambda hams, g, dim: len(hams))
@@ -299,11 +299,11 @@ def test_randomized_def3_walks_once(monkeypatch, case, seed):
     # one kick solve for every Hamiltonian of the one block of trials
     assert walks == [ins.sites]
     assert kicks == [6 * sum(len(s) for s in insertion_subsets(ins))]
-    assert [label for label, _ in report.def3_samples] == [label for label, _ in want_samples]
+    assert report.def3_responses.shape == want.shape
     assert report.def3_null == want_null
     # the batched contraction rounds differently from the per-call one
-    for (label, got), (_, want) in zip(report.def3_samples, want_samples):
-        assert abs(got - want) <= 1e-13, label
+    far = np.argwhere(np.abs(report.def3_responses - want) > 1e-13)
+    assert len(far) == 0, f"(trial, subset) indices {far.tolist()}"
 
 
 @pytest.mark.parametrize("case", ["builtin", "random3"])
@@ -312,16 +312,16 @@ def test_randomized_def3_blocks_keep_the_draw_order(monkeypatch, case):
     per_trial = 2 ** len(ins) - 1
     block = counterfactual.DEF3_BLOCK // 3 ** len(ins)
     assert block >= 3
-    three = randomized_def3_test(c, ins, trials=3, g=0.05, seed=5).def3_samples
-    many = randomized_def3_test(c, ins, trials=block + 2, g=0.05, seed=5).def3_samples
-    assert len(many) == (block + 2) * per_trial
-    assert three == many[:3 * per_trial]
-    # two trials per block: the stream and the samples run on across blocks
+    three = randomized_def3_test(c, ins, trials=3, g=0.05, seed=5).def3_responses
+    many = randomized_def3_test(c, ins, trials=block + 2, g=0.05, seed=5).def3_responses
+    assert many.shape == (block + 2, per_trial)
+    assert np.array_equal(three, many[:3])
+    # two trials per block: the stream and the responses run on across blocks
     kicks = count_calls(monkeypatch, "_kicks", lambda hams, g, dim: len(hams))
     monkeypatch.setattr(counterfactual, "DEF3_BLOCK", 2 * 3 ** len(ins) + 1)
-    blocked = randomized_def3_test(c, ins, trials=5, g=0.05, seed=5).def3_samples
+    blocked = randomized_def3_test(c, ins, trials=5, g=0.05, seed=5).def3_responses
     assert len(kicks) == 3
-    assert blocked == many[:5 * per_trial]
+    assert np.array_equal(blocked, many[:5])
 
 
 def test_subset_amplitudes_are_the_subsets_own_walks():
@@ -351,7 +351,7 @@ def test_def3_null_margin_at_small_coupling(n):
         tol3 = 1e-8 * (1.0 + 1.0 / abs(transition_amplitude(c))) * g**2
         report = randomized_def3_test(c, ins, trials=5, g=g, seed=seed)
         assert report.def3_null
-        assert max(r for _, r in report.def3_samples) <= 0.1 * tol3, seed
+        assert report.def3_responses.max() <= 0.1 * tol3, seed
 
 
 @pytest.mark.parametrize("case", ["builtin", "counterfactual3"])

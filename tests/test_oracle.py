@@ -196,12 +196,16 @@ def test_derivative_rows_only_on_request(monkeypatch):
 
 
 def test_postselected_moment_refuses_an_imaginary_residue():
-    # a ratio num / den whose imaginary part reaches 1e-9 is refused; a
-    # smaller one is dropped from the analytically real moment
-    c = builtin_double_interferometer()
+    # a ratio num / den whose imaginary part reaches 1e-9 times
+    # max(1, |real part|) is refused; a smaller one is dropped from the
+    # analytically real moment
     with pytest.raises(NumericallySingular, match="imaginary residue 2.000e-09"):
-        oracle._postselected_moment(c, 0.5 + 0j, 0.25 + 1e-9j)
-    assert oracle._postselected_moment(c, 0.5 + 0j, 0.25 + 4e-10j) == (0.5, 0.5)
+        oracle._postselected_moment(0.5 + 0j, 0.25 + 1e-9j)
+    assert oracle._postselected_moment(0.5 + 0j, 0.25 + 4e-10j) == (0.5, 0.5)
+    # a large moment keeps its residue relative to its size
+    assert oracle._postselected_moment(0.5 + 0j, -3.75e7 + 2e-3j) == (-7.5e7, 0.5)
+    with pytest.raises(NumericallySingular, match="imaginary residue 1.000e-01"):
+        oracle._postselected_moment(0.5 + 0j, -3.75e7 + 5e-2j)
 
 
 def picked(kern, kind):
