@@ -17,9 +17,10 @@ its uniform give a start cell, whose two ends are two gathered basis rows; a
 miss takes secant steps, and only the few runs still unbracketed fall back to
 a binary search whose every probe gathers one row.  A Gaussian is read out on
 GRID_POINTS spanning RANGE_SIGMAS widths past its extreme shifts g a, a table
-on its own grid from the exact kernels' samples (`oracle._shifted_table`),
-whose rows also give the site's exact S kernel; the state update's
-`PointerProfile.eval` interpolates the unshifted table.
+on its own grid from its spectrally shifted samples (`_shifted_table`); the
+state update's `PointerProfile.eval` interpolates the unshifted table.  The
+exact S kernels, which check the grid's mass, and a moment's numerator
+kernels come from one `oracle.site_kernels` call for both pointer kinds.
 
 A run carries U v as its d coordinates in the eigenbasis of the site's
 observable (`circuitmodel.eigenbases`), where each projector P_a keeps the
@@ -46,8 +47,7 @@ import numpy as np
 
 from .circuitmodel import Circuit, effects, eigenbases, valid_subset
 from .errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
-from .oracle import (KINDS, _postselected_moment, _shifted_table, _table_kernels,
-                     gaussian_kernels)
+from .oracle import _check_on_grid, _postselected_moment, site_kernels
 from .pointer import MomentSpec, PointerProfile, check_coupling, check_seed
 
 GRID_POINTS = 4096
@@ -183,6 +183,15 @@ def _pair_weights(f: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return (full[j, l] + fold * full[l, j]).reshape(2 * len(j), -1)
 
 
+def _shifted_table(prof: PointerProfile, shifts) -> np.ndarray:
+    """phi(q - s) on a table's own grid q, one row per shift s, by an FFT
+    phase and an inverse FFT of its spectrum (`PointerProfile._spectrum`),
+    behind the grid-end check (`oracle._check_on_grid`)."""
+    spectrum, _, freq, _, _ = prof._spectrum
+    _check_on_grid(prof, shifts)
+    return np.fft.ifft(spectrum * np.exp(-1j * np.outer(shifts, freq)), axis=1)
+
+
 def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
                 seed: int, spec: MomentSpec | None = None) -> RunBatch:
     """Simulate ``n_total`` runs with one pointer per measurement site.
@@ -205,8 +214,11 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
         named = dict(spec.factors)
 
     sites = eigenbases(c)
-    grids, bases, kernels = [], [], []
-    for i, (eigs, labels) in enumerate(zip(sites.eigenvalues, sites.labels), start=1):
+    # the exact S kernels and the moment's numerator kernels, before the
+    # readout bases, so that the kernels' temporaries are freed first
+    exact = site_kernels(sites, g, prof, [named.get(i) for i in range(1, c.n + 1)])
+    grids, bases, overlaps = [], [], []
+    for eigs, labels in zip(sites.eigenvalues, sites.labels):
         with np.errstate(over="ignore"):  # an overflowed shift is refused below
             shifts = g * eigs
         if prof.kind == "gaussian":
@@ -217,27 +229,22 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
                 raise GridResolutionError("shifted pointer grid exceeds the float range")
             x = np.linspace(lo, hi, GRID_POINTS)
             shifted = prof.eval(x - shifts[:, None])
-            kern = gaussian_kernels(eigs, g, prof.sigma, prof.q_offset, prof.p_offset)
         else:
-            # the exact kernels as `oracle.site_kernels` takes them, from
-            # the same shifted rows
-            x, (shifted, _) = prof.grid, _shifted_table(prof, shifts)
-            kern = _table_kernels(prof, shifted)
+            x, shifted = prof.grid, _shifted_table(prof, shifts)
         grids.append(x)
         k, pairs = len(eigs), len(eigs) * (len(eigs) - 1) // 2
         # gm[(b,a), x] = conj(phi(x - g b)) phi(x - g a)
         gm = (np.conj(shifted)[:, None] * shifted[None]).reshape(k * k, len(x))
+        del shifted  # a long table's rows, no longer needed
         # row-major, as every probe gathers rows (`np.take` would copy a
         # column-major basis whole on each probe)
         bases.append(np.ascontiguousarray(_hermitian_columns(_cumulative(gm, x).T, k)
                                           * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs])))
-        # the grid's own overlaps, the exact ones for the mass check, and
-        # the moment's numerator kernels, over the eigenvector columns
-        stack = [np.trapezoid(gm, x, axis=1).reshape(k, k), kern[0]]
-        if spec is not None:
-            stack.append(kern[KINDS.index(named.get(i))])
-        kernels.append(np.stack(stack)[:, labels[:, None], labels])
-    norms, walk = effects(sites, np.stack(kernels))
+        # the grid's own overlaps, for the mass check against the exact S
+        overlaps.append(np.trapezoid(gm, x, axis=1).reshape(k, k)[labels[:, None], labels])
+    kernels = np.concatenate([np.stack(overlaps)[:, None],
+                              exact if spec is not None else exact[:, :1]], axis=1)
+    norms, walk = effects(sites, kernels)
 
     moment, prob = _postselected_moment(norms[1], norms[-1])
     mass_err = abs(norms[0].real / norms[1].real - 1.0)

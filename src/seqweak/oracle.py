@@ -8,17 +8,21 @@ kernel expanded to the eigenvector columns by their labels, K~[j, l] =
 K[labels_j, labels_l], and reads <psi_i|E_0|psi_i> off the last step; the
 Monte Carlo sampler draws each readout against the intermediate F_i =
 V_i^dag E_i V_i.  Kernels stay arrays: the two formula helpers return
-[S, Q, P] stacks (a table's P only from derivative rows), and a readout
-kind picks the kernel at its index in `KINDS`.  `site_kernels`, the one
-kernel entry, calls `gaussian_kernels` once over the (n, d) merged
-eigenvalues of the columns, or per site `_table_kernels` over a table's
-spectrally shifted samples (`_shifted_table`), expanded by labels.  The
-shared-pointer mean sums its branch amplitudes <psi_f| U_f P_b U_2 P_a U_1
-|psi_i> as label masks of bra x T x start.
+[S, Q, P] stacks (a table's P only on request), and a readout kind picks
+the kernel at its index in `KINDS`.  `site_kernels`, the one kernel entry
+of the oracle and the sampler, calls `gaussian_kernels` once over the
+(n, d) merged eigenvalues of the columns, or per site `_table_kernels`,
+expanded by labels.  A table's kernels are grid sums of its shifted
+samples, which Parseval's identity takes in frequency space: (k, N) x
+(N, k) products of its cached spectrum times the shift phases
+(`_phases`), with no inverse FFT.  The shared-pointer mean sums its branch
+amplitudes <psi_f| U_f P_b U_2 P_a U_1 |psi_i> as label masks of
+bra x T x start.
 """
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -79,37 +83,56 @@ def gaussian_kernels(eigs, g: float, sigma: float,
     return np.stack([s, q, p])
 
 
-def _shifted_table(prof: PointerProfile, shifts,
-                   derivative: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """phi(q - s), and phi'(q - s) if ``derivative`` (else None), on the
-    table's own grid q, one row per shift s.  The FFT shift is circular, so
-    the support |phi| > 1e-8 peak (the decay `PointerProfile.tabulated`
-    requires) must stay on the grid when shifted; an infinite shift never
-    does."""
-    spectrum, freq, live_lo, live_hi = prof._spectrum
-    q = prof.grid
-    if np.any((live_lo + shifts < q[0]) | (live_hi + shifts > q[-1])):
+def _check_on_grid(prof: PointerProfile, shifts) -> None:
+    """Refuse shifts s that move a table's support |phi| > 1e-8 peak (the
+    decay `PointerProfile.tabulated` requires) off its own grid: a shift
+    in frequency space is circular, so the profile would wrap around.  An
+    infinite shift never stays on the grid."""
+    _, _, _, live_lo, live_hi = prof._spectrum
+    top = prof.grid_min + prof.grid_step * (len(prof.values) - 1)  # the grid's last point
+    if np.any((live_lo + shifts < prof.grid_min) | (live_hi + shifts > top)):
         raise GridResolutionError("shifted pointer profile does not decay at the grid ends")
-    shift = spectrum * np.exp(-1j * np.outer(shifts, freq))
-    dshifted = np.fft.ifft(1j * freq * shift, axis=1) if derivative else None
-    return np.fft.ifft(shift, axis=1), dshifted
 
 
-def _table_kernels(prof: PointerProfile, rows: np.ndarray,
-                   drows: np.ndarray | None = None) -> np.ndarray:
-    """Quadrature overlaps [S, Q] over a table's shifted rows
-    (`_shifted_table`), or [S, Q, P] given its derivative rows."""
-    left = prof.grid_step * np.conj(rows)
-    kern = [left @ rows.T, (left * prof.grid) @ rows.T]
-    if drows is not None:
-        kern.append(-1j * (left @ drows.T))
+def _phases(prof: PointerProfile, shifts) -> np.ndarray:
+    """exp(-i w s) over a table's FFT frequencies w, in FFT order, one row
+    per shift s.  The frequencies are the integer multiples j dw, which in
+    ascending order run j = -(N // 2) + B hi + lo with B = ceil(sqrt(N)),
+    so each row is the outer product of two exp vectors of about sqrt(N)
+    entries; its upper half, from j = 0, then leads."""
+    freq = prof._spectrum[2]
+    n = len(freq)
+    width = math.isqrt(n - 1) + 1
+    angle = (shifts * freq[1])[:, None]  # s dw
+    coarse = np.exp(-1j * angle * (width * np.arange(-(-n // width)) - n // 2))
+    fine = np.exp(-1j * angle * np.arange(width))
+    ascending = (coarse[:, :, None] * fine[:, None, :]).reshape(len(shifts), -1)
+    return np.concatenate([ascending[:, n // 2:n], ascending[:, :n // 2]], axis=1)
+
+
+def _table_kernels(prof: PointerProfile, shifts, momentum: bool = False) -> np.ndarray:
+    """Overlaps [S, Q] of a table shifted by ``shifts``, or [S, Q, P] with
+    ``momentum``, by Parseval over its spectrum (`PointerProfile._spectrum`)
+    on its own grid: with A = Phi E, E = `_phases`, and step h,
+    S = (h / N) conj(A) A^T; Q = (h / N) conj(A) (Psi E)^T + S diag(s), as
+    q phi(q - s) is the shifted q phi plus s phi(q - s); and
+    P = (h / N) conj(A) diag(w) A^T.  No inverse FFT is taken."""
+    spectrum, q_spectrum, freq, _, _ = prof._spectrum
+    _check_on_grid(prof, shifts)
+    phases = _phases(prof, shifts)
+    right = spectrum * phases
+    left = (prof.grid_step / len(freq)) * right.conj()
+    s = left @ right.T
+    kern = [s, left @ (q_spectrum * phases).T + s * shifts]
+    if momentum:
+        kern.append((left * freq) @ right.T)
     return np.array(kern)
 
 
 def site_kernels(sites: Eigenbases, g: float, prof: PointerProfile, kinds) -> np.ndarray:
     """(n, 2, d, d): per site its S kernel and the kernel that ``kinds[i]``
     picks, its index in `KINDS`, over the site's eigenvector columns; a
-    table builds its derivative rows only at the "p" sites."""
+    table builds its P kernel only at the "p" sites."""
     if prof.kind == "gaussian":
         kern = gaussian_kernels(sites.merged, g, prof.sigma, prof.q_offset, prof.p_offset)
         picks = [KINDS.index(kind) for kind in kinds]
@@ -118,7 +141,7 @@ def site_kernels(sites: Eigenbases, g: float, prof: PointerProfile, kinds) -> np
         shifts = [g * eigs for eigs in sites.eigenvalues]
     stacks = []
     for s, labels, kind in zip(shifts, sites.labels, kinds):
-        kern = _table_kernels(prof, *_shifted_table(prof, s, kind == "p"))
+        kern = _table_kernels(prof, s, kind == "p")
         stacks.append(kern[[0, KINDS.index(kind)]][:, labels[:, None], labels])
     d = sites.merged.shape[1]
     return np.array(stacks, dtype=complex).reshape(-1, 2, d, d)

@@ -13,6 +13,10 @@ zero-mean phi, so each <phi|O|phi> vanishes) and is the g^m term
 with t = <phi|O|phi'> = -1/2 for q and i v for p (v the momentum variance).
 `product_weak_value` reads Re (A2 A1)_w of two commuting observables back
 from this formula's <q1 q2>.
+
+A table's moments mu, nu, v and y are Parseval sums over its cached
+spectrum (`PointerProfile._spectrum`, the FFTs of phi and q phi), checked
+against the same sums on the grid decimated by two.
 """
 from __future__ import annotations
 
@@ -159,13 +163,15 @@ class PointerProfile:
             (q - mean) / np.sqrt(np.sum((q - mean) ** 2 * dens) / np.sum(dens)), dens)
 
     @functools.cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """A table's FFT, its angular frequencies and the ends of its support
-        |phi| > 1e-8 peak, once per profile (`oracle._shifted_table`)."""
-        vals = self.values
-        live = self.grid[np.abs(vals) > 1e-8 * np.max(np.abs(vals))]
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+        """A table's FFT Phi, the FFT Psi of q phi, their angular frequencies
+        and the ends of its support |phi| > 1e-8 peak, once per profile: the
+        kernels (`oracle._table_kernels`), the sampler's shifted rows and
+        `moments` all read them."""
+        vals, q = self.values, self.grid
+        live = q[np.abs(vals) > 1e-8 * np.max(np.abs(vals))]
         freq = 2 * np.pi * np.fft.fftfreq(len(vals), d=self.grid_step)
-        return np.fft.fft(vals), freq, float(live[0]), float(live[-1])
+        return np.fft.fft(vals), np.fft.fft(q * vals), freq, float(live[0]), float(live[-1])
 
     @functools.cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -182,21 +188,19 @@ class PointerMoments:
     y: float    # <pq + qp> - 2 mu nu
 
 
-def _tabulated_moments(q: np.ndarray, step: float, vals: np.ndarray) -> PointerMoments:
-    norm = step * np.sum(np.abs(vals) ** 2)
-    dens = np.abs(vals) ** 2 / np.sum(np.abs(vals) ** 2)
-    mu = float(np.sum(q * dens))
-
-    ft = np.fft.fft(vals)
-    p = 2 * np.pi * np.fft.fftfreq(len(vals), d=step)
-    pw = np.abs(ft) ** 2
-    pw = pw / np.sum(pw)
-    nu = float(np.sum(p * pw))
-    v = float(np.sum((p - nu) ** 2 * pw))
-
-    dphi = np.fft.ifft(1j * p * ft)
-    qp = step * np.sum(np.conj(vals) * q * (-1j) * dphi) / norm
-    y = float(2 * qp.real - 2 * mu * nu)
+def _spectral_moments(spectrum: np.ndarray, q_spectrum: np.ndarray,
+                      freq: np.ndarray) -> PointerMoments:
+    """The moments of a table from its FFT Phi and the FFT Psi of q phi at
+    the angular frequencies w, by Parseval: a grid sum of conj(u) v is
+    sum conj(U) V / N, and the grid derivative of phi has the FFT i w Phi.
+    So mu = Re <Phi|Psi> / <Phi|Phi>, nu and v are the mean and variance of
+    w under |Phi|^2, and <pq + qp> / 2 = Re <Psi| w |Phi> / <Phi|Phi>."""
+    power = spectrum.real**2 + spectrum.imag**2
+    total = np.sum(power)
+    mu = float(np.vdot(spectrum, q_spectrum).real / total)
+    nu = float(freq @ power / total)
+    v = float((freq - nu) ** 2 @ power / total)
+    y = float(2 * np.vdot(q_spectrum, freq * spectrum).real / total - 2 * mu * nu)
     return PointerMoments(mu=mu, nu=nu, v=v, y=y)
 
 
@@ -204,10 +208,12 @@ def moments(prof: PointerProfile) -> PointerMoments:
     if prof.kind == "gaussian":
         return PointerMoments(mu=prof.q_offset, nu=prof.p_offset,
                               v=1.0 / (4.0 * prof.sigma**2), y=0.0)
-    q, vals = prof.grid, prof.values
-    full = _tabulated_moments(q, prof.grid_step, vals)
+    spectrum, q_spectrum, freq, _, _ = prof._spectrum
+    full = _spectral_moments(spectrum, q_spectrum, freq)
     # Self-estimate: recompute on the decimated grid and compare.
-    coarse = _tabulated_moments(q[::2], 2 * prof.grid_step, vals[::2])
+    q, vals = prof.grid[::2], prof.values[::2]
+    coarse = _spectral_moments(*np.fft.fft([vals, q * vals]),
+                               2 * np.pi * np.fft.fftfreq(len(vals), d=2 * prof.grid_step))
     err = max(abs(full.mu - coarse.mu), abs(full.nu - coarse.nu),
               abs(full.v - coarse.v), abs(full.y - coarse.y))
     if err > 1e-7:

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from seqweak.algebra import eigensystems
 from seqweak.circuitmodel import Circuit, transition_amplitude
-from seqweak.oracle import _shifted_table, _table_kernels, gaussian_kernels
+from seqweak.oracle import gaussian_kernels
 
 
 def random_unitary(rng, dim):
@@ -146,13 +146,34 @@ def projector_effects(c, sites, kernels):
     return out[::-1]
 
 
+def shifted_rows(prof, shifts):
+    """phi(q - s) and phi'(q - s) on a table's own grid, one row per shift
+    s, from FFT phases and one inverse FFT of both stacked: the shifted
+    samples of the row-quadrature reference."""
+    vals, q = np.asarray(prof.values), prof.grid
+    live = q[np.abs(vals) > 1e-8 * np.max(np.abs(vals))]
+    assert not np.any((live[0] + shifts < q[0]) | (live[-1] + shifts > q[-1]))
+    freq = 2 * np.pi * np.fft.fftfreq(len(vals), d=prof.grid_step)
+    shift = np.fft.fft(vals) * np.exp(-1j * np.outer(shifts, freq))
+    both = np.fft.ifft(np.concatenate([shift, 1j * freq * shift]), axis=1)
+    return both[:len(shifts)], both[len(shifts):]
+
+
+def row_kernels(prof, rows, drows):
+    """S, Q and P of a table as grid sums over its shifted rows and their
+    derivative rows (`shifted_rows`)."""
+    left = prof.grid_step * np.conj(rows)
+    return np.array([left @ rows.T, (left * prof.grid) @ rows.T, -1j * (left @ drows.T)])
+
+
 def one_site_kernels(eigs, g, prof):
-    """S, Q and P over one site's merged eigenvalues, from the oracle's
-    formula helpers: the per-site reference for `oracle.site_kernels`."""
+    """S, Q and P over one site's merged eigenvalues: the per-site
+    reference for `oracle.site_kernels`, in closed form for a Gaussian
+    (`oracle.gaussian_kernels`) and by row quadrature for a table."""
     eigs = np.asarray(eigs, dtype=float)
     if prof.kind == "gaussian":
         return gaussian_kernels(eigs, g, prof.sigma, prof.q_offset, prof.p_offset)
-    return _table_kernels(prof, *_shifted_table(prof, g * eigs, derivative=True))
+    return row_kernels(prof, *shifted_rows(prof, g * eigs))
 
 
 def kron_joint_response(c, couplings, anc_obs, anc_state, g):

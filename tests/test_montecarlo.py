@@ -3,14 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from seqweak import montecarlo, oracle
+from seqweak import montecarlo
 from seqweak.circuitmodel import Circuit, builtin_double_interferometer
 from seqweak.errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
 from seqweak.montecarlo import (GRID_POINTS, RANGE_SIGMAS, RunBatch, _basis_moments,
                                 _cumulative, _hermitian_columns, _invert_mixture_cdf,
-                                _start_cells, estimate_moment,
+                                _shifted_table, _start_cells, estimate_moment,
                                 sample_runs)
-from seqweak.oracle import _shifted_table, exact_moment
+from seqweak.oracle import exact_moment
 from seqweak.pointer import MomentSpec, PointerProfile
 
 from conftest import (loop_branches, one_site_kernels, projector_effects, projector_instruments,
@@ -29,7 +29,7 @@ def grid_pair_matrix(prof, eigs, g):
                         GRID_POINTS)
         shifted = np.stack([prof.eval(x - g * ev) for ev in eigs])
     else:
-        x, (shifted, _) = prof.grid, _shifted_table(prof, g * eigs)
+        x, shifted = prof.grid, _shifted_table(prof, g * eigs)
     return x, (np.conj(shifted)[:, None, :] * shifted[None, :, :]).reshape(
         len(eigs) ** 2, len(x))
 
@@ -432,17 +432,18 @@ def test_guessed_cells_sample_like_pure_bisection(monkeypatch, pointer, g, dim, 
 
 
 def test_one_shifted_table_pass_per_site(monkeypatch):
-    # the exact S kernels come from the sampler's own shifted rows
+    # the sampler shifts a table's rows once per site, for its grid CDFs;
+    # its exact S kernels come from `oracle.site_kernels`, which shifts the
+    # spectrum and no rows; the reference takes S by row quadrature
     calls = []
 
-    def counted(prof, shifts, **kwargs):
+    def counted(prof, shifts):
         calls.append(len(shifts))
-        return _shifted_table(prof, shifts, **kwargs)
+        return _shifted_table(prof, shifts)
 
     c, prof, g = random_circuit(61, dim=3, n=3), _tabulated_gaussian(npts=4096), 0.3
     success, samples = per_run_vector_walk(c, g, prof, 3000, seed=4)
     monkeypatch.setattr(montecarlo, "_shifted_table", counted)
-    monkeypatch.setattr(oracle, "_shifted_table", counted)
     batch = sample_runs(c, g, prof, 3000, seed=4)
     assert len(calls) == c.n
     assert np.array_equal(batch.postselected, success)

@@ -13,15 +13,15 @@ from seqweak.errors import (AssumptionAViolated, DegeneratePostSelection, DimMis
                             GridResolutionError, InvalidInput, NotHermitian,
                             NumericallySingular)
 from seqweak import circuitmodel, montecarlo, oracle
-from seqweak.montecarlo import sample_runs
-from seqweak.oracle import (KINDS, _shifted_table, _table_kernels, exact_moment,
-                            gaussian_kernels, same_pointer_twice, site_kernels)
+from seqweak.montecarlo import _shifted_table, sample_runs
+from seqweak.oracle import (KINDS, _phases, _table_kernels, exact_moment, gaussian_kernels,
+                            same_pointer_twice, site_kernels)
 from seqweak.pointer import MomentSpec, PointerProfile, predict_moment
 from seqweak.weakvalue import BRANCH_TOL, STRONG_REL_TOL, check_strong_agreement, weak_value
 
 from conftest import (kron_joint_response, loop_branches, one_site_kernels, projector_effects,
                       projector_instruments, random_circuit, random_hermitian, random_projector,
-                      random_state, random_unitary)
+                      random_state, random_unitary, row_kernels, shifted_rows)
 
 
 def quadrature_kernels(eigs, g, prof, npts=80001, span=30.0):
@@ -81,7 +81,7 @@ def test_tabulated_kernels_match_gaussian_closed_form():
     prof = PointerProfile.tabulated(q[0], q[1] - q[0], phi)
     eigs = np.array([-0.5, 0.3, 1.2])
     g = 0.2
-    kern = one_site_kernels(eigs, g, prof)
+    kern = _table_kernels(prof, g * eigs, momentum=True)
     ref = gaussian_kernels(eigs, g, sigma)
     assert np.max(np.abs(kern[0] - ref[0])) < 1e-8
     assert np.max(np.abs(kern[1] - ref[1])) < 1e-7
@@ -117,7 +117,7 @@ def loop_tabulated_kernels(eigs, g, prof):
 
 def test_tabulated_kernels_match_loop_reference():
     eigs = np.array([-1.3, -0.2, 0.4, 1.1])
-    kern = one_site_kernels(eigs, 0.35, TABULATED)
+    kern = _table_kernels(TABULATED, 0.35 * eigs, momentum=True)
     for got, ref in zip((kern[0], kern[1], kern[2]),
                         loop_tabulated_kernels(eigs, 0.35, TABULATED)):
         assert np.max(np.abs(got - ref)) < 1e-13
@@ -128,12 +128,13 @@ def test_shifted_table_matches_shifted_gaussian(npts):
     sigma = 0.8
     q = np.linspace(-14, 14, npts)
     prof = PointerProfile.tabulated(q[0], q[1] - q[0], np.exp(-q**2 / (4 * sigma**2)))
+    # the sampler's rows; a table's P kernel is checked against the closed
+    # form in test_tabulated_kernels_match_gaussian_closed_form
     shifts = np.array([-2.1, -0.37, 0.0, 0.05, 1.3, 3.0])
-    shifted, dshifted = _shifted_table(prof, shifts, derivative=True)
+    shifted = _shifted_table(prof, shifts)
     z = q - shifts[:, None]
     phi = (2 * np.pi * sigma**2) ** -0.25 * np.exp(-z**2 / (4 * sigma**2))
     assert np.max(np.abs(shifted - phi)) <= 1e-10
-    assert np.max(np.abs(dshifted + z / (2 * sigma**2) * phi)) <= 1e-10
 
 
 def test_shift_off_tabulated_grid_is_rejected():
@@ -145,6 +146,8 @@ def test_shift_off_tabulated_grid_is_rejected():
     assert exact_moment(c, spec, g, PointerProfile.gaussian(0.5))[0] == pytest.approx(4.0)
     with pytest.raises(GridResolutionError, match="grid ends"):
         _shifted_table(prof, np.array([0.0, g]))
+    with pytest.raises(GridResolutionError, match="grid ends"):
+        _table_kernels(prof, np.array([0.0, g]))
     with pytest.raises(GridResolutionError, match="grid ends"):
         exact_moment(c, spec, g, prof)
     with pytest.raises(GridResolutionError, match="grid ends"):
@@ -159,40 +162,79 @@ def test_shift_off_tabulated_grid_is_rejected():
         _shifted_table(narrow, np.array([9.0]))
 
 
-def both_rows_shifted_table(prof, shifts, derivative=False):
-    """The shifted rows phi and phi' from one inverse FFT of both stacked,
-    the form that always built phi'."""
-    vals, q = np.asarray(prof.values), prof.grid
-    live = q[np.abs(vals) > 1e-8 * np.max(np.abs(vals))]
-    assert not np.any((live[0] + shifts < q[0]) | (live[-1] + shifts > q[-1]))
-    freq = 2 * np.pi * np.fft.fftfreq(len(vals), d=prof.grid_step)
-    shift = np.fft.fft(vals) * np.exp(-1j * np.outer(shifts, freq))
-    both = np.fft.ifft(np.concatenate([shift, 1j * freq * shift]), axis=1)
-    return both[:len(shifts)], both[len(shifts):]
-
-
 def test_derivative_rows_only_on_request(monkeypatch):
-    # phi' is inverse-transformed only for a P kernel; S, Q and P, and the
-    # sampler's samples, stay bitwise those of the form that always built it
+    # the P kernel is built only on request, and S and Q stay bitwise those
+    # built next to it; all three match the row quadrature over phi and phi'
+    # (`shifted_rows`, which always builds phi'), and the sampler's samples
+    # stay bitwise those of its rows
     eigs = np.array([-1.3, -0.2, 0.4, 1.1])
-    ref_phi, ref_dphi = both_rows_shifted_table(TABULATED, 0.35 * eigs)
-    phi, dphi = _shifted_table(TABULATED, 0.35 * eigs)
-    assert dphi is None and np.array_equal(phi, ref_phi)
-    left = TABULATED.grid_step * np.conj(ref_phi)
-    ref = (left @ ref_phi.T, (left * TABULATED.grid) @ ref_phi.T, -1j * (left @ ref_dphi.T))
-    kern = _table_kernels(TABULATED, *_shifted_table(TABULATED, 0.35 * eigs, derivative=True))
-    for got, want in zip((kern[0], kern[1], kern[2]), ref):
-        assert np.array_equal(got, want)
-    no_p = _table_kernels(TABULATED, phi, dphi)
+    kern = _table_kernels(TABULATED, 0.35 * eigs, momentum=True)
+    no_p = _table_kernels(TABULATED, 0.35 * eigs)
     assert len(no_p) == 2
-    assert np.array_equal(no_p[0], ref[0]) and np.array_equal(no_p[1], ref[1])
+    assert np.array_equal(no_p[0], kern[0]) and np.array_equal(no_p[1], kern[1])
+    ref = row_kernels(TABULATED, *shifted_rows(TABULATED, 0.35 * eigs))
+    for got, want in zip(kern, ref):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     c, g = random_circuit(77, dim=3, n=3), 0.3
     batch = sample_runs(c, g, TABULATED, 3000, seed=5)
-    monkeypatch.setattr(montecarlo, "_shifted_table", both_rows_shifted_table)
+    monkeypatch.setattr(montecarlo, "_shifted_table",
+                        lambda prof, shifts: shifted_rows(prof, shifts)[0])
     ref_batch = sample_runs(c, g, TABULATED, 3000, seed=5)
     assert np.array_equal(batch.postselected, ref_batch.postselected)
     assert np.array_equal(batch.samples, ref_batch.samples)
+
+
+def kernel_table(npts, centre=0.0):
+    """A chirped, asymmetric table of `npts` samples on centre +- 16, the
+    profile centred near `centre`."""
+    q = np.linspace(centre - 16, centre + 16, npts)
+    z = q - centre - 0.3
+    return PointerProfile.tabulated(q[0], q[1] - q[0],
+                                    np.exp(-z**2 / 3) * (1 + 0.4 * z) * np.exp(0.15j * z**2))
+
+
+# even and odd lengths (257 is prime), and an off-centre grid (q in [99, 131])
+KERNEL_TABLES = [kernel_table(256), kernel_table(257), kernel_table(1000),
+                 kernel_table(1024), kernel_table(1025, centre=115.0), kernel_table(4096)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_parseval_kernels_match_row_quadrature(seed):
+    # the Parseval kernels against the row quadrature (`one_site_kernels`)
+    # at 1e-13 relative to each kernel's largest entry, and the phase
+    # helper against one complex exp at 1e-12 absolute, on every site of a
+    # random circuit (every fourth with projectors) at three couplings
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 7)), int(rng.integers(2, 5))
+    c = random_circuit(900 + seed, dim=d, n=n, projectors=seed % 4 == 0)
+    prof = KERNEL_TABLES[seed % len(KERNEL_TABLES)]
+    freq = prof._spectrum[2]
+    for g in (0.05, 0.3, 1.0):
+        for eigs in circuitmodel.eigenbases(c).eigenvalues:
+            shifts = g * eigs
+            assert np.max(np.abs(_phases(prof, shifts)
+                                 - np.exp(-1j * np.outer(shifts, freq)))) <= 1e-12
+            for got, want in zip(_table_kernels(prof, shifts, momentum=True),
+                                 one_site_kernels(eigs, g, prof)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_oracle_path_takes_no_inverse_fft(monkeypatch):
+    # a table's kernels and moments come off its cached spectrum: the exact
+    # and leading-order moments of a fresh profile run with ifft refused
+    def refuse(*args, **kwargs):
+        raise AssertionError("inverse FFT on the oracle path")
+
+    prof = PointerProfile.tabulated(TABULATED.grid_min, TABULATED.grid_step,
+                                    np.asarray(TABULATED.values))
+    monkeypatch.setattr(np.fft, "ifft", refuse)
+    c = random_circuit(31, dim=3, n=3)
+    for text in ("q1", "p2", "q1*p2*q3"):
+        assert np.isfinite(exact_moment(c, MomentSpec.parse(text), 0.3, prof)[0])
+    assert np.isfinite(predict_moment(c, MomentSpec.parse("q1"), 0.3, prof))
+    real = PointerProfile.tabulated(_Q[0], _Q[1] - _Q[0], np.exp(-_Q**2 / 3))
+    assert np.isfinite(predict_moment(c, MomentSpec.parse("q1*p3"), 0.3, real))
 
 
 def test_postselected_moment_refuses_an_imaginary_residue():
@@ -213,32 +255,46 @@ def picked(kern, kind):
     return kern[KINDS.index(kind)]
 
 
+def formula_kernels(eigs, g, prof):
+    """S, Q and P over one site's merged eigenvalues from the package's
+    per-site formula helpers, which `site_kernels` expands by labels."""
+    eigs = np.asarray(eigs, dtype=float)
+    if prof.kind == "gaussian":
+        return gaussian_kernels(eigs, g, prof.sigma, prof.q_offset, prof.p_offset)
+    return _table_kernels(prof, g * eigs, momentum=True)
+
+
 def test_site_kernels_dispatch():
     # one entry for both pointer kinds: per site its S kernel and the kernel
-    # that its readout kind picks, bitwise the per-site kernels expanded by
-    # labels (the rank-1 projectors make twofold-degenerate eigenvalues)
+    # that its readout kind picks, bitwise the per-site formula kernels
+    # expanded by labels, and within 1e-13 of the per-site reference (row
+    # quadrature for a table); the rank-1 projectors make twofold-degenerate
+    # eigenvalues
     c, g, kinds = random_circuit(5, dim=3, n=4, projectors=True), 0.1, [None, "q", "p", "q"]
     sites = circuitmodel.eigenbases(c)
     for prof in (PointerProfile.gaussian(1.0), TABULATED):
         got = site_kernels(sites, g, prof, kinds)
         assert got.shape == (4, 2, 3, 3)
         for kern, eigs, labels, kind in zip(got, sites.eigenvalues, sites.labels, kinds):
-            ref, cols = one_site_kernels(eigs, g, prof), (labels[:, None], labels)
+            ref, cols = formula_kernels(eigs, g, prof), (labels[:, None], labels)
             assert np.array_equal(kern[0], ref[0][cols])
             assert np.array_equal(kern[1], picked(ref, kind)[cols])
+            for got_k, want in zip(ref, one_site_kernels(eigs, g, prof)):
+                assert np.max(np.abs(got_k - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_table_derivative_rows_only_at_p_sites(monkeypatch):
-    # a table's P kernel takes the derivative rows phi', which are built at
-    # the "p" sites of the moment and only there, one shifted-row pass per
-    # site; a Gaussian shifts no rows
+    # a table's P kernel, one more product over its spectrum, is built at
+    # the "p" sites of the moment and only there, one kernel pass per site;
+    # a Gaussian makes no table pass
     calls = []
 
-    def counted(prof, shifts, derivative=False):
-        calls.append(derivative)
-        return _shifted_table(prof, shifts, derivative)
+    def counted(prof, shifts, momentum=False):
+        kern = _table_kernels(prof, shifts, momentum)
+        calls.append(len(kern) == 3)
+        return kern
 
-    monkeypatch.setattr(oracle, "_shifted_table", counted)
+    monkeypatch.setattr(oracle, "_table_kernels", counted)
     c = random_circuit(9, dim=3, n=4)
     for text, want in (("q1", [False] * 4), ("p2", [False, True, False, False]),
                        ("q1*p2*p4", [False, True, False, True]), ("p1*p2*p3*p4", [True] * 4)):
@@ -668,7 +724,7 @@ def test_eigenbasis_walk_matches_projector_walk(n, d, deterministic, monkeypatch
     spec = MomentSpec(tuple((i, kind) for i, kind in enumerate(kinds, start=1) if kind))
     w = sites.vectors[0].conj().T @ c.stages[0][0]  # V_1^dag U_1
     for prof in (PROFILES["gaussian-offsets"], TABULATED):
-        per_site = [one_site_kernels(eigs, g, prof) for eigs in sites.eigenvalues]
+        per_site = [formula_kernels(eigs, g, prof) for eigs in sites.eigenvalues]
         kernels = [np.stack([k[0], picked(k, kind)]) for k, kind in zip(per_site, kinds)]
         # a Gaussian's kernels from one call over every column are bitwise
         # the per-site kernels expanded by labels

@@ -114,6 +114,34 @@ def test_gaussian_eval_with_and_without_momentum_offset():
     assert np.allclose(boosted, env * np.exp(1.5j * q), rtol=0, atol=1e-15)
 
 
+def grid_moments(q, step, vals):
+    """mu, nu, v and y of a table by grid sums, its derivative from an
+    inverse FFT: the reference for `moments`' Parseval sums."""
+    norm = step * np.sum(np.abs(vals) ** 2)
+    dens = np.abs(vals) ** 2 / np.sum(np.abs(vals) ** 2)
+    mu = float(np.sum(q * dens))
+    ft = np.fft.fft(vals)
+    p = 2 * np.pi * np.fft.fftfreq(len(vals), d=step)
+    pw = np.abs(ft) ** 2
+    pw = pw / np.sum(pw)
+    nu = float(np.sum(p * pw))
+    v = float(np.sum((p - nu) ** 2 * pw))
+    dphi = np.fft.ifft(1j * p * ft)
+    qp = step * np.sum(np.conj(vals) * q * (-1j) * dphi) / norm
+    return mu, nu, v, float(2 * qp.real - 2 * mu * nu)
+
+
+@pytest.mark.parametrize("prof", [
+    sampled_gaussian(), sampled_gaussian(sigma=0.7, q_offset=0.4),
+    sampled_gaussian(sigma=0.5, beta=0.15), sampled_gaussian(sigma=1.3, beta=-0.4, npts=1025),
+    sampled_gaussian(sigma=0.6, q_offset=-0.2, beta=0.3, npts=257),
+])
+def test_moments_match_grid_sums(prof):
+    m = moments(prof)
+    ref = grid_moments(prof.grid, prof.grid_step, np.asarray(prof.values))
+    assert np.max(np.abs(np.array([m.mu, m.nu, m.v, m.y]) - ref)) <= 1e-14
+
+
 def coarse_profile():
     # a modulation near the decimated grid's aliasing limit makes the
     # half-resolution self-estimate disagree with the full one
