@@ -82,17 +82,18 @@ class Circuit:
                                a_dev[k - 1])
         with np.errstate(over="ignore"):  # entries past ~1e154 give an inf norm
             norm_i, norm_f = np.linalg.norm(psi_i), np.linalg.norm(psi_f)
-            top = np.abs(psi_f).max()
+        # the largest real or imaginary part: finite for finite entries
+        top = np.abs([psi_f.real, psi_f.imag]).max()
         if not abs(norm_i - 1.0) <= 1e-10:
             raise InvalidInput("initial state must be normalized")
         if top == 0.0:
             raise InvalidInput("post-selection state must be nonzero")
-        if not np.isfinite(norm_f):
+        if not np.isfinite(top):
             raise InvalidInput("post-selection state must have a finite squared norm")
         # post-selection is onto the ray of psi_f: keep its unit vector.  The
-        # squares of a bra below ~1e-154 underflow, so a tiny one is first
-        # scaled by its largest entry
-        if norm_f < 1e-150:
+        # squares of a bra past ~1e154 overflow and below ~1e-154 underflow,
+        # so such a bra is first scaled by its largest part
+        if not 1e-150 <= norm_f <= 1e150:
             psi_f = psi_f.real / top + 1j * (psi_f.imag / top)
             norm_f = np.linalg.norm(psi_f)
         psi_f = psi_f / norm_f

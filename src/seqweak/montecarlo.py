@@ -10,17 +10,23 @@ V_i.  A position readout then leaves the system in the pure state
 sum_a phi(q_i - g a) y_a.  Momentum readouts are not sampled (a single run
 reads out either q or p).  Each conditional CDF is a mixture over eigenvalue
 pairs (b, a), Hermitian in (b, a), so a real sum of k^2 antiderivatives that
-are precomputed once per site as a (grid, k^2) basis.  A run's readout is
-inverted by guess and check: the mean and standard deviation of its density
-(from the basis columns' moments) and the pointer's standardized quantile at
-its uniform give a start cell, whose two ends are two gathered basis rows; a
-miss takes secant steps, and only the few runs still unbracketed fall back to
-a binary search whose every probe gathers one row.  A Gaussian is read out on
-GRID_POINTS spanning RANGE_SIGMAS widths past its extreme shifts g a, a table
-on its own grid from its spectrally shifted samples (`_shifted_table`); the
-state update's `PointerProfile.eval` interpolates the unshifted table.  The
-exact S kernels, which check the grid's mass, and a moment's numerator
-kernels come from one `oracle.site_kernels` call for both pointer kinds.
+are precomputed once per site as a (grid, k^2) basis.  Every run reads site 1
+out of one shared CDF column, inverted through a guide table (Chen & Asau
+1974): the table's cell at floor(u M), M the grid's length, is checked at
+both ends, and a miss is searched in the column.  At a later site a run's
+readout is inverted by guess and check: the mean and standard deviation of
+its density (from the basis columns' moments) and the pointer's standardized
+quantile at its uniform give a start cell, whose two ends are two gathered
+basis rows; a miss takes secant steps that carry only the runs still missed,
+and only the few runs still unbracketed fall back to a binary search whose
+every probe gathers one row.  On a CDF nondecreasing on the grid only one
+cell brackets a run's target, so neither path changes a sample.  A Gaussian
+is read out on GRID_POINTS spanning RANGE_SIGMAS widths past its extreme
+shifts g a, a table on its own grid from its spectrally shifted samples
+(`_shifted_table`); the state update's `PointerProfile.eval` interpolates
+the unshifted table.  The exact S kernels, which check the grid's mass, and
+a moment's numerator kernels come from one `oracle.site_kernels` call for
+both pointer kinds.
 
 A run carries U v as its d coordinates in the eigenbasis of the site's
 observable (`circuitmodel.eigenbases`), where each projector P_a keeps the
@@ -35,9 +41,10 @@ weights do not depend on a run's scale, which only keeps the coordinates
 bounded), and takes one d x d GEMM by the hop V_{i+1}^dag U_{i+1} V_i into
 the next site's eigenbasis.  Post-selected runs go through all sites in
 blocks of RUN_BLOCK, so the per-run temporaries do not grow with the number
-of runs.  The backward walk also carries the numerator kernels of a
-position moment, if one is given, so that its exact value comes from the
-same walk.
+of runs, and a block's readouts at a site are one contiguous write into the
+site-major samples.  The backward walk also carries the numerator kernels
+of a position moment, if one is given, so that its exact value comes from
+the same walk.
 """
 from __future__ import annotations
 
@@ -59,7 +66,8 @@ RUN_BLOCK = 4096  # post-selected runs walked through every site together
 class RunBatch:
     """Outcome of a batch: ``postselected`` flags every run (bool[N]);
     ``samples`` holds one row of position readouts per post-selected run,
-    in run order (float[n_success, n_sites]); ``exact`` is the exact value
+    in run order (float[n_success, n_sites], the transposed view of the
+    site-major array the sampler fills); ``exact`` is the exact value
     and post-selection probability (`oracle.exact_moment`) of the moment
     given to `sample_runs`, if one was."""
 
@@ -100,33 +108,38 @@ def _invert_mixture_cdf(coef: np.ndarray, basis: np.ndarray, x: np.ndarray,
     Finds the grid cell lo of each run with cdf_r(x[lo]) < t_r <=
     cdf_r(x[lo + 1]), t_r = u_r * cdf_r(x[-1]) (the first cell needs no lower
     and the last no upper bound), then interpolates linearly to the next grid
-    point.  A run first tries the cell ``start`` guesses and up to four secant
-    steps through its last cell's ends, two gathered basis rows each; runs
-    still unbracketed set the bits of lo from the highest down, one gathered
-    row per probe.  On a CDF nondecreasing on the grid only one cell brackets
-    t_r, so ``start`` changes the cost but never the answer.
+    point.  Every run first tries the cell ``start`` guesses, two gathered
+    basis rows each, written straight into lo and its two ends; up to four
+    secant steps through the last cell's ends then carry only the runs the
+    previous probe missed, and runs still unbracketed set the bits of lo from
+    the highest down, one gathered row per probe.  On a CDF nondecreasing on
+    the grid only one cell brackets t_r, so ``start`` changes the cost but
+    never the answer.
     """
     def value_at(cf, idx):
         return np.einsum("rj,rj->r", cf, np.take(basis, idx, axis=0, mode="clip"))
 
     last = len(x) - 1
     target = u * (coef @ basis[-1])
-    lo = np.empty(len(u), dtype=np.int64)
-    c_lo, c_hi = np.empty(len(u)), np.empty(len(u))
     runs, cf, t = np.arange(len(u)), coef, target
-    for _ in range(5 if start is not None else 0):
-        cell = np.minimum(np.maximum(start, 0), last)
-        below, above = value_at(cf, cell), value_at(cf, cell + 1)
-        lo[runs], c_lo[runs], c_hi[runs] = cell, below, above
-        miss = np.flatnonzero(((cell > 0) & (below >= t)) | ((cell < last) & (above < t)))
-        if not len(miss):
-            break
-        runs, cf, t = runs[miss], cf[miss], t[miss]
-        # the secant through the cell's two ends; a flat cell stays put
-        below, slope = below[miss], above[miss] - below[miss]
-        move = (t - below) / np.where(slope > 0, slope, np.inf)
-        start = np.minimum(np.maximum(cell[miss] + move, 0), last).astype(np.int64)
-    else:  # no start, or runs the guess and its secant steps left unbracketed
+    if start is None:
+        lo = np.empty(len(u), dtype=np.int64)
+        c_lo, c_hi = np.empty(len(u)), np.empty(len(u))
+    else:
+        cell = lo = np.minimum(np.maximum(start, 0), last)
+        below, above = c_lo, c_hi = value_at(coef, lo), value_at(coef, lo + 1)
+        for probe in range(5):  # the guess, then at most four secant steps
+            miss = np.flatnonzero(((cell > 0) & (below >= t)) | ((cell < last) & (above < t)))
+            runs, cf, t = runs[miss], cf[miss], t[miss]
+            if not len(runs) or probe == 4:
+                break
+            # the secant through the cell's two ends; a flat cell stays put
+            below, slope = below[miss], above[miss] - below[miss]
+            move = (t - below) / np.where(slope > 0, slope, np.inf)
+            cell = np.minimum(np.maximum(cell[miss] + move, 0), last).astype(np.int64)
+            below, above = value_at(cf, cell), value_at(cf, cell + 1)
+            lo[runs], c_lo[runs], c_hi[runs] = cell, below, above
+    if len(runs):  # no start, or runs the guess and its secant steps left unbracketed
         cell = np.zeros(len(runs), dtype=np.int64)
         step = 1 << (last.bit_length() - 1)
         while step:
@@ -134,10 +147,43 @@ def _invert_mixture_cdf(coef: np.ndarray, basis: np.ndarray, x: np.ndarray,
             step >>= 1
         cell = np.minimum(cell, last)
         lo[runs], c_lo[runs], c_hi[runs] = cell, value_at(cf, cell), value_at(cf, cell + 1)
+    return _interpolate(x, lo, c_lo, c_hi, target)
+
+
+def _interpolate(x: np.ndarray, lo: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray,
+                 target: np.ndarray) -> np.ndarray:
+    """The readout in the bracketing cell lo, whose ends the CDF takes the
+    values c_lo and c_hi at: linear from x[lo] to the next grid point."""
     frac = np.where(c_hi > c_lo,
                     (target - c_lo) / np.maximum(c_hi - c_lo, 1e-300), 0.0)
     dx = x[1] - x[0]
     return x[lo] + np.clip(frac, 0.0, 1.0) * dx
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Guide table of a CDF column nondecreasing on its grid (Chen & Asau
+    1974): entry j of M = len(cdf) is the cell bracketing the level
+    cdf[-1] j / M, the cell `_invert_shared_cdf` tries first for a uniform
+    in [j / M, (j + 1) / M)."""
+    levels = cdf[-1] * (np.arange(len(cdf)) / len(cdf))
+    return np.maximum(np.searchsorted(cdf, levels) - 1, 0)
+
+
+def _invert_shared_cdf(cdf: np.ndarray, guide: np.ndarray, x: np.ndarray,
+                       u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of runs that share one CDF column ``cdf`` on the grid x:
+    the cell of `_invert_mixture_cdf` for t = u cdf[-1], first looked up in
+    the `_guide_table` at floor(u M), checked at both ends, and searched in
+    the column on a miss.  As u < 1 puts t at or below cdf[-1], no cell is
+    the last, so every cell has an upper end to check."""
+    target = u * cdf[-1]
+    lo = guide[(u * len(guide)).astype(np.intp)]
+    c_lo, c_hi = cdf[lo], cdf[lo + 1]
+    miss = np.flatnonzero(((lo > 0) & (c_lo >= target)) | (c_hi < target))
+    if len(miss):
+        cell = np.maximum(np.searchsorted(cdf, target[miss]) - 1, 0)
+        lo[miss], c_lo[miss], c_hi[miss] = cell, cdf[cell], cdf[cell + 1]
+    return _interpolate(x, lo, c_lo, c_hi, target)
 
 
 def _basis_moments(basis: np.ndarray) -> np.ndarray:
@@ -252,9 +298,14 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
         raise GridResolutionError(f"density mass outside grid: {mass_err:.3e}")
 
     rng = np.random.default_rng(seed)
-    success = rng.random(n_total) < prob
-    n_succ = int(np.sum(success))
-    uniforms = rng.random((c.n, n_succ))  # the same stream as one draw per site
+    try:
+        success = rng.random(n_total) < prob
+        n_succ = int(np.sum(success))
+        uniforms = rng.random((c.n, n_succ))  # the same stream as one draw per site
+        # site-major, so that each block's readouts are one contiguous write
+        samples = np.empty((c.n, n_succ))
+    except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
+        raise InvalidInput(f"{n_total} runs do not fit in memory") from None
 
     # a run's coordinates at site i are V_i^dag U_i v; the weights <y_b|E|y_a>
     # pair them against F_i = V_i^dag E_i V_i of the grid's walk, and the
@@ -264,33 +315,35 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
     # the pair products' Hermitian half, and where its diagonal |c_j|^2 sits
     rows, cols = np.triu_indices(c.dim)
     diagonal = np.flatnonzero(rows == cols)
-    # every run enters site 1 in the same state, so its readouts share one CDF
+    # every run enters site 1 in the same state, so its readouts share one
+    # CDF column, inverted through its guide table
     start = sites.start
     first = (np.conj(start[rows]) * start[cols]).view(float) @ pair_weights[0]
-    bases[0] = (bases[0] @ first).reshape(-1, 1)
-    moments = [_basis_moments(b) for b in bases]
+    bases[0] = shared = bases[0] @ first  # frees site 1's k^2 columns
+    guide = _guide_table(shared)
+    moments = [_basis_moments(b) for b in bases[1:]]
     hops = sites.hops.swapaxes(1, 2)
 
-    samples = np.empty((n_succ, c.n))
     for lo in range(0, n_succ, RUN_BLOCK):
         runs = slice(lo, lo + RUN_BLOCK)
         u = uniforms[:, runs]
-        # site 1 mixes one column with unit weight; a run's coordinates at
-        # later sites are rescaled to unit norm only through its readout
-        # amplitudes, which leaves its mixture weights alone
-        coef, coords, scale = np.ones((u.shape[1], 1)), start, 1.0
+        # a run's coordinates at later sites are rescaled to unit norm only
+        # through its readout amplitudes, which leaves its mixture weights alone
+        coords = start
         for i, (eigs, labels) in enumerate(zip(sites.eigenvalues, sites.labels)):
             if i:
                 z = np.take(coords, rows, axis=1).conj() * np.take(coords, cols, axis=1)
                 coef = z.view(float) @ pair_weights[i]
                 scale = 1.0 / np.sqrt(z.real[:, diagonal].sum(axis=1, keepdims=True))
-            guess = _start_cells(coef, moments[i], prof._quantiles, u[i])
-            xs = _invert_mixture_cdf(coef, bases[i], grids[i], u[i], guess)
-            samples[runs, i] = xs
+                guess = _start_cells(coef, moments[i - 1], prof._quantiles, u[i])
+                xs = _invert_mixture_cdf(coef, bases[i], grids[i], u[i], guess)
+            else:
+                xs, scale = _invert_shared_cdf(shared, guide, grids[0], u[0]), 1.0
+            samples[i, runs] = xs
             if i < c.n - 1:
                 phi = prof.eval(xs[:, None] - g * eigs) * scale
                 coords = (phi[:, labels] * coords) @ hops[i]
-    return RunBatch(postselected=success, samples=samples,
+    return RunBatch(postselected=success, samples=samples.T,
                     exact=(moment, prob) if spec is not None else None)
 
 

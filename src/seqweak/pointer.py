@@ -110,9 +110,14 @@ class PointerProfile:
             raise InvalidInput("tabulated profile must be finite")
         if grid_step <= 0:
             raise InvalidInput("grid step must be positive")
-        peak = float(np.max(np.abs(vals)))
-        if peak == 0.0:
+        top = float(np.abs([vals.real, vals.imag]).max())
+        if top == 0.0:
             raise InvalidInput("profile is identically zero")
+        # the squares of samples past ~1e154 overflow and those below ~1e-154
+        # underflow, so such a table is first scaled by its largest part
+        if not 1e-150 < top < 1e150:
+            vals = vals.real / top + 1j * (vals.imag / top)
+        peak = float(np.max(np.abs(vals)))
         if abs(vals[0]) > 1e-8 * peak or abs(vals[-1]) > 1e-8 * peak:
             raise InvalidInput("profile does not decay at the grid ends")
         vals = vals / np.sqrt(grid_step * np.sum(np.abs(vals) ** 2))

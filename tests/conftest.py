@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from seqweak.algebra import eigensystems
 from seqweak.circuitmodel import Circuit, transition_amplitude
 from seqweak.oracle import gaussian_kernels
+from seqweak.pointer import PointerProfile
 
 
 def random_unitary(rng, dim):
@@ -157,6 +158,15 @@ def shifted_rows(prof, shifts):
     shift = np.fft.fft(vals) * np.exp(-1j * np.outer(shifts, freq))
     both = np.fft.ifft(np.concatenate([shift, 1j * freq * shift]), axis=1)
     return both[:len(shifts)], both[len(shifts):]
+
+
+def kernel_table(npts, centre=0.0):
+    """A chirped, asymmetric table of `npts` samples on centre +- 16, the
+    profile centred near `centre`."""
+    q = np.linspace(centre - 16, centre + 16, npts)
+    z = q - centre - 0.3
+    return PointerProfile.tabulated(q[0], q[1] - q[0],
+                                    np.exp(-z**2 / 3) * (1 + 0.4 * z) * np.exp(0.15j * z**2))
 
 
 def row_kernels(prof, rows, drows):

@@ -8,6 +8,7 @@ from seqweak.circuitio import (CircuitDocument, ParseError, builtin_document_pat
                                format_complex, format_float, load, parse,
                                parse_complex, serialize)
 from seqweak.circuitmodel import builtin_double_interferometer
+from seqweak.cli import main
 from seqweak.errors import InvalidInput
 from seqweak.pointer import PointerProfile
 
@@ -348,6 +349,23 @@ def test_fuzz_tabulated_profile_rows(tmp_path_factory, data):
     work = tmp_path_factory.getbasetemp()
     (work / "fuzz.dat").write_text("\n".join(rows) + "\n")
     _fuzz_outcome(BASIC + "pointer tabulated fuzz.dat\n", base_dir=work)
+
+
+@pytest.mark.parametrize("row", [100, 150])
+def test_table_entry_past_the_square_range_loads(tmp_path, capsys, row):
+    # a drawn case of the fuzz test above: one sample of a unit Gaussian
+    # table set to 1E155, whose square overflows; the table is scaled by
+    # its largest part first, so the document loads and `simulate` ends in
+    # a result
+    q = np.linspace(-12, 12, 300)
+    rows = [f"{x:.17g} {v:.17g} 0" for x, v in zip(q, np.exp(-q**2 / 4))]
+    rows[row] = f"{q[row]:.17g} 1E155 0"
+    (tmp_path / "big.dat").write_text("\n".join(rows) + "\n")
+    _fuzz_outcome(BASIC + "pointer tabulated big.dat\n", base_dir=tmp_path)
+    (tmp_path / "big.wseq").write_text(BASIC + "pointer tabulated big.dat\n")
+    assert main(["simulate", str(tmp_path / "big.wseq"), "--moment", "q1"]) == 0
+    out, err = capsys.readouterr()
+    assert "exact" in out and err == ""
 
 
 _DIGITS = st.text("0123456789", min_size=1, max_size=4)

@@ -100,9 +100,10 @@ def test_unnormalized_postselection_allowed(rng):
     assert np.allclose(got.def3_responses, want.def3_responses, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("s", [1e-160, 1e-150, 1e150])
+@pytest.mark.parametrize("s", [1e-160, 1e-150, 1e150, 1e200, 1e300])
 def test_postselection_far_from_unit_length_is_normalized(s):
-    # a bra whose squares underflow (1e-160) or nearly overflow (1e150)
+    # a bra whose squares underflow (1e-160), nearly overflow (1e150) or
+    # overflow (1e200, 1e300)
     # keeps its unit vector to rounding, never a wrong one
     c = Circuit(psi_i=np.array([1.0, 0.0]), stages=(), u_final=np.eye(2),
                 psi_f=s * np.array([1.0, 1.0]))
@@ -150,13 +151,15 @@ def test_states_past_the_float_range_raise_no_warning():
     with pytest.raises(InvalidInput, match="normalized"):
         Circuit(psi_i=np.array([1e200, 0.0]), stages=(), u_final=np.eye(2),
                 psi_f=np.array([0.0, 1.0]))
-    # a post-selection needs no unit norm, but a finite squared norm
-    for big in (1e200, np.inf):
-        with pytest.raises(InvalidInput, match="finite squared norm"):
-            Circuit(psi_i=np.array([1.0, 0.0]), stages=(), u_final=np.eye(2),
+    # a post-selection needs no unit norm: a finite one past ~1e154 is
+    # scaled to its unit vector, but an infinite one is refused
+    for big, unit in ((1e150, 1.0), (1e200, 1.0), (1.7e308 + 1.7e308j, (1 + 1j) / np.sqrt(2))):
+        c = Circuit(psi_i=np.array([1.0, 0.0]), stages=(), u_final=np.eye(2),
                     psi_f=np.array([big, 0.0]))
-    Circuit(psi_i=np.array([1.0, 0.0]), stages=(), u_final=np.eye(2),
-            psi_f=np.array([1e150, 0.0]))
+        assert np.allclose(c.psi_f, [unit, 0.0], rtol=1e-15, atol=0)
+    with pytest.raises(InvalidInput, match="finite squared norm"):
+        Circuit(psi_i=np.array([1.0, 0.0]), stages=(), u_final=np.eye(2),
+                psi_f=np.array([np.inf, 0.0]))
 
 
 def test_projector_constants_complete():

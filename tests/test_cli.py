@@ -889,30 +889,41 @@ SCALED_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("scale", ["1e-12", "1e-10", "1e-9", "1e6", "1e100"])
+def _assert_reports_like_shipped(capsys, doc, argv):
+    """The command on ``doc`` prints the rows it prints on the built-in
+    document, every verdict and witness equal and every number within 1e-9
+    relative (only the document's fingerprint differs)."""
+    code, got = machine(capsys, [a.format(doc=doc) for a in argv])
+    assert code == 0, argv
+    _, want = machine(capsys, [a.format(doc=SHIPPED) for a in argv])
+    assert got.keys() == want.keys()
+    for key in want.keys() - {"fingerprint"}:
+        try:
+            value = float(want[key])
+        except ValueError:
+            assert got[key] == want[key], (argv, key)
+        else:
+            assert float(got[key]) == pytest.approx(value, rel=1e-9, abs=1e-15), (argv, key)
+
+
+@pytest.mark.parametrize("scale", ["1e-12", "1e-10", "1e-9", "1e6", "1e100", "1e200",
+                                   "1e300"])
 def test_postselection_length_changes_no_report(tmp_path, capsys, scale):
     # post-selection is onto a ray: the built-in document with its bra
-    # scaled prints the rows of the unit bra, every verdict and witness
-    # equal and every number within 1e-9 relative (only the document's
-    # fingerprint differs)
+    # scaled prints the rows of the unit bra, also where the bra's squares
+    # overflow (1e200, 1e300)
     doc = _shipped_with(tmp_path, "scaled.wseq", lambda s: s.replace(
         "postselect 0+0i 1+0i", f"postselect 0+0i {scale}+0i"))
     for argv in SCALED_COMMANDS:
-        code, got = machine(capsys, [a.format(doc=doc) for a in argv])
-        assert code == 0, argv
-        _, want = machine(capsys, [a.format(doc=SHIPPED) for a in argv])
-        assert got.keys() == want.keys()
-        for key in want.keys() - {"fingerprint"}:
-            try:
-                value = float(want[key])
-            except ValueError:
-                assert got[key] == want[key], (argv, key)
-            else:
-                assert float(got[key]) == pytest.approx(value, rel=1e-9, abs=1e-15), (argv, key)
+        _assert_reports_like_shipped(capsys, doc, argv)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("entry", ["1e200+0i", "1e400+0i"])
+@pytest.mark.parametrize("entry, finite", [
+    # a finite entry whose square overflows scales to the unit bra
+    pytest.param("1e200+0i", True, id="1e200+0i"),
+    pytest.param("1e400+0i", False, id="1e400+0i"),
+])
 @pytest.mark.parametrize("argv", [
     ["simulate", "{doc}", "--moment", "q1*q2", "--compare"],
     ["montecarlo", "{doc}", "--runs", "100", "--seed", "1"],
@@ -920,15 +931,27 @@ def test_postselection_length_changes_no_report(tmp_path, capsys, scale):
     ["counterfactual", "{doc}", "--seed", "1"],
 ])
 def test_postselection_past_the_float_range_is_one_error_line(tmp_path, capsys, entry,
-                                                              argv):
-    # its squared norm overflows, so the circuit refuses it on load, before
-    # any walk could print nan
+                                                              finite, argv):
+    # an entry past the float range reads inf, so the circuit refuses it on
+    # load, before any walk could print nan
     doc = _shipped_with(tmp_path, "big.wseq", lambda s: s.replace(
         "postselect 0+0i 1+0i", f"postselect 0+0i {entry}"))
+    if finite:
+        _assert_reports_like_shipped(capsys, doc, argv)
+        return
     assert main([a.format(doc=doc) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: post-selection state must have a finite squared norm\n"
+
+
+def test_run_count_past_memory_is_one_error_line(capsys):
+    # 2^62 runs: numpy refuses the flags array before allocating anything
+    runs = str(2**62)
+    assert main(["montecarlo", SHIPPED, "--runs", runs, "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {runs} runs do not fit in memory\n"
 
 
 def test_crlf_document_is_opened_once_and_hashed_as_read(tmp_path, capsys, monkeypatch):

@@ -7,14 +7,14 @@ from seqweak import montecarlo
 from seqweak.circuitmodel import Circuit, builtin_double_interferometer
 from seqweak.errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
 from seqweak.montecarlo import (GRID_POINTS, RANGE_SIGMAS, RunBatch, _basis_moments,
-                                _cumulative, _hermitian_columns, _invert_mixture_cdf,
-                                _shifted_table, _start_cells, estimate_moment,
-                                sample_runs)
+                                _cumulative, _guide_table, _hermitian_columns,
+                                _invert_mixture_cdf, _invert_shared_cdf, _shifted_table,
+                                _start_cells, estimate_moment, sample_runs)
 from seqweak.oracle import exact_moment
 from seqweak.pointer import MomentSpec, PointerProfile
 
-from conftest import (loop_branches, one_site_kernels, projector_effects, projector_instruments,
-                      random_circuit, random_hermitian, random_unitary)
+from conftest import (kernel_table, loop_branches, one_site_kernels, projector_effects,
+                      projector_instruments, random_circuit, random_hermitian, random_unitary)
 
 
 def grid_pair_matrix(prof, eigs, g):
@@ -316,6 +316,19 @@ def test_run_blocks_match_one_block(monkeypatch):
         estimate_moment(empty, MomentSpec.parse("q1*q3"))
 
 
+def test_runs_past_memory_are_refused(monkeypatch):
+    # an allocator that cannot grant the run-sized arrays is a refused input
+    # that names the run count, not a traceback
+    class Exhausted:
+        def random(self, size):
+            raise MemoryError
+
+    monkeypatch.setattr(montecarlo.np.random, "default_rng", lambda seed: Exhausted())
+    with pytest.raises(InvalidInput, match="100000000000 runs"):
+        sample_runs(builtin_double_interferometer(), 0.1, PointerProfile.gaussian(1.0),
+                    100_000_000_000, seed=1)
+
+
 def test_sampler_memory_does_not_grow_with_runs():
     # past the arrays that scale with the runs (the flags, the samples and
     # the per-site uniforms, one float per sample), the traced peak of a
@@ -365,13 +378,15 @@ def test_row_gather_inversion_matches_bisection_reference(k):
         assert abs(hit - u_edge[r] * ref[-1, r]) <= 1e-13 * ref[-1, r]
 
 
-def _mixture_case(k, g, seed, runs=4000):
-    """A Gaussian pointer's (grid, k^2) CDF basis at the shifts g a of k
-    random eigenvalues a, and random PSD pair weights as Hermitian columns,
-    so every run's density is a nonnegative mixture."""
+def _mixture_case(k, g, seed, runs=4000, prof=None):
+    """A pointer's (grid, k^2) CDF basis at the shifts g a of k random
+    eigenvalues a, and random PSD pair weights as Hermitian columns, so
+    every run's density is a nonnegative mixture.  The pointer is an offset
+    Gaussian unless ``prof`` is given."""
     rng = np.random.default_rng(seed)
     eigs = np.sort(rng.normal(size=k))
-    prof = PointerProfile.gaussian(0.9, q_offset=0.2, p_offset=-0.3)
+    if prof is None:
+        prof = PointerProfile.gaussian(0.9, q_offset=0.2, p_offset=-0.3)
     x, gm = grid_pair_matrix(prof, eigs, g)
     a = rng.normal(size=(runs, k, 2)) + 1j * rng.normal(size=(runs, k, 2))
     w = np.einsum("rbm,ram->rba", a.conj(), a).reshape(runs, k * k)
@@ -414,6 +429,76 @@ def test_bimodal_density_falls_back_to_bisection(monkeypatch):
     assert np.array_equal(got, bit_bisection(coef, basis, x, u))
 
 
+_SHARED_CASES = {
+    # one to four eigenvalues on a Gaussian's window, whose tails are flat
+    **{f"gaussian-k{k}": (k, 0.7, 90 + k, None) for k in (1, 2, 3, 4)},
+    # two modes that barely overlap, with a flat trough between them
+    "bimodal-g3": (2, 3.0, 7, None),
+    # chirped tables whose lengths, and so guide tables, are no power of two
+    "table-257": (3, 0.4, 95, kernel_table(257)),
+    "table-1000": (3, 0.4, 96, kernel_table(1000)),
+    "table-1025": (3, 0.4, 97, kernel_table(1025, centre=115.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_SHARED_CASES))
+def test_shared_cdf_inversion_matches_bisection(case):
+    # site 1's runs share one CDF column; the guide table's cell, checked at
+    # both ends and searched on a miss, is the cell bisection finds, bit
+    # for bit, also at the edges of the unit interval
+    k, g, seed, prof = _SHARED_CASES[case]
+    _, x, basis, coef, u = _mixture_case(k, g, seed, prof=prof)
+    u[:3] = [0.0, 1 - 1e-12, np.nextafter(1.0, 0.0)]
+    cdf = basis @ coef[0]
+    assert np.sum(cdf == cdf[-1]) > 1  # a flat upper tail
+    got = _invert_shared_cdf(cdf, _guide_table(cdf), x, u)
+    assert np.array_equal(got, bit_bisection(np.ones((len(u), 1)), cdf[:, None], x, u))
+    assert got[0] == x[0]
+
+
+def test_only_missed_runs_are_searched_again(monkeypatch):
+    # site 1 reads its shared column through the guide table and gathers no
+    # basis row; at site 2 the first probe pair gathers a whole block of
+    # rows, and every later gather carries only the runs still unbracketed
+    events, take = [], np.take
+
+    def marked(name, inversion):
+        def call(*args):
+            events.append((name, len(args[3])))  # u, the fourth argument of both
+            return inversion(*args)
+        return call
+
+    def counted(a, idx, axis=None, **kw):
+        if axis == 0:
+            events.append(("take", np.size(idx)))
+        return take(a, idx, axis=axis, **kw)
+
+    c = _test_circuit(1500, 3, 2, "hermitian")
+    monkeypatch.setattr(montecarlo, "_invert_shared_cdf",
+                        marked("shared", montecarlo._invert_shared_cdf))
+    monkeypatch.setattr(montecarlo, "_invert_mixture_cdf",
+                        marked("mixture", montecarlo._invert_mixture_cdf))
+    monkeypatch.setattr(montecarlo.np, "take", counted)
+    batch = sample_runs(c, 0.4, PointerProfile.gaussian(1.0), 12000, seed=3)
+    monkeypatch.undo()
+    calls = [e for e in events if e[0] != "take"]
+    blocks = [min(montecarlo.RUN_BLOCK, len(batch.samples) - lo)
+              for lo in range(0, len(batch.samples), montecarlo.RUN_BLOCK)]
+    assert len(blocks) >= 2
+    assert calls == [(name, b) for b in blocks for name in ("shared", "mixture")]
+    starts = [i for i, e in enumerate(events) if e[0] != "take"] + [len(events)]
+    later = 0
+    for (name, block), lo, hi in zip(calls, starts, starts[1:]):
+        sizes = [size for _, size in events[lo + 1:hi]]
+        if name == "shared":
+            assert sizes == []
+        else:
+            assert sizes[:2] == [block, block]
+            assert all(size < block for size in sizes[2:])
+            later += len(sizes) - 2
+    assert later  # the secant steps were taken
+
+
 @pytest.mark.parametrize("pointer, g, dim, observable", [
     ("gaussian", 0.1, 2, "hermitian"), ("gaussian", 0.1, 3, "projector"),
     ("gaussian", 1.0, 3, "hermitian"), ("gaussian", 1.0, 4, "twofold"),
@@ -426,6 +511,8 @@ def test_guessed_cells_sample_like_pure_bisection(monkeypatch, pointer, g, dim, 
     prof, seed = _test_pointer(pointer), int(100 * g) + dim
     batch = sample_runs(c, g, prof, 6000, seed=seed)
     monkeypatch.setattr(montecarlo, "_invert_mixture_cdf", bit_bisection)
+    monkeypatch.setattr(montecarlo, "_invert_shared_cdf", lambda cdf, guide, x, u:
+                        bit_bisection(np.ones((len(u), 1)), cdf[:, None], x, u))
     ref = sample_runs(c, g, prof, 6000, seed=seed)
     assert np.array_equal(batch.postselected, ref.postselected)
     assert np.array_equal(batch.samples, ref.samples)

@@ -19,9 +19,9 @@ from seqweak.oracle import (KINDS, _phases, _table_kernels, exact_moment, gaussi
 from seqweak.pointer import MomentSpec, PointerProfile, predict_moment
 from seqweak.weakvalue import BRANCH_TOL, STRONG_REL_TOL, check_strong_agreement, weak_value
 
-from conftest import (kron_joint_response, loop_branches, one_site_kernels, projector_effects,
-                      projector_instruments, random_circuit, random_hermitian, random_projector,
-                      random_state, random_unitary, row_kernels, shifted_rows)
+from conftest import (kernel_table, kron_joint_response, loop_branches, one_site_kernels,
+                      projector_effects, projector_instruments, random_circuit, random_hermitian,
+                      random_projector, random_state, random_unitary, row_kernels, shifted_rows)
 
 
 def quadrature_kernels(eigs, g, prof, npts=80001, span=30.0):
@@ -183,15 +183,6 @@ def test_derivative_rows_only_on_request(monkeypatch):
     ref_batch = sample_runs(c, g, TABULATED, 3000, seed=5)
     assert np.array_equal(batch.postselected, ref_batch.postselected)
     assert np.array_equal(batch.samples, ref_batch.samples)
-
-
-def kernel_table(npts, centre=0.0):
-    """A chirped, asymmetric table of `npts` samples on centre +- 16, the
-    profile centred near `centre`."""
-    q = np.linspace(centre - 16, centre + 16, npts)
-    z = q - centre - 0.3
-    return PointerProfile.tabulated(q[0], q[1] - q[0],
-                                    np.exp(-z**2 / 3) * (1 + 0.4 * z) * np.exp(0.15j * z**2))
 
 
 # even and odd lengths (257 is prime), and an off-centre grid (q in [99, 131])

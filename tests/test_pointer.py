@@ -91,6 +91,17 @@ def test_tabulated_profile_validation():
             PointerProfile.tabulated(grid_min, step, vals)
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e150, 1e170, 1e300])
+def test_table_far_from_unit_size_is_normalized(scale):
+    # a table whose squares underflow or overflow is scaled by its largest
+    # part first, so it keeps the unit profile of the same shape to rounding
+    q = np.linspace(-12, 12, 512)
+    phi = np.exp(-q**2 / 4) * np.exp(0.3j * q)
+    unit = PointerProfile.tabulated(q[0], q[1] - q[0], phi)
+    prof = PointerProfile.tabulated(q[0], q[1] - q[0], scale * phi)
+    assert np.allclose(prof.values, unit.values, rtol=1e-14, atol=1e-300)
+
+
 def test_profile_normalization_and_eval():
     prof = sampled_gaussian(sigma=1.3)
     q = prof.grid
