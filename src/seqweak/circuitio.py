@@ -136,26 +136,11 @@ class CircuitDocument:
     sha256: str | None = None  # hex digest of the bytes `load` read; not compared
 
     def __eq__(self, other) -> bool:
+        """Documents are equal when their canonical sources (`serialize`)
+        are: so a `g nan` equals itself, and a signed zero counts."""
         if not isinstance(other, CircuitDocument):
             return NotImplemented
-        if (self.dim, self.labels, self.pointer_source, self.g,
-                self.insertions) != (other.dim, other.labels,
-                                     other.pointer_source, other.g,
-                                     other.insertions):
-            return False
-        if not (np.array_equal(self.psi_i, other.psi_i)
-                and np.array_equal(self.psi_f, other.psi_f)):
-            return False
-        if len(self.stanzas) != len(other.stanzas):
-            return False
-        for a, b in zip(self.stanzas, other.stanzas):
-            if type(a) is not type(b) or a.name != b.name:
-                return False
-            if not np.array_equal(a.matrix, b.matrix):
-                return False
-            if isinstance(a, ObserveStanza) and a.proj != b.proj:
-                return False
-        return True
+        return serialize(self) == serialize(other)
 
     def to_circuit(self) -> Circuit:
         return self.circuit

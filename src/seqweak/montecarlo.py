@@ -22,11 +22,12 @@ and only the few runs still unbracketed fall back to a binary search whose
 every probe gathers one row.  On a CDF nondecreasing on the grid only one
 cell brackets a run's target, so neither path changes a sample.  A Gaussian
 is read out on GRID_POINTS spanning RANGE_SIGMAS widths past its extreme
-shifts g a, a table on its own grid from its spectrally shifted samples
-(`_shifted_table`); the state update's `PointerProfile.eval` interpolates
-the unshifted table.  The exact S kernels, which check the grid's mass, and
-a moment's numerator kernels come from one `oracle.site_kernels` call for
-both pointer kinds.
+shifts g a, a table on its own grid from its spectrum times the shift
+phases of its kernels (`_shifted_table`, through `oracle._phases`, which
+also refuses a shift off the grid); the state update's
+`PointerProfile.eval` interpolates the unshifted table.  The exact S
+kernels, which check the grid's mass, and a moment's numerator kernels
+come from one `oracle.site_kernels` call for both pointer kinds.
 
 A run carries U v as its d coordinates in the eigenbasis of the site's
 observable (`circuitmodel.eigenbases`), where each projector P_a keeps the
@@ -41,10 +42,11 @@ weights do not depend on a run's scale, which only keeps the coordinates
 bounded), and takes one d x d GEMM by the hop V_{i+1}^dag U_{i+1} V_i into
 the next site's eigenbasis.  Post-selected runs go through all sites in
 blocks of RUN_BLOCK, so the per-run temporaries do not grow with the number
-of runs, and a block's readouts at a site are one contiguous write into the
-site-major samples.  The backward walk also carries the numerator kernels
-of a position moment, if one is given, so that its exact value comes from
-the same walk.
+of runs.  The run-sized array is one: the site-major samples are drawn
+as every site's uniforms, and a block's readouts at a site are one
+contiguous write over the uniforms they came from.  The backward walk also
+carries the numerator kernels of a position moment, if one is given, so
+that its exact value comes from the same walk.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ import numpy as np
 
 from .circuitmodel import Circuit, effects, eigenbases, valid_subset
 from .errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
-from .oracle import _check_on_grid, _postselected_moment, site_kernels
+from .oracle import _phases, _postselected_moment, site_kernels
 from .pointer import MomentSpec, PointerProfile, check_coupling, check_seed
 
 GRID_POINTS = 4096
@@ -102,19 +104,19 @@ def _hermitian_columns(z: np.ndarray, k: int) -> np.ndarray:
 
 
 def _invert_mixture_cdf(coef: np.ndarray, basis: np.ndarray, x: np.ndarray,
-                        u: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+                        u: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Per-run inverse CDF for cdf_r(x) = sum_j coef[r, j] basis[x, j].
 
     Finds the grid cell lo of each run with cdf_r(x[lo]) < t_r <=
     cdf_r(x[lo + 1]), t_r = u_r * cdf_r(x[-1]) (the first cell needs no lower
     and the last no upper bound), then interpolates linearly to the next grid
-    point.  Every run first tries the cell ``start`` guesses, two gathered
-    basis rows each, written straight into lo and its two ends; up to four
-    secant steps through the last cell's ends then carry only the runs the
-    previous probe missed, and runs still unbracketed set the bits of lo from
-    the highest down, one gathered row per probe.  On a CDF nondecreasing on
-    the grid only one cell brackets t_r, so ``start`` changes the cost but
-    never the answer.
+    point.  Every run first tries the cell ``start`` guesses (clipped to the
+    grid), two gathered basis rows each, written straight into lo and its
+    two ends; up to four secant steps through the last cell's ends then
+    carry only the runs the previous probe missed, and runs still
+    unbracketed set the bits of lo from the highest down, one gathered row
+    per probe.  On a CDF nondecreasing on the grid only one cell brackets
+    t_r, so ``start`` changes the cost but never the answer.
     """
     def value_at(cf, idx):
         return np.einsum("rj,rj->r", cf, np.take(basis, idx, axis=0, mode="clip"))
@@ -122,24 +124,20 @@ def _invert_mixture_cdf(coef: np.ndarray, basis: np.ndarray, x: np.ndarray,
     last = len(x) - 1
     target = u * (coef @ basis[-1])
     runs, cf, t = np.arange(len(u)), coef, target
-    if start is None:
-        lo = np.empty(len(u), dtype=np.int64)
-        c_lo, c_hi = np.empty(len(u)), np.empty(len(u))
-    else:
-        cell = lo = np.minimum(np.maximum(start, 0), last)
-        below, above = c_lo, c_hi = value_at(coef, lo), value_at(coef, lo + 1)
-        for probe in range(5):  # the guess, then at most four secant steps
-            miss = np.flatnonzero(((cell > 0) & (below >= t)) | ((cell < last) & (above < t)))
-            runs, cf, t = runs[miss], cf[miss], t[miss]
-            if not len(runs) or probe == 4:
-                break
-            # the secant through the cell's two ends; a flat cell stays put
-            below, slope = below[miss], above[miss] - below[miss]
-            move = (t - below) / np.where(slope > 0, slope, np.inf)
-            cell = np.minimum(np.maximum(cell[miss] + move, 0), last).astype(np.int64)
-            below, above = value_at(cf, cell), value_at(cf, cell + 1)
-            lo[runs], c_lo[runs], c_hi[runs] = cell, below, above
-    if len(runs):  # no start, or runs the guess and its secant steps left unbracketed
+    cell = lo = np.minimum(np.maximum(start, 0), last)
+    below, above = c_lo, c_hi = value_at(coef, lo), value_at(coef, lo + 1)
+    for probe in range(5):  # the guess, then at most four secant steps
+        miss = np.flatnonzero(((cell > 0) & (below >= t)) | ((cell < last) & (above < t)))
+        runs, cf, t = runs[miss], cf[miss], t[miss]
+        if not len(runs) or probe == 4:
+            break
+        # the secant through the cell's two ends; a flat cell stays put
+        below, slope = below[miss], above[miss] - below[miss]
+        move = (t - below) / np.where(slope > 0, slope, np.inf)
+        cell = np.minimum(np.maximum(cell[miss] + move, 0), last).astype(np.int64)
+        below, above = value_at(cf, cell), value_at(cf, cell + 1)
+        lo[runs], c_lo[runs], c_hi[runs] = cell, below, above
+    if len(runs):  # runs the guess and its secant steps left unbracketed
         cell = np.zeros(len(runs), dtype=np.int64)
         step = 1 << (last.bit_length() - 1)
         while step:
@@ -230,12 +228,10 @@ def _pair_weights(f: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def _shifted_table(prof: PointerProfile, shifts) -> np.ndarray:
-    """phi(q - s) on a table's own grid q, one row per shift s, by an FFT
-    phase and an inverse FFT of its spectrum (`PointerProfile._spectrum`),
-    behind the grid-end check (`oracle._check_on_grid`)."""
-    spectrum, _, freq, _, _ = prof._spectrum
-    _check_on_grid(prof, shifts)
-    return np.fft.ifft(spectrum * np.exp(-1j * np.outer(shifts, freq)), axis=1)
+    """phi(q - s) on a table's own grid q, one row per shift s: an inverse
+    FFT of its spectrum (`PointerProfile._spectrum`) times the kernels'
+    shift phases, which refuse a shift off the grid (`oracle._phases`)."""
+    return np.fft.ifft(prof._spectrum[0] * _phases(prof, shifts), axis=1)
 
 
 def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
@@ -301,9 +297,9 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
     try:
         success = rng.random(n_total) < prob
         n_succ = int(np.sum(success))
-        uniforms = rng.random((c.n, n_succ))  # the same stream as one draw per site
-        # site-major, so that each block's readouts are one contiguous write
-        samples = np.empty((c.n, n_succ))
+        # each site's uniforms, site-major, which a block's readouts then
+        # overwrite (one contiguous write per site) once read
+        samples = rng.random((c.n, n_succ))
     except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
         raise InvalidInput(f"{n_total} runs do not fit in memory") from None
 
@@ -326,7 +322,7 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
 
     for lo in range(0, n_succ, RUN_BLOCK):
         runs = slice(lo, lo + RUN_BLOCK)
-        u = uniforms[:, runs]
+        u = samples[:, runs]  # a view: u[i] is read whole before its readouts land
         # a run's coordinates at later sites are rescaled to unit norm only
         # through its readout amplitudes, which leaves its mixture weights alone
         coords = start

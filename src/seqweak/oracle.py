@@ -15,8 +15,9 @@ of the oracle and the sampler, calls `gaussian_kernels` once over the
 expanded by labels.  A table's kernels are grid sums of its shifted
 samples, which Parseval's identity takes in frequency space: (k, N) x
 (N, k) products of its cached spectrum times the shift phases
-(`_phases`), with no inverse FFT.  The shared-pointer mean sums its branch
-amplitudes <psi_f| U_f P_b U_2 P_a U_1 |psi_i> as label masks of
+(`_phases`, also the sampler's, and the one check that a shift keeps the
+table on its grid), with no inverse FFT.  The shared-pointer mean sums its
+branch amplitudes <psi_f| U_f P_b U_2 P_a U_1 |psi_i> as label masks of
 bra x T x start.
 """
 from __future__ import annotations
@@ -96,10 +97,13 @@ def _check_on_grid(prof: PointerProfile, shifts) -> None:
 
 def _phases(prof: PointerProfile, shifts) -> np.ndarray:
     """exp(-i w s) over a table's FFT frequencies w, in FFT order, one row
-    per shift s.  The frequencies are the integer multiples j dw, which in
+    per shift s, behind the grid-end check (`_check_on_grid`): the one
+    builder of a table's shift phases, for its kernels and the sampler's
+    rows alike.  The frequencies are the integer multiples j dw, which in
     ascending order run j = -(N // 2) + B hi + lo with B = ceil(sqrt(N)),
     so each row is the outer product of two exp vectors of about sqrt(N)
     entries; its upper half, from j = 0, then leads."""
+    _check_on_grid(prof, shifts)
     freq = prof._spectrum[2]
     n = len(freq)
     width = math.isqrt(n - 1) + 1
@@ -118,7 +122,6 @@ def _table_kernels(prof: PointerProfile, shifts, momentum: bool = False) -> np.n
     q phi(q - s) is the shifted q phi plus s phi(q - s); and
     P = (h / N) conj(A) diag(w) A^T.  No inverse FFT is taken."""
     spectrum, q_spectrum, freq, _, _ = prof._spectrum
-    _check_on_grid(prof, shifts)
     phases = _phases(prof, shifts)
     right = spectrum * phases
     left = (prof.grid_step / len(freq)) * right.conj()

@@ -298,32 +298,20 @@ def ratio_rule_check(c: Circuit, alt_obs2) -> float:
     return abs(num1 / den1 - num2 / den2)
 
 
-def _complete_basis(x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) whose first column is x, by Gram-Schmidt
-    against the standard basis."""
-    d = x.shape[0]
-    cols = [x / np.linalg.norm(x)]
-    for e in np.eye(d, dtype=complex):
-        v = e - sum(np.vdot(c, e) * c for c in cols)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            cols.append(v / nrm)
-        if len(cols) == d:
-            break
-    return np.column_stack(cols)
-
-
 def path_amplitude_identity(c: Circuit, bases=None) -> float:
     """Deviation between wv(full subset) and the ratio of the path amplitude
     through the measured rank-1 projectors to the sum over all paths.
 
     ``bases`` optionally supplies, per stage, an orthonormal basis (columns)
-    whose first column is the projected direction.
+    that contains the projected direction.  By default a stage's basis is
+    the Q of [x, 1], from one stacked QR: its first column is x up to a
+    phase, which the projectors |b><b| do not see.
     """
     xs = _rank1_directions(np.array([a for _, a in c.stages]).reshape(c.n, c.dim, c.dim),
                            "observable at site {site} is not a rank-1 projector")
     if bases is None:
-        bases = [_complete_basis(x) for x in xs]
+        eye = np.broadcast_to(np.eye(c.dim), (c.n, c.dim, c.dim))
+        bases = np.linalg.qr(np.concatenate([xs[:, :, None], eye], axis=2))[0]
     else:
         bases = np.asarray(bases, dtype=complex)
         if bases.shape != (c.n, c.dim, c.dim):

@@ -85,6 +85,28 @@ def test_gaussian_pointer_roundtrip():
     # zero offsets are canonicalized away
     doc2 = parse(BASIC + "pointer gaussian sigma=1 qoffset=0\n")
     assert "qoffset" not in serialize(doc2)
+    boosted = serialize(parse(BASIC + "pointer gaussian sigma=1 qoffset=0 poffset=0.5\n"))
+    assert "pointer gaussian sigma=1 poffset=0.5\n" in boosted
+    assert serialize(parse(boosted)) == boosted
+
+
+_EQUALITY_BASE = BASIC + "pointer gaussian sigma=1\ninsert Z\n"
+
+
+@pytest.mark.parametrize("old, new", [
+    ("0+0i -1+0i", "0+0i -2+0i"),
+    ("unitary H", "unitary K"),
+    ("observe Z\n1+0i 0+0i\n0+0i -1+0i", "observe Z\nproj 0"),
+    ("sigma=1", "sigma=2"),
+    ("insert Z\n", ""),
+    ("state 1+0i 0+0i", "state 1+0i -0+0i"),
+], ids=["matrix-entry", "stanza-name", "proj", "pointer", "insert", "signed-zero"])
+def test_documents_compare_by_canonical_source(old, new):
+    # two parses of one source are equal, a nan coupling included; one
+    # change to the canonical source, a zero's sign included, makes them differ
+    assert parse(_EQUALITY_BASE) == parse(_EQUALITY_BASE)
+    assert parse(BASIC + "g nan\n") == parse(BASIC + "g nan\n")
+    assert parse(_EQUALITY_BASE.replace(old, new)) != parse(_EQUALITY_BASE)
 
 
 @pytest.mark.parametrize("mutation,kind", [
@@ -103,6 +125,13 @@ def test_gaussian_pointer_roundtrip():
       "observe A2\nproj 0\nunitary V\n1 0\n0 1\nobserve\nproj 1"), "DuplicateName"),
     (("observe Z\n1+0i 0+0i\n0+0i -1+0i\npostselect 0+0i 1+0i",
       "observe P\nproj 0\npostselect 0+0i 1+0i\ninsert P\ninsert P"), "DuplicateInsert"),
+    (("dim 2", "dim 0"), "DimMismatch"),
+    (("observe Z\n1+0i 0+0i\n0+0i -1+0i", "observe Z\nproj x"), "DimMismatch"),
+    (("postselect 0+0i 1+0i", "postselect 0+0i 1+0i\npointer"), "UnknownDirective"),
+    (("postselect 0+0i 1+0i", "postselect 0+0i 1+0i\npointer tabulated"),
+     "UnknownDirective"),
+    (("postselect 0+0i 1+0i", "postselect 0+0i 1+0i\npointer lorentz"), "UnknownDirective"),
+    (("postselect 0+0i 1+0i", "postselect 0+0i 1+0i\ng abc"), "UnknownDirective"),
 ])
 def test_diagnostics(mutation, kind):
     old, new = mutation

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqweak import montecarlo
+from seqweak.circuitio import builtin_document_path, load
 from seqweak.circuitmodel import Circuit, builtin_double_interferometer
 from seqweak.errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
 from seqweak.montecarlo import (GRID_POINTS, RANGE_SIGMAS, RunBatch, _basis_moments,
@@ -146,8 +147,9 @@ def per_run_vector_walk(c, g, prof, n_total, seed):
     site.  The weights <y_b|E|y_a>, y_a = P_a U v, come from one einsum
     over the (k^2, d, d) operators (P_b U)^dag E (P_a U); a readout q sets
     v to sum_a phi(q - g a) y_a over the (runs, k, d) stack y.  One site's
-    uniforms are drawn at a time.  Returns the post-selection flags and the
-    samples in the layout of `RunBatch`."""
+    uniforms are drawn at a time, and each readout is inverted by
+    `bit_bisection`.  Returns the post-selection flags and the samples in
+    the layout of `RunBatch`."""
     sites = projector_instruments(c)
     grids, bases, kernels = [], [], []
     for _, eigs in sites:
@@ -170,8 +172,7 @@ def per_run_vector_walk(c, g, prof, n_total, seed):
         k, d = len(pu), c.dim
         m = pu.conj().swapaxes(1, 2)[:, None] @ e[0] @ pu[None]
         w = np.einsum("rj,pjl,rl->rp", v.conj(), m.reshape(k * k, d, d), v)
-        xs = _invert_mixture_cdf(_hermitian_columns(w, k), bases[i], grids[i],
-                                 rng.random(n_succ))
+        xs = bit_bisection(_hermitian_columns(w, k), bases[i], grids[i], rng.random(n_succ))
         samples[:, i] = xs
         y = (v @ pu.reshape(k * d, d).T).reshape(n_succ, k, d)
         phi = prof.eval(xs[:, None] - g * np.asarray(eigs))
@@ -346,6 +347,22 @@ def test_sampler_memory_does_not_grow_with_runs():
     assert peaks[1] - peaks[0] <= sizes[1] - sizes[0] + 2 * 2**20
 
 
+def test_uniforms_are_drawn_into_the_samples():
+    # the readouts overwrite the uniforms they came from, so a 10^6-run
+    # batch of the shipped document traces less than half its own size
+    # past the flags and samples it returns (a second run-sized array of
+    # uniforms would add a whole samples array)
+    doc = load(builtin_document_path())
+    tracemalloc.start()
+    try:
+        batch = sample_runs(doc.to_circuit(), doc.g, doc.pointer, 1_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = batch.postselected.nbytes + batch.samples.nbytes
+    assert peak - kept < kept / 2
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_row_gather_inversion_matches_bisection_reference(k):
     # random PSD pair weights, so every run's density is a nonnegative mixture
@@ -362,7 +379,10 @@ def test_row_gather_inversion_matches_bisection_reference(k):
     u[:3] = [0.0, 1 - 1e-6, 1 - 1e-7]
     pairs = k * (k - 1) // 2
     basis = _hermitian_columns(cdf.T, k) * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs])
-    got = _invert_mixture_cdf(_hermitian_columns(w, k), basis, x, u)
+    # a start at cell 0 misses most targets, so most runs take the secant
+    # steps and the bisection fallback
+    got = _invert_mixture_cdf(_hermitian_columns(w, k), basis, x, u,
+                              np.zeros(runs, dtype=np.int64))
     assert np.max(np.abs(got - bisection_reference(w, cdf, x, u))) <= 1e-9
     assert got[0] == x[0]
 
@@ -371,7 +391,7 @@ def test_row_gather_inversion_matches_bisection_reference(k):
     # hit the target on the reference CDF to rounding
     u_edge = np.array([1 - 1e-12, np.nextafter(1.0, 0.0)])
     cols = _hermitian_columns(w[:2], k)
-    got = _invert_mixture_cdf(cols, basis, x, u_edge)
+    got = _invert_mixture_cdf(cols, basis, x, u_edge, np.zeros(2, dtype=np.int64))
     ref = (w[:2] @ cdf).real.T  # cdf_r on the grid, from the complex pair basis
     for r in range(2):
         hit = np.interp(got[r], x, ref[:, r])
@@ -403,7 +423,7 @@ def test_start_cell_changes_cost_not_answer(k):
     ref = bit_bisection(coef, basis, x, u)
     garbage = np.random.default_rng(k).integers(-10 * len(x), 10 * len(x), len(u))
     guess = _start_cells(coef, _basis_moments(basis), prof._quantiles, u)
-    for start in (None, np.zeros(len(u), dtype=np.int64), np.full(len(u), len(x) - 2),
+    for start in (np.zeros(len(u), dtype=np.int64), np.full(len(u), len(x) - 2),
                   garbage, guess):
         assert np.array_equal(_invert_mixture_cdf(coef, basis, x, u, start), ref)
 

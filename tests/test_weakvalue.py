@@ -12,9 +12,10 @@ from seqweak.circuitmodel import (P_B, P_C, P_E, P_F, Circuit,
                                   transition_amplitude)
 from seqweak.counterfactual import InsertionSet
 from seqweak.errors import (BasisIncomplete, DegeneratePostSelection, DimMismatch,
-                            InvalidInput, NonCommuting, SeqWeakError)
+                            InvalidInput, NonCommuting, RatioUndefined, SeqWeakError)
+from seqweak.montecarlo import sample_runs
 from seqweak.oracle import gaussian_kernels, same_pointer_twice
-from seqweak.pointer import PointerProfile, product_weak_value
+from seqweak.pointer import MomentSpec, PointerProfile, product_weak_value
 from seqweak.weakvalue import (BRANCH_TOL, check_linearity, check_marginal,
                                check_strong_agreement, path_amplitude_identity,
                                MAX_TABLE_ENTRIES, ratio_rule_check, weak_value,
@@ -489,11 +490,37 @@ def test_product_weak_value_rejects_intervening_evolution(rng):
     lambda: PointerProfile.tabulated(0.0, -0.1, np.zeros(256)),
     lambda: PointerProfile.tabulated(0.0, 0.1, np.zeros(256)),
     lambda: PointerProfile.tabulated(0.0, 0.1, np.ones(256)),
+    lambda: sample_runs(Circuit(psi_i=np.array([1, 0j]), stages=(), u_final=np.eye(2),
+                                psi_f=np.array([0, 1j])),
+                        0.1, PointerProfile.gaussian(1.0), 10, seed=1),
+    lambda: MomentSpec(()),
+    lambda: MomentSpec(((1, "x"),)),
 ], ids=["shared-pointer-sites", "insertion-projectors", "kernel-sigma", "marginal-site",
         "ratio-sites", "ratio-projector", "product-sites", "product-unitary",
         "path-projector", "profile-nonfinite", "profile-sigma", "table-short",
-        "table-nonfinite", "table-step", "table-zero", "table-no-decay"])
+        "table-nonfinite", "table-step", "table-zero", "table-no-decay",
+        "runs-no-sites", "moment-empty", "moment-kind"])
 def test_library_argument_errors_are_invalid_input(call):
     with pytest.raises(InvalidInput) as info:
         call()
     assert isinstance(info.value, SeqWeakError) and info.value.exit_code == 2
+
+
+def _orthogonal_postselection(c):
+    """``c`` post-selected on the state orthogonal to its unmeasured output
+    (dimension 2), so that its paths sum to zero."""
+    out = c.u_final @ c.stages[1][0] @ c.stages[0][0] @ c.psi_i
+    return Circuit(c.psi_i, c.stages, c.u_final, np.array([-out[1].conj(), out[0].conj()]))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: check_linearity(random_circuit(3, dim=2, n=2), random_circuit(3, dim=3, n=2), 2),
+     DimMismatch, "dimension"),
+    (lambda: ratio_rule_check(random_circuit(5, dim=2, n=2).with_observables(
+        {1: np.diag([1.0, 0.0])}), np.zeros((2, 2))), RatioUndefined, "vanishes"),
+    (lambda: path_amplitude_identity(_orthogonal_postselection(builtin_double_interferometer())),
+     DegeneratePostSelection, "path-amplitude sum vanishes"),
+], ids=["linearity-dims", "ratio-zero-denominator", "path-sum-zero"])
+def test_library_refusals_raise_their_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
