@@ -31,6 +31,7 @@ returns holds the validated `Circuit` and the site names.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import math
@@ -421,21 +422,42 @@ def _table_by_rows(text: str) -> np.ndarray:
     return table
 
 
-def load_tabulated_profile(path: str | Path) -> PointerProfile:
-    """Profile from rows of `q re(phi) im(phi)` with uniform spacing."""
-    _, text = _read(path)
+class _TableFault(Exception):
+    """A fault of a table text, as (kind, message), which
+    `load_tabulated_profile` names by the path it was given."""
+
+
+@functools.lru_cache(maxsize=1)
+def _table_profile(text: str) -> PointerProfile:
+    """The profile of a table text.  The last text turned into a profile
+    is kept with it, so reading that text again gives the same profile,
+    with its spectrum and moments already computed; a fault is raised
+    afresh each time."""
     table = _table_at_once(text)
     if table is None:
         table = _table_by_rows(text)
     q = table[:, 0]
+    if len(q) < 2:
+        raise _TableFault("BadProfile", "tabulated profile needs at least 256 points")
     steps = np.diff(q)
-    if len(q) < 2 or np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
-        raise ParseError("DimMismatch", 0, str(path),
-                         "profile grid must be uniformly spaced")
+    if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
+        raise _TableFault("DimMismatch", "profile grid must be uniformly spaced")
     try:
         return PointerProfile.tabulated(q[0], float(steps[0]), table[:, 1] + 1j * table[:, 2])
     except ValueError as exc:
-        raise ParseError("BadProfile", 0, str(path), str(exc)) from None
+        raise _TableFault("BadProfile", str(exc)) from None
+
+
+def load_tabulated_profile(path: str | Path) -> PointerProfile:
+    """Profile from rows of `q re(phi) im(phi)` with uniform spacing.  The
+    file is read every time, and a text read before gives the same
+    (read-only) profile (`_table_profile`)."""
+    _, text = _read(path)
+    try:
+        return _table_profile(text)
+    except _TableFault as fault:
+        kind, message = fault.args
+        raise ParseError(kind, 0, str(path), message) from None
 
 
 def serialize(doc: CircuitDocument) -> str:

@@ -317,7 +317,9 @@ def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
     blocks of DEF3_BLOCK // 3^k (at least one), one normal draw and one
     stacked kick solve per block (`_def3_responses`), so the cost is linear
     in ``trials``, the ancilla states' memory is bounded, and the report
-    keeps one float per response.
+    keeps one float per response, written block by block into one array
+    allocated up front: a count whose responses cannot be allocated is
+    refused with `InvalidInput` before any trial runs.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
@@ -340,10 +342,14 @@ def randomized_def3_test(c: Circuit, ins: InsertionSet, trials: int, g: float,
     width = sum(len(group) * _draw_width(r) for r, group in enumerate(amps, start=1))
     # a trial carries 3^k ancilla states: 2^r histories per size-r subset
     block = max(1, DEF3_BLOCK // 3 ** len(ins))
+    try:
+        resp = np.empty((trials, sum(map(len, amps))))
+    except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
+        raise InvalidInput(f"{trials} trials do not fit in memory") from None
     rng = np.random.default_rng(seed)
-    resp = np.abs(np.concatenate([
-        _def3_responses(amps, rng.standard_normal((min(block, trials - lo), width)), g)
-        for lo in range(0, trials, block)]))
+    for lo in range(0, trials, block):
+        draws = rng.standard_normal((min(block, trials - lo), width))
+        np.abs(_def3_responses(amps, draws, g), out=resp[lo:lo + len(draws)])
 
     return CounterfactualReport(
         def1_holds=d1,

@@ -16,7 +16,7 @@ from this formula's <q1 q2>.
 
 A table's moments mu, nu, v and y are Parseval sums over its cached
 spectrum (`PointerProfile._spectrum`, the FFTs of phi and q phi), checked
-against the same sums on the grid decimated by two.
+against the same sums on the grid decimated by two, once per profile.
 """
 from __future__ import annotations
 
@@ -172,17 +172,42 @@ class PointerProfile:
         """A table's FFT Phi, the FFT Psi of q phi, their angular frequencies
         and the ends of its support |phi| > 1e-8 peak, once per profile: the
         kernels (`oracle._table_kernels`), the sampler's shifted rows and
-        `moments` all read them."""
+        `moments` all read them.  The arrays are read-only, as profiles
+        are shared (`circuitio.load_tabulated_profile`)."""
         vals, q = self.values, self.grid
         live = q[np.abs(vals) > 1e-8 * np.max(np.abs(vals))]
         freq = 2 * np.pi * np.fft.fftfreq(len(vals), d=self.grid_step)
-        return np.fft.fft(vals), np.fft.fft(q * vals), freq, float(live[0]), float(live[-1])
+        return (*_read_only(np.fft.fft(vals), np.fft.fft(q * vals), freq),
+                float(live[0]), float(live[-1]))
 
     @functools.cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Grid, real and imaginary samples of a table as arrays, built once
-        per profile rather than once per `eval`."""
-        return self.grid, self.values.real.copy(), self.values.imag.copy()
+        """Grid, real and imaginary samples of a table as read-only arrays,
+        built once per profile rather than once per `eval`."""
+        return _read_only(self.grid, self.values.real.copy(), self.values.imag.copy())
+
+    @functools.cached_property
+    def _moments(self) -> PointerMoments:
+        """A table's moments, once per profile: Parseval sums over its
+        spectrum, checked against the same sums on the grid decimated by
+        two (`GridTooCoarse` above 1e-7, raised afresh on every call)."""
+        spectrum, q_spectrum, freq, _, _ = self._spectrum
+        full = _spectral_moments(spectrum, q_spectrum, freq)
+        q, vals = self.grid[::2], self.values[::2]
+        coarse = _spectral_moments(*np.fft.fft([vals, q * vals]),
+                                   2 * np.pi * np.fft.fftfreq(len(vals), d=2 * self.grid_step))
+        err = max(abs(full.mu - coarse.mu), abs(full.nu - coarse.nu),
+                  abs(full.v - coarse.v), abs(full.y - coarse.y))
+        if err > 1e-7:
+            raise GridTooCoarse(f"quadrature self-estimate error {err:.3e}")
+        return full
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each made non-writeable."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -213,17 +238,7 @@ def moments(prof: PointerProfile) -> PointerMoments:
     if prof.kind == "gaussian":
         return PointerMoments(mu=prof.q_offset, nu=prof.p_offset,
                               v=1.0 / (4.0 * prof.sigma**2), y=0.0)
-    spectrum, q_spectrum, freq, _, _ = prof._spectrum
-    full = _spectral_moments(spectrum, q_spectrum, freq)
-    # Self-estimate: recompute on the decimated grid and compare.
-    q, vals = prof.grid[::2], prof.values[::2]
-    coarse = _spectral_moments(*np.fft.fft([vals, q * vals]),
-                               2 * np.pi * np.fft.fftfreq(len(vals), d=2 * prof.grid_step))
-    err = max(abs(full.mu - coarse.mu), abs(full.nu - coarse.nu),
-              abs(full.v - coarse.v), abs(full.y - coarse.y))
-    if err > 1e-7:
-        raise GridTooCoarse(f"quadrature self-estimate error {err:.3e}")
-    return full
+    return prof._moments
 
 
 _FACTOR_RE = re.compile(r"([qp])(\d+)$")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from seqweak import circuitio
 from seqweak.algebra import eigensystems
 from seqweak.circuitmodel import Circuit, transition_amplitude
 from seqweak.oracle import gaussian_kernels
@@ -207,6 +208,27 @@ def kron_joint_response(c, couplings, anc_obs, anc_state, g):
         return float((np.vdot(chi, anc_obs @ chi) / np.vdot(chi, chi)).real)
 
     return expectation(evolve(True)) - expectation(evolve(False))
+
+
+def count_calls_of(monkeypatch, owner, name) -> list:
+    """Replace ``owner.<name>`` by a wrapper that counts its calls in the
+    returned list."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.fixture(autouse=True)
+def no_table_loaded():
+    """Every test starts with no pointer table kept
+    (`circuitio._table_profile`), so none depends on which tables the
+    tests before it loaded."""
+    circuitio._table_profile.cache_clear()
 
 
 @pytest.fixture

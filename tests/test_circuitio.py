@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,10 @@ from seqweak.circuitio import (CircuitDocument, ParseError, builtin_document_pat
 from seqweak.circuitmodel import builtin_double_interferometer
 from seqweak.cli import main
 from seqweak.errors import InvalidInput
-from seqweak.pointer import PointerProfile
+from seqweak.oracle import exact_moment
+from seqweak.pointer import MomentSpec, PointerProfile, moments, predict_moment
+
+from conftest import count_calls_of
 
 BASIC = """\
 wseq 1
@@ -512,3 +517,118 @@ def test_structural_fault_precedes_a_bad_matrix():
     with pytest.raises(ParseError) as err:
         parse(bad_u + "insert Q\n")
     assert (err.value.kind, err.value.line) == ("UnknownDirective", 11)
+
+
+def _table_text(sigma: float = 1.0, points: int = 512) -> str:
+    q = np.linspace(-14 * sigma, 14 * sigma, points)
+    return "".join(f"{x:.17g} {v:.17g} 0\n" for x, v in zip(q, np.exp(-q**2 / (4 * sigma**2))))
+
+
+def _fresh_profile(path) -> PointerProfile:
+    """`PointerProfile.tabulated` of a table file's cells, read apart from
+    the package's parser."""
+    table = np.loadtxt(path, ndmin=2)
+    return PointerProfile.tabulated(table[0, 0], table[1, 0] - table[0, 0],
+                                    table[:, 1] + 1j * table[:, 2])
+
+
+def _same_bits(a: PointerProfile, b: PointerProfile) -> bool:
+    return a._fields() == b._fields() and a.values.tobytes() == b.values.tobytes()
+
+
+def test_table_text_read_again_is_not_parsed_again(tmp_path, monkeypatch):
+    # a second file of the same text gives the same profile, its spectrum
+    # and moments already computed: no cell is converted and no FFT taken
+    text = _table_text()
+    (tmp_path / "a.tab").write_text(text)
+    (tmp_path / "b.tab").write_text(text)
+    first = circuitio.load_tabulated_profile(tmp_path / "a.tab")
+    warm = moments(first), first._spectrum
+    parses = count_calls_of(monkeypatch, circuitio, "_table_at_once")
+    rows = count_calls_of(monkeypatch, circuitio, "_table_by_rows")
+    ffts = count_calls_of(monkeypatch, np.fft, "fft")
+    second = circuitio.load_tabulated_profile(str(tmp_path / "b.tab"))
+    assert (moments(second), second._spectrum) == warm
+    assert second is first
+    assert parses == rows == ffts == []
+    assert _same_bits(second, _fresh_profile(tmp_path / "b.tab"))
+
+
+def test_rewritten_table_file_is_parsed_again(tmp_path):
+    # the profile is kept by the text, not the path: a rewritten file gives
+    # the profile of its new text, and only the last text is kept
+    path = tmp_path / "p.tab"
+    path.write_text(_table_text())
+    old = circuitio.load_tabulated_profile(path)
+    path.write_text(_table_text(sigma=0.5))
+    new = circuitio.load_tabulated_profile(path)
+    assert new != old
+    assert _same_bits(new, _fresh_profile(path))
+    path.write_text(_table_text())
+    again = circuitio.load_tabulated_profile(path)
+    assert again is not old and _same_bits(again, old)
+
+
+@pytest.mark.parametrize("text, kind", [
+    (_table_text().replace("\n", "\n0.5 0 0\n", 1), "DimMismatch"),
+    (_table_text().replace(" 0\n", " x\n", 1), "BadNumber"),
+    (_table_text(points=200), "BadProfile"),
+], ids=["uneven", "not-a-number", "short"])
+def test_bad_table_is_refused_on_every_load(tmp_path, text, kind):
+    # a fault is never kept: each load of the text raises it again, naming
+    # the path it was given (a row's fault names its line and row), and
+    # the good table kept before stays kept
+    (tmp_path / "good.tab").write_text(_table_text())
+    good = circuitio.load_tabulated_profile(tmp_path / "good.tab")
+    for name in ("one.tab", "two.tab", "one.tab"):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            circuitio.load_tabulated_profile(path)
+        assert err.value.kind == kind
+        line = err.value.line
+        assert err.value.token == (text.splitlines()[line - 1] if line else str(path))
+    assert circuitio.load_tabulated_profile(tmp_path / "good.tab") is good
+
+
+@pytest.mark.parametrize("text", ["", "# a comment only\n\n", "0 1 0\n"],
+                         ids=["empty", "comment-only", "one-row"])
+def test_table_of_fewer_than_two_rows_is_a_bad_profile(tmp_path, text):
+    # too short a table is refused as too short, as a 255-row one is, not
+    # as a grid that is not uniform
+    with pytest.raises(InvalidInput) as short:
+        PointerProfile.tabulated(0.0, 1.0, np.ones(1))
+    (tmp_path / "short.tab").write_text(text)
+    (tmp_path / "doc.wseq").write_text(BASIC + "pointer tabulated short.tab\n")
+    with pytest.raises(ParseError) as err:
+        load(tmp_path / "doc.wseq")
+    assert str(err.value) == (f"line 0: BadProfile: {short.value} "
+                              f"(at {str(tmp_path / 'short.tab')!r})")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_kept_table_gives_the_moments_of_a_fresh_one(tmp_path, monkeypatch, seed):
+    # the tabulated documents of the benchmark's oracle workload, each
+    # loaded with no table kept and after another document loaded the
+    # table: the exact and predicted moments are bitwise equal
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench import workloads
+
+    plan = workloads.build("oracle", seed, tmp_path, str(builtin_document_path()))
+    commands = [(argv[1], MomentSpec.parse(argv[3])) for argv in plan.cycle
+                if "tabulated" in Path(argv[1]).read_text()]
+    assert len(commands) == 21
+
+    def results(path, spec):
+        doc = load(path)
+        return (*exact_moment(doc.circuit, spec, doc.g, doc.pointer),
+                predict_moment(doc.circuit, spec, doc.g, doc.pointer))
+
+    cold = []
+    for path, spec in commands:
+        circuitio._table_profile.cache_clear()
+        cold.append(results(path, spec))
+    assert circuitio._table_profile.cache_info().hits == 0
+    warm = [results(path, spec) for path, spec in commands]
+    assert circuitio._table_profile.cache_info().hits == 21
+    assert np.array(warm).tobytes() == np.array(cold).tobytes()

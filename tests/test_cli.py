@@ -954,6 +954,15 @@ def test_run_count_past_memory_is_one_error_line(capsys):
     assert err == f"error: {runs} runs do not fit in memory\n"
 
 
+def test_trial_count_past_memory_is_one_error_line(capsys):
+    # 2^62 trials: numpy refuses the responses array before any trial runs
+    trials = str(2**62)
+    assert main(["counterfactual", SHIPPED, "--trials", trials, "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {trials} trials do not fit in memory\n"
+
+
 def test_crlf_document_is_opened_once_and_hashed_as_read(tmp_path, capsys, monkeypatch):
     # the text is decoded as `Path.read_text` decodes it, universal newlines
     # included, so a CRLF copy parses as the LF original; the fingerprint

@@ -324,6 +324,45 @@ def test_randomized_def3_blocks_keep_the_draw_order(monkeypatch, case):
     assert np.array_equal(blocked, many[:5])
 
 
+@pytest.mark.parametrize("case", ["builtin", "random3", "counterfactual3"])
+def test_def3_responses_are_the_concatenated_blocks(monkeypatch, case):
+    # each block's |responses| is written into its slice of one array; the
+    # draws keep their order, so the report is bitwise the concatenation of
+    # the blocks' |responses|
+    c, ins = def3_case(case, 7)
+    monkeypatch.setattr(counterfactual, "DEF3_BLOCK", 3 * 3 ** len(ins))
+    report = randomized_def3_test(c, ins, trials=8, g=0.05, seed=7)
+    amps = counterfactual._subset_amplitudes(
+        np.array(list(history_amplitudes(c, ins).values())), len(ins))
+    width = sum(len(group) * counterfactual._draw_width(r)
+                for r, group in enumerate(amps, start=1))
+    rng = np.random.default_rng(7)
+    concatenated = np.abs(np.concatenate([
+        counterfactual._def3_responses(amps, rng.standard_normal((min(3, 8 - lo), width)), 0.05)
+        for lo in range(0, 8, 3)]))
+    assert report.def3_responses.dtype == concatenated.dtype
+    assert report.def3_responses.shape == concatenated.shape == (8, 2 ** len(ins) - 1)
+    assert report.def3_responses.tobytes() == concatenated.tobytes()
+
+
+def test_def3_trials_past_memory_are_refused(monkeypatch):
+    # an allocator that cannot grant the responses of every trial at once is
+    # a refused input that names the trial count, before any trial runs
+    empty = np.empty
+
+    def exhausted(shape, *args, **kwargs):
+        if np.ndim(shape) and shape[0] == 10**6:
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(counterfactual.np, "empty", exhausted)
+    blocks = count_calls(monkeypatch, "_def3_responses", lambda amps, draws, g: len(draws))
+    with pytest.raises(InvalidInput, match="1000000 trials do not fit in memory"):
+        randomized_def3_test(builtin_double_interferometer(), double_insertions(),
+                             trials=10**6, g=0.1, seed=1)
+    assert blocks == []
+
+
 def test_subset_amplitudes_are_the_subsets_own_walks():
     for n in (3, 4):
         for seed in range(4):

@@ -331,9 +331,9 @@ def test_runs_past_memory_are_refused(monkeypatch):
 
 
 def test_sampler_memory_does_not_grow_with_runs():
-    # past the arrays that scale with the runs (the flags, the samples and
-    # the per-site uniforms, one float per sample), the traced peak of a
-    # 2e5-run batch may exceed that of a 2e4-run batch by at most 2 MB
+    # past the arrays that scale with the runs (the flags and the samples,
+    # into which the uniforms are drawn), the traced peak of a 2e5-run batch
+    # may exceed that of a 2e4-run batch by at most 2 MB
     c, prof = random_circuit(811, dim=3, n=3), PointerProfile.gaussian(1.0)
     peaks, sizes = [], []
     for runs in (20_000, 200_000):
@@ -343,7 +343,7 @@ def test_sampler_memory_does_not_grow_with_runs():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        sizes.append(batch.postselected.nbytes + 2 * batch.samples.nbytes)
+        sizes.append(batch.postselected.nbytes + batch.samples.nbytes)
     assert peaks[1] - peaks[0] <= sizes[1] - sizes[0] + 2 * 2**20
 
 

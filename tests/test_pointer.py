@@ -11,7 +11,7 @@ from seqweak.pointer import (QUANTILES, MomentSpec, PointerProfile, moments,
                              ordered_index_partitions, predict_moment)
 from seqweak.weakvalue import weak_value
 
-from conftest import random_circuit
+from conftest import count_calls_of, random_circuit
 from test_acceptance import converges
 
 
@@ -164,6 +164,38 @@ def coarse_profile():
 def test_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
         moments(coarse_profile())
+
+
+def test_table_moments_are_computed_once_per_profile(monkeypatch):
+    # the Parseval sums and the decimated self-estimate run on the first
+    # call only; a later call returns the same moments without an FFT
+    prof = sampled_gaussian(sigma=0.6, q_offset=-0.2, beta=0.3)
+    ffts = count_calls_of(monkeypatch, np.fft, "fft")
+    first = moments(prof)
+    assert len(ffts) == 3  # Phi and Psi of the spectrum, the decimated pair
+    assert moments(prof) is first
+    assert len(ffts) == 3
+    # a failed self-estimate is not kept: every call raises it again
+    coarse = coarse_profile()
+    for _ in range(2):
+        with pytest.raises(GridTooCoarse):
+            moments(coarse)
+
+
+def test_shared_table_arrays_are_read_only():
+    # one profile serves every document that names its table text, so no
+    # array it caches may be written in place
+    prof = sampled_gaussian(beta=0.2)
+    arrays = [prof.values, prof._quantiles, *prof._spectrum[:3], *prof._table]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2
+    spectrum, q_spectrum, freq, _, _ = prof._spectrum
+    assert np.array_equal(spectrum, np.fft.fft(prof.values))
+    assert np.array_equal(q_spectrum, np.fft.fft(prof.grid * prof.values))
+    assert np.array_equal(prof._table[1] + 1j * prof._table[2], prof.values)
 
 
 def test_position_products_do_not_need_profile_moments():
