@@ -17,7 +17,10 @@ Grammar (whitespace-separated tokens, '#' starts a comment):
 
 Complex literals are `<float>` or `<float>+<float>i` / `<float>-<float>i`
 with no interior spaces; pointer parameters `<r>` and the `q re im` cells of
-a tabulated profile file must be finite.  The k-th unitary opens boundary
+a tabulated profile file must be finite.  A profile file is read by the
+document's line reader (`_Lines`: '#' comments, blank lines skipped), and a
+fault of one of its rows names the file, the row and the row's line in the
+file.  The k-th unitary opens boundary
 k, and an observe binds to the boundary of the most recent unitary, at most
 one per boundary; a trailing observe after the last unitary implies an
 identity final evolution.  Each measurement site has one name: its
@@ -153,11 +156,9 @@ class CircuitDocument:
 
 class _Lines:
     def __init__(self, text: str):
-        self.rows: list[tuple[int, list[str]]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.rows.append((lineno, body.split()))
+        self.rows: list[tuple[int, list[str]]] = [
+            (lineno, tokens) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (tokens := raw.partition("#")[0].split())]
         self.pos = 0
 
     def peek(self):
@@ -349,7 +350,7 @@ def parse(text: str, base_dir: str | Path | None = None) -> CircuitDocument:
     try:  # all circuit invariants checked on load, every matrix once
         circuit = Circuit(
             psi_i=psi_i, stages=tuple((b[0], eye if b[1] is None else b[1]) for b in boundaries),
-            u_final=u_final, psi_f=psi_f, labels=labels)
+            u_final=u_final, psi_f=psi_f)
     except BadStage as exc:  # named by the stanza that wrote the matrix
         _, _, name, lineno, u_name, u_lineno = (boundaries + [final])[exc.site - 1]
         if exc.observable:
@@ -374,68 +375,34 @@ def _read(path: str | Path) -> tuple[bytes, str]:
                          getattr(exc, "strerror", None) or str(exc)) from None
 
 
-_COMMENT = re.compile(r"#[^\n]*")
-
-
-def _table_at_once(text: str) -> np.ndarray | None:
-    """The (rows, 3) finite cells of a profile text from one split of the
-    whole text, or None where the row loop must judge (and report) it.  The
-    text must break lines only at "\n" and, with its comments cut and its
-    ends stripped, be rows of three cells joined by single spaces."""
-    if not text.isascii() or any(ch in text for ch in "\r\v\f\x1c\x1d\x1e"):
-        return None
-    body = _COMMENT.sub("", text).strip()
-    cells = body.split()
-    rows = zip(*[iter(cells)] * 3)
-    if len(cells) % 3 or "\n".join(map(" ".join, rows)) != body:
-        return None
-    try:
-        table = np.array(cells, dtype=float).reshape(-1, 3)
-    except ValueError:
-        return None
-    return table if np.isfinite(table).all() else None
-
-
-def _table_by_rows(text: str) -> np.ndarray:
-    """The (rows, 3) cells of a profile text, one line at a time; raises the
-    `ParseError` of the first malformed line."""
-    rows, linenos = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) != 3:
-            raise ParseError("DimMismatch", lineno, body,
-                             "profile rows are `q re im`")
-        rows.append(parts)
-        linenos.append(lineno)
-    try:
-        table = np.array(rows, dtype=float).reshape(-1, 3)
-    except ValueError:  # a cell that is no number reads as nan
-        table = np.array([[_finite_float(tok) for tok in row] for row in rows], dtype=float)
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ParseError("BadNumber", linenos[bad], " ".join(rows[bad]),
-                         "profile cells must be finite numbers")
-    return table
-
-
 class _TableFault(Exception):
-    """A fault of a table text, as (kind, message), which
-    `load_tabulated_profile` names by the path it was given."""
+    """A fault of a table text, as (kind, message), and for a faulty row
+    also (line, row), which `load_tabulated_profile` names by the path it
+    was given."""
 
 
 @functools.lru_cache(maxsize=1)
 def _table_profile(text: str) -> PointerProfile:
-    """The profile of a table text.  The last text turned into a profile
-    is kept with it, so reading that text again gives the same profile,
-    with its spectrum and moments already computed; a fault is raised
-    afresh each time."""
-    table = _table_at_once(text)
-    if table is None:
-        table = _table_by_rows(text)
+    """The profile of a table text, its rows read by `_Lines` and their
+    cells converted at once; only when that fails are the cells read one
+    by one, to name the first row that is not three finite numbers.  The
+    last text turned into a profile is kept with it, so reading that text
+    again gives the same profile, with its spectrum and moments already
+    computed; a fault is raised afresh each time."""
+    rows = _Lines(text).rows
+    for lineno, row in rows:
+        if len(row) != 3:
+            raise _TableFault("DimMismatch", "profile rows are `q re im`", lineno, " ".join(row))
+    cells = [cell for _, row in rows for cell in row]
+    try:
+        table = np.array(cells, dtype=float).reshape(-1, 3)
+    except ValueError:  # a cell that is no number reads as nan
+        table = np.array(list(map(_finite_float, cells)), dtype=float).reshape(-1, 3)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        lineno, row = rows[int(np.argmin(finite))]
+        raise _TableFault("BadNumber", "profile cells must be finite numbers", lineno,
+                          " ".join(row))
     q = table[:, 0]
     if len(q) < 2:
         raise _TableFault("BadProfile", "tabulated profile needs at least 256 points")
@@ -451,12 +418,16 @@ def _table_profile(text: str) -> PointerProfile:
 def load_tabulated_profile(path: str | Path) -> PointerProfile:
     """Profile from rows of `q re(phi) im(phi)` with uniform spacing.  The
     file is read every time, and a text read before gives the same
-    (read-only) profile (`_table_profile`)."""
+    (read-only) profile (`_table_profile`).  A fault names the path: as
+    its token, or, for a faulty row, in its message, with the row and its
+    line in the table as token and line."""
     _, text = _read(path)
     try:
         return _table_profile(text)
     except _TableFault as fault:
-        kind, message = fault.args
+        kind, message, *row = fault.args
+        if row:
+            raise ParseError(kind, *row, f"{path}: {message}") from None
         raise ParseError(kind, 0, str(path), message) from None
 
 

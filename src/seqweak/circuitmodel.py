@@ -50,7 +50,6 @@ class Circuit:
     stages: tuple[tuple[np.ndarray, np.ndarray], ...]
     u_final: np.ndarray
     psi_f: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         psi_i = algebra.as_vector(self.psi_i)
@@ -292,10 +291,10 @@ def builtin_double_interferometer(obs1=None, obs2=None) -> Circuit:
     """
     a1 = P_B if obs1 is None else obs1
     a2 = P_F if obs2 is None else obs2
+    # mode 0 is path B (first interferometer) and E (second), mode 1 C and F
     return Circuit(
         psi_i=np.array([1.0, 0.0], dtype=complex),
         stages=((U1_DOUBLE, a1), (U2_DOUBLE, a2)),
         u_final=U3_DOUBLE,
         psi_f=np.array([0.0, 1.0], dtype=complex),
-        labels=("B/E", "C/F"),
     )

@@ -281,13 +281,16 @@ _TOKEN = st.one_of(st.sampled_from(_BAD_TOKENS),
                    st.text("0123456789.+-eEi=nafx ", max_size=8))
 
 
-def _fuzz_outcome(text, base_dir=None):
-    """Parse ``text``; the only allowed failures are a `ParseError`, or a
-    circuit check (`InvalidInput`) of the parsed document.  A document that
-    parses carries a finite pointer."""
+def _fuzz_outcome(text, base_dir=None, names=""):
+    """Parse ``text``; the only allowed failures are a `ParseError`, whose
+    message names ``names``, or a circuit check (`InvalidInput`) of the
+    parsed document.  A document that parses carries a finite pointer."""
     try:
         doc = parse(text, base_dir=base_dir)
-    except (ParseError, InvalidInput):
+    except ParseError as exc:
+        assert names in str(exc)
+        return
+    except InvalidInput:
         return
     doc.to_circuit()
     if doc.pointer is not None:
@@ -321,10 +324,10 @@ def test_fuzz_mutated_builtin_document(data):
     _fuzz_outcome("\n".join(lines) + "\n")
 
 
-def _profile_text(cells, sep=" ", header=False, comment=False, blank=False):
+def _profile_text(cells, sep=" ", header=False, comment=False, blank=False, newline="\n"):
     """Rows `q re im` of a decaying table whose cells are spelled ``cells(i)``,
-    optionally under a header comment, with a comment after a row, or with a
-    blank line."""
+    optionally under a header comment, with a comment after a row, with a
+    blank line, or with other line breaks."""
     rows = [sep.join(cells(i)) for i in range(300)]
     if header:
         rows.insert(0, "# q re im")
@@ -332,7 +335,7 @@ def _profile_text(cells, sep=" ", header=False, comment=False, blank=False):
         rows[150] += "  # mid"
     if blank:
         rows.insert(100, "")
-    return "\n".join(rows) + "\n"
+    return newline.join(rows) + newline
 
 
 _SPELLINGS = {
@@ -348,20 +351,18 @@ _SPELLINGS = {
 
 @pytest.mark.parametrize("spelling", sorted(_SPELLINGS))
 @pytest.mark.parametrize("layout", [{}, {"header": True}, {"sep": "\t"}, {"comment": True},
-                                    {"blank": True}])
-def test_profile_read_at_once_equals_row_loop(tmp_path, spelling, layout):
+                                    {"blank": True}, {"newline": "\r\n"},
+                                    {"newline": "\v"}])
+def test_profile_reader_equals_per_cell_float(tmp_path, spelling, layout):
+    # the reader gives, for every spelling and layout, the profile of the
+    # cells each read by `float`: the same values and sign bits, from the
+    # text and from a file of it
     text = _profile_text(_SPELLINGS[spelling], **layout)
-    rows = circuitio._table_by_rows(text)
-    at_once = circuitio._table_at_once(text)
-    if set(layout) <= {"header"}:  # single-spaced rows are read at once
-        assert at_once is not None
-    if at_once is not None:
-        assert np.array_equal(at_once, rows) and np.array_equal(np.signbit(at_once),
-                                                                np.signbit(rows))
-    (tmp_path / "p.dat").write_text(text)
-    prof = circuitio.load_tabulated_profile(tmp_path / "p.dat")
-    assert prof == PointerProfile.tabulated(rows[0, 0], rows[1, 0] - rows[0, 0],
-                                            rows[:, 1] + 1j * rows[:, 2])
+    ref = np.array([[float(cell) for cell in _SPELLINGS[spelling](i)] for i in range(300)])
+    want = PointerProfile.tabulated(ref[0, 0], ref[1, 0] - ref[0, 0], ref[:, 1] + 1j * ref[:, 2])
+    assert _same_bits(circuitio._table_profile(text), want)
+    (tmp_path / "p.dat").write_bytes(text.encode())
+    assert _same_bits(circuitio.load_tabulated_profile(tmp_path / "p.dat"), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -382,7 +383,7 @@ def test_fuzz_tabulated_profile_rows(tmp_path_factory, data):
         rows = rows[:data.draw(st.integers(0, len(rows)))]
     work = tmp_path_factory.getbasetemp()
     (work / "fuzz.dat").write_text("\n".join(rows) + "\n")
-    _fuzz_outcome(BASIC + "pointer tabulated fuzz.dat\n", base_dir=work)
+    _fuzz_outcome(BASIC + "pointer tabulated fuzz.dat\n", base_dir=work, names="fuzz.dat")
 
 
 @pytest.mark.parametrize("row", [100, 150])
@@ -544,13 +545,13 @@ def test_table_text_read_again_is_not_parsed_again(tmp_path, monkeypatch):
     (tmp_path / "b.tab").write_text(text)
     first = circuitio.load_tabulated_profile(tmp_path / "a.tab")
     warm = moments(first), first._spectrum
-    parses = count_calls_of(monkeypatch, circuitio, "_table_at_once")
-    rows = count_calls_of(monkeypatch, circuitio, "_table_by_rows")
+    reads = count_calls_of(monkeypatch, circuitio, "_Lines")
+    cells = count_calls_of(monkeypatch, np, "array")
     ffts = count_calls_of(monkeypatch, np.fft, "fft")
     second = circuitio.load_tabulated_profile(str(tmp_path / "b.tab"))
     assert (moments(second), second._spectrum) == warm
     assert second is first
-    assert parses == rows == ffts == []
+    assert reads == cells == ffts == []
     assert _same_bits(second, _fresh_profile(tmp_path / "b.tab"))
 
 

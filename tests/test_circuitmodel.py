@@ -27,7 +27,6 @@ def test_builtin_shape_and_labels():
     c = builtin_double_interferometer()
     assert c.dim == 2
     assert c.n == 2
-    assert c.labels == ("B/E", "C/F")
     assert np.array_equal(c.observable(1), P_B)
     assert np.array_equal(c.observable(2), P_F)
 

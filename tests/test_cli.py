@@ -425,6 +425,23 @@ def test_tabulated_pointer_errors_name_the_line(tmp_path):
         circuitio.load_tabulated_profile(tmp_path / "short.dat")
 
 
+@pytest.mark.parametrize("row, kind, message", [
+    ("{q} 0.5 x", "BadNumber", "profile cells must be finite numbers"),
+    ("{q} 0.5 0 0", "DimMismatch", "profile rows are `q re im`"),
+], ids=["not-a-number", "four-cells"])
+def test_bad_table_row_names_the_table(tmp_path, monkeypatch, capsys, row, kind, message):
+    # a faulty row is one error line naming the table's path, as the
+    # document wrote it, and the row's line in the table (not a line of the
+    # document)
+    rows = _gaussian_table()
+    rows[3] = row.format(q=rows[3].split()[0])
+    (tmp_path / "t.tab").write_text("\n".join(rows) + "\n")
+    (tmp_path / "c.wseq").write_text(Path(SHIPPED).read_text() + "pointer tabulated t.tab\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "c.wseq", "--moment", "q1"]) == 2
+    assert capsys.readouterr() == ("", f"error: line 4: {kind}: t.tab: {message} (at {rows[3]!r})\n")
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["weakvalues", "/nonexistent.wseq"]) == 2
     assert "error:" in capsys.readouterr().err
