@@ -35,6 +35,7 @@ returns holds the validated `Circuit` and the site names.
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import io
 import math
@@ -388,12 +389,22 @@ def _table_profile(text: str) -> PointerProfile:
     by one, to name the first row that is not three finite numbers.  The
     last text turned into a profile is kept with it, so reading that text
     again gives the same profile, with its spectrum and moments already
-    computed; a fault is raised afresh each time."""
-    rows = _Lines(text).rows
-    for lineno, row in rows:
-        if len(row) != 3:
-            raise _TableFault("DimMismatch", "profile rows are `q re im`", lineno, " ".join(row))
-    cells = [cell for _, row in rows for cell in row]
+    computed; a fault is raised afresh each time.  The cyclic garbage
+    collector is paused while the rows are built: they hold no cycles, and
+    a long table's millions of allocations would otherwise set off
+    collections that find nothing to free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rows = _Lines(text).rows
+        for lineno, row in rows:
+            if len(row) != 3:
+                raise _TableFault("DimMismatch", "profile rows are `q re im`", lineno,
+                                  " ".join(row))
+        cells = [cell for _, row in rows for cell in row]
+    finally:
+        if enabled:
+            gc.enable()
     try:
         table = np.array(cells, dtype=float).reshape(-1, 3)
     except ValueError:  # a cell that is no number reads as nan

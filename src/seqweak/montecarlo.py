@@ -10,16 +10,20 @@ V_i.  A position readout then leaves the system in the pure state
 sum_a phi(q_i - g a) y_a.  Momentum readouts are not sampled (a single run
 reads out either q or p).  Each conditional CDF is a mixture over eigenvalue
 pairs (b, a), Hermitian in (b, a), so a real sum of k^2 antiderivatives that
-are precomputed once per site as a (grid, k^2) basis.  Every run reads site 1
-out of one shared CDF column, inverted through a guide table (Chen & Asau
-1974): the table's cell at floor(u M), M the grid's length, is checked at
-both ends, and a miss is searched in the column.  At a later site a run's
+are precomputed once per site as a (k^2, grid) basis, one contiguous row per
+real density of the Hermitian half of the pairs: |phi_a|^2, then
+2 Re conj(phi_b) phi_a and -2 Im conj(phi_b) phi_a for b < a.  One
+trapezoid cumulative takes them all, and its last column is the grid's
+overlaps S_ba, which check the grid's mass.  Every run reads site 1 out of
+one shared CDF column, inverted through a guide table (Chen & Asau 1974):
+the table's cell at floor(u M), M the grid's length, is checked at both
+ends, and a miss is searched in the column.  At a later site a run's
 readout is inverted by guess and check: the mean and standard deviation of
-its density (from the basis columns' moments) and the pointer's standardized
+its density (from the basis rows' moments) and the pointer's standardized
 quantile at its uniform give a start cell, whose two ends are two gathered
-basis rows; a miss takes secant steps that carry only the runs still missed,
-and only the few runs still unbracketed fall back to a binary search whose
-every probe gathers one row.  On a CDF nondecreasing on the grid only one
+basis columns; a miss takes secant steps that carry only the runs still
+missed, and only the few runs still unbracketed fall back to a binary search
+whose every probe gathers one column.  On a CDF nondecreasing on the grid only one
 cell brackets a run's target, so neither path changes a sample.  A Gaussian
 is read out on GRID_POINTS spanning RANGE_SIGMAS widths past its extreme
 shifts g a, a table on its own grid from its spectrum times the shift
@@ -32,10 +36,14 @@ come from one `oracle.site_kernels` call for both pointer kinds.
 A run carries U v as its d coordinates in the eigenbasis of the site's
 observable (`circuitmodel.eigenbases`), where each projector P_a keeps the
 coordinates labelled a and the pair weights read F_i directly.  Every run
-enters site 1 in the same state, so site 1's k^2 basis is contracted once
-into one CDF column that all runs invert against.  At a later site a run's
-k^2 mixture weights are one real GEMM on the Hermitian half of its pair
-products conj(c_j) c_l, j <= l, as the weights are Hermitian in (j, l).
+enters site 1 in the same state, so the k^2 antiderivatives of site 1 are
+summed once, with that state's weights, into one CDF column that all runs
+invert against.  At a later site a run's k^2 mixture weights are one real
+GEMM on the Hermitian half of its pair products conj(c_j) c_l, j <= l, as
+the weights are Hermitian in (j, l).  Every per-run array keeps the runs on
+its last axis: coordinates (d, runs), pair products (d (d + 1) / 2, runs),
+mixture weights (k^2, runs) and readout amplitudes (k, runs), so numpy's
+inner loops run along the runs and not along a width of at most k^2.
 The state update scales each coordinate by phi(q - g a) times
 1/sqrt(sum_j |c_j|^2), read off the diagonal pair products (the mixture
 weights do not depend on a run's scale, which only keeps the coordinates
@@ -61,7 +69,7 @@ from .pointer import MomentSpec, PointerProfile, check_coupling, check_seed
 
 GRID_POINTS = 4096
 RANGE_SIGMAS = 12.0
-RUN_BLOCK = 4096  # post-selected runs walked through every site together
+RUN_BLOCK = 8192  # post-selected runs walked through every site together
 
 
 @dataclass(frozen=True)
@@ -86,12 +94,14 @@ class Estimate:
     n_total: int
 
 
-def _cumulative(gm: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Trapezoid antiderivative of each kernel row, zero at the left edge."""
-    dx = x[1] - x[0]
-    inc = (gm[:, 1:] + gm[:, :-1]) * (dx / 2)
-    out = np.zeros_like(gm)
-    np.cumsum(inc, axis=1, out=out[:, 1:])
+def _cumulative(dens: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid antiderivative of each density row, zero at the left edge,
+    summed in place in its one output array."""
+    out = np.empty_like(dens)
+    out[:, 0] = 0
+    inc = np.add(dens[:, 1:], dens[:, :-1], out=out[:, 1:])
+    inc *= (x[1] - x[0]) / 2
+    np.cumsum(inc, axis=1, out=inc)
     return out
 
 
@@ -103,32 +113,64 @@ def _hermitian_columns(z: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([z[..., ::k + 1].real, off.real, off.imag], axis=-1)
 
 
+def _readout_densities(shifted: np.ndarray) -> np.ndarray:
+    """The k^2 real rows of the Hermitian half of the pair densities
+    conj(phi_b) phi_a of k shifted pointer rows phi_a: |phi_a|^2, then
+    2 Re conj(phi_b) phi_a and -2 Im conj(phi_b) phi_a for b < a, so that
+    Re sum_{b,a} w_ba conj(phi_b) phi_a = sum_j c_j rows_j for the
+    `_hermitian_columns` c of w.  One row at a time, so that a long table's
+    temporaries stay one row long."""
+    k = len(shifted)
+    b, a = np.triu_indices(k, 1)
+    dens = np.empty((k * k, shifted.shape[1]))
+    for row, phi in enumerate(shifted):
+        np.multiply(phi.real, phi.real, out=dens[row])
+        dens[row] += phi.imag**2
+    for row, (m, l) in enumerate(zip(b, a), start=k):
+        cross = np.conj(shifted[m])
+        cross *= shifted[l]
+        np.multiply(cross.real, 2, out=dens[row])
+        np.multiply(cross.imag, -2, out=dens[row + len(b)])
+    return dens
+
+
+def _pair_overlaps(ends: np.ndarray, k: int) -> np.ndarray:
+    """The (k, k) Hermitian matrix S_ba = int conj(phi_b) phi_a whose
+    `_readout_densities` integrate to ``ends``."""
+    b, a = np.triu_indices(k, 1)
+    pairs = len(b)
+    s = np.diag(ends[:k]).astype(complex)
+    s[b, a] = (ends[k:k + pairs] - 1j * ends[k + pairs:]) / 2
+    s[a, b] = np.conj(s[b, a])
+    return s
+
+
 def _invert_mixture_cdf(coef: np.ndarray, basis: np.ndarray, x: np.ndarray,
                         u: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Per-run inverse CDF for cdf_r(x) = sum_j coef[r, j] basis[x, j].
+    """Per-run inverse CDF for cdf_r(x) = sum_j coef[j, r] basis[j, x].
 
     Finds the grid cell lo of each run with cdf_r(x[lo]) < t_r <=
     cdf_r(x[lo + 1]), t_r = u_r * cdf_r(x[-1]) (the first cell needs no lower
     and the last no upper bound), then interpolates linearly to the next grid
     point.  Every run first tries the cell ``start`` guesses (clipped to the
-    grid), two gathered basis rows each, written straight into lo and its
+    grid), two gathered basis columns each, written straight into lo and its
     two ends; up to four secant steps through the last cell's ends then
     carry only the runs the previous probe missed, and runs still
-    unbracketed set the bits of lo from the highest down, one gathered row
-    per probe.  On a CDF nondecreasing on the grid only one cell brackets
-    t_r, so ``start`` changes the cost but never the answer.
+    unbracketed set the bits of lo from the highest down, one gathered
+    column per probe.  On a CDF nondecreasing on the grid only one cell
+    brackets t_r, so ``start`` changes the cost but never the answer.
     """
     def value_at(cf, idx):
-        return np.einsum("rj,rj->r", cf, np.take(basis, idx, axis=0, mode="clip"))
+        return np.einsum("jr,jr->r", cf, np.take(basis, idx, axis=1, mode="clip"))
 
     last = len(x) - 1
-    target = u * (coef @ basis[-1])
+    target = u * (basis[:, -1] @ coef)
     runs, cf, t = np.arange(len(u)), coef, target
     cell = lo = np.minimum(np.maximum(start, 0), last)
     below, above = c_lo, c_hi = value_at(coef, lo), value_at(coef, lo + 1)
     for probe in range(5):  # the guess, then at most four secant steps
         miss = np.flatnonzero(((cell > 0) & (below >= t)) | ((cell < last) & (above < t)))
-        runs, cf, t = runs[miss], cf[miss], t[miss]
+        runs, cf, t = runs[miss], cf[:, miss], t[miss]
         if not len(runs) or probe == 4:
             break
         # the secant through the cell's two ends; a flat cell stays put
@@ -185,15 +227,15 @@ def _invert_shared_cdf(cdf: np.ndarray, guide: np.ndarray, x: np.ndarray,
 
 
 def _basis_moments(basis: np.ndarray) -> np.ndarray:
-    """(k^2, 3) zeroth to second moments, in grid-index units s, of the
-    densities whose trapezoid antiderivatives C are the basis columns, by
+    """(3, k^2) zeroth to second moments, in grid-index units s, of the
+    densities whose trapezoid antiderivatives C are the basis rows, by
     parts: int s^m rho = s_end^m C(s_end) - m int s^(m-1) C."""
-    s = np.arange(len(basis), dtype=float)
-    wts = np.ones(len(basis))
+    s = np.arange(basis.shape[1], dtype=float)
+    wts = np.ones(len(s))
     wts[[0, -1]] = 0.5
-    ints = np.stack([wts, wts * s]) @ basis
-    end = basis[-1]
-    return np.stack([end, s[-1] * end - ints[0], s[-1] ** 2 * end - 2 * ints[1]], axis=1)
+    ints = basis @ np.stack([wts, wts * s], axis=1)
+    end = basis[:, -1]
+    return np.stack([end, s[-1] * end - ints[:, 0], s[-1] ** 2 * end - 2 * ints[:, 1]])
 
 
 def _start_cells(coef: np.ndarray, moments: np.ndarray, quantiles: np.ndarray,
@@ -202,7 +244,7 @@ def _start_cells(coef: np.ndarray, moments: np.ndarray, quantiles: np.ndarray,
     to the grid): the mean of its density plus its standard deviation times
     the pointer's standardized quantile at u, from the `_basis_moments` of
     its grid."""
-    m0, m1, m2 = (coef @ moments).T
+    m0, m1, m2 = moments @ coef
     mean = m1 / m0
     sd = np.sqrt(np.maximum(m2 / m0 - mean**2, 0.0))
     return (mean + sd * quantiles[(u * len(quantiles)).astype(np.intp)]).astype(np.int64)
@@ -231,7 +273,9 @@ def _shifted_table(prof: PointerProfile, shifts) -> np.ndarray:
     """phi(q - s) on a table's own grid q, one row per shift s: an inverse
     FFT of its spectrum (`PointerProfile._spectrum`) times the kernels'
     shift phases, which refuse a shift off the grid (`oracle._phases`)."""
-    return np.fft.ifft(prof._spectrum[0] * _phases(prof, shifts), axis=1)
+    rows = _phases(prof, shifts)
+    rows *= prof._spectrum[0]
+    return np.fft.ifft(rows, axis=1, out=rows)
 
 
 def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
@@ -274,16 +318,14 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
         else:
             x, shifted = prof.grid, _shifted_table(prof, shifts)
         grids.append(x)
-        k, pairs = len(eigs), len(eigs) * (len(eigs) - 1) // 2
-        # gm[(b,a), x] = conj(phi(x - g b)) phi(x - g a)
-        gm = (np.conj(shifted)[:, None] * shifted[None]).reshape(k * k, len(x))
+        # the (k^2, grid) basis, from the densities' rows; a probe gathers
+        # one grid column of it per run
+        dens = _readout_densities(shifted)
         del shifted  # a long table's rows, no longer needed
-        # row-major, as every probe gathers rows (`np.take` would copy a
-        # column-major basis whole on each probe)
-        bases.append(np.ascontiguousarray(_hermitian_columns(_cumulative(gm, x).T, k)
-                                          * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs])))
+        bases.append(_cumulative(dens, x))
+        del dens
         # the grid's own overlaps, for the mass check against the exact S
-        overlaps.append(np.trapezoid(gm, x, axis=1).reshape(k, k)[labels[:, None], labels])
+        overlaps.append(_pair_overlaps(bases[-1][:, -1], len(eigs))[labels[:, None], labels])
     kernels = np.concatenate([np.stack(overlaps)[:, None],
                               exact if spec is not None else exact[:, :1]], axis=1)
     norms, walk = effects(sites, kernels)
@@ -306,7 +348,7 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
     # a run's coordinates at site i are V_i^dag U_i v; the weights <y_b|E|y_a>
     # pair them against F_i = V_i^dag E_i V_i of the grid's walk, and the
     # hop V_{i+1}^dag U_{i+1} V_i carries them on
-    pair_weights = [_pair_weights(f[0], labels, len(eigs))
+    pair_weights = [np.ascontiguousarray(_pair_weights(f[0], labels, len(eigs)).T)
                     for f, eigs, labels in zip(walk, sites.eigenvalues, sites.labels)]
     # the pair products' Hermitian half, and where its diagonal |c_j|^2 sits
     rows, cols = np.triu_indices(c.dim)
@@ -314,31 +356,31 @@ def sample_runs(c: Circuit, g: float, prof: PointerProfile, n_total: int,
     # every run enters site 1 in the same state, so its readouts share one
     # CDF column, inverted through its guide table
     start = sites.start
-    first = (np.conj(start[rows]) * start[cols]).view(float) @ pair_weights[0]
-    bases[0] = shared = bases[0] @ first  # frees site 1's k^2 columns
+    first = pair_weights[0] @ (np.conj(start[rows]) * start[cols]).view(float)
+    bases[0] = shared = first @ bases[0]  # frees site 1's k^2 rows
     guide = _guide_table(shared)
     moments = [_basis_moments(b) for b in bases[1:]]
-    hops = sites.hops.swapaxes(1, 2)
 
     for lo in range(0, n_succ, RUN_BLOCK):
         runs = slice(lo, lo + RUN_BLOCK)
         u = samples[:, runs]  # a view: u[i] is read whole before its readouts land
         # a run's coordinates at later sites are rescaled to unit norm only
         # through its readout amplitudes, which leaves its mixture weights alone
-        coords = start
+        coords = start[:, None]
         for i, (eigs, labels) in enumerate(zip(sites.eigenvalues, sites.labels)):
             if i:
-                z = np.take(coords, rows, axis=1).conj() * np.take(coords, cols, axis=1)
-                coef = z.view(float) @ pair_weights[i]
-                scale = 1.0 / np.sqrt(z.real[:, diagonal].sum(axis=1, keepdims=True))
+                z = coords[rows].conj() * coords[cols]
+                # the real and imaginary part of each pair product, interleaved
+                coef = pair_weights[i] @ np.stack([z.real, z.imag], axis=1).reshape(-1, z.shape[1])
+                scale = 1.0 / np.sqrt(z.real[diagonal].sum(axis=0))
                 guess = _start_cells(coef, moments[i - 1], prof._quantiles, u[i])
                 xs = _invert_mixture_cdf(coef, bases[i], grids[i], u[i], guess)
             else:
                 xs, scale = _invert_shared_cdf(shared, guide, grids[0], u[0]), 1.0
             samples[i, runs] = xs
             if i < c.n - 1:
-                phi = prof.eval(xs[:, None] - g * eigs) * scale
-                coords = (phi[:, labels] * coords) @ hops[i]
+                phi = prof.eval(xs - g * eigs[:, None]) * scale
+                coords = sites.hops[i] @ (phi[labels] * coords)
     return RunBatch(postselected=success, samples=samples.T,
                     exact=(moment, prob) if spec is not None else None)
 

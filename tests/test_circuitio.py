@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import numpy as np
@@ -590,6 +591,40 @@ def test_bad_table_is_refused_on_every_load(tmp_path, text, kind):
         line = err.value.line
         assert err.value.token == (text.splitlines()[line - 1] if line else str(path))
     assert circuitio.load_tabulated_profile(tmp_path / "good.tab") is good
+
+
+@pytest.mark.parametrize("collector", ["running", "paused"])
+def test_table_load_leaves_the_collector_as_it_was(tmp_path, monkeypatch, collector):
+    # the cyclic collector is off while the rows are built, and a good load
+    # and a faulty one (a row short of a cell, found while it is off; a
+    # cell that is no number, found after) each leave it as the caller had
+    # it; the profile is bitwise that of the cells read apart from the parser
+    states, lines = [], circuitio._Lines
+
+    def watched(text):
+        states.append(gc.isenabled())
+        return lines(text)
+
+    monkeypatch.setattr(circuitio, "_Lines", watched)
+    files = {"good": _table_text(), "short-row": _table_text().replace(" 0\n", "\n", 1),
+             "not-a-number": _table_text().replace(" 0\n", " x\n", 1)}
+    for name, text in files.items():
+        (tmp_path / f"{name}.tab").write_text(text)
+    was = gc.isenabled()
+    (gc.enable if collector == "running" else gc.disable)()
+    try:
+        profile = circuitio.load_tabulated_profile(tmp_path / "good.tab")
+        after = [gc.isenabled()]
+        for name, kind in [("short-row", "DimMismatch"), ("not-a-number", "BadNumber")]:
+            with pytest.raises(ParseError) as err:
+                circuitio.load_tabulated_profile(tmp_path / f"{name}.tab")
+            assert err.value.kind == kind
+            after.append(gc.isenabled())
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert states == [False, False, False]
+    assert after == [collector == "running"] * 3
+    assert _same_bits(profile, _fresh_profile(tmp_path / "good.tab"))
 
 
 @pytest.mark.parametrize("text", ["", "# a comment only\n\n", "0 1 0\n"],

@@ -5,13 +5,13 @@ import pytest
 
 from seqweak import montecarlo
 from seqweak.circuitio import builtin_document_path, load
-from seqweak.circuitmodel import Circuit, builtin_double_interferometer
+from seqweak.circuitmodel import Circuit, builtin_double_interferometer, effects, eigenbases
 from seqweak.errors import GridResolutionError, InvalidInput, NoSuccessfulRuns
 from seqweak.montecarlo import (GRID_POINTS, RANGE_SIGMAS, RunBatch, _basis_moments,
                                 _cumulative, _guide_table, _hermitian_columns,
                                 _invert_mixture_cdf, _invert_shared_cdf, _shifted_table,
                                 _start_cells, estimate_moment, sample_runs)
-from seqweak.oracle import exact_moment
+from seqweak.oracle import exact_moment, site_kernels
 from seqweak.pointer import MomentSpec, PointerProfile
 
 from conftest import (kernel_table, loop_branches, one_site_kernels, projector_effects,
@@ -67,10 +67,32 @@ def bisection_reference(w, cdf_basis, x, u):
 
 
 def bit_bisection(coef, basis, x, u, start=None):
-    """Reference row-gather inverse for cdf_r(x) = sum_j coef[r, j] basis[x, j],
-    the sampler's inversion before cells were guessed: every run sets the bits
-    of its grid index from the highest down, one gathered basis row per probe,
-    then interpolates linearly to the next grid point.  ``start`` is ignored."""
+    """Reference inverse for cdf_r(x) = sum_j coef[j, r] basis[j, x], the
+    sampler's inversion before cells were guessed: every run sets the bits
+    of its grid index from the highest down, one gathered basis column per
+    probe, then interpolates linearly to the next grid point.  ``start`` is
+    ignored."""
+    def value_at(idx):
+        return np.einsum("jr,jr->r", coef, np.take(basis, idx, axis=1, mode="clip"))
+
+    target = u * (basis[:, -1] @ coef)
+    lo = np.zeros(len(u), dtype=np.int64)
+    step = 1 << ((len(x) - 1).bit_length() - 1)
+    while step:
+        lo += step * (value_at(lo + step) < target)
+        step >>= 1
+    c_lo = value_at(lo)
+    c_hi = value_at(lo + 1)
+    frac = np.where(c_hi > c_lo,
+                    (target - c_lo) / np.maximum(c_hi - c_lo, 1e-300), 0.0)
+    dx = x[1] - x[0]
+    return x[lo] + np.clip(frac, 0.0, 1.0) * dx
+
+
+def row_bisection(coef, basis, x, u):
+    """`bit_bisection` in the run-major layout of `row_major_sampler`:
+    cdf_r(x) = sum_j coef[r, j] basis[x, j], one gathered basis row per
+    probe."""
     def value_at(idx):
         return np.einsum("rj,rj->r", coef, np.take(basis, idx, axis=0, mode="clip"))
 
@@ -86,6 +108,58 @@ def bit_bisection(coef, basis, x, u, start=None):
                     (target - c_lo) / np.maximum(c_hi - c_lo, 1e-300), 0.0)
     dx = x[1] - x[0]
     return x[lo] + np.clip(frac, 0.0, 1.0) * dx
+
+
+def row_major_sampler(c, g, prof, n_total, seed):
+    """Reference sampler: the block loop the sampler ran before its per-run
+    arrays put the runs last, in blocks of 4096 runs.  Every run-sized
+    temporary is (runs, width): coordinates (runs, d), pair products
+    (runs, d (d + 1) / 2) and mixture weights (runs, k^2), against a
+    (grid, k^2) basis from the complex pair matrix; the grid overlaps are a
+    trapezoid pass over that matrix.  Each later readout is inverted by
+    `row_bisection`, which finds the cell the guessed start found.  Returns
+    the post-selection flags and the samples in the layout of `RunBatch`."""
+    sites = eigenbases(c)
+    exact = site_kernels(sites, g, prof, [None] * c.n)
+    grids, bases, overlaps = [], [], []
+    for eigs, labels in zip(sites.eigenvalues, sites.labels):
+        x, gm = grid_pair_matrix(prof, eigs, g)
+        k, pairs = len(eigs), len(eigs) * (len(eigs) - 1) // 2
+        grids.append(x)
+        bases.append(np.ascontiguousarray(_hermitian_columns(_cumulative(gm, x).T, k)
+                                          * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs])))
+        overlaps.append(np.trapezoid(gm, x, axis=1).reshape(k, k)[labels[:, None], labels])
+    norms, walk = effects(sites, np.concatenate([np.stack(overlaps)[:, None], exact[:, :1]],
+                                                axis=1))
+    rng = np.random.default_rng(seed)
+    success = rng.random(n_total) < norms[1].real
+    samples = rng.random((c.n, int(np.sum(success))))
+
+    pair_weights = [montecarlo._pair_weights(f[0], labels, len(eigs))
+                    for f, eigs, labels in zip(walk, sites.eigenvalues, sites.labels)]
+    rows, cols = np.triu_indices(c.dim)
+    diagonal = np.flatnonzero(rows == cols)
+    start = sites.start
+    shared = bases[0] @ ((np.conj(start[rows]) * start[cols]).view(float) @ pair_weights[0])
+    guide = _guide_table(shared)
+    hops = sites.hops.swapaxes(1, 2)
+    for lo in range(0, samples.shape[1], 4096):
+        runs = slice(lo, lo + 4096)
+        u = samples[:, runs]
+        coords = start
+        for i, (eigs, labels) in enumerate(zip(sites.eigenvalues, sites.labels)):
+            if i:
+                z = np.take(coords, rows, axis=1).conj() * np.take(coords, cols, axis=1)
+                coef = z.view(float) @ pair_weights[i]
+                scale = 1.0 / np.sqrt(z.real[:, diagonal].sum(axis=1, keepdims=True))
+                xs = row_bisection(coef, bases[i], grids[i], u[i])
+            else:
+                xs, scale = _invert_shared_cdf(shared, guide, grids[0], u[0]), 1.0
+            samples[i, runs] = xs
+            if i < c.n - 1:
+                phi = prof.eval(xs[:, None] - g * eigs) * scale
+                coords = (phi[:, labels] * coords) @ hops[i]
+    return success, samples.T
 
 
 def joint_tensor_reference(c, g, prof, n_total, seed):
@@ -148,7 +222,7 @@ def per_run_vector_walk(c, g, prof, n_total, seed):
     over the (k^2, d, d) operators (P_b U)^dag E (P_a U); a readout q sets
     v to sum_a phi(q - g a) y_a over the (runs, k, d) stack y.  One site's
     uniforms are drawn at a time, and each readout is inverted by
-    `bit_bisection`.  Returns the post-selection flags and the samples in
+    `row_bisection`.  Returns the post-selection flags and the samples in
     the layout of `RunBatch`."""
     sites = projector_instruments(c)
     grids, bases, kernels = [], [], []
@@ -172,7 +246,7 @@ def per_run_vector_walk(c, g, prof, n_total, seed):
         k, d = len(pu), c.dim
         m = pu.conj().swapaxes(1, 2)[:, None] @ e[0] @ pu[None]
         w = np.einsum("rj,pjl,rl->rp", v.conj(), m.reshape(k * k, d, d), v)
-        xs = bit_bisection(_hermitian_columns(w, k), bases[i], grids[i], rng.random(n_succ))
+        xs = row_bisection(_hermitian_columns(w, k), bases[i], grids[i], rng.random(n_succ))
         samples[:, i] = xs
         y = (v @ pu.reshape(k * d, d).T).reshape(n_succ, k, d)
         phi = prof.eval(xs[:, None] - g * np.asarray(eigs))
@@ -274,6 +348,52 @@ def test_rescaled_coordinates_survive_400_sites():
     assert np.max(np.abs(batch.samples - samples)) <= 1e-9 * prof.sigma
 
 
+_DIFFERENTIAL_SHAPES = [(1, 2, "hermitian"), (2, 3, "projector"), (3, 4, "twofold"),
+                        (4, 4, "hermitian"), (5, 2, "projector"), (6, 3, "hermitian")]
+_DIFFERENTIAL_POINTERS = {
+    "centred": lambda: PointerProfile.gaussian(1.0),
+    "offset": lambda: PointerProfile.gaussian(0.8, q_offset=0.3, p_offset=0.2),
+    "chirped": lambda: kernel_table(1024),
+}
+# every shape and every pointer meets all three couplings
+_DIFFERENTIAL_CASES = [
+    (n, dim, observable, pointer, (0.05, 0.4, 1.5)[(s + p) % 3])
+    for s, (n, dim, observable) in enumerate(_DIFFERENTIAL_SHAPES)
+    for p, pointer in enumerate(_DIFFERENTIAL_POINTERS)
+]
+
+
+@pytest.mark.parametrize("n, dim, observable, pointer, g", _DIFFERENTIAL_CASES,
+                         ids=[f"{p}-{n}-{d}-{o}-{g}" for n, d, o, p, g in _DIFFERENTIAL_CASES])
+def test_run_contiguous_sampler_matches_row_major_block_loop(n, dim, observable, pointer, g):
+    c = _test_circuit(1700 + 10 * n + dim, dim, n, observable)
+    prof, seed = _DIFFERENTIAL_POINTERS[pointer](), 40 * n + dim
+    batch = sample_runs(c, g, prof, 3000, seed=seed)
+    success, samples = row_major_sampler(c, g, prof, 3000, seed)
+    assert np.array_equal(batch.postselected, success)
+    assert batch.samples.shape == samples.shape
+    assert len(samples) >= 100
+    assert np.max(np.abs(batch.samples - samples)) <= 1e-9
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+@pytest.mark.parametrize("n, dim, observable, pointer, g", [
+    (2, 3, "hermitian", "offset", 0.4), (3, 2, "projector", "chirped", 1.5),
+], ids=["offset-2-3", "chirped-3-2-projector"])
+def test_run_contiguous_blocks_match_row_major_block_loop(n, dim, observable, pointer, g, side):
+    # post-selected runs one short of a whole block, or one run past it
+    c = _test_circuit(1800 + 10 * n + dim, dim, n, observable)
+    prof, seed, b = _DIFFERENTIAL_POINTERS[pointer](), 50 + n, montecarlo.RUN_BLOCK
+    _, prob = exact_moment(c, MomentSpec.parse("q1"), g, prof)
+    counts = np.cumsum(np.random.default_rng(seed).random(int(1.5 * b / prob)) < prob)
+    n_total = int(np.argmax(counts == b + side)) + 1
+    batch = sample_runs(c, g, prof, n_total, seed=seed)
+    success, samples = row_major_sampler(c, g, prof, n_total, seed)
+    assert len(samples) == b + side
+    assert np.array_equal(batch.postselected, success)
+    assert np.max(np.abs(batch.samples - samples)) <= 1e-9
+
+
 @pytest.mark.parametrize("dim, labels", [
     (1, [0]), (2, [0, 1]), (3, [0, 1, 2]), (4, [0, 1, 2, 3]), (4, [0, 1, 1, 2]),
 ], ids=["1", "2", "3", "4", "4-twofold"])
@@ -363,6 +483,26 @@ def test_uniforms_are_drawn_into_the_samples():
     assert peak - kept < kept / 2
 
 
+def test_long_table_set_up_peak():
+    # a 262144-row table on the shipped document (k = 2) at 2e4 runs: each
+    # site's real readout densities are built a row at a time from its
+    # complex rows, which are dropped before the cumulative sums them in
+    # place, so the call's traced peak stays within six times one site's
+    # complex rows (8.4 MB); the exact kernels' products
+    # (`oracle.site_kernels`) set it, and a complex pair matrix with its
+    # cumulative and trapezoid pass would take it to ten
+    doc = load(builtin_document_path())
+    q = np.linspace(-20, 20, 262144)
+    prof = PointerProfile.tabulated(q[0], q[1] - q[0], np.exp(-q**2 / 4))
+    tracemalloc.start()
+    try:
+        sample_runs(doc.to_circuit(), doc.g, prof, 20_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * (2 * len(q) * 16)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_row_gather_inversion_matches_bisection_reference(k):
     # random PSD pair weights, so every run's density is a nonnegative mixture
@@ -378,10 +518,11 @@ def test_row_gather_inversion_matches_bisection_reference(k):
     u = rng.random(runs)
     u[:3] = [0.0, 1 - 1e-6, 1 - 1e-7]
     pairs = k * (k - 1) // 2
-    basis = _hermitian_columns(cdf.T, k) * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs])
+    basis = np.ascontiguousarray(
+        (_hermitian_columns(cdf.T, k) * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs])).T)
     # a start at cell 0 misses most targets, so most runs take the secant
     # steps and the bisection fallback
-    got = _invert_mixture_cdf(_hermitian_columns(w, k), basis, x, u,
+    got = _invert_mixture_cdf(np.ascontiguousarray(_hermitian_columns(w, k).T), basis, x, u,
                               np.zeros(runs, dtype=np.int64))
     assert np.max(np.abs(got - bisection_reference(w, cdf, x, u))) <= 1e-9
     assert got[0] == x[0]
@@ -390,7 +531,7 @@ def test_row_gather_inversion_matches_bisection_reference(k):
     # different orders may pick different grid cells; the inverse must still
     # hit the target on the reference CDF to rounding
     u_edge = np.array([1 - 1e-12, np.nextafter(1.0, 0.0)])
-    cols = _hermitian_columns(w[:2], k)
+    cols = np.ascontiguousarray(_hermitian_columns(w[:2], k).T)
     got = _invert_mixture_cdf(cols, basis, x, u_edge, np.zeros(2, dtype=np.int64))
     ref = (w[:2] @ cdf).real.T  # cdf_r on the grid, from the complex pair basis
     for r in range(2):
@@ -399,10 +540,10 @@ def test_row_gather_inversion_matches_bisection_reference(k):
 
 
 def _mixture_case(k, g, seed, runs=4000, prof=None):
-    """A pointer's (grid, k^2) CDF basis at the shifts g a of k random
-    eigenvalues a, and random PSD pair weights as Hermitian columns, so
-    every run's density is a nonnegative mixture.  The pointer is an offset
-    Gaussian unless ``prof`` is given."""
+    """A pointer's (k^2, grid) CDF basis at the shifts g a of k random
+    eigenvalues a, and random PSD pair weights as (k^2, runs) Hermitian
+    columns, so every run's density is a nonnegative mixture.  The pointer
+    is an offset Gaussian unless ``prof`` is given."""
     rng = np.random.default_rng(seed)
     eigs = np.sort(rng.normal(size=k))
     if prof is None:
@@ -411,9 +552,10 @@ def _mixture_case(k, g, seed, runs=4000, prof=None):
     a = rng.normal(size=(runs, k, 2)) + 1j * rng.normal(size=(runs, k, 2))
     w = np.einsum("rbm,ram->rba", a.conj(), a).reshape(runs, k * k)
     pairs = k * (k - 1) // 2
-    basis = np.ascontiguousarray(_hermitian_columns(_cumulative(gm, x).T, k)
-                                 * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs]))
-    return prof, x, basis, _hermitian_columns(w, k), rng.random(runs)
+    basis = np.ascontiguousarray((_hermitian_columns(_cumulative(gm, x).T, k)
+                                  * np.repeat([1.0, 2.0, -2.0], [k, pairs, pairs])).T)
+    return (prof, x, basis, np.ascontiguousarray(_hermitian_columns(w, k).T),
+            rng.random(runs))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -436,16 +578,16 @@ def test_bimodal_density_falls_back_to_bisection(monkeypatch):
     guess = _start_cells(coef, _basis_moments(basis), prof._quantiles, u)
 
     def cdf_at(cell):
-        return np.einsum("rj,rj->r", coef, np.take(basis, cell, axis=0, mode="clip"))
+        return np.einsum("jr,jr->r", coef, np.take(basis, cell, axis=1, mode="clip"))
 
-    cell, target = np.clip(guess, 0, len(x) - 1), u * (coef @ basis[-1])
+    cell, target = np.clip(guess, 0, len(x) - 1), u * (basis[:, -1] @ coef)
     assert np.mean((cdf_at(cell) < target) & (target <= cdf_at(cell + 1))) < 0.9
     probes, take = [], np.take
     monkeypatch.setattr(montecarlo.np, "take", lambda a, idx, **kw: probes.append(len(idx))
                         or take(a, idx, **kw))
     got = _invert_mixture_cdf(coef, basis, x, u, guess)
     monkeypatch.undo()
-    assert len(probes) > 10  # the guess and four secant steps gather 2 rows each
+    assert len(probes) > 10  # the guess and four secant steps gather 2 columns each
     assert np.array_equal(got, bit_bisection(coef, basis, x, u))
 
 
@@ -469,17 +611,19 @@ def test_shared_cdf_inversion_matches_bisection(case):
     k, g, seed, prof = _SHARED_CASES[case]
     _, x, basis, coef, u = _mixture_case(k, g, seed, prof=prof)
     u[:3] = [0.0, 1 - 1e-12, np.nextafter(1.0, 0.0)]
-    cdf = basis @ coef[0]
+    # the column summed one grid point at a time over a (grid, k^2) copy of
+    # the basis, which leaves these far tails flat to the last bit
+    cdf = np.ascontiguousarray(basis.T) @ np.ascontiguousarray(coef[:, 0])
     assert np.sum(cdf == cdf[-1]) > 1  # a flat upper tail
     got = _invert_shared_cdf(cdf, _guide_table(cdf), x, u)
-    assert np.array_equal(got, bit_bisection(np.ones((len(u), 1)), cdf[:, None], x, u))
+    assert np.array_equal(got, bit_bisection(np.ones((1, len(u))), cdf[None], x, u))
     assert got[0] == x[0]
 
 
 def test_only_missed_runs_are_searched_again(monkeypatch):
     # site 1 reads its shared column through the guide table and gathers no
-    # basis row; at site 2 the first probe pair gathers a whole block of
-    # rows, and every later gather carries only the runs still unbracketed
+    # basis column; at site 2 the first probe pair gathers a whole block of
+    # columns, and every later gather carries only the runs still unbracketed
     events, take = [], np.take
 
     def marked(name, inversion):
@@ -489,7 +633,7 @@ def test_only_missed_runs_are_searched_again(monkeypatch):
         return call
 
     def counted(a, idx, axis=None, **kw):
-        if axis == 0:
+        if axis == 1:
             events.append(("take", np.size(idx)))
         return take(a, idx, axis=axis, **kw)
 
@@ -499,7 +643,7 @@ def test_only_missed_runs_are_searched_again(monkeypatch):
     monkeypatch.setattr(montecarlo, "_invert_mixture_cdf",
                         marked("mixture", montecarlo._invert_mixture_cdf))
     monkeypatch.setattr(montecarlo.np, "take", counted)
-    batch = sample_runs(c, 0.4, PointerProfile.gaussian(1.0), 12000, seed=3)
+    batch = sample_runs(c, 0.4, PointerProfile.gaussian(1.0), 3 * montecarlo.RUN_BLOCK, seed=3)
     monkeypatch.undo()
     calls = [e for e in events if e[0] != "take"]
     blocks = [min(montecarlo.RUN_BLOCK, len(batch.samples) - lo)
@@ -532,7 +676,7 @@ def test_guessed_cells_sample_like_pure_bisection(monkeypatch, pointer, g, dim, 
     batch = sample_runs(c, g, prof, 6000, seed=seed)
     monkeypatch.setattr(montecarlo, "_invert_mixture_cdf", bit_bisection)
     monkeypatch.setattr(montecarlo, "_invert_shared_cdf", lambda cdf, guide, x, u:
-                        bit_bisection(np.ones((len(u), 1)), cdf[:, None], x, u))
+                        bit_bisection(np.ones((1, len(u))), cdf[None], x, u))
     ref = sample_runs(c, g, prof, 6000, seed=seed)
     assert np.array_equal(batch.postselected, ref.postselected)
     assert np.array_equal(batch.samples, ref.samples)
